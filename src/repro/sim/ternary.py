@@ -11,9 +11,9 @@ structural diameter bound, and merge fodder for the COM engine.
 
 from __future__ import annotations
 
-from typing import Dict, Optional
+from typing import Dict, List, Optional, Tuple
 
-from ..netlist import Netlist, GateType, topological_order
+from ..netlist import Gate, GateType, Netlist, topological_order
 
 #: The "unknown" value.
 X = 2
@@ -31,16 +31,39 @@ def ternary_eval(net: Netlist, state: Dict[int, int],
     ``state`` maps state elements to {0,1,X}; ``inputs`` maps primary
     inputs to {0,1,X} (default all X).
     """
-    inputs = inputs or {}
-    values: Dict[int, int] = {}
+    return _eval_plan(_plan(net), state, inputs or {})
+
+
+#: Plan entry kinds.
+_STATE, _INPUT, _GATE = 0, 1, 2
+
+
+def _plan(net: Netlist) -> List[Tuple[int, int, Gate]]:
+    """``(vid, kind, gate)`` in topological order, built once per call
+    of the public functions."""
+    plan = []
     for vid in topological_order(net):
         gate = net.gate(vid)
         if gate.is_state:
-            values[vid] = state.get(vid, X)
+            kind = _STATE
         elif gate.type is GateType.INPUT:
-            values[vid] = inputs.get(vid, X)
+            kind = _INPUT
         else:
+            kind = _GATE
+        plan.append((vid, kind, gate))
+    return plan
+
+
+def _eval_plan(plan: List[Tuple[int, int, Gate]], state: Dict[int, int],
+               inputs: Dict[int, int]) -> Dict[int, int]:
+    values: Dict[int, int] = {}
+    for vid, kind, gate in plan:
+        if kind == _GATE:
             values[vid] = _eval(gate, values)
+        elif kind == _STATE:
+            values[vid] = state.get(vid, X)
+        else:
+            values[vid] = inputs.get(vid, X)
     return values
 
 
@@ -128,12 +151,13 @@ def constant_state_elements(net: Netlist,
     """
     state = ternary_initial_state(net)
     limit = max_iterations or (len(state) + 1)
+    plan = _plan(net)
+    updates = [(vid, net.gate(vid)) for vid in state]
     for _ in range(limit):
-        values = ternary_eval(net, state)
+        values = _eval_plan(plan, state, {})
         nxt: Dict[int, int] = {}
         changed = False
-        for vid in state:
-            gate = net.gate(vid)
+        for vid, gate in updates:
             if gate.type is GateType.REGISTER:
                 new = _meet(state[vid], values[gate.fanins[0]])
             else:

@@ -9,16 +9,47 @@ the netlist."
 
 The engine reproduced here follows the classic van Eijk scheme:
 
-1. ternary constant propagation seeds constant merges,
+1. ternary constant propagation seeds constant merges;
 2. random simulation from the initial states partitions vertices into
-   candidate equivalence classes,
-3. the candidate relation is refined to an inductive fixpoint — assume
-   all candidates equal on a free current frame, require each pair
-   equal on the next frame (SAT); failures split their class — and
-   checked on an initial-state-constrained base frame,
-4. surviving classes are merged onto their topologically-shallowest
+   candidate equivalence classes;
+3. the classes are refined against the *base* frame, one frame
+   constrained to the initial states, until every class holds in every
+   initial state;
+4. that partition is refined to an inductive fixpoint: assume every
+   class equal on a free current frame, require each member equal to
+   its class representative on the next frame (SAT), split what fails;
+5. surviving classes are merged onto their topologically-shallowest
    representative and the netlist is rebuilt (hash-consing doubles as
    the structural-analysis merge pass).
+
+The base case comes first.  Any refinement of a partition that holds
+in every initial state still holds there, so the step fixpoint needs
+no second base check.  The reverse order is unsound: dropping a member
+that differs in some initial state keeps the merges whose induction
+assumed the dropped equality.
+
+Each step round guards all of its frame-0 equalities with one fresh
+activation literal ``act`` (``act -> (a <-> b)`` per pair).  Every
+query assumes ``[act, diff]``, and the round retires ``act`` with one
+level-0 unit, so the assumption prefix is one decision level deep
+whatever the number of pairs.
+
+A SAT answer is a model of the round's equalities that assigns every
+candidate's literal.  Each candidate's value in it becomes one bit of
+a per-round signature.  A member whose signature differs from its
+representative's is refuted without a SAT call (``com.model_refuted``),
+and the refuted members of a class are regrouped by signature.  The
+base phase splits by its models the same way.
+
+Why the result does not depend on the query order: a model of one
+partition's equalities also satisfies the equalities of every finer
+partition, which assume less.  So a pair that a model separates is
+separated in every inductive refinement, and each split keeps the
+coarsest inductive refinement of the base partition intact; the loop
+ends exactly there.  That needs every query to be conclusive.  An
+inconclusive query drops its pair and a corrupted model can only
+over-split; both are sound, since the loop stops only at a round in
+which every pair was proven (UNSAT).
 
 Redundancy removal preserves the semantics of every retained vertex,
 so by Theorem 1 diameter bounds carry over unchanged.
@@ -27,7 +58,7 @@ so by Theorem 1 diameter bounds carry over unchanged.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Set, Tuple
+from typing import Dict, List, Optional, Tuple
 
 from .. import obs
 from ..core.record import StepKind, TransformResult, TransformStep
@@ -39,7 +70,7 @@ from ..netlist import (
     topological_order,
 )
 from ..resilience import Budget, Cancelled
-from ..sat import UNSAT, CnfSink, Solver, encode_frame, \
+from ..sat import SAT, UNSAT, CnfSink, Solver, encode_frame, \
     encode_init_state, encode_mux, lit_not, pos
 from ..sat.template import get_template, netlist_has_const0, \
     templates_enabled
@@ -82,11 +113,11 @@ def _levels(net: Netlist) -> Dict[int, int]:
 
 
 class _InductiveChecker:
-    """SAT checks for the induction step and the initial-state base."""
+    """SAT models of the initial-state base frame and of the induction
+    step; both phases split classes the same way (:meth:`_split`)."""
 
     def __init__(self, net: Netlist, config: SweepConfig,
                  budget: Optional[Budget] = None) -> None:
-        self.net = net
         self.config = config
         self.budget = budget
         # One "frame" template serves all three encodes below: frame 0
@@ -146,28 +177,88 @@ class _InductiveChecker:
                 self.base_frame = encode_frame(net, base_sink,
                                                dict(base_state))
 
-    def assume_lits(self, classes: List[List[int]]) -> List[int]:
-        """Assumption literals asserting all candidate pairs equal on
-        frame 0 (via fresh equality indicators)."""
-        sink = CnfSink(self.step_solver)
-        assumptions = []
+    def split_base(self, classes: List[List[int]]
+                   ) -> Tuple[List[List[int]], List[List[int]]]:
+        """Split ``classes`` by their values in the initial states."""
+        return self._split(self.base_solver, self.base_frame, classes, [])
+
+    def split_step(self, classes: List[List[int]]
+                   ) -> Tuple[List[List[int]], List[List[int]]]:
+        """One refinement round: split ``classes`` by their frame-1
+        values while every class holds on frame 0."""
+        solver = self.step_solver
+        act = pos(solver.new_var())
+        sink = CnfSink(solver)
+        for cls in classes:
+            a = self.frame0[cls[0]]
+            for other in cls[1:]:
+                b = self.frame0[other]
+                # act -> (a <-> b)
+                sink.add_clause([lit_not(act), lit_not(a), b])
+                sink.add_clause([lit_not(act), a, lit_not(b)])
+        split = self._split(solver, self.frame1, classes, [act])
+        # Retire the round: one level-0 unit satisfies all of its guard
+        # clauses for good and takes ``act`` off the decision heap.
+        solver.add_clause([lit_not(act)])
+        return split
+
+    def _split(self, solver: Solver, lits: Dict[int, int],
+               classes: List[List[int]], assumptions: List[int]
+               ) -> Tuple[List[List[int]], List[List[int]]]:
+        """Check every class member against its representative
+        (``cls[0]``) under ``assumptions``.
+
+        Returns ``(kept, split)``: each representative with the members
+        proven equal to it, and the other members regrouped by their
+        signature.  A signature holds one bit per SAT model of this
+        pass: the member's value in the model, read for every member of
+        ``classes``.  Every model satisfies ``assumptions``, so a member
+        whose signature already differs from its representative's is
+        refuted without a SAT call.  An inconclusive query drops its
+        pair.  Classes stay sorted by vid; singletons are dropped.
+        """
+        members = [(v, lits[v] >> 1, lits[v] & 1)
+                   for cls in classes for v in cls]
+        sig = {v: 0 for v, _, _ in members}
+        bit = 1
+        kept_classes: List[List[int]] = []
+        refuted_groups: List[List[int]] = []
         for cls in classes:
             rep = cls[0]
+            kept = [rep]
+            refuted = []
             for other in cls[1:]:
-                eq = pos(self.step_solver.new_var())
-                a, b = self.frame0[rep], self.frame0[other]
-                # eq -> (a <-> b)
-                sink.add_clause([lit_not(eq), lit_not(a), b])
-                sink.add_clause([lit_not(eq), a, lit_not(b)])
-                assumptions.append(eq)
-        return assumptions
+                if sig[other] != sig[rep]:
+                    obs.counter("com.model_refuted")
+                    refuted.append(other)
+                    continue
+                result = self._differ(solver, lits[rep], lits[other],
+                                      assumptions)
+                if result == UNSAT:
+                    kept.append(other)
+                    continue
+                refuted.append(other)
+                if result == SAT:
+                    model = solver.model
+                    for v, var, negated in members:
+                        if model[var] != negated:
+                            sig[v] |= bit
+                    bit <<= 1
+            if len(kept) > 1:
+                kept_classes.append(kept)
+            refuted_groups.append(refuted)
+        split: List[List[int]] = []
+        for refuted in refuted_groups:
+            groups: Dict[int, List[int]] = {}
+            for v in refuted:
+                groups.setdefault(sig[v], []).append(v)
+            split.extend(g for g in groups.values() if len(g) > 1)
+        return kept_classes, split
 
-    def pair_holds_inductively(self, a: int, b: int,
-                               assumptions: List[int]) -> bool:
-        """UNSAT of ``assumptions AND frame1[a] != frame1[b]``."""
-        solver = self.step_solver
+    def _differ(self, solver: Solver, la: int, lb: int,
+                assumptions: List[int]) -> str:
+        """Solve ``assumptions AND la != lb``."""
         diff = pos(solver.new_var())
-        la, lb = self.frame1[a], self.frame1[b]
         sink = CnfSink(solver)
         # diff -> (a xor b)  (one direction suffices for the query)
         sink.add_clause([lit_not(diff), la, lb])
@@ -181,48 +272,94 @@ class _InductiveChecker:
         # the decision heap.  Without this, every query leaves a live
         # unconstrained indicator behind, and the incremental solver
         # wastes decisions and propagations on the accumulated junk in
-        # all later queries (hundreds per sweep).
+        # all later queries (hundreds per sweep).  The unit leaves
+        # ``solver.model`` intact for the caller.
         solver.add_clause([lit_not(diff)])
-        return result == UNSAT
-
-    def pair_holds_at_init(self, a: int, b: int) -> bool:
-        """UNSAT of ``Z AND base[a] != base[b]``."""
-        solver = self.base_solver
-        diff = pos(solver.new_var())
-        la, lb = self.base_frame[a], self.base_frame[b]
-        sink = CnfSink(solver)
-        sink.add_clause([lit_not(diff), la, lb])
-        sink.add_clause([lit_not(diff), lit_not(la), lit_not(lb)])
-        obs.counter("com.sat_queries")
-        result = solver.solve([diff],
-                              conflict_budget=self.config.conflict_budget,
-                              budget=self.budget)
-        solver.add_clause([lit_not(diff)])
-        return result == UNSAT
-
-    def retire_assumptions(self, assumptions: List[int]) -> None:
-        """Retire a round's equality indicators once the round's
-        queries are done (they are never assumed again; the level-0
-        units satisfy their guard clauses for good)."""
-        solver = self.step_solver
-        for eq in assumptions:
-            solver.add_clause([lit_not(eq)])
+        return result
 
 
-def _candidate_classes(net: Netlist, config: SweepConfig,
-                       roots: Set[int]) -> List[List[int]]:
+def _candidate_classes(net: Netlist,
+                       config: SweepConfig) -> List[List[int]]:
+    """Vertices grouped by random-simulation signature, each class
+    sorted by vid and capped at ``config.max_class_size``."""
     signatures = random_signatures(net, cycles=config.sim_cycles,
                                    width=config.sim_width, seed=config.seed)
     classes: Dict[Tuple[int, ...], List[int]] = {}
     for vid, sig in signatures.items():
-        if vid in roots:
-            classes.setdefault(sig, []).append(vid)
+        classes.setdefault(sig, []).append(vid)
     out = []
     for members in classes.values():
         members.sort()
         if len(members) > 1:
             out.append(members[:config.max_class_size])
     return out
+
+
+def _pairs(classes: List[List[int]]) -> int:
+    return sum(len(cls) - 1 for cls in classes)
+
+
+def inductive_classes(
+    net: Netlist,
+    classes: List[List[int]],
+    config: SweepConfig,
+    budget: Optional[Budget] = None,
+) -> List[List[int]]:
+    """Refine candidate ``classes`` (each sorted by vid) to the classes
+    COM may merge.
+
+    The base case comes first: classes are split until each holds in
+    every initial state.  The step fixpoint then refines that
+    partition until assuming every class on frame 0 proves every class
+    on frame 1.  With every query conclusive, the result is the
+    coarsest refinement of ``classes`` that holds in every initial
+    state and is inductive.  Budget exhaustion in either phase, or a
+    ``max_rounds`` cap hit before the fixpoint, returns no class.
+    """
+    if not classes:
+        return []
+    if _budget_drained(budget):
+        obs.counter("com.budget_aborts")
+        return []
+    checker = _InductiveChecker(net, config, budget)
+    # The base relation assumes nothing, so a class is final once its
+    # representative is checked; split-off groups are checked next.
+    verified: List[List[int]] = []
+    pending = classes
+    while pending:
+        if _budget_drained(budget):
+            obs.counter("com.budget_aborts")
+            return []
+        kept, pending = checker.split_base(pending)
+        verified.extend(kept)
+    classes = verified
+    # Every changing round removes at least one pair, so the fixpoint
+    # arrives within `pairs` rounds; an explicit cap (if configured)
+    # is a resource valve.
+    pairs = _pairs(classes)
+    limit = pairs + 1 if config.max_rounds is None \
+        else config.max_rounds
+    for round_index in range(limit):
+        if not classes:
+            return []
+        if _budget_drained(budget):
+            # Mid-refinement exhaustion: the classes are not at a
+            # fixpoint, so none of the pending proofs stand.
+            obs.counter("com.budget_aborts")
+            return []
+        obs.counter("com.rounds")
+        kept, split = checker.split_step(classes)
+        classes = kept + split
+        remaining = _pairs(classes)
+        changed = remaining < pairs
+        pairs = remaining
+        obs.progress("com.sweep", round=round_index, of=limit,
+                     classes=len(classes), pairs=pairs, changed=changed)
+        if not changed:
+            return classes
+    # Unconverged survivors were only proven under assumptions that may
+    # since have been refuted: merging them would be unsound.
+    return []
 
 
 def redundancy_removal(
@@ -236,15 +373,17 @@ def redundancy_removal(
     Returns a :class:`TransformResult` whose step is trace-equivalence
     preserving (Theorem 1): the diameter bound of any retained vertex
     set is unchanged.  Instrumented under the ``transform.com`` span
-    with ``com.rounds`` / ``com.sat_queries`` / ``com.merges``
-    counters.
+    with ``com.rounds`` / ``com.sat_queries`` / ``com.model_refuted``
+    (pairs refuted by a stored model, without a query) /
+    ``com.merges`` counters.
 
     ``budget`` makes the sweep cooperative: cancellation raises
-    :class:`Cancelled`; exhaustion discards every not-yet-verified
-    candidate class (the surviving merges would otherwise rest on an
-    unfinished fixpoint — discarding is sound, the transform simply
-    merges less) and is recorded via the ``com.budget_aborts``
-    counter.  Ternary-constant merges never need SAT and are kept.
+    :class:`Cancelled`; exhaustion, in the base case or the step
+    fixpoint, discards every SAT-derived candidate class (the surviving
+    merges would otherwise rest on an unfinished refinement —
+    discarding is sound, the transform simply merges less) and is
+    recorded via the ``com.budget_aborts`` counter.  Ternary-constant
+    merges never need SAT and are kept.
     """
     with obs.span("transform.com"):
         return _sweep(net, config or SweepConfig(), name_suffix, budget)
@@ -282,76 +421,11 @@ def _sweep(
                         for vid, value in const_map.items()}
         work = base
 
-    # Phase 2/3: simulation candidates refined to an inductive fixpoint.
-    in_cone = set(work)
-    classes = _candidate_classes(work, config, in_cone)
-    if classes and _budget_drained(budget):
-        obs.counter("com.budget_aborts")
-        classes = []
-    if classes:
-        checker = _InductiveChecker(work, config, budget)
-        # The refinement removes at least one candidate pair per
-        # changing round, so the fixpoint arrives within `total pairs`
-        # rounds; an explicit cap (if configured) is a resource valve.
-        total_pairs = sum(len(cls) - 1 for cls in classes)
-        limit = total_pairs + 1 if config.max_rounds is None \
-            else config.max_rounds
-        converged = False
-        for round_index in range(limit):
-            if _budget_drained(budget):
-                # Mid-refinement exhaustion: the classes are not at a
-                # fixpoint, so none of the pending proofs stand.
-                obs.counter("com.budget_aborts")
-                classes = []
-                break
-            obs.counter("com.rounds")
-            assumptions = checker.assume_lits(classes)
-            new_classes: List[List[int]] = []
-            changed = False
-            for cls in classes:
-                rep = cls[0]
-                kept = [rep]
-                rest = []
-                for other in cls[1:]:
-                    if checker.pair_holds_inductively(rep, other,
-                                                      assumptions):
-                        kept.append(other)
-                    else:
-                        rest.append(other)
-                        changed = True
-                if len(kept) > 1:
-                    new_classes.append(kept)
-                if len(rest) > 1:
-                    new_classes.append(rest)
-            classes = new_classes
-            checker.retire_assumptions(assumptions)
-            obs.progress(
-                "com.sweep", round=round_index, of=limit,
-                classes=len(classes),
-                pairs=sum(len(cls) - 1 for cls in classes),
-                changed=changed)
-            if not changed:
-                converged = True
-                break
-        if not converged:
-            # Unconverged survivors were only proven under assumptions
-            # that may since have been refuted: merging them would be
-            # unsound.  Drop everything.
-            classes = []
-        # Base case: equivalence must also hold in the initial states.
-        verified: List[List[int]] = []
-        for cls in classes:
-            if _budget_drained(budget):
-                # Classes not yet base-verified are dropped wholesale.
-                obs.counter("com.budget_aborts")
-                break
-            rep = cls[0]
-            kept = [rep]
-            for other in cls[1:]:
-                if checker.pair_holds_at_init(rep, other):
-                    kept.append(other)
-            if len(kept) > 1:
-                verified.append(kept)
+    # Phase 2: simulation candidates refined to the base case and then
+    # to an inductive fixpoint.
+    verified = inductive_classes(work, _candidate_classes(work, config),
+                                 config, budget)
+    if verified:
         levels = _levels(work)
 
         def rep_key(v: int):
@@ -380,10 +454,6 @@ def _sweep(
     obs.counter("com.merges", len(substitution))
     out, mapping = rebuild(work, substitution=substitution,
                            name=f"{net.name}-{name_suffix}")
-    if work is not net:
-        # Compose the original-vid -> copy-vid identity (copy preserves
-        # ids) with the rebuild mapping; ids are stable across copy().
-        pass
     target_map = {t: mapping.get(t) for t in net.targets}
     step = TransformStep(
         name="COM",

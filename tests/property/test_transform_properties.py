@@ -12,6 +12,8 @@ from repro.core import PROVEN, TBVEngine
 from repro.diameter import first_hit_time
 from repro.sim import BitParallelSimulator
 from repro.transform import SweepConfig, redundancy_removal, retime
+from repro.transform.redundancy import _candidate_classes, \
+    inductive_classes
 
 from .strategies import named_stimulus, small_netlists
 
@@ -33,6 +35,73 @@ def test_com_preserves_target_traces(net):
     tr_b = BitParallelSimulator(result.netlist).run(
         10, named_stimulus(result.netlist), observe=[mapped])
     assert tr_a[target] == tr_b[mapped]
+
+
+def _reference_classes(net, classes):
+    """The coarsest refinement of ``classes`` that holds in every
+    initial state and is inductive, by explicit-state enumeration.
+
+    Bit ``k`` of one bit-parallel simulation of width 2**(R + 2I)
+    picks a frame-0 state (the low R bits of ``k``) and the frame-0
+    and frame-1 inputs (the next 2I bits), so that simulation covers
+    every case the SAT queries range over.
+    """
+    regs, ins = net.state_elements, net.inputs
+    nregs, nins = len(regs), len(ins)
+    width = 1 << (nregs + 2 * nins)
+    sim = BitParallelSimulator(net, width=width)
+
+    def pattern(bit):
+        return sum(1 << k for k in range(width) if k >> bit & 1)
+
+    state0 = {r: pattern(j) for j, r in enumerate(regs)}
+    in0 = {v: pattern(nregs + j) for j, v in enumerate(ins)}
+    in1 = {v: pattern(nregs + nins + j) for j, v in enumerate(ins)}
+    frame0, state1 = sim.step(state0, in0)
+    frame1 = sim.evaluate(state1, in1)
+
+    def state_at(state, k):
+        return tuple(state[r] >> k & 1 for r in regs)
+
+    # The frame-0 inputs also range over every initial-value input.
+    init = sim.initial_state(in0)
+    initial = {state_at(init, k) for k in range(width)}
+    base = sum(1 << k for k in range(width)
+               if state_at(state0, k) in initial)
+
+    def split(partition, values, mask):
+        out = []
+        for cls in partition:
+            groups = {}
+            for v in cls:
+                groups.setdefault(values[v] & mask, []).append(v)
+            out.extend(g for g in groups.values() if len(g) > 1)
+        return sorted(out)
+
+    partition = split(classes, frame0, base)
+    while True:
+        holds = sim.mask  # the cases where every class holds on frame 0
+        for cls in partition:
+            for v in cls[1:]:
+                holds &= ~(frame0[cls[0]] ^ frame0[v])
+        refined = split(partition, frame1, holds)
+        if refined == partition:
+            return partition
+        partition = refined
+
+
+@SETTINGS
+@given(small_netlists(), st.integers(1, 4), st.sampled_from([1, 2, 8]))
+def test_sweep_refinement_matches_explicit_state_reference(
+        net, sim_cycles, sim_width):
+    # Short, narrow simulations leave coarse candidate classes, so both
+    # the base case and the step fixpoint have splitting to do.
+    config = SweepConfig(sim_cycles=sim_cycles, sim_width=sim_width,
+                         conflict_budget=None)
+    candidates = _candidate_classes(net, config)
+    got = inductive_classes(net, candidates, config)
+    assert all(cls == sorted(cls) for cls in got)
+    assert sorted(got) == _reference_classes(net, candidates)
 
 
 @SETTINGS

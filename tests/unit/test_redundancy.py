@@ -1,6 +1,6 @@
 """Unit tests for the COM (redundancy removal) engine."""
 
-from repro.core import StepKind
+from repro.core import StepKind, prove
 from repro.netlist import GateType, NetlistBuilder, s27
 from repro.sim import BitParallelSimulator
 from repro.transform import SweepConfig, redundancy_removal
@@ -102,6 +102,37 @@ class TestRedundancyRemoval:
         # And the merge was of the target with const-0, never r1 == r2:
         # a (wrong) r1/r2 merge would have made the target constant 1.
         assert same_behaviour(b.net, result.netlist, t, mapped)
+
+    def test_base_case_checked_before_induction(self):
+        # Regression: u starts as the AND of 20 inputs, so simulation
+        # never sees u = 1 and puts u, v, y and t in one constant-0
+        # class.  Assuming that class on frame 0 proves it on frame 1,
+        # and a base check run after the step fixpoint dropped only u,
+        # keeping the y/t merges whose induction assumed u = 0.  From
+        # an initial state with u = 1, t = 1 at cycle 1.
+        b = NetlistBuilder("basetrap")
+        ins = [b.input(f"i{k}") for k in range(20)]
+        u = b.register(None, init=b.and_(*ins), name="u")
+        b.connect(u, u)
+        v = b.register(name="v")
+        b.connect(v, v)
+        y = b.register(name="y")
+        b.connect(y, b.xor(b.xor(y, u), v))
+        t = b.buf(y, name="t")
+        b.net.add_target(t)
+        result = redundancy_removal(b.net)
+        mapped = result.step.target_map[t]
+        assert result.netlist.gate(mapped).type is not GateType.CONST0
+
+        def ones_trace(net, vid):
+            init = {i: 1 for i in net.inputs}
+            return BitParallelSimulator(net).run(
+                6, lambda i, cycle: 1, observe=[vid],
+                init_inputs=init)[vid]
+
+        assert ones_trace(b.net, t) == [0, 1, 0, 1, 0, 1]
+        assert ones_trace(result.netlist, mapped) == ones_trace(b.net, t)
+        assert prove(b.net, t).status == "falsified"
 
     def test_semantics_preserved_on_s27(self):
         net = s27()
