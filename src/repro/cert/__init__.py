@@ -57,7 +57,7 @@ __all__ = [
 ]
 
 # ----------------------------------------------------------------------
-# Certification toggle (mirrors the solver-core and template toggles)
+# Certification toggle
 # ----------------------------------------------------------------------
 _CERT_ENV = "REPRO_CERT"
 _cert_enabled = os.environ.get(_CERT_ENV, "0").strip().lower() \

@@ -28,7 +28,6 @@ from ..cert import certification_enabled
 from ..netlist import Netlist
 from ..resilience import Budget, Cancelled, CertificationFailure, \
     EngineFailure
-from ..sat import flat_enabled, use_flat
 from ..transform.localize_cegar import localization_refinement
 from ..unroll import Counterexample, FALSIFIED as BMCFALSIFIED, \
     PROVEN as BMC_PROVEN, bmc, k_induction
@@ -50,7 +49,7 @@ class ProofResult:
     structured cause (one of
     :data:`repro.resilience.EXHAUSTION_REASONS`, ``"failure"`` for an
     engine crash, or ``"certification"`` when a verdict failed its
-    proof/witness check on both solver cores).
+    proof/witness check on the first run and on the retry).
     """
 
     status: str
@@ -122,20 +121,19 @@ def _race_probes(net: Netlist, target: int, quick_bmc_depth: int,
 
 
 def _cert_retry(reg, budget: Optional[Budget], phase: str, call):
-    """One-shot cross-core arbitration after a certification failure.
+    """One retry of an engine call after a certification failure.
 
-    The failed verdict came from the current solver core, so the most
-    informative retry is the *other* core: a genuine solver bug fails
-    again (the checker is core-independent) while a transient flake
-    recovers.  The retry runs under whatever budget survives, after a
-    tiny budget-capped backoff; with the budget already exhausted the
-    arbitration gives up immediately.  A second
+    A genuine solver bug fails again (the checker does not share the
+    search), while a transient fault — such as a scripted
+    :class:`~repro.resilience.FaultPlan` whose call indices have
+    passed — recovers.  The retry runs under whatever budget survives,
+    after a tiny budget-capped backoff; with the budget already
+    exhausted the arbitration gives up immediately.  A second
     :class:`CertificationFailure` (or any :class:`EngineFailure`)
     propagates to the caller's degradation path.
     """
     reg.counter("cert.retried")
-    reg.event("cert.retry", phase=phase,
-              retry_core="legacy" if flat_enabled() else "flat")
+    reg.event("cert.retry", phase=phase)
     delay = 0.05
     if budget is not None:
         if budget.cancelled:
@@ -145,14 +143,13 @@ def _cert_retry(reg, budget: Optional[Budget], phase: str, call):
             raise CertificationFailure(
                 phase, stage="arbitration",
                 message=f"budget exhausted ({reason}) before the "
-                        "cross-core retry")
+                        "certification retry")
         remaining = budget.remaining_seconds()
         if remaining is not None:
             delay = max(0.0, min(delay, remaining * 0.1))
     if delay:
         time.sleep(delay)
-    with use_flat(not flat_enabled()):
-        result = call()
+    result = call()
     reg.counter("cert.recovered")
     return result
 
@@ -197,8 +194,8 @@ def prove(
     Certification arbitration: when verdict certification is armed
     (:func:`repro.cert.use_certification` or ``REPRO_CERT``), a
     :class:`repro.resilience.CertificationFailure` from BMC or
-    k-induction triggers ONE retry of that engine call on the other
-    solver core under the surviving budget (``cert.retried`` /
+    k-induction triggers ONE retry of that engine call under the
+    surviving budget (``cert.retried`` /
     ``cert.recovered`` counters); a second failure degrades to the
     structural bound with ``exhaustion_reason="certification"`` —
     the same never-lie posture as an engine crash.
@@ -314,9 +311,8 @@ def prove(
                 net, target, quick_bmc_depth, induction_k, budget,
                 jobs, cubes)
             if isinstance(quick_out.error, CertificationFailure):
-                # Worker-side certification failure: arbitrate
-                # in-process on the other core, like the sequential
-                # path would.
+                # Worker-side certification failure: retry in-process,
+                # like the sequential path would.
                 try:
                     quick = _cert_retry(
                         reg, budget, "quick-bmc",
@@ -433,7 +429,7 @@ def prove(
                         log=log, seconds=watch.elapsed)
         except CertificationFailure as exc:
             # Localization re-runs concrete BMC internally; its
-            # certification failures degrade without a core retry
+            # certification failures degrade without a retry
             # (the refinement loop is not idempotent enough to
             # replay wholesale).
             return degraded(bound, strategy, "certification",

@@ -26,10 +26,9 @@ from .. import obs
 from ..obs import metrics as _metrics
 from ..netlist import GateType, Netlist
 from ..resilience import Budget, Cancelled
-from ..sat import CnfSink, encode_frame, encode_mux, encode_xor2, \
-    lit_not, pos
+from ..sat import CnfSink, encode_xor2, lit_not, pos
 from ..sat.qbf import QBFResult, solve_forall_exists
-from ..sat.template import get_template, templates_enabled
+from ..sat.template import get_template
 
 
 def _unroll_over_lits(net: Netlist, sink: CnfSink,
@@ -41,33 +40,27 @@ def _unroll_over_lits(net: Netlist, sink: CnfSink,
     by one group of input literals per frame; returns the state-literal
     maps for boundaries ``0 .. frames``.
 
-    When templates are enabled, the init cone is stamped from the
-    ``"init"`` template and each frame from the ``"io"`` template
-    (inputs are slots here, unlike :class:`~repro.unroll.Unrolling`):
-    the CEGAR abstraction re-invokes this encode on every refinement
-    iteration, so one compilation amortizes over the whole loop.
+    The init cone is stamped from the ``"init"`` template and each
+    frame from the ``"io"`` template (inputs are slots here, unlike
+    :class:`~repro.unroll.Unrolling`): the CEGAR abstraction
+    re-invokes this encode on every refinement iteration, so one
+    compilation amortizes over the whole loop.
     """
     inputs = net.inputs
     width = len(inputs)
     init_lits = dict(zip(inputs, block[:width]))
     reg = obs.get_registry()
-    use_tmpl = templates_enabled()
     # Initial state from the init cones over the init-input literals.
     # (Templates are fetched outside the ``encode`` spans so the
     # one-off ``encode.compile`` time is not counted twice in the
     # bench tool's encode/solve split.)
-    init_edges = [net.gate(r).fanins[1] for r in net.registers]
-    init_tmpl = get_template(net, "init") \
-        if use_tmpl and init_edges else None
-    io_tmpl = get_template(net, "io") if use_tmpl else None
+    init_tmpl = get_template(net, "init") if net.registers else None
+    io_tmpl = get_template(net, "io")
     with reg.span("encode"):
-        if not init_edges:
+        if init_tmpl is None:
             cone: Dict[int, int] = {}
-        elif init_tmpl is not None:
-            cone, _ = init_tmpl.stamp(sink, init_lits)
         else:
-            cone = encode_frame(net, sink, dict(init_lits),
-                                roots=init_edges)
+            cone, _ = init_tmpl.stamp(sink, init_lits)
     state: Dict[int, int] = {}
     for vid in net.state_elements:
         gate = net.gate(vid)
@@ -81,22 +74,8 @@ def _unroll_over_lits(net: Netlist, sink: CnfSink,
         leaves = dict(state)
         leaves.update(zip(inputs, block[offset:offset + width]))
         with reg.span("encode"):
-            if io_tmpl is not None:
-                lits, nxt = io_tmpl.stamp(sink, leaves)
-                assert nxt is not None
-            else:
-                lits = encode_frame(net, sink, leaves)
-                nxt = {}
-                for vid in net.state_elements:
-                    gate = net.gate(vid)
-                    if gate.type is GateType.REGISTER:
-                        nxt[vid] = lits[gate.fanins[0]]
-                    else:
-                        data, clock = gate.fanins
-                        out = pos(sink.new_var())
-                        encode_mux(sink, out, lits[clock], lits[data],
-                                   lits[vid])
-                        nxt[vid] = out
+            _, nxt = io_tmpl.stamp(sink, leaves)
+        assert nxt is not None
         state = nxt
         states.append(state)
     return states

@@ -55,18 +55,15 @@ def recurrence_diameter(
     max_k: int = 64,
     conflict_budget: Optional[int] = None,
     budget: Optional[Budget] = None,
-    use_template: Optional[bool] = None,
 ) -> RecurrenceResult:
     """Compute the recurrence diameter by a series of SAT problems.
 
     ``from_init=True`` anchors the path in the initial states (the
     Kroening/Strichman refinement); otherwise paths start anywhere.
     ``budget`` is checked per step; exhaustion yields an inexact
-    result with a structured ``exhaustion_reason``.  ``use_template``
-    forwards to the unrolling (None = the global template toggle).
+    result with a structured ``exhaustion_reason``.
     """
-    unroll = Unrolling(net, constrain_init=from_init,
-                       use_template=use_template)
+    unroll = Unrolling(net, constrain_init=from_init)
     k = 1
     longest = 0
     reg = obs.get_registry()

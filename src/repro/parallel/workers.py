@@ -125,7 +125,7 @@ def run_bmc_probe(payload: Dict[str, Any],
     boundary.  A
     :class:`repro.resilience.CertificationFailure` propagates to the
     shim, surfaces as the outcome's ``error``, and re-enters the
-    parent's cross-core arbitration.
+    parent's certification retry.
     """
     from ..unroll import bmc
 

@@ -112,7 +112,7 @@ class CertificationFailure(EngineFailure):
     to stand behind it — the answer may be unsound and must never be
     reported.  Subclassing :class:`EngineFailure` means every existing
     degradation path already treats it as "this engine's answer is
-    unusable"; callers that arbitrate (retry on the other solver core)
+    unusable"; callers that arbitrate (retry the engine call once)
     catch it *before* the generic ``except EngineFailure``.
 
     ``stage`` names the failing artifact check: ``"proof"`` (the DRAT

@@ -33,7 +33,7 @@ Error precedence at the join (the rule the first satellite pins): a
 *verdict* always beats a loser's bookkeeping — a cube cancelled by the
 first-win event or resourced-out after another cube went SAT never
 masks the SAT verdict, and a :class:`CertificationFailure` always
-surfaces (it must reach ``prove()``'s cross-core arbitration).
+surfaces (it must reach ``prove()``'s certification retry).
 
 Everything is opt-in behind ``REPRO_CUBE`` / :func:`use_cubes` and
 engages only when a query proves *hard*: the caller first runs the
@@ -77,7 +77,7 @@ __all__ = [
 ]
 
 # ----------------------------------------------------------------------
-# Toggles (same idiom as use_flat / use_proofs / use_simplify).
+# Toggles (same idiom as use_proofs / use_certification).
 # ----------------------------------------------------------------------
 _CUBE_ENV = "REPRO_CUBE"
 _cubes_enabled = os.environ.get(_CUBE_ENV, "").strip().lower() \
@@ -257,8 +257,7 @@ def _rebuild_and_solve(payload: Dict[str, Any],
             from ..unroll.bmc import Counterexample
             from ..unroll.unroller import Unrolling
             net, t = payload["net"], payload["frame"]
-            unroll = Unrolling(net, constrain_init=True,
-                               use_template=payload.get("use_template"))
+            unroll = Unrolling(net, constrain_init=True)
             lit = unroll.literal(payload["target"], t)
             result = unroll.solver.solve(
                 [lit] + cube, conflict_budget=conflict_budget,
@@ -278,8 +277,7 @@ def _rebuild_and_solve(payload: Dict[str, Any],
             from ..unroll.induction import add_state_difference
             from ..unroll.unroller import Unrolling
             net, k = payload["net"], payload["k"]
-            step = Unrolling(net, constrain_init=False,
-                             use_template=payload.get("use_template"))
+            step = Unrolling(net, constrain_init=False)
             for j in range(1, k + 1):
                 step.frame(j)
                 for i in range(j):

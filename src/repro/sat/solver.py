@@ -1,34 +1,28 @@
-"""A CDCL SAT solver with two interchangeable cores.
+"""A CDCL SAT solver on a flat-array core, with a reference core.
 
 Implements the standard conflict-driven clause-learning architecture —
 two-watched-literal propagation with blocker literals, first-UIP
 conflict analysis with recursive clause minimization, VSIDS decision
-heuristics with phase saving, Luby restarts, and learnt-clause database
-reduction — in pure Python.  It is the reasoning engine behind SAT
-sweeping (Section 3.1), BMC, k-induction, and the recurrence-diameter
-computation.
+heuristics with phase saving, Luby restarts, learnt-clause database
+reduction and inprocessing (:mod:`repro.sat.simplify`) — in pure
+Python.  It is the reasoning engine behind SAT sweeping (Section 3.1),
+BMC, k-induction, and the recurrence-diameter computation.
 
 Two cores share one search loop (:meth:`Solver._search`) and differ
 only in how the hot state is laid out:
 
-* :class:`FlatSolver` (the default) keeps clauses in a flat integer
-  *arena* with inline headers, watcher lists as flat interleaved
+* :class:`FlatSolver` keeps clauses in a flat integer *arena* with
+  inline headers, watcher lists as flat interleaved
   ``[clause-ref, blocker, ...]`` integer arrays, and plain integer
   assignment/reason/level tables — no per-clause Python objects on the
-  hot path (see :mod:`repro.sat.flat`).
+  hot path (see :mod:`repro.sat.flat`).  ``Solver()`` always builds
+  this core, and ``isinstance(x, Solver)`` holds for it.
 * :class:`LegacySolver` keeps the original per-clause ``_Clause``
-  objects.  It exists as the independent reference implementation for
-  the randomized dual-path oracle suite: both cores execute the exact
-  same search (decision for decision), so verdicts, models, trails and
-  statistics must match *exactly* — any divergence is a bug in one of
-  the cores.
-
-The active core is selected at construction time by the
-``REPRO_FLAT_SOLVER`` environment variable (default: flat) or the
-scoped :func:`use_flat` / :func:`set_flat_enabled` toggles, mirroring
-the ``REPRO_FRAME_TEMPLATES`` switch of :mod:`repro.sat.template`;
-``Solver()`` transparently builds whichever core is enabled, and
-``isinstance(x, Solver)`` holds for both.
+  objects.  It is the reference implementation of the randomized
+  dual-path oracle suite and is only ever constructed directly: both
+  cores execute the exact same search (decision for decision), so
+  verdicts, models, trails and statistics must match *exactly* — any
+  divergence is a bug in one of the cores.
 
 Literals use the 0-based encoding of :mod:`repro.sat.cnf` (variable
 ``v`` gives positive literal ``2*v``, negative ``2*v + 1``).
@@ -56,37 +50,6 @@ from .simplify import simplify_round
 SAT = "sat"
 UNSAT = "unsat"
 UNKNOWN = "unknown"
-
-
-# ----------------------------------------------------------------------
-# Core-selection toggle (mirrors repro.sat.template's toggle shape)
-# ----------------------------------------------------------------------
-_FLAT_ENV = "REPRO_FLAT_SOLVER"
-_flat_enabled = os.environ.get(_FLAT_ENV, "1").strip().lower() \
-    not in ("0", "false", "off", "no")
-
-
-def flat_enabled() -> bool:
-    """Whether ``Solver()`` builds the flat-array core."""
-    return _flat_enabled
-
-
-def set_flat_enabled(enabled: bool) -> bool:
-    """Set the global core toggle; returns the previous value."""
-    global _flat_enabled
-    previous = _flat_enabled
-    _flat_enabled = bool(enabled)
-    return previous
-
-
-@contextmanager
-def use_flat(enabled: bool) -> Iterator[None]:
-    """Scoped override of the core toggle (A/B testing, the oracle)."""
-    previous = set_flat_enabled(enabled)
-    try:
-        yield
-    finally:
-        set_flat_enabled(previous)
 
 
 # ----------------------------------------------------------------------
@@ -197,45 +160,6 @@ def use_proofs(enabled: bool) -> Iterator[None]:
         set_proofs_enabled(previous)
 
 
-# ----------------------------------------------------------------------
-# Inprocessing toggle (repro.sat.simplify: subsumption / SSR / BVE)
-# ----------------------------------------------------------------------
-_SIMPLIFY_ENV = "REPRO_SAT_SIMPLIFY"
-_simplify_enabled = os.environ.get(_SIMPLIFY_ENV, "1").strip().lower() \
-    not in ("0", "false", "off", "no")
-
-
-def simplify_enabled() -> bool:
-    """Whether new solvers run inprocessing between restarts.
-
-    Read at construction time only, like the profiling and proof
-    toggles: a solver either schedules simplification rounds for its
-    whole life or never checks the schedule at all.
-    """
-    return _simplify_enabled
-
-
-def set_simplify_enabled(enabled: bool) -> bool:
-    """Set the inprocessing toggle; returns the previous value.
-
-    Only affects solvers constructed afterwards.
-    """
-    global _simplify_enabled
-    previous = _simplify_enabled
-    _simplify_enabled = bool(enabled)
-    return previous
-
-
-@contextmanager
-def use_simplify(enabled: bool) -> Iterator[None]:
-    """Scoped override of the inprocessing toggle (A/B testing)."""
-    previous = set_simplify_enabled(enabled)
-    try:
-        yield
-    finally:
-        set_simplify_enabled(previous)
-
-
 #: Profiled search phases, in ``time_breakdown()`` key order.
 PROFILE_PHASES = ("propagate", "analyze", "decide")
 
@@ -265,19 +189,18 @@ class _Clause:
 class Solver:
     """An incremental CDCL SAT solver with assumption support.
 
-    ``Solver()`` is a facade: it constructs the flat-array core
-    (:class:`FlatSolver`) or the legacy object core
-    (:class:`LegacySolver`) depending on the :func:`use_flat` toggle.
-    This base class carries everything core-independent — the search
-    control loop, budget governance, statistics, and the normalising
-    slow-path clause loader — while the cores implement the data-layout
-    primitives (propagation, analysis, attach/detach, VSIDS tables).
+    ``Solver()`` is a facade that constructs the flat-array core
+    (:class:`FlatSolver`).  This base class carries everything
+    core-independent — the search control loop, budget governance,
+    statistics, and the normalising slow-path clause loader — while
+    the cores implement the data-layout primitives (propagation,
+    analysis, attach/detach, VSIDS tables).
     """
 
     def __new__(cls, *args, **kwargs):
         if cls is Solver:
             from .flat import FlatSolver
-            cls = FlatSolver if _flat_enabled else LegacySolver
+            cls = FlatSolver
         return object.__new__(cls)
 
     def __init__(self) -> None:
@@ -335,7 +258,6 @@ class Solver:
         #: lifetime conflict count reaches ``_simp_next``, then the
         #: gap doubles.  All of this state lives in the base class so
         #: both cores share it bit-for-bit.
-        self._use_simplify = _simplify_enabled
         self._simp_next = 0
         self._simp_interval = 2000
         #: Variables that must never be eliminated: assumption
@@ -646,7 +568,7 @@ class Solver:
         exact-equivalence contract (identical decisions, conflicts,
         models, trails) hold by construction.
         """
-        if self._use_simplify and assumptions:
+        if assumptions:
             # Assumption variables are part of the caller's interface:
             # freeze them against elimination, and un-eliminate any
             # that a previous call's inprocessing already removed
@@ -675,8 +597,7 @@ class Solver:
             self._ok = False
             self._conclude_unsat(())
             return UNSAT
-        if self._use_simplify and conflict_budget is None \
-                and budget is None \
+        if conflict_budget is None and budget is None \
                 and self.conflicts >= self._simp_next:
             # Solve-entry round: SatELite-style preprocessing on a
             # solver's first call (Tseitin gate variables resolve
@@ -686,8 +607,8 @@ class Solver:
             # assumption variables were frozen above.  Budgeted calls
             # skip it: a round can refute outright, and the governance
             # contract (budget 0 + a conflicted instance = UNKNOWN,
-            # exhaustion accounted to search effort) must not change
-            # with the simplifier on.
+            # exhaustion accounted to search effort) must not depend
+            # on inprocessing.
             if not self._run_simplify():
                 self._ok = False
                 self._conclude_unsat(())
@@ -743,8 +664,7 @@ class Solver:
                     limit = 128 * self._luby(restart_idx)
                     conflicts_here = 0
                     self._cancel_until(0)
-                    if self._use_simplify \
-                            and self.conflicts >= self._simp_next:
+                    if self.conflicts >= self._simp_next:
                         # Inprocessing at the restart boundary (level
                         # 0, propagation at fixpoint) — shared by both
                         # cores, so the dual-path oracle's equality
@@ -1012,8 +932,8 @@ class LegacySolver(Solver):
     watcher lists of ``(clause, blocker)`` pairs.
 
     Kept as the reference implementation behind the dual-path oracle
-    (see the module docstring); construct it directly or via
-    ``use_flat(False)``.
+    (see the module docstring); ``Solver()`` never builds it, so
+    construct it directly.
     """
 
     def __init__(self) -> None:

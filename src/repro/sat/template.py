@@ -3,16 +3,18 @@ stamp it per time frame by offset arithmetic.
 
 Every engine in the stack (BMC, k-induction, the recurrence and QBF
 diameter engines, COM's inductive sweep, SAT target enlargement)
-instantiates the *same* combinational frame once per time step.  The
-direct path re-walks the netlist through
-:func:`repro.sat.tseitin.encode_frame` every time — a full topological
-traversal plus dict-based Tseitin dispatch per frame.  Following the
-BMC folklore of Eén & Sörensson (temporal induction: encode the
-transition relation once, instantiate by variable renaming), this
-module compiles a netlist into a flat, immutable :class:`FrameTemplate`
-— an integer clause array plus literal slot maps — and stamps frame
-``t`` with pure integer arithmetic, feeding the solver through the
-:meth:`repro.sat.solver.Solver.add_clauses_bulk` fast path.
+instantiates the *same* combinational frame once per time step.
+Re-walking the netlist through :func:`repro.sat.tseitin.encode_frame`
+for every frame costs a full topological traversal plus dict-based
+Tseitin dispatch.  Following the BMC folklore of Eén & Sörensson
+(temporal induction: encode the transition relation once, instantiate
+by variable renaming), this module compiles a netlist into a flat,
+immutable :class:`FrameTemplate` — an integer clause array plus
+literal slot maps — and stamps frame ``t`` with pure integer
+arithmetic, feeding the solver through the
+:meth:`repro.sat.solver.Solver.add_clauses_bulk` fast path.  Stamping
+is the only frame encoder: every engine above encodes its frames
+through :func:`get_template`.
 
 Template literal space
 ----------------------
@@ -33,19 +35,21 @@ One extra slot carries the shared true/false literal backing CONST0.
 
 Parity contract
 ---------------
-Stamping is engineered to leave the solver in a state *element-wise
-identical* to the direct ``encode_frame`` path: the same number of
-variables allocated in the same order, the same clauses in the same
-stream order, and the same level-0 normalisation decisions.  Clauses
-with pairwise-distinct local variables and at most one slot literal
-cannot stamp into duplicates or tautologies, so they are eligible for
-bulk loading (the loader re-checks level-0 assignments per clause);
+Stamping leaves the solver in a state *element-wise identical* to the
+reference walk — :func:`~repro.sat.tseitin.encode_frame` per frame
+followed by the latch hold-mux tail, in the order
+:func:`compile_template` records them: the same number of variables
+allocated in the same order, the same clauses in the same stream
+order, and the same level-0 normalisation decisions.  Clauses with
+pairwise-distinct local variables and at most one slot literal cannot
+stamp into duplicates or tautologies, so they are eligible for bulk
+loading (the loader re-checks level-0 assignments per clause);
 anything else goes through the normalising
-:meth:`~repro.sat.solver.Solver.add_clause`
-exactly as the direct path would.  Identical solver state means
-identical CDCL search, so verdicts, bounds, *and counterexample
-models* match the direct path bit for bit — the property the golden
-equivalence suite pins.
+:meth:`~repro.sat.solver.Solver.add_clause` exactly as the walk
+would.  ``tests/unit/test_template.py`` pins the contract at the
+encoder level for all three modes; identical solver state means
+identical CDCL search, so verdicts, bounds and counterexample models
+follow.
 
 Cache
 -----
@@ -54,19 +58,13 @@ Cache
 :meth:`repro.netlist.netlist.Netlist.signature`), so every strategy,
 engine, and experiment row — including each worker process of
 :mod:`repro.parallel` — reuses one compilation per distinct netlist.
-Set the ``REPRO_FRAME_TEMPLATES=0`` environment variable or call
-:func:`set_templates_enabled` / :func:`use_templates` to fall back to
-the direct path globally (the A/B switch behind the golden tests and
-the bench tool's ``encode_speedup`` figure).
 """
 
 from __future__ import annotations
 
-import os
 import threading
 from collections import OrderedDict
-from contextlib import contextmanager
-from typing import Dict, Iterator, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from .. import obs
 from ..netlist import GateType, Netlist
@@ -89,42 +87,15 @@ SLOT_BASE = 1 << 40
 #:   initial-value cones are compiled (the QBF init-cone encode).
 MODES = ("frame", "io", "init")
 
-_ENV_VAR = "REPRO_FRAME_TEMPLATES"
-_enabled = os.environ.get(_ENV_VAR, "1").strip().lower() \
-    not in ("0", "false", "off", "no")
-
-
-def templates_enabled() -> bool:
-    """Whether template stamping is globally enabled."""
-    return _enabled
-
-
-def set_templates_enabled(enabled: bool) -> bool:
-    """Set the global toggle; returns the previous value."""
-    global _enabled
-    previous = _enabled
-    _enabled = bool(enabled)
-    return previous
-
-
-@contextmanager
-def use_templates(enabled: bool) -> Iterator[None]:
-    """Scoped override of the global toggle (A/B testing, benches)."""
-    previous = set_templates_enabled(enabled)
-    try:
-        yield
-    finally:
-        set_templates_enabled(previous)
-
 
 def netlist_has_const0(net: Netlist) -> bool:
-    """Whether ``net`` contains a CONST0 vertex.
+    """Whether ``net`` contains a CONST0 vertex
+    (:attr:`FrameTemplate.has_const0`).
 
-    The direct-path counterpart of :attr:`FrameTemplate.has_const0`:
-    callers of either path pre-touch the sink's shared true literal on
-    this condition so both paths allocate it at the same deterministic
-    position (the direct path would otherwise allocate it lazily in
-    the middle of the first frame that reaches CONST0).
+    Callers pre-touch the sink's shared true literal on this condition
+    before their first stamp, which fixes where the true literal lands
+    in the variable numbering — every search, and every solver counter,
+    depends on that numbering.
     """
     return any(g.type is GateType.CONST0 for _, g in net.gates())
 
@@ -278,9 +249,8 @@ class FrameTemplate:
         Certification note: stamping goes through the backend's public
         ``add_clause`` / ``add_clauses_bulk`` entry points, never a
         private fast path — so when the solver's DRAT-style proof log
-        is armed (:func:`repro.sat.use_proofs`), every template-stamped
-        clause is recorded as an input event and templated runs certify
-        identically to direct encoding.
+        is armed (:func:`repro.sat.use_proofs`), every stamped clause
+        is recorded as an input event.
         """
         nslots = len(self.slots)
         tab = [0] * (2 * nslots + 2)
@@ -339,7 +309,7 @@ def compile_template(net: Netlist, mode: str = "frame") -> FrameTemplate:
     The compiler *is* :func:`~repro.sat.tseitin.encode_frame`, run
     against a recording sink with the mode's slot literals as leaves —
     so the template clause stream is by construction the exact stream
-    the direct path emits, just in template literal space.
+    the reference walk emits, just in template literal space.
     """
     if mode not in MODES:
         raise ValueError(f"unknown template mode {mode!r}")
@@ -363,8 +333,8 @@ def compile_template(net: Netlist, mode: str = "frame") -> FrameTemplate:
     core_clauses = len(sink.clauses)
     next_state: Dict[int, int] = {}
     if mode != "init":
-        # The next-state tail, in the exact order the direct callers
-        # append it after their frame encode.
+        # The next-state tail: register next edges, and one hold-mux
+        # per latch in state-element order.
         for vid in states:
             gate = net.gate(vid)
             if gate.type is GateType.REGISTER:

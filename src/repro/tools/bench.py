@@ -10,13 +10,11 @@ an isolated :mod:`repro.obs` registry and writes ``BENCH_<rev>.json``:
 per-engine wall-time, SAT-solver effort (conflicts / decisions /
 propagations / restarts), the per-design, per-pipeline experiment
 timings of the Table 1 harness, and (schema v2) an ``encode`` section
-timing frame *encoding* on the largest profile three ways — direct
-``encode_frame``, template cold (includes the one-off compile), and
-template warm — whose ``encode_speedup`` figure is the headline number
-of the compiled-frame-template work, plus a ``time_split`` giving the
-total encode-vs-solve seconds across the whole run and — since the
-flat-solver work — the solve side broken down into propagation,
-decision and conflict-analysis seconds (the run enables the solver's
+timing frame *encoding* on the largest profile with a cold template
+cache (includes the one-off compile) and a warm one, plus a
+``time_split`` giving the total encode-vs-solve seconds across the
+whole run with the solve side broken down into propagation, decision
+and conflict-analysis seconds (the run enables the solver's
 search-phase profiling).  The ``cube`` section measures the
 cube-and-conquer race (:mod:`repro.sat.cube`) on a fixed pigeonhole
 pair across a ``jobs`` grid — its ``speedup`` and ``cancel_latency``
@@ -24,12 +22,15 @@ are the headline numbers of the work-stealing/first-win work.
 ``<rev>`` defaults to the current git short hash (``dev`` outside a
 checkout).
 
-Every optimisation PR reruns this and commits the new artifact next to
-``benchmarks/BENCH_seed.json``; comparing the ``timers`` sections of
-two revisions is how a perf claim is proven.  The default ``full``
-profile runs in well under a minute; the ``smoke`` profile shrinks
-every section to seconds and is exercised by the tier-1 suite to keep
-the artifact schema honest.
+The artifact is a per-engine breakdown for inspecting one revision
+(``repro-report``) or comparing two of the same workload
+(``repro-trace regress``); the committed ``benchmarks/BENCH_*.json``
+are the history of earlier revisions.  End-to-end performance claims
+are measured by ``perf/run.py`` instead, which times the runs users
+make (Table 1, Table 2, ``prove``) with known run-to-run spread.  The
+default ``full`` profile runs in well under a minute; the ``smoke``
+profile shrinks every section to seconds and is exercised by the
+tier-1 suite to keep the artifact schema honest.
 """
 
 from __future__ import annotations
@@ -51,8 +52,8 @@ from ..gen import iscas89
 from ..netlist import s27
 from ..resilience import Budget, FaultPlan, inject
 from ..obs import metrics as _metrics
-from ..sat.solver import PROFILE_PHASES, use_sat_profile, use_simplify
-from ..sat.template import clear_template_cache, use_templates
+from ..sat.solver import PROFILE_PHASES, use_sat_profile
+from ..sat.template import clear_template_cache
 from ..unroll import Unrolling, bmc, k_induction
 
 #: The fixed experiment slice: small-to-medium profiles at full scale
@@ -104,58 +105,46 @@ def _git_rev() -> str:
 
 def _encode_section(reg: obs.Registry, design: str, frames: int,
                     scale: float) -> Dict[str, Any]:
-    """Time frame encoding three ways on one design.
+    """Time frame encoding on one design, cold and warm.
 
     Each measurement builds a fresh :class:`Unrolling` and forces
-    ``frames`` frames — pure encoding, no solving.  ``direct`` walks
-    the netlist through ``encode_frame`` per frame; ``template_cold``
+    ``frames`` frames — pure encoding, no solving.  ``template_cold``
     starts from an empty template cache (so it pays the one-off
     compile); ``template_warm`` reuses the cached compilation — the
-    steady state every engine actually runs in.  ``direct`` and
-    ``warm`` are best-of-5 (scheduler/allocator noise otherwise
-    dominates sub-10ms samples; ``cold`` is necessarily a single pass
-    because only the first pass pays the compile).  ``encode_speedup``
-    is ``direct / warm``.
+    steady state every engine actually runs in.  ``warm`` is best-of-5
+    (scheduler/allocator noise otherwise dominates sub-10ms samples;
+    ``cold`` is necessarily a single pass because only the first pass
+    pays the compile).
     """
     net = iscas89.generate(design, scale=scale)
 
     def encode_all(label: str) -> float:
         # The Unrolling constructor (solver setup + initial-state
-        # load) is identical untemplated work in both paths, so it
-        # stays outside the measured window: the figure is *frame*
-        # encoding, which is what the template layer accelerates.
+        # load) stays outside the measured window: the figure is
+        # *frame* encoding.
         unroll = Unrolling(net)
         with reg.span(f"bench/encode/{label}") as sp:
             unroll.frame(frames - 1)
         return sp.seconds
 
-    def best_of(label: str, reps: int = 5) -> float:
-        return min(encode_all(label) for _ in range(reps))
-
     hits_before = reg.counter_value("template.hits")
     compiles_before = reg.counter_value("template.compiles")
-    # Pause the cyclic GC while sampling (applied identically to all
-    # three measurements): a collection landing inside one sub-10ms
-    # window otherwise skews the ratio by tens of percent.
+    # Pause the cyclic GC while sampling: a collection landing inside
+    # one sub-10ms window otherwise skews it by tens of percent.
     gc_was_enabled = gc.isenabled()
     gc.disable()
     try:
-        with use_templates(False):
-            direct = best_of("direct")
         clear_template_cache()
-        with use_templates(True):
-            cold = encode_all("template_cold")
-            warm = best_of("template_warm")
+        cold = encode_all("template_cold")
+        warm = min(encode_all("template_warm") for _ in range(5))
     finally:
         if gc_was_enabled:
             gc.enable()
     return {
         "design": design,
         "frames": frames,
-        "direct_seconds": direct,
         "template_cold_seconds": cold,
         "template_warm_seconds": warm,
-        "encode_speedup": direct / warm if warm else None,
         "template_compiles": reg.counter_value("template.compiles")
         - compiles_before,
         "template_hits": reg.counter_value("template.hits")
@@ -507,40 +496,8 @@ def run_workload(reg: obs.Registry,
         **cert_deltas,
     }
 
-    # Inprocessing A/B: the same (unbudgeted) BMC window with the
-    # simplifier disabled, then enabled — solve-entry rounds eliminate
-    # most Tseitin gate variables before search.  Verdict and depth
-    # must match exactly; the counter deltas record how much work the
-    # simplifier did.
-    simp_keys = ("simplify.rounds", "simplify.subsumed",
-                 "simplify.strengthened", "simplify.eliminated_vars",
-                 "simplify.restored_vars")
-    simp_before = {key: reg.counter_value(key) for key in simp_keys}
-    with reg.span("bench/simplify/off") as off_sp:
-        with use_simplify(False):
-            simp_off = bmc(bmc_net, max_depth=cfg["bmc_depth"])
-    with reg.span("bench/simplify/on") as on_sp:
-        with use_simplify(True):
-            simp_on = bmc(bmc_net, max_depth=cfg["bmc_depth"])
-    simp_deltas = {key.split(".", 1)[1]:
-                   reg.counter_value(key) - simp_before[key]
-                   for key in simp_keys}
-    sections["simplify"] = {
-        "seconds": off_sp.seconds + on_sp.seconds,
-        "design": cfg["bmc_design"],
-        "depth": cfg["bmc_depth"],
-        "off_seconds": off_sp.seconds,
-        "on_seconds": on_sp.seconds,
-        "speedup": off_sp.seconds / on_sp.seconds
-        if on_sp.seconds else None,
-        "status": simp_on.status,
-        "verdict_match": simp_off.status == simp_on.status
-        and simp_off.depth_checked == simp_on.depth_checked,
-        **simp_deltas,
-    }
-
-    # Frame-encoding A/B on the profile's largest design: the direct
-    # netlist walk vs cold/warm compiled-template stamping.
+    # Frame encoding on the profile's largest design, cold and warm
+    # template cache.
     with reg.span("bench/encode") as sp:
         encode = _encode_section(reg, cfg["encode_design"],
                                  cfg["encode_frames"], bench_scale)
@@ -671,11 +628,9 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
                  f"{solver['sat.conflicts']} conflicts, "
                  f"{solver['sat.decisions']} decisions")
     encode = artifact["sections"]["encode"]
-    if encode.get("encode_speedup"):
-        lines.append(f"  encode speedup ({encode['design']}): "
-                     f"{encode['encode_speedup']:.1f}x "
-                     f"(direct {encode['direct_seconds']:.3f} s -> "
-                     f"warm {encode['template_warm_seconds']:.3f} s)")
+    lines.append(f"  encode ({encode['design']}, {encode['frames']} "
+                 f"frames): cold {encode['template_cold_seconds']:.3f}"
+                 f" s, warm {encode['template_warm_seconds']:.3f} s")
     cert = artifact["sections"].get("certification", {})
     if cert.get("overhead_ratio") is not None:
         lines.append(f"  certification ({cert['design']}): "
@@ -683,15 +638,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
                      f"overhead {cert['overhead_ratio']:.2f}x, "
                      f"{cert['checked']} check(s), "
                      f"{cert['lemmas_checked']} lemma(s) verified")
-    simp = artifact["sections"].get("simplify", {})
-    if simp.get("speedup") is not None:
-        lines.append(f"  simplify ({simp['design']}): "
-                     f"verdict_match={simp['verdict_match']}, "
-                     f"{simp['speedup']:.2f}x (off "
-                     f"{simp['off_seconds']:.3f} s -> on "
-                     f"{simp['on_seconds']:.3f} s), "
-                     f"{simp['rounds']} round(s), "
-                     f"{simp['eliminated_vars']} var(s) eliminated")
     cube = artifact["sections"].get("cube", {})
     if cube.get("speedup") is not None:
         jobs_curve = ", ".join(

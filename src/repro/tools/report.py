@@ -21,7 +21,8 @@ a mail attachment years later and still render.  Sections:
   p50/p90/p99 markers;
 * the **top-N slowest queries** from the per-query ledger;
 * a **regress table** against ``--baseline`` (same comparison as
-  ``repro-trace regress``).
+  ``repro-trace regress``; a baseline of a different workload is
+  refused with exit code 2).
 
 Everything here is presentation: the numbers come verbatim from the
 artifact produced by :mod:`repro.tools.bench` and the trace written
@@ -33,11 +34,13 @@ from __future__ import annotations
 import argparse
 import html as _html
 import json
+import sys
 from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 from ..obs import metrics as _metrics
 from ..obs import trace as _trace
-from .trace import _self_times, _span_totals, compare_artifacts
+from .trace import _self_times, _span_totals, check_same_workload, \
+    compare_artifacts
 
 #: Flamegraph geometry (SVG user units == px).
 _FRAME_H = 18
@@ -389,6 +392,12 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     if args.baseline:
         with open(args.baseline) as handle:
             baseline = json.load(handle)
+        try:
+            check_same_workload(baseline, artifact)
+        except ValueError as exc:
+            print(f"repro-report: refusing the baseline: {exc}",
+                  file=sys.stderr)
+            return 2
     document = build_report(artifact, trace_base=args.trace,
                             baseline=baseline, top=args.top)
     out = args.out or f"report_{artifact.get('rev', 'run')}.html"

@@ -32,12 +32,16 @@ the encode/solve seconds and verdict trend across every committed
 ``regress`` compares two committed bench artifacts
 (``benchmarks/BENCH_<rev>.json``) metric by metric — per-section
 seconds, the encode/solve time split, solver effort counters, and the
-``encode_speedup`` / ``simplify.speedup`` / ``cube.speedup``
-higher-is-better headlines — and exits nonzero when any metric
-regressed beyond the threshold, making the perf trajectory CI-gateable:
+higher-is-better ``cube.speedup`` headline — and exits 1 when any
+metric regressed beyond the threshold, making the perf trajectory
+CI-gateable:
 
     python -m repro.tools.trace regress benchmarks/BENCH_pr3.json \
         benchmarks/BENCH_pr4.json --report-only
+
+Only artifacts of the same workload compare: when both name their
+``workload`` and the designs, the scale or the profile differ,
+``regress`` prints why and exits 2, even under ``--report-only``.
 """
 
 from __future__ import annotations
@@ -46,6 +50,7 @@ import argparse
 import glob as _glob
 import json
 import os
+import sys
 from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 from ..obs import trace as _trace
@@ -350,13 +355,6 @@ def _seconds_metrics(artifact: Dict[str, Any]) -> Dict[str, float]:
         value = split.get(key)
         if isinstance(value, (int, float)):
             metrics[f"time_split.{key}"] = float(value)
-    # The inprocessing A/B sub-timings (artifacts since the simplify
-    # work); the combined section seconds are already covered above.
-    simp = artifact.get("sections", {}).get("simplify", {})
-    for key in ("off_seconds", "on_seconds"):
-        value = simp.get(key)
-        if isinstance(value, (int, float)):
-            metrics[f"sections.simplify.{key}"] = float(value)
     # Solve-latency quantiles (artifacts since the metrics layer);
     # per-solve latencies sit well under the min_seconds noise floor
     # on the smoke workload, so only real tail blowups can trip them.
@@ -366,6 +364,28 @@ def _seconds_metrics(artifact: Dict[str, Any]) -> Dict[str, float]:
         if isinstance(value, (int, float)):
             metrics[f"metrics.solve_latency.{key}"] = float(value)
     return metrics
+
+
+def check_same_workload(baseline: Dict[str, Any],
+                        candidate: Dict[str, Any]) -> None:
+    """Raise :class:`ValueError` when two artifacts ran different work.
+
+    Applies when both carry a ``workload`` block.  Designs and scale
+    must match; the profile must match too when both name one
+    (``BENCH_seed.json`` and ``BENCH_pr3.json`` predate the field).
+    """
+    base = baseline.get("workload")
+    cand = candidate.get("workload")
+    if not isinstance(base, dict) or not isinstance(cand, dict):
+        return
+    differs = (base.get("designs") != cand.get("designs")
+               or base.get("scale") != cand.get("scale"))
+    if "profile" in base and "profile" in cand:
+        differs = differs or base["profile"] != cand["profile"]
+    if differs:
+        raise ValueError(
+            f"different workloads: {baseline.get('rev', '?')} ran "
+            f"{base}, {candidate.get('rev', '?')} ran {cand}")
 
 
 def compare_artifacts(baseline: Dict[str, Any],
@@ -379,9 +399,14 @@ def compare_artifacts(baseline: Dict[str, Any],
     the candidate is worse than ``threshold`` times the baseline AND
     the absolute change clears the noise floor (``min_seconds`` for
     wall times, :data:`_MIN_COUNT` for solver counters).  The
-    ``encode_speedup`` headline is higher-is-better: it regresses when
+    ``cube.speedup`` headline is higher-is-better: it regresses when
     the candidate drops below ``baseline / threshold``.
+
+    Raises :class:`ValueError` when the two artifacts ran different
+    workloads (see :func:`check_same_workload`): every row would then
+    compare different work.
     """
+    check_same_workload(baseline, candidate)
     rows: List[Dict[str, Any]] = []
 
     def row(metric: str, base: float, cand: float, regressed: bool,
@@ -413,26 +438,6 @@ def compare_artifacts(baseline: Dict[str, Any],
                      and cand - base > _MIN_COUNT)
         row(f"solver.{key}", float(base), float(cand), regressed)
 
-    base_speedup = baseline.get("sections", {}) \
-        .get("encode", {}).get("encode_speedup")
-    cand_speedup = candidate.get("sections", {}) \
-        .get("encode", {}).get("encode_speedup")
-    if isinstance(base_speedup, (int, float)) and \
-            isinstance(cand_speedup, (int, float)):
-        regressed = cand_speedup < base_speedup / threshold
-        row("encode.encode_speedup", float(base_speedup),
-            float(cand_speedup), regressed, higher_better=True)
-
-    base_simp = baseline.get("sections", {}) \
-        .get("simplify", {}).get("speedup")
-    cand_simp = candidate.get("sections", {}) \
-        .get("simplify", {}).get("speedup")
-    if isinstance(base_simp, (int, float)) and \
-            isinstance(cand_simp, (int, float)):
-        regressed = cand_simp < base_simp / threshold
-        row("simplify.speedup", float(base_simp),
-            float(cand_simp), regressed, higher_better=True)
-
     base_cube = baseline.get("sections", {}) \
         .get("cube", {}).get("speedup")
     cand_cube = candidate.get("sections", {}) \
@@ -450,9 +455,14 @@ def _cmd_regress(args: argparse.Namespace) -> int:
         baseline = json.load(handle)
     with open(args.candidate) as handle:
         candidate = json.load(handle)
-    rows = compare_artifacts(baseline, candidate,
-                             threshold=args.threshold,
-                             min_seconds=args.min_seconds)
+    try:
+        rows = compare_artifacts(baseline, candidate,
+                                 threshold=args.threshold,
+                                 min_seconds=args.min_seconds)
+    except ValueError as exc:
+        print(f"bench regress: refusing to compare: {exc}",
+              file=sys.stderr)
+        return 2
     base_rev = baseline.get("rev", args.baseline)
     cand_rev = candidate.get("rev", args.candidate)
     print(f"bench regress: {base_rev} -> {cand_rev} "
@@ -528,7 +538,8 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
                            help="absolute wall-time noise floor "
                                 "(default 0.05 s)")
     p_regress.add_argument("--report-only", action="store_true",
-                           help="always exit 0 (informational runs)")
+                           help="exit 0 even when metrics regressed "
+                                "(informational runs)")
     p_regress.set_defaults(fn=_cmd_regress)
 
     args = parser.parse_args(argv)

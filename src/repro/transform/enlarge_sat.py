@@ -21,10 +21,8 @@ from typing import Dict, List, Optional
 from .. import obs
 from ..core.record import StepKind, TransformResult, TransformStep
 from ..netlist import GateType, Netlist, rebuild
-from ..sat import SAT, CnfSink, Solver, encode_frame, encode_mux, \
-    lit_not, pos
-from ..sat.template import get_template, netlist_has_const0, \
-    templates_enabled
+from ..sat import SAT, CnfSink, Solver, lit_not, pos
+from ..sat.template import get_template
 
 #: A cube: state-element vid -> required value.
 Cube = Dict[int, int]
@@ -63,29 +61,13 @@ def _enumerate_preimage(net: Netlist, cubes: List[Cube],
     """
     solver = Solver()
     sink = CnfSink(solver)
-    tmpl = get_template(net, "frame") if templates_enabled() else None
+    tmpl = get_template(net, "frame")
     state0 = {vid: pos(solver.new_var()) for vid in net.state_elements}
-    if (tmpl.has_const0 if tmpl is not None
-            else netlist_has_const0(net)):
-        _ = sink.true_lit  # pin before the frame (parity, see Unrolling)
+    if tmpl.has_const0:
+        _ = sink.true_lit  # pin before the frame (see Unrolling)
     with obs.span("encode"):
-        if tmpl is not None:
-            lits, nxt = tmpl.stamp(sink, state0)
-            assert nxt is not None
-            state1: Dict[int, int] = nxt
-        else:
-            lits = encode_frame(net, sink, dict(state0))
-            state1 = {}
-            for vid in net.state_elements:
-                gate = net.gate(vid)
-                if gate.type is GateType.REGISTER:
-                    state1[vid] = lits[gate.fanins[0]]
-                else:
-                    data, clock = gate.fanins
-                    out = pos(solver.new_var())
-                    encode_mux(sink, out, lits[clock], lits[data],
-                               lits[vid])
-                    state1[vid] = out
+        _, state1 = tmpl.stamp(sink, state0)
+    assert state1 is not None
     solver.add_clause([_frontier_lit(sink, state1, cubes)])
     # Exclude already-covered states (inductive simplification).
     for cube in block_cubes:
@@ -152,17 +134,13 @@ def enlarge_target_sat(net: Netlist, target: Optional[int] = None,
     # same way over a single frame (no next-state tail needed).
     solver = Solver()
     sink = CnfSink(solver)
-    tmpl = get_template(net, "frame") if templates_enabled() else None
+    tmpl = get_template(net, "frame")
     state_lits = {vid: pos(solver.new_var())
                   for vid in net.state_elements}
-    if (tmpl.has_const0 if tmpl is not None
-            else netlist_has_const0(net)):
+    if tmpl.has_const0:
         _ = sink.true_lit
     with obs.span("encode"):
-        if tmpl is not None:
-            lits, _ = tmpl.stamp(sink, state_lits, with_next=False)
-        else:
-            lits = encode_frame(net, sink, dict(state_lits))
+        lits, _ = tmpl.stamp(sink, state_lits, with_next=False)
     solver.add_clause([lits[target]])
     from ..netlist import state_support
 

@@ -70,10 +70,9 @@ from ..netlist import (
     topological_order,
 )
 from ..resilience import Budget, Cancelled
-from ..sat import SAT, UNSAT, CnfSink, Solver, encode_frame, \
-    encode_init_state, encode_mux, lit_not, pos
-from ..sat.template import get_template, netlist_has_const0, \
-    templates_enabled
+from ..sat import SAT, UNSAT, CnfSink, Solver, encode_init_state, \
+    lit_not, pos
+from ..sat.template import get_template
 from ..sim import constant_state_elements, random_signatures
 
 
@@ -123,59 +122,32 @@ class _InductiveChecker:
         # One "frame" template serves all three encodes below: frame 0
         # with its next-state tail (a full stamp), and the tail-less
         # frame 1 / base frame (``with_next=False`` stops at the core
-        # boundary, exactly the plain ``encode_frame`` shape).
-        tmpl = get_template(net, "frame") if templates_enabled() \
-            else None
-        has_const0 = tmpl.has_const0 if tmpl is not None \
-            else netlist_has_const0(net)
+        # boundary).
+        tmpl = get_template(net, "frame")
         # Step model: frame 0 with free leaves feeding frame 1.
         self.step_solver = Solver()
         sink = CnfSink(self.step_solver)
         state0 = {vid: pos(self.step_solver.new_var())
                   for vid in net.state_elements}
-        if has_const0:
-            # Pin the shared true literal up front in both paths so
-            # template/direct variable numbering agrees (see
-            # Unrolling._bootstrap for the parity rationale).
+        if tmpl.has_const0:
+            # Pin the shared true literal up front (see
+            # Unrolling._bootstrap).
             _ = sink.true_lit
         with obs.span("encode"):
-            if tmpl is not None:
-                self.frame0, nxt = tmpl.stamp(sink, state0)
-                assert nxt is not None
-                state1: Dict[int, int] = nxt
-            else:
-                self.frame0 = encode_frame(net, sink, dict(state0))
-                state1 = {}
-                for vid in net.state_elements:
-                    gate = net.gate(vid)
-                    if gate.type is GateType.REGISTER:
-                        state1[vid] = self.frame0[gate.fanins[0]]
-                    else:
-                        data, clock = gate.fanins
-                        out = pos(self.step_solver.new_var())
-                        encode_mux(sink, out, self.frame0[clock],
-                                   self.frame0[data], self.frame0[vid])
-                        state1[vid] = out
-            if tmpl is not None:
-                self.frame1, _ = tmpl.stamp(sink, state1,
-                                            with_next=False)
-            else:
-                self.frame1 = encode_frame(net, sink, state1)
+            self.frame0, state1 = tmpl.stamp(sink, state0)
+            assert state1 is not None
+            self.frame1, _ = tmpl.stamp(sink, state1, with_next=False)
         # Base model: single frame constrained to the initial states.
         self.base_solver = Solver()
         base_sink = CnfSink(self.base_solver)
         base_state = {vid: pos(self.base_solver.new_var())
                       for vid in net.state_elements}
-        if has_const0:
+        if tmpl.has_const0:
             _ = base_sink.true_lit
         encode_init_state(net, base_sink, base_state)
         with obs.span("encode"):
-            if tmpl is not None:
-                self.base_frame, _ = tmpl.stamp(
-                    base_sink, base_state, with_next=False)
-            else:
-                self.base_frame = encode_frame(net, base_sink,
-                                               dict(base_state))
+            self.base_frame, _ = tmpl.stamp(base_sink, base_state,
+                                            with_next=False)
 
     def split_base(self, classes: List[List[int]]
                    ) -> Tuple[List[List[int]], List[List[int]]]:

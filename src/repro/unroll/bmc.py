@@ -109,7 +109,6 @@ def bmc(
     complete_bound: Optional[int] = None,
     conflict_budget: Optional[int] = None,
     budget: Optional[Budget] = None,
-    use_template: Optional[bool] = None,
     certify: Optional[bool] = None,
     use_cubes: Optional[bool] = None,
 ) -> BMCResult:
@@ -122,9 +121,7 @@ def bmc(
     ``Solver.solve`` contract; ``budget`` is checked before every
     frame (and cooperatively inside each solve) — exhaustion yields
     :data:`ABORTED` with a structured ``exhaustion_reason``,
-    cancellation raises.  ``use_template`` forwards to
-    :class:`~repro.unroll.unroller.Unrolling` (None = the global
-    template toggle); either setting yields identical results.
+    cancellation raises.
 
     ``certify`` (None = the :func:`repro.cert.certification_enabled`
     toggle) arms verdict certification: the unrolling solver keeps a
@@ -151,8 +148,7 @@ def bmc(
     do_cert = certification_enabled() if certify is None else certify
     cubes = _cube.cubes_enabled() if use_cubes is None else use_cubes
     with use_proofs(True) if do_cert else _nullcontext():
-        unroll = Unrolling(net, constrain_init=True,
-                           use_template=use_template)
+        unroll = Unrolling(net, constrain_init=True)
     refuted = 0
     refuted_local = 0  # frames refuted by *this* solver's own proof
     depth = max_depth
@@ -188,7 +184,6 @@ def bmc(
                         unroll.solver, [lit],
                         payload={"mode": "bmc", "net": net,
                                  "frame": t, "target": target,
-                                 "use_template": use_template,
                                  "certify": do_cert},
                         conflict_budget=conflict_budget,
                         budget=budget, name="bmc.cube")
@@ -249,7 +244,6 @@ def bmc_multi(
     complete_bounds: Optional[Dict[int, int]] = None,
     conflict_budget: Optional[int] = None,
     budget: Optional[Budget] = None,
-    use_template: Optional[bool] = None,
     certify: Optional[bool] = None,
     use_cubes: Optional[bool] = None,
 ) -> Dict[int, BMCResult]:
@@ -279,8 +273,7 @@ def bmc_multi(
     cubes = _cube.cubes_enabled() if use_cubes is None else use_cubes
     watch = obs.stopwatch()
     with use_proofs(True) if do_cert else _nullcontext():
-        unroll = Unrolling(net, constrain_init=True,
-                           use_template=use_template)
+        unroll = Unrolling(net, constrain_init=True)
     refuted_local = 0
     results: Dict[int, BMCResult] = {}
     open_targets = list(dict.fromkeys(targets))
@@ -313,7 +306,6 @@ def bmc_multi(
                         unroll.solver, [lit],
                         payload={"mode": "bmc", "net": net,
                                  "frame": t, "target": target,
-                                 "use_template": use_template,
                                  "certify": do_cert},
                         conflict_budget=conflict_budget,
                         budget=budget, name="bmc.multi.cube")

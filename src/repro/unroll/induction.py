@@ -46,7 +46,6 @@ def k_induction(
     max_k: int = 10,
     conflict_budget: Optional[int] = None,
     budget: Optional[Budget] = None,
-    use_template: Optional[bool] = None,
     certify: Optional[bool] = None,
     use_cubes: Optional[bool] = None,
 ) -> BMCResult:
@@ -97,8 +96,7 @@ def k_induction(
     # keyed by netlist structure, not by unrolling).
     base = bmc(net, target, max_depth=max_k + 1,
                conflict_budget=conflict_budget, budget=budget,
-               use_template=use_template, certify=do_cert,
-               use_cubes=cubes)
+               certify=do_cert, use_cubes=cubes)
     if base.status in (FALSIFIED, ABORTED):
         return base
 
@@ -106,8 +104,7 @@ def k_induction(
     # false at 0..k-1 and true at k must be UNSAT for inductiveness.
     reg = obs.get_registry()
     with use_proofs(True) if do_cert else _nullcontext():
-        step = Unrolling(net, constrain_init=False,
-                         use_template=use_template)
+        step = Unrolling(net, constrain_init=False)
     solver = step.solver
     for k in range(1, max_k + 1):
         reason = _budget_abort(budget)
@@ -132,7 +129,6 @@ def k_induction(
                     solver, assumptions,
                     payload={"mode": "induction", "net": net,
                              "k": k, "target": target,
-                             "use_template": use_template,
                              "certify": do_cert},
                     conflict_budget=conflict_budget,
                     budget=budget, name="induction.cube")

@@ -7,13 +7,10 @@ edges and latch hold-muxes.  The initial state can be constrained to
 ``Z`` (for BMC) or left free (for recurrence-diameter and induction
 queries).
 
-By default every frame is *stamped* from a compiled
+Every frame is *stamped* from the netlist's compiled ``"frame"``
 :class:`~repro.sat.template.FrameTemplate` (encode once, instantiate
-per frame by offset arithmetic) instead of re-walking the netlist; the
-stamped solver state is element-wise identical to the direct
-``encode_frame`` path, so verdicts, bounds and counterexample models
-are unaffected.  Pass ``use_template=False`` (or disable templates
-globally) to force the direct path.
+per frame by offset arithmetic), which also appends the latch
+hold-muxes that produce the next frame's state literals.
 """
 
 from __future__ import annotations
@@ -21,11 +18,9 @@ from __future__ import annotations
 from typing import Dict, List, Optional
 
 from .. import obs
-from ..netlist import GateType, Netlist
-from ..sat import CnfSink, Solver, encode_frame, encode_init_state, \
-    encode_mux, pos
-from ..sat.template import get_template, netlist_has_const0, \
-    templates_enabled
+from ..netlist import Netlist
+from ..sat import CnfSink, Solver, encode_init_state, pos
+from ..sat.template import get_template
 
 
 class Unrolling:
@@ -36,18 +31,12 @@ class Unrolling:
         net: Netlist,
         solver: Optional[Solver] = None,
         constrain_init: bool = True,
-        use_template: Optional[bool] = None,
     ) -> None:
         self.net = net
         self.solver = solver or Solver()
         self.sink = CnfSink(self.solver)
         self.constrain_init = constrain_init
-        if use_template is None:
-            use_template = templates_enabled()
-        self._template = get_template(net, "frame") if use_template \
-            else None
-        self._has_const0 = self._template.has_const0 \
-            if self._template is not None else netlist_has_const0(net)
+        self._template = get_template(net, "frame")
         #: per-frame vertex -> literal maps
         self.frames: List[Dict[int, int]] = []
         #: state literals at each frame boundary (index 0 = initial)
@@ -58,12 +47,10 @@ class Unrolling:
         state0 = {vid: pos(self.solver.new_var())
                   for vid in self.net.state_elements}
         self.state_lits.append(state0)
-        if self._has_const0:
-            # Pin the shared true/false variable to a deterministic
-            # position up front: the direct path would otherwise
-            # allocate it lazily inside whichever encode first reaches
-            # CONST0, and template/direct variable numbering would
-            # diverge (breaking the bit-for-bit parity contract).
+        if self._template.has_const0:
+            # Pin the shared true/false variable up front, before the
+            # initial-state constraints: this fixes its position in the
+            # variable numbering, on which every search depends.
             _ = self.sink.true_lit
         if self.constrain_init:
             encode_init_state(self.net, self.sink, state0)
@@ -78,26 +65,9 @@ class Unrolling:
         t = len(self.frames)
         reg = obs.get_registry()
         with reg.span("encode"):
-            if self._template is not None:
-                lits, nxt = self._template.stamp(self.sink,
-                                                 self.state_lits[t])
-            else:
-                leaves = dict(self.state_lits[t])
-                lits = encode_frame(self.net, self.sink, leaves)
-                nxt = {}
-                for vid in self.net.state_elements:
-                    gate = self.net.gate(vid)
-                    if gate.type is GateType.REGISTER:
-                        nxt[vid] = lits[gate.fanins[0]]
-                    else:
-                        data, clock = gate.fanins
-                        out = pos(self.solver.new_var())
-                        encode_mux(self.sink, out, lits[clock],
-                                   lits[data], lits[vid])
-                        nxt[vid] = out
-        obs.progress("encode", frame=t,
-                     vars=self.solver.num_vars,
-                     templated=self._template is not None)
+            lits, nxt = self._template.stamp(self.sink,
+                                             self.state_lits[t])
+        obs.progress("encode", frame=t, vars=self.solver.num_vars)
         self.frames.append(lits)
         self.state_lits.append(nxt)
 

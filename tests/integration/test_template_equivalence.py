@@ -1,11 +1,13 @@
-"""Golden equivalence: template stamping vs the direct encode path.
+"""Golden equivalence: template stamping vs the reference walk.
 
 The template layer's parity contract (see :mod:`repro.sat.template`)
 promises *identical solver state*, hence identical CDCL search, hence
 identical verdicts, bounds and counterexample traces — not merely
 equivalent ones.  These tests pin that end to end across the engines
-that consume unrollings, and pin the cache economics (hits across
-portfolio strategies and across worker processes).
+that consume unrollings, by swapping the reference walk of
+``tests/unit/test_template.py`` into :class:`~repro.unroll.Unrolling`,
+and pin the cache economics (hits across portfolio strategies and
+across worker processes).
 """
 
 import pytest
@@ -14,8 +16,10 @@ from repro import obs
 from repro.core.prove import prove
 from repro.diameter.recurrence import recurrence_diameter
 from repro.netlist import NetlistBuilder, s27
-from repro.sat.template import clear_template_cache, use_templates
+from repro.sat.template import clear_template_cache
 from repro.unroll import FALSIFIED, PROVEN, bmc, k_induction
+
+from ..unit.test_template import walked_frames
 
 
 def counter_target(width, hit_value):
@@ -36,13 +40,13 @@ def unreachable_target():
 
 
 def both_paths(run):
-    """Run ``run()`` under templates off, then on (cold cache)."""
+    """Run ``run()`` with unrolled frames walked, then stamped (cold
+    cache)."""
     clear_template_cache()
-    with use_templates(False):
+    with walked_frames():
         direct = run()
     clear_template_cache()
-    with use_templates(True):
-        templated = run()
+    templated = run()
     return direct, templated
 
 

@@ -6,7 +6,7 @@ export; a ``jobs=2`` table run produces per-worker trace files that
 stitch into one wall-clock-aligned timeline carrying BMC frame and
 COM sweep-round progress events; and ``trace regress`` gates the
 committed bench artifacts (report-only against the real pair, nonzero
-exit on an injected slowdown).
+exit on an injected slowdown, refusal across different workloads).
 """
 
 import copy
@@ -27,6 +27,7 @@ BENCH_DIR = os.path.join(os.path.dirname(__file__), "..", "..",
                          "benchmarks")
 BENCH_PR3 = os.path.join(BENCH_DIR, "BENCH_pr3.json")
 BENCH_PR4 = os.path.join(BENCH_DIR, "BENCH_pr4.json")
+BENCH_PR10 = os.path.join(BENCH_DIR, "BENCH_pr10.json")
 
 #: Keys required on every trace record.
 COMMON_KEYS = {"ty", "t", "pid", "tid", "trace"}
@@ -198,17 +199,35 @@ class TestBenchRegress:
 
     def test_speedup_drop_is_higher_better_regression(
             self, tmp_path, capsys):
-        with open(BENCH_PR4) as handle:
+        with open(BENCH_PR10) as handle:
             artifact = json.load(handle)
         slowed = copy.deepcopy(artifact)
-        encode = slowed["sections"]["encode"]
-        if encode.get("encode_speedup"):
-            encode["encode_speedup"] = \
-                encode["encode_speedup"] / 100.0
+        cube = slowed["sections"]["cube"]
+        cube["speedup"] = cube["speedup"] / 100.0
         slow_path = str(tmp_path / "BENCH_nospeedup.json")
         with open(slow_path, "w") as handle:
             json.dump(slowed, handle)
-        code = trace_main(["regress", BENCH_PR4, slow_path])
+        code = trace_main(["regress", BENCH_PR10, slow_path])
         out = capsys.readouterr().out
         assert code == 1
-        assert "encode.encode_speedup" in out
+        assert "REGRESSED" in out and "cube.speedup" in out
+
+    def test_different_workloads_refuse_to_compare(
+            self, tmp_path, capsys):
+        # The smoke profile's workload block, on otherwise committed
+        # numbers: every row would compare different work.
+        with open(BENCH_PR10) as handle:
+            smoke = json.load(handle)
+        smoke["rev"] = "smoke"
+        smoke["workload"] = {"designs": ["S27", "S298"], "scale": 0.5,
+                             "profile": "smoke"}
+        smoke_path = str(tmp_path / "BENCH_smoke.json")
+        with open(smoke_path, "w") as handle:
+            json.dump(smoke, handle)
+        code = trace_main(["regress", BENCH_PR10, smoke_path,
+                           "--report-only"])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert "different workloads" in captured.err
+        assert "pr10" in captured.err and "smoke" in captured.err
+        assert captured.out == ""

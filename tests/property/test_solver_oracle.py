@@ -10,8 +10,9 @@ brute-force enumerator where feasible.
 
 Instance shapes mirror real callers: one-shot random 3-CNF, the
 incremental clause-add/solve interleave of SAT sweeping, and the
-assumption-sequence shape of BMC/k-induction.  Slow, larger cases are
-marked ``bench``.
+assumption-sequence shape of BMC/k-induction.  ``Solver()`` always
+builds the flat core, so :class:`LegacySolver`'s one job is to be this
+suite's reference — the larger stress sweeps run in tier-1 too.
 """
 
 import itertools
@@ -25,8 +26,6 @@ from repro.sat import (
     UNSAT,
     FlatSolver,
     LegacySolver,
-    Solver,
-    use_flat,
     use_proofs,
 )
 from repro.sat.simplify import simplify_round
@@ -194,27 +193,6 @@ class TestStatsInvariants:
                    for k in totals)
 
 
-class TestFacadeToggleEndToEnd:
-    def test_solver_facade_runs_identically_under_both_toggles(self):
-        rng = random.Random(99)
-        nv = 8
-        clauses = random_clauses(rng, nv, 24)
-
-        def run():
-            s = Solver()
-            s.new_vars(nv)
-            for c in clauses:
-                s.add_clause(list(c))
-            result = s.solve()
-            return (result,) + observe(s)
-
-        with use_flat(True):
-            flat = run()
-        with use_flat(False):
-            legacy = run()
-        assert flat == legacy
-
-
 def brute_force_under(num_vars, clauses, assumptions):
     """Brute force with assumption literals forced true."""
     for bits in itertools.product([False, True], repeat=num_vars):
@@ -343,7 +321,6 @@ class TestSimplifyEquivalence:
         def php(core):
             with use_proofs(True):
                 s = core()
-            s._use_simplify = True
             pigeons, holes = 5, 4
             var = {(p, h): s.new_var() for p in range(pigeons)
                    for h in range(holes)}
@@ -366,9 +343,8 @@ class TestSimplifyEquivalence:
         assert legacy == flat
 
 
-@pytest.mark.bench
 class TestOracleStress:
-    """Larger randomized sweeps; excluded from tier-1 (-m 'not bench')."""
+    """Larger randomized sweeps."""
 
     def test_large_random_sweep(self):
         rng = random.Random(0xBEEF)

@@ -1,7 +1,12 @@
 """Coverage for remaining corners: compare helpers, VCD identifiers,
-counterexample replay, Luby sequence, BDD cube cover, and the latched
-experiment strategies."""
+counterexample replay, Luby sequence, BDD cube cover, the latched
+experiment strategies, and the set of ``REPRO_*`` variables."""
 
+import ast
+import re
+from pathlib import Path
+
+import repro
 from repro.experiments import (
     LATCHED_STRATEGY,
     PipelineComparison,
@@ -103,3 +108,26 @@ class TestBDDCubeCover:
                 all(env[var] == val for var, val in cube.items())
                 for cube in cubes)
             assert in_some_cube == bdd.evaluate(f, env)
+
+
+class TestEnvironmentVariables:
+    #: Every ``REPRO_*`` variable the library reads.  Each one doubles
+    #: the configurations to test, so a new one must be added here
+    #: (and to the table in docs/architecture.md) on purpose.
+    EXPECTED = {
+        "REPRO_CERT", "REPRO_CUBE", "REPRO_CUBE_CONFLICTS",
+        "REPRO_CUBE_JOBS", "REPRO_CUBE_SHARE", "REPRO_CUBE_VARS",
+        "REPRO_METRICS", "REPRO_PROGRESS", "REPRO_SAT_DEBUG",
+        "REPRO_SAT_PROFILE", "REPRO_SAT_PROOF", "REPRO_TRACE",
+        "REPRO_TRACE_ID",
+    }
+
+    def test_repro_variables_are_pinned(self):
+        found = set()
+        for path in Path(repro.__file__).parent.rglob("*.py"):
+            for node in ast.walk(ast.parse(path.read_text())):
+                if isinstance(node, ast.Constant) \
+                        and isinstance(node.value, str) \
+                        and re.fullmatch(r"REPRO_[A-Z0-9_]+", node.value):
+                    found.add(node.value)
+        assert found == self.EXPECTED

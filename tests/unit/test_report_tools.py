@@ -241,15 +241,28 @@ class TestReportHTML:
     def test_cli_writes_html_with_trace(self, tmp_path, capsys):
         art_path = tmp_path / "BENCH_t.json"
         art_path.write_text(json.dumps(_artifact()))
+        base_path = tmp_path / "BENCH_base.json"
+        base_path.write_text(json.dumps(_artifact(rev="base")))
         trace_path = _traced_run(tmp_path / "r.trace",
                                  [("bmc", ["frame", "frame"])])
         out = str(tmp_path / "report.html")
         assert report_main([str(art_path), "--trace", trace_path,
-                            "--baseline", BENCH_PR9,
+                            "--baseline", str(base_path),
                             "--out", out]) == 0
         doc = open(out).read()
         self._assert_self_contained(doc)
         assert "from trace" in doc
+        assert "Regressions vs base" in doc
+
+    def test_cli_refuses_baseline_of_another_workload(self, tmp_path,
+                                                      capsys):
+        art_path = tmp_path / "BENCH_t.json"
+        art_path.write_text(json.dumps(_artifact()))
+        out = tmp_path / "report.html"
+        assert report_main([str(art_path), "--baseline", BENCH_PR9,
+                            "--out", str(out)]) == 2
+        assert "different workloads" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_cli_defaults_output_name_from_rev(self, tmp_path,
                                                capsys, monkeypatch):

@@ -27,7 +27,6 @@ from repro.sat import (
     pos,
     set_debug_checks,
     to_dimacs_lit,
-    use_flat,
 )
 
 #: Both data-layout cores; they must behave identically.
@@ -381,17 +380,10 @@ class TestBulkLoad:
 
 
 class TestCoreToggle:
-    """The Solver facade dispatches on the use_flat toggle."""
+    """The Solver facade always builds the flat core; the reference
+    core is only ever constructed directly."""
 
     def test_default_core_is_flat(self):
-        assert isinstance(Solver(), FlatSolver)
-
-    def test_use_flat_scopes_the_core(self):
-        with use_flat(False):
-            assert isinstance(Solver(), LegacySolver)
-            with use_flat(True):
-                assert isinstance(Solver(), FlatSolver)
-            assert isinstance(Solver(), LegacySolver)
         assert isinstance(Solver(), FlatSolver)
 
     def test_both_cores_are_solvers(self):
@@ -399,10 +391,9 @@ class TestCoreToggle:
         assert isinstance(LegacySolver(), Solver)
 
     def test_direct_core_construction_ignores_toggle(self):
-        with use_flat(True):
-            assert type(LegacySolver()) is LegacySolver
-        with use_flat(False):
-            assert type(FlatSolver()) is FlatSolver
+        # Solver.__new__ redirects only Solver() itself.
+        assert type(LegacySolver()) is LegacySolver
+        assert type(FlatSolver()) is FlatSolver
 
 
 @pytest.mark.parametrize("core", CORES)

@@ -15,13 +15,8 @@ from repro.sat import (
     UNSAT,
     FlatSolver,
     LegacySolver,
-    Solver,
     set_debug_checks,
-    set_simplify_enabled,
-    simplify_enabled,
-    use_flat,
     use_proofs,
-    use_simplify,
 )
 from repro.sat.simplify import (
     BVE_MAX_OCC,
@@ -249,7 +244,6 @@ class TestCertifiedSimplification:
         # subsumption/strengthening/elimination proof lines.
         with use_proofs(True):
             s = core()
-        s._use_simplify = True
         php_clauses(s, 6, 5)
         assert s.solve() == UNSAT
         assert s.stats().get("simplify_rounds", 0) >= 1
@@ -264,14 +258,13 @@ class TestStatsMidLifetime:
         # Regression: simplify_* keys first appear in stats() when a
         # round fires *inside* a solve() call; the per-call delta must
         # treat the missing before-value as zero instead of raising or
-        # reporting garbage.  The first call runs with the simplifier
-        # off so the keys genuinely do not exist yet.
+        # reporting garbage.  The first call is budgeted, so it skips
+        # the solve-entry round and the keys genuinely do not exist
+        # yet.
         s = core()
-        s._use_simplify = False
         s.new_vars(2)
         s.add_clause([P(0), P(1)])
-        assert s.solve() == SAT
-        s._use_simplify = True
+        assert s.solve(conflict_budget=1000) == SAT
         before = s.stats()
         assert "simplify_rounds" not in before
         assert "simplify_rounds" not in s.last_call_stats
@@ -300,7 +293,6 @@ class TestDebugWatchInvariant:
         previous = set_debug_checks(True)
         try:
             s = core()
-            s._use_simplify = True
             s.new_vars(4)
             s.add_clause([P(0), P(1), P(2)])
             s.add_clause([N(0), P(1), P(3)])
@@ -329,31 +321,3 @@ class TestDebugWatchInvariant:
             arena[base], arena[base + 2] = arena[base + 2], arena[base]
         with pytest.raises(RuntimeError):
             s._debug_check_watches()
-
-
-class TestToggleAndFacade:
-    def test_toggle_roundtrip(self):
-        original = simplify_enabled()
-        try:
-            set_simplify_enabled(False)
-            assert not simplify_enabled()
-            with use_simplify(True):
-                assert simplify_enabled()
-                s = Solver()
-                assert s._use_simplify
-            assert not simplify_enabled()
-            s = Solver()
-            assert not s._use_simplify
-        finally:
-            set_simplify_enabled(original)
-
-    def test_verdicts_identical_with_and_without_simplify(self):
-        def run(flat, simp):
-            with use_flat(flat), use_simplify(simp):
-                s = Solver()
-            php_clauses(s, 6, 5)
-            return s.solve()
-
-        results = {run(flat, simp)
-                   for flat in (False, True) for simp in (False, True)}
-        assert results == {UNSAT}

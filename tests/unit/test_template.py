@@ -2,20 +2,20 @@
 
 The load-bearing property is the parity contract: stamping a compiled
 template must leave the solver in a state *element-wise identical* to
-the direct ``encode_frame`` path — same variable count, same clause
-stream, same level-0 assignments.  Everything downstream (the golden
-equivalence suite in ``tests/integration``) follows from it.
+the reference walk defined here (:func:`walk_frame`: ``encode_frame``
+plus the latch hold-mux tail) — same variable count, same clause
+stream, same level-0 assignments — in all three template modes.
+Everything downstream (the golden equivalence suite in
+``tests/integration``) follows from it.
 """
 
-import os
-import subprocess
-import sys
+from contextlib import contextmanager, nullcontext
 
 import pytest
 
 from repro import obs
-from repro.netlist import NetlistBuilder, s27
-from repro.sat import CNF, CnfSink, Solver, encode_frame, pos
+from repro.netlist import GateType, NetlistBuilder, s27
+from repro.sat import CNF, CnfSink, Solver, encode_frame, encode_mux, pos
 from repro.sat import template as tmpl_mod
 from repro.sat.template import (
     MODES,
@@ -27,10 +27,7 @@ from repro.sat.template import (
     compile_template,
     get_template,
     netlist_has_const0,
-    set_templates_enabled,
     template_cache_size,
-    templates_enabled,
-    use_templates,
 )
 from repro.unroll import Unrolling
 
@@ -44,15 +41,63 @@ def counter(width):
     return b.net
 
 
+def latched():
+    """Registers with input-driven initial values, and a latch whose
+    hold-mux tail feeds back into them."""
+    b = NetlistBuilder("latched")
+    clk, d, e = b.input("clk"), b.input("d"), b.input("e")
+    r = b.register(init=b.and_(d, e), name="r")
+    s = b.register(init=b.xor(d, e), name="s")
+    lat = b.latch(b.xor(r, d), clk, name="l")
+    b.connect(r, b.or_(lat, e))
+    b.connect(s, b.and_(s, b.not_(lat)))
+    b.net.add_target(b.and_(lat, s))
+    return b.net
+
+
+def walk_frame(net, sink, leaves):
+    """The reference frame encoder: ``encode_frame`` over ``leaves``,
+    then the next-state tail in state-element order — register next
+    edges, and one hold-mux per latch."""
+    lits = encode_frame(net, sink, dict(leaves))
+    nxt = {}
+    for vid in net.state_elements:
+        gate = net.gate(vid)
+        if gate.type is GateType.REGISTER:
+            nxt[vid] = lits[gate.fanins[0]]
+        else:
+            data, clock = gate.fanins
+            out = pos(sink.new_var())
+            encode_mux(sink, out, lits[clock], lits[data], lits[vid])
+            nxt[vid] = out
+    return lits, nxt
+
+
+def _walk_next_frame(self):
+    lits, nxt = walk_frame(self.net, self.sink,
+                           self.state_lits[len(self.frames)])
+    self.frames.append(lits)
+    self.state_lits.append(nxt)
+
+
+@contextmanager
+def walked_frames():
+    """Every :class:`Unrolling` encodes its frames by :func:`walk_frame`
+    instead of stamping its template."""
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(Unrolling, "_encode_next_frame", _walk_next_frame)
+        yield
+
+
 def solver_fingerprint(solver):
     return (solver.num_vars, solver.clause_lits(),
             tuple(solver.assignment()), tuple(solver.trail_lits()),
             solver.ok)
 
 
-def unrolling_fingerprint(net, frames, constrain_init, enabled):
+def unrolling_fingerprint(net, frames, constrain_init, walk):
     clear_template_cache()
-    with use_templates(enabled):
+    with walked_frames() if walk else nullcontext():
         u = Unrolling(net, constrain_init=constrain_init)
         for t in range(frames):
             u.frame(t)
@@ -145,15 +190,40 @@ class TestCompile:
 
 
 class TestStampParity:
-    """Stamping == direct encode, element for element."""
+    """Stamping == the reference walk, element for element."""
 
     @pytest.mark.parametrize("constrain_init", [True, False])
-    @pytest.mark.parametrize("make", [s27, lambda: counter(3)])
+    @pytest.mark.parametrize("make", [s27, lambda: counter(3), latched])
     def test_unrolling_fingerprints_match(self, make, constrain_init):
         net = make()
-        direct = unrolling_fingerprint(net, 5, constrain_init, False)
-        templ = unrolling_fingerprint(net, 5, constrain_init, True)
-        assert direct == templ
+        walked = unrolling_fingerprint(net, 5, constrain_init, True)
+        templ = unrolling_fingerprint(net, 5, constrain_init, False)
+        assert walked == templ
+
+    @pytest.mark.parametrize("mode", ["io", "init"])
+    def test_qbf_modes_match_encode_frame(self, mode):
+        """The QBF shapes: ``io`` takes the inputs as leaves next to
+        the state; ``init`` encodes only the register init cones."""
+        net = latched()
+        t = compile_template(net, mode)
+
+        def build(stamp):
+            solver = Solver()
+            sink = CnfSink(solver)
+            leaves = {v: pos(sink.new_var()) for v in t.slots}
+            if netlist_has_const0(net):
+                _ = sink.true_lit
+            if stamp:
+                lits, nxt = t.stamp(sink, leaves)
+            elif mode == "io":
+                lits, nxt = walk_frame(net, sink, leaves)
+            else:
+                roots = [net.gate(r).fanins[1] for r in net.registers]
+                lits = encode_frame(net, sink, dict(leaves), roots=roots)
+                nxt = {}
+            return solver_fingerprint(solver) + (lits, nxt)
+
+        assert build(False) == build(True)
 
     def test_stamp_into_cnf_backend_matches_encode_frame(self):
         """The non-solver (plain CNF) backend takes the generic path
@@ -171,21 +241,14 @@ class TestStampParity:
             if use_tmpl:
                 lits, nxt = t.stamp(sink, state)
             else:
-                lits = encode_frame(net, sink, dict(state))
-                nxt = {v: lits[net.gate(v).fanins[0]]
-                       for v in net.state_elements}
+                lits, nxt = walk_frame(net, sink, state)
             return cnf.num_vars, list(cnf.clauses), lits, nxt
 
         assert build(False) == build(True)
 
     def test_with_next_false_stops_at_core(self):
         # A latch forces a real hold-mux tail after the core.
-        b = NetlistBuilder("latched")
-        clk = b.input("clk")
-        d = b.input("d")
-        lat = b.latch(d, clk, name="l")
-        b.net.add_target(lat)
-        net = b.net
+        net = latched()
         t = compile_template(net, "frame")
         assert t.core_clauses < len(t.clauses)
         solver = Solver()
@@ -236,28 +299,3 @@ class TestCacheAndToggle:
         get_template(nets[2])  # evicts counter2
         assert template_cache_size() == 2
         assert get_template(nets[0]) is not first  # recompiled
-
-    def test_toggle_set_and_scope(self):
-        assert templates_enabled()  # default on
-        previous = set_templates_enabled(False)
-        assert previous is True
-        assert not templates_enabled()
-        with use_templates(True):
-            assert templates_enabled()
-        assert not templates_enabled()
-        set_templates_enabled(True)
-
-    def test_env_var_disables_templates(self):
-        env = dict(os.environ)
-        env["REPRO_FRAME_TEMPLATES"] = "0"
-        env["PYTHONPATH"] = os.pathsep.join(
-            [p for p in (env.get("PYTHONPATH"),) if p] + ["src"])
-        code = ("import repro.sat.template as t; "
-                "import sys; sys.exit(0 if not t.templates_enabled() "
-                "else 1)")
-        proc = subprocess.run([sys.executable, "-c", code], env=env,
-                              cwd=os.path.dirname(
-                                  os.path.dirname(
-                                      os.path.dirname(
-                                          os.path.abspath(__file__)))))
-        assert proc.returncode == 0
