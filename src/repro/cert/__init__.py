@@ -18,8 +18,9 @@ shape):
 A failed check raises :class:`~repro.resilience.CertificationFailure`
 (an :class:`~repro.resilience.EngineFailure` subtype, so every
 existing degradation path already handles it); ``prove()`` reacts by
-retrying once on the *other* solver core and, on persistent
-disagreement, degrading to the sound structural bound.  Certification
+retrying the engine call once on the same solver (a transient fault
+recovers, a genuine solver bug fails again) and, on a second failure,
+degrading to the sound structural bound.  Certification
 is scoped by the ``REPRO_CERT`` env toggle / :func:`use_certification`
 (engines also accept an explicit ``certify=`` override) and publishes
 ``cert.checked`` / ``cert.failed`` counters plus ``cert.*`` trace

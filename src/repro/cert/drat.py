@@ -31,6 +31,13 @@ walks the timeline in reverse:
   that is what makes backward checking cheaper than forward checking,
   and the surviving marked ``i`` clauses form the unsatisfiable *core*.
 
+Every check is unit propagation on two watched literals, which the
+backward pass makes cheap to keep (see :class:`_Propagator`): a false
+literal visits only the clauses watching it, watches moved by one
+check need no repair before the next, and a clause detached at its
+addition event never returns, so it is dropped from a watch list for
+good when propagation meets it there.
+
 Soundness: if every conclusion and every marked lemma checks, each
 ``u`` event's claimed UNSAT-under-assumptions verdict is a theorem of
 the input clauses alone.  A corrupted lemma (see the ``corrupt_learnt``
@@ -81,46 +88,63 @@ class _Clause:
 
     __slots__ = ("lits", "kind", "active", "needed")
 
-    def __init__(self, lits: Tuple[int, ...], kind: str) -> None:
+    def __init__(self, lits: Iterable[int], kind: str) -> None:
         # Input events log pre-normalization literals, which may
         # repeat (e.g. XOR clauses over aliased frame literals); a
-        # duplicate would make the propagator's unit detection count
-        # the same unassigned literal twice and silently never
-        # propagate, so dedupe here — order-preserving, semantics
-        # unchanged.
-        self.lits = tuple(dict.fromkeys(lits))
+        # duplicate could fill both watch slots, so that (x | x)
+        # would never be asserted as the unit it is.  Dedupe here —
+        # order-preserving, semantics unchanged.  A list, because the
+        # propagator swaps its watched literals into positions 0 and 1.
+        self.lits = list(dict.fromkeys(lits))
         self.kind = kind  # "i" or "a"
         self.active = True
         self.needed = False
 
 
 class _Propagator:
-    """Unit propagation over an activatable clause set.
+    """Unit propagation over an activatable clause set, on two watched
+    literals.
 
-    Occurrence lists are append-only (deactivation just clears the
-    clause flag), which keeps attach/detach O(len(clause)) and O(1)
-    respectively; every clause is activated at most once over the
-    whole backward pass, so the lists stay bounded.
+    A clause of two or more literals is watched on ``lits[0]`` and
+    ``lits[1]``: it sits on the watch lists of exactly those two
+    literals, and only a watched literal turning false makes
+    propagation visit it.  The visit keeps the clause when its other
+    watch is true, otherwise moves the watch to a literal that is not
+    false, and failing that finds the clause unit (its other watch is
+    asserted) or falsified (the conflict).  Unit clauses are asserted
+    from ``_units`` at the start of every check, and any active empty
+    clause in ``_empty`` is a conflict by itself.
+
+    Why watches need no repair: every check starts and ends with an
+    empty assignment, so between checks any two literals of a clause
+    form a valid watch pair.
+
+    Why lazy dropping is sound: going backward, every clause is
+    attached at most once and detached at most once, and it never
+    comes back.  So :meth:`detach` only clears the clause's ``active``
+    flag, and propagation drops an inactive clause from a watch list
+    for good when it meets it there.  ``_units`` and ``_empty`` are
+    append-only and skip inactive entries.
     """
 
     def __init__(self, num_vars: int) -> None:
         self._assign = [-1] * num_vars  # -1 unassigned / 0 false / 1 true
         self._reason: List[Optional[_Clause]] = [None] * num_vars
-        self._occ: List[List[_Clause]] = [[] for _ in range(2 * num_vars)]
-        self._units: List[_Clause] = []  # append-only; skip inactive
-        self._empty: Optional[_Clause] = None
+        self._watches: List[List[_Clause]] = [
+            [] for _ in range(2 * num_vars)]
+        self._units: List[_Clause] = []
+        self._empty: List[_Clause] = []
 
     def attach(self, clause: _Clause) -> None:
         clause.active = True
-        n = len(clause.lits)
-        if n == 0:
-            self._empty = clause
-            return
-        if n == 1:
+        lits = clause.lits
+        if len(lits) >= 2:
+            self._watches[lits[0]].append(clause)
+            self._watches[lits[1]].append(clause)
+        elif lits:
             self._units.append(clause)
-        occ = self._occ
-        for lit in clause.lits:
-            occ[lit].append(clause)
+        else:
+            self._empty.append(clause)
 
     @staticmethod
     def detach(clause: _Clause) -> None:
@@ -134,11 +158,12 @@ class _Propagator:
         reaches a conflict-free fixpoint.  The assignment is fully
         undone before returning, so checks are independent.
         """
-        if self._empty is not None and self._empty.active:
-            return [self._empty]
+        for clause in self._empty:
+            if clause.active:
+                return [clause]
         assign = self._assign
         reason = self._reason
-        occ = self._occ
+        watches = self._watches
         trail: List[int] = []
         conflict: Optional[Tuple[Optional[_Clause], Optional[int]]] = None
 
@@ -166,29 +191,46 @@ class _Propagator:
         while conflict is None and head < len(trail):
             false_lit = trail[head] ^ 1
             head += 1
-            for clause in occ[false_lit]:
+            watching = watches[false_lit]
+            size = len(watching)
+            i = j = 0
+            while i < size:
+                clause = watching[i]
+                i += 1
                 if not clause.active:
+                    continue  # detached for good: drop it
+                lits = clause.lits
+                other = lits[0]
+                if other == false_lit:
+                    other = lits[1]
+                    lits[0] = other
+                    lits[1] = false_lit
+                value = assign[other >> 1]
+                if value == (other & 1) ^ 1:  # satisfied by the other
+                    watching[j] = clause
+                    j += 1
                     continue
-                unassigned = -1
-                satisfied = False
-                unit = True
-                for q in clause.lits:
-                    v = assign[q >> 1]
-                    if v < 0:
-                        if unassigned >= 0:
-                            unit = False
-                            break
-                        unassigned = q
-                    elif v == (q & 1) ^ 1:
-                        satisfied = True
+                for k in range(2, len(lits)):
+                    lit = lits[k]
+                    if assign[lit >> 1] != lit & 1:  # not false
+                        lits[1] = lit
+                        lits[k] = false_lit
+                        watches[lit].append(clause)
                         break
-                if satisfied or not unit:
-                    continue
-                if unassigned < 0:
-                    conflict = (clause, None)
-                    break
-                enqueue(unassigned, clause)
-            # (a conflict breaks both loops via the while condition)
+                else:
+                    watching[j] = clause
+                    j += 1
+                    if value < 0:  # unit: assert the other watch
+                        var = other >> 1
+                        assign[var] = (other & 1) ^ 1
+                        reason[var] = clause
+                        trail.append(other)
+                    else:
+                        conflict = (clause, None)
+                        break
+            # [j, i) held dropped or moved entries; after a conflict
+            # the unvisited rest from i on stays watched.
+            del watching[j:i]
         cone: Optional[List[_Clause]] = None
         if conflict is not None:
             cone = self._explain(conflict)
@@ -252,7 +294,7 @@ def check_events(
             if lit > max_var * 2 + 1:
                 max_var = lit >> 1
         if kind in ("i", "a"):
-            clause = _Clause(tuple(lits), kind)
+            clause = _Clause(lits, kind)
             clauses.append(clause)
             # Instances are stacked per canonical key (sorted literal
             # *set* — clause_key): duplicate-literal forms of the same
@@ -310,7 +352,7 @@ def check_events(
             cone = prop.check([lit ^ 1 for lit in clause.lits])
             if cone is None:
                 report(f"event #{position}: learned clause "
-                       f"{clause.lits} is not RUP (unit propagation "
+                       f"{tuple(clause.lits)} is not RUP (unit propagation "
                        "on its negation does not conflict)")
             else:
                 for needed in cone:

@@ -30,6 +30,8 @@ from repro.unroll import bmc
 X, NX = 0, 1        # var 0
 Y, NY = 2, 3        # var 1
 Z, NZ = 4, 5        # var 2
+W, NW = 6, 7        # var 3
+V, NV = 8, 9        # var 4
 
 
 def counter_net(width, hit_value):
@@ -244,6 +246,79 @@ class TestChecker:
         log.input([NX])
         log.conclude_unsat(())
         assert check_proof(log).ok
+
+    def test_every_active_empty_clause_counts(self):
+        # Regression: the propagator kept one empty-clause slot, so
+        # detaching the learned () hid the still-active input ().
+        result = check_events([("i", ()), ("a", ()), ("u", ())])
+        assert result.ok, result.errors
+        assert result.core_inputs == 1
+
+    def test_deleted_long_lemma_reattached_after_watches_moved(self):
+        # C = (x|y|z) is a learned clause, RUP through A1/A2, that u1
+        # needs and the log then deletes.  Going backward, u2's check
+        # runs first (without C) and moves the watches of E and G off
+        # ~z; the d event then re-attaches C, and u1's check must
+        # still propagate C, H, E into a conflict on G.
+        events = [
+            ("i", (X, Y, Z, W)), ("i", (X, Y, Z, NW)),  # A1, A2
+            ("i", (NZ, W, V)),                          # E
+            ("i", (NV, NZ, W)),                         # G
+            ("i", (NW, NZ)),                            # H
+            ("a", (X, Y, Z)),                           # C
+            ("u", (NX, NY)),                            # u1: needs C
+            ("d", (X, Y, Z)),
+            ("u", (Z,)),                                # u2: E, G, H
+        ]
+        result = check_events(events)
+        assert result.ok, result.errors
+        assert result.conclusions == 2
+        assert result.deletions == 1
+        assert result.lemmas_checked == 1
+        assert result.core_inputs == 5
+
+    def test_watchers_behind_a_conflict_stay_watched(self):
+        # Going backward, u1's check conflicts on A while B = (x|z|w)
+        # still waits behind A on the watch list of x.  A is then
+        # detached, and u2 needs B to propagate z from ~x, ~w, which
+        # only its watch on x can notice.
+        events = [
+            ("i", (NZ, Y)), ("i", (NZ, NY)),   # D, E
+            ("i", (X, Z, W)),                  # B
+            ("u", (NX, NW)),                   # u2: B, D, E
+            ("i", (X, Y)),                     # A
+            ("u", (NX, NY)),                   # u1: A
+            ("d", (X, Z, W)),
+        ]
+        result = check_events(events)
+        assert result.ok, result.errors
+        assert result.conclusions == 2
+        assert result.core_inputs == 4
+
+    def test_lemma_rup_only_through_inactive_clause_fails(self):
+        # L = (x|y) is RUP only through D = (x|y|z) and (~z).  Where D
+        # is not active at L, L's check must fail: whether D was
+        # deleted before L, or D is an input added after L.  The
+        # second case leaves D detached but still on the watch lists
+        # of x and y when L is checked.
+        deleted_before = [
+            ("i", (NZ,)), ("i", (X, Y, Z)),
+            ("d", (X, Y, Z)),
+            ("a", (X, Y)),
+            ("u", (NX, NY)),
+        ]
+        added_after = [
+            ("i", (NZ,)),
+            ("a", (X, Y)),
+            ("u", (NX, NY)),
+            ("i", (X, Y, Z)),
+            ("u", (NX, NY)),
+        ]
+        for events in (deleted_before, added_after):
+            result = check_events(events)
+            assert not result.ok
+            assert result.lemmas_checked == 1
+            assert any("not RUP" in err for err in result.errors)
 
     def test_trimming_skips_unneeded_lemmas(self):
         # An irrelevant (but valid) lemma off to the side is trimmed,
