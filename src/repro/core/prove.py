@@ -89,7 +89,7 @@ def _structural_fallback(net: Netlist, target: int,
 
 def _race_probes(net: Netlist, target: int, quick_bmc_depth: int,
                  induction_k: int, budget: Optional[Budget],
-                 jobs: int, cubes: bool):
+                 jobs: int):
     """Run the quick-BMC and k-induction probes as concurrent workers.
 
     Returns their :class:`repro.parallel.WorkerOutcome` pair in fixed
@@ -102,18 +102,18 @@ def _race_probes(net: Netlist, target: int, quick_bmc_depth: int,
     from ..parallel import ParallelExecutor
     from ..parallel.workers import run_bmc_probe, run_induction_probe
 
-    # The certification and cube toggles are captured in the parent
-    # and shipped in the payload: workers must not depend on
-    # inheriting process globals across the spawn/fork boundary.
+    # The certification toggle is captured in the parent and shipped
+    # in the payload: workers must not depend on inheriting process
+    # globals across the spawn/fork boundary.
     certify = certification_enabled()
     executor = ParallelExecutor(jobs=min(jobs, 2), name="prove")
     tasks = [
         (run_bmc_probe,
          {"net": net, "target": target, "max_depth": quick_bmc_depth,
-          "certify": certify, "use_cubes": cubes}),
+          "certify": certify}),
         (run_induction_probe,
          {"net": net, "target": target, "max_k": induction_k,
-          "certify": certify, "use_cubes": cubes}),
+          "certify": certify}),
     ]
     outcomes = executor.map_tasks(tasks, budget=budget,
                                   labels=["quick-bmc", "k-induction"])
@@ -173,7 +173,6 @@ def prove(
     refine_gc_limit: int = 6,
     budget: Optional[Budget] = None,
     jobs: int = 1,
-    use_cubes: Optional[bool] = None,
 ) -> ProofResult:
     """Decide ``AG(!target)`` with the full engine stack.
 
@@ -206,20 +205,11 @@ def prove(
     concurrent workers whose results merge in the sequential priority
     order (falsification first, then induction), so the verdict —
     though not the wall-clock — is the sequential one.
-
-    ``use_cubes`` (None = the global :func:`repro.sat.use_cubes`
-    toggle) arms cube-and-conquer inside every BMC / k-induction call
-    this manager issues, including the racing probes — hard frame
-    queries split into cube sets raced with first-win cancellation
-    (:mod:`repro.sat.cube`).  Verdicts and bounds are unchanged.
     """
-    from ..sat import cube as _cube
-
     if target is None:
         if not net.targets:
             raise ValueError("netlist has no targets")
         target = net.targets[0]
-    cubes = _cube.cubes_enabled() if use_cubes is None else use_cubes
     watch = obs.stopwatch()
     reg = obs.get_registry()
     log: List[str] = []
@@ -280,7 +270,7 @@ def prove(
                         reg, budget, "complete-bmc",
                         lambda: bmc(net, target, max_depth=bound,
                                     complete_bound=bound,
-                                    budget=budget, use_cubes=cubes))
+                                    budget=budget))
             except CertificationFailure as exc:
                 return degraded(bound, strategy, "certification",
                                 str(exc))
@@ -309,7 +299,7 @@ def prove(
             # the verdict is deterministic at any jobs value.
             quick_out, induct_out = _race_probes(
                 net, target, quick_bmc_depth, induction_k, budget,
-                jobs, cubes)
+                jobs)
             if isinstance(quick_out.error, CertificationFailure):
                 # Worker-side certification failure: retry in-process,
                 # like the sequential path would.
@@ -318,7 +308,7 @@ def prove(
                         reg, budget, "quick-bmc",
                         lambda: bmc(net, target,
                                     max_depth=quick_bmc_depth,
-                                    budget=budget, use_cubes=cubes))
+                                    budget=budget))
                 except CertificationFailure as exc:
                     return degraded(bound, strategy, "certification",
                                     str(exc))
@@ -337,7 +327,7 @@ def prove(
                         reg, budget, "quick-bmc",
                         lambda: bmc(net, target,
                                     max_depth=quick_bmc_depth,
-                                    budget=budget, use_cubes=cubes))
+                                    budget=budget))
             except CertificationFailure as exc:
                 return degraded(bound, strategy, "certification",
                                 str(exc))
@@ -357,8 +347,7 @@ def prove(
                         reg, budget, "k-induction",
                         lambda: k_induction(net, target,
                                             max_k=induction_k,
-                                            budget=budget,
-                                            use_cubes=cubes))
+                                            budget=budget))
                 except CertificationFailure as exc:
                     return degraded(bound, strategy, "certification",
                                     str(exc))
@@ -380,8 +369,7 @@ def prove(
                         reg, budget, "k-induction",
                         lambda: k_induction(net, target,
                                             max_k=induction_k,
-                                            budget=budget,
-                                            use_cubes=cubes))
+                                            budget=budget))
             except CertificationFailure as exc:
                 return degraded(bound, strategy, "certification",
                                 str(exc))

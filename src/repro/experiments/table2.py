@@ -84,19 +84,10 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     parser.add_argument("--jobs", type=int, default=1,
                         help="worker processes for per-design fan-out "
                              "(default 1 = sequential)")
-    parser.add_argument("--cubes", action="store_true",
-                        help="split hard solver queries into cube sets "
-                             "raced across --jobs workers (verdicts "
-                             "and tables are unchanged)")
     parser.add_argument("--progress", action="store_true",
                         help="report live engine progress on stderr")
     args = parser.parse_args(argv)
     obs.trace.setup_cli(progress_flag=args.progress)
-    if args.cubes:
-        from ..sat import cube as _cube
-
-        _cube.set_cubes_enabled(True)
-        _cube.set_cube_config(jobs=max(1, args.jobs))
     designs = args.designs.split(",") if args.designs else None
     budget = Budget(wall_seconds=args.timeout, name="table2") \
         if args.timeout else None

@@ -27,7 +27,7 @@ zero-cost when disabled, like the trace layer before it:
 * :class:`Ledger` — a bounded ring of **per-query records**: one dict
   per SAT solve / engine call with engine, frame/k, verdict,
   conflict/propagation deltas, wall seconds, budget charged, and
-  cube/cert outcome.  The ring keeps the most recent
+  cert outcome.  The ring keeps the most recent
   :data:`DEFAULT_LEDGER_CAP` records and counts what it evicts, so a
   week-long run keeps bounded memory but the report can still say
   "top-5 slowest queries" and how much it did not see.
@@ -389,9 +389,9 @@ class Ledger:
 
     Records are plain dicts — the canonical fields are ``engine``,
     ``frame``/``k``, ``verdict``, ``conflicts``, ``propagations``,
-    ``decisions``, ``seconds``, ``budget_charged``, ``cube``,
-    ``cert`` — but the ring stores whatever the caller hands it, so
-    engines can attach what only they know.  Past capacity the oldest
+    ``decisions``, ``seconds``, ``budget_charged``, ``cert`` — but
+    the ring stores whatever the caller hands it, so engines can
+    attach what only they know.  Past capacity the oldest
     record is evicted and ``dropped`` incremented (merges included),
     mirroring the registry's event ring.
     """

@@ -16,9 +16,7 @@ Two engines share that contract.  The original pool ships one future
 and one pre-split budget slice per task; the work-stealing engine
 (:mod:`repro.parallel.stealing`, ``stealing=True``) has workers steal
 task indices from a shared deque under one shared cross-process budget
-pool, and supports first-win cancellation races — used by the
-experiment grid and by :mod:`repro.sat.cube`'s cube-and-conquer solve
-path.
+pool — used by the experiment grid.
 
 Entry points: ``--jobs N`` on the ``table1`` / ``table2`` / ``report``
 / ``bound`` / ``bench`` CLIs, or the ``jobs=`` keyword on

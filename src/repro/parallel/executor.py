@@ -47,21 +47,16 @@ sequential loops, and :meth:`ParallelExecutor.map` itself degrades to
 an in-process loop (used by tests and by call sites that want one
 code path).
 
-Since PR 9 the executor has a second engine, selected per instance
-with ``stealing=True`` (or implied by a ``first_win`` predicate): the
-work-stealing queue of :mod:`repro.parallel.stealing`.  Instead of one
-future and one pre-split budget slice per task, workers steal task
-indices from a shared deque and charge one *shared* cross-process
-conflict/query pool under the common wall deadline — so budget flows
-to the tasks that need it and no worker idles behind a static split.
-The join is unchanged: outcomes come back in submission order, so the
-determinism contract (byte-identical tables at any ``--jobs``) holds
-in both engines.  ``first_win`` adds first-win cancellation on top:
-the first ok outcome satisfying the predicate sets the pool-wide
-cancel event, which reaches losers through their budgets' per-conflict
-cancellation checks; their :class:`Cancelled` / exhausted outcomes are
-then *not* re-raised at the join (the caller's join rule — e.g.
-:func:`repro.sat.cube.join_cubes` — owns error precedence).
+The executor has a second engine, selected per instance with
+``stealing=True``: the work-stealing queue of
+:mod:`repro.parallel.stealing`.  Instead of one future and one
+pre-split budget slice per task, workers steal task indices from a
+shared deque and charge one *shared* cross-process conflict/query pool
+under the common wall deadline — so budget flows to the tasks that
+need it and no worker idles behind a static split.  The join is
+unchanged: outcomes come back in submission order, so the determinism
+contract (byte-identical tables at any ``--jobs``) holds in both
+engines.
 """
 
 from __future__ import annotations
@@ -238,18 +233,13 @@ class ParallelExecutor:
         self.jobs = jobs
         self.name = name
         self.stealing = stealing
-        #: Metadata of the last work-stealing run (first-win index,
-        #: cancel latency, watchdog/crash slots) — read by the cube
-        #: driver and the bench cancellation-latency probe.
-        self.last_race: dict = {}
 
     # ------------------------------------------------------------------
     def map(self,
             fn: Callable[[Any, Optional[Budget]], Any],
             payloads: Sequence[Any],
             budget: Optional[Budget] = None,
-            labels: Optional[Sequence[str]] = None,
-            first_win: Optional[Callable[[Any], bool]] = None
+            labels: Optional[Sequence[str]] = None
             ) -> List[WorkerOutcome]:
         """Run ``fn(payload, budget-slice)`` for every payload.
 
@@ -260,17 +250,15 @@ class ParallelExecutor:
         view instead.  The result list is ordered by input index
         regardless of completion order; a cancelled budget raises
         :class:`Cancelled` at the join, every other failure is an
-        outcome.  ``first_win`` implies stealing mode.
+        outcome.
         """
         return self.map_tasks([(fn, payload) for payload in payloads],
-                              budget=budget, labels=labels,
-                              first_win=first_win)
+                              budget=budget, labels=labels)
 
     def map_tasks(self,
                   tasks: Sequence[tuple],
                   budget: Optional[Budget] = None,
-                  labels: Optional[Sequence[str]] = None,
-                  first_win: Optional[Callable[[Any], bool]] = None
+                  labels: Optional[Sequence[str]] = None
                   ) -> List[WorkerOutcome]:
         """Like :meth:`map`, but each task is its own ``(fn, payload)``
         pair — used for heterogeneous races (e.g. ``prove``'s quick-BMC
@@ -284,9 +272,8 @@ class ParallelExecutor:
             raise ValueError("labels/tasks length mismatch")
         plan = _faults.active_plan()
         fault_config = plan.config() if plan is not None else None
-        if self.stealing or first_win is not None:
-            outcomes = self._stolen(tasks, labels, budget,
-                                    fault_config, first_win)
+        if self.stealing:
+            outcomes = self._stolen(tasks, labels, budget, fault_config)
         elif self.jobs == 1 or len(tasks) == 1:
             specs = self._specs(budget, labels, len(tasks))
             raw = [_run_task(fn, payload, spec, None)
@@ -296,8 +283,7 @@ class ParallelExecutor:
         else:
             specs = self._specs(budget, labels, len(tasks))
             outcomes = self._pooled(tasks, specs, labels, fault_config)
-        self._merge(outcomes, budget,
-                    reraise_cancelled=first_win is None)
+        self._merge(outcomes, budget)
         return outcomes
 
     # ------------------------------------------------------------------
@@ -382,26 +368,23 @@ class ParallelExecutor:
     # ------------------------------------------------------------------
     # Work-stealing engine
     # ------------------------------------------------------------------
-    def _stolen(self, tasks, labels, budget, fault_config,
-                first_win) -> List[WorkerOutcome]:
+    def _stolen(self, tasks, labels, budget,
+                fault_config) -> List[WorkerOutcome]:
         """Run tasks through the shared-deque engine (see
         :mod:`repro.parallel.stealing`); in-process when ``jobs`` (or
         the task count) is 1 — sequential draining of the same queue
-        semantics, with first-win early exit."""
+        semantics."""
         from . import stealing as _stealing
 
         if budget is not None and budget.cancelled:
             raise Cancelled(budget_name=budget.name)
         reg = obs.get_registry()
-        self.last_race = {}
         if self.jobs == 1 or len(tasks) == 1:
-            return self._stolen_in_process(tasks, labels, budget,
-                                           first_win)
+            return self._stolen_in_process(tasks, labels, budget)
         spec = BudgetSpec.capture(budget, name=self.name)
         raws, meta = _stealing.execute(
             tasks, labels, spec, fault_config,
-            min(self.jobs, len(tasks)), self.name, first_win)
-        self.last_race = meta
+            min(self.jobs, len(tasks)), self.name)
         outcomes: List[WorkerOutcome] = []
         for i, raw in enumerate(raws):
             if raw is not None:
@@ -426,37 +409,20 @@ class ParallelExecutor:
                         f"worker running {labels[i]!r} crashed")))
         return outcomes
 
-    def _stolen_in_process(self, tasks, labels, budget,
-                           first_win) -> List[WorkerOutcome]:
+    def _stolen_in_process(self, tasks, labels,
+                           budget) -> List[WorkerOutcome]:
         """The ``jobs=1`` drain: same shared-budget semantics (tasks
         drain one pool through subbudget views of a single restored
-        budget), same first-win early exit (later tasks short-circuit
-        to :class:`Cancelled`), no processes."""
+        budget), no processes."""
         spec = BudgetSpec.capture(budget, name=self.name)
         shared = spec.restore() if spec is not None else None
         outcomes: List[WorkerOutcome] = []
-        won = False
-        win_at = None
         for i, (fn, payload) in enumerate(tasks):
             name = f"{self.name}[{labels[i]}]"
-            if won:
-                outcomes.append(WorkerOutcome(
-                    index=i, label=labels[i],
-                    error=Cancelled(budget_name=name)))
-                continue
             child = shared.subbudget(name=name) \
                 if shared is not None else None
             raw = _run_task(fn, payload, None, None, budget=child)
-            outcome = self._decode(i, labels[i], raw)
-            outcomes.append(outcome)
-            if first_win is not None and outcome.ok and \
-                    first_win(outcome.value):
-                won = True
-                win_at = time.monotonic()
-                self.last_race = {"first_win_index": i}
-        if win_at is not None:
-            self.last_race["cancel_latency"] = \
-                time.monotonic() - win_at
+            outcomes.append(self._decode(i, labels[i], raw))
         return outcomes
 
     @staticmethod
@@ -469,14 +435,11 @@ class ParallelExecutor:
                              seconds=seconds, snapshot=snapshot)
 
     def _merge(self, outcomes: List[WorkerOutcome],
-               budget: Optional[Budget],
-               reraise_cancelled: bool = True) -> None:
+               budget: Optional[Budget]) -> None:
         """Fold worker telemetry into the parent registry and charge
         the parent budget with the reported solver effort; re-raise a
         worker-side :class:`Cancelled` (cooperative cancellation always
-        propagates — except under a ``first_win`` race, where a
-        loser's cancellation is bookkeeping and the caller's join rule
-        owns error precedence)."""
+        propagates)."""
         reg = obs.get_registry()
         for outcome in outcomes:
             reg.counter("parallel.tasks")
@@ -499,8 +462,7 @@ class ParallelExecutor:
                         budget.charge_conflicts(conflicts)
                     if queries:
                         budget.charge_query(queries)
-            if reraise_cancelled and isinstance(outcome.error,
-                                                Cancelled):
+            if isinstance(outcome.error, Cancelled):
                 raise outcome.error
             if isinstance(outcome.error, EngineFailure) and \
                     outcome.error.engine == "parallel.worker":

@@ -10,21 +10,16 @@ results are shipped back tagged by index so the parent still joins them
 in **submission order** — execution is dynamic, the join is not, and
 tables stay byte-identical at any ``--jobs``.
 
-Three pieces of shared state ride along (plain ``multiprocessing``
+Two pieces of shared state ride along (plain ``multiprocessing``
 primitives, shipped at process-spawn time):
 
-* a **cancel event** — the first-win hook: when the parent sees a
-  winning result it sets the event, and every worker observes it both
-  between tasks (stolen tasks short-circuit to :class:`Cancelled`)
-  and *inside* a task, because the event is threaded into the worker's
-  :class:`SharedBudget` and the solver checks ``budget.cancelled``
-  once per conflict — first-win cancellation through the existing
-  Budget cancellation path, no new mechanism;
 * a **shared conflict pool** and a **shared query pool** — the
   work-stealing replacement for pre-split budget slices: one
   cross-process counter that every worker charges, so budget flows to
   whichever tasks actually need it (the wall deadline is naturally
-  shared already: it is one absolute epoch);
+  shared already: it is one absolute epoch).  Budgets a task derives
+  from its :class:`SharedBudget` (``subbudget``/``slice``) see and
+  drain the same pools through the parent chain;
 * the **task queue** itself, FIFO with one sentinel per worker
   enqueued after the real work.
 
@@ -52,8 +47,7 @@ from typing import Any, Callable, Dict, List, Optional, Sequence, \
     Tuple
 
 from .. import obs
-from ..resilience import Budget, Cancelled, EngineFailure, \
-    ResourceExhausted
+from ..resilience import Budget, EngineFailure
 from ..resilience import faults as _faults
 
 __all__ = ["SharedBudget", "execute"]
@@ -71,49 +65,42 @@ class SharedBudget(Budget):
     so every worker's deadline is the same instant).  Conflict/query
     pools: cross-process shared counters charged under their locks —
     siblings drain one pool, exactly like sequential siblings sharing
-    a parent budget in-process.  Cancellation: the pool-wide first-win
-    event, OR-ed with the normal in-process flag.
+    a parent budget in-process.  Only the per-node pool accessors are
+    overridden, so every budget derived from this view reads and
+    charges the shared pools through the ordinary parent-chain walk.
     """
 
-    __slots__ = ("_event", "_shared_conflicts", "_shared_queries")
+    __slots__ = ("_shared_conflicts", "_shared_queries")
 
     def __init__(self, deadline_epoch: Optional[float],
-                 event: Optional[Any],
                  conflicts: Optional[Any],
                  queries: Optional[Any],
                  name: str = "worker") -> None:
         seconds = None if deadline_epoch is None \
             else max(0.0, deadline_epoch - time.time())
         super().__init__(seconds, None, None, name=name)
-        self._event = event
         self._shared_conflicts = conflicts
         self._shared_queries = queries
 
-    @property
-    def cancelled(self) -> bool:
-        if self._event is not None and self._event.is_set():
-            return True
-        return Budget.cancelled.fget(self)
+    def _own_conflicts(self) -> Optional[int]:
+        shared = self._shared_conflicts
+        return None if shared is None else shared.value
 
-    def remaining_conflicts(self) -> Optional[int]:
-        if self._shared_conflicts is None:
-            return None
-        return max(0, self._shared_conflicts.value)
+    def _own_queries(self) -> Optional[int]:
+        shared = self._shared_queries
+        return None if shared is None else shared.value
 
-    def remaining_queries(self) -> Optional[int]:
-        if self._shared_queries is None:
-            return None
-        return max(0, self._shared_queries.value)
+    def _spend_conflicts(self, n: int) -> None:
+        shared = self._shared_conflicts
+        if shared is not None:
+            with shared.get_lock():
+                shared.value -= n
 
-    def charge_conflicts(self, n: int = 1) -> None:
-        if self._shared_conflicts is not None:
-            with self._shared_conflicts.get_lock():
-                self._shared_conflicts.value -= n
-
-    def charge_query(self, n: int = 1) -> None:
-        if self._shared_queries is not None:
-            with self._shared_queries.get_lock():
-                self._shared_queries.value -= n
+    def _spend_queries(self, n: int) -> None:
+        shared = self._shared_queries
+        if shared is not None:
+            with shared.get_lock():
+                shared.value -= n
 
 
 def _run_stolen_task(fn: Callable[[Any, Optional[Budget]], Any],
@@ -156,7 +143,6 @@ def _drain_worker(tasks: Sequence[tuple],
                   fault_config: Optional[dict],
                   task_q: Any,
                   result_q: Any,
-                  cancel_event: Any,
                   conflicts: Optional[Any],
                   queries: Optional[Any]) -> None:
     """Worker-process drain loop: steal, run, report, repeat."""
@@ -169,13 +155,10 @@ def _drain_worker(tasks: Sequence[tuple],
         name = f"{pool_name}[{labels[index]}]"
         pid = multiprocessing.current_process().pid
         result_q.put(pickle.dumps(("start", index, pid)))
-        if cancel_event.is_set():
-            raw = ("error", Cancelled(budget_name=name), None, 0.0)
-        else:
-            budget = SharedBudget(deadline_epoch, cancel_event,
-                                  conflicts, queries, name=name)
-            fn, payload = tasks[index]
-            raw = _run_stolen_task(fn, payload, budget, fault_config)
+        budget = SharedBudget(deadline_epoch, conflicts, queries,
+                              name=name)
+        fn, payload = tasks[index]
+        raw = _run_stolen_task(fn, payload, budget, fault_config)
         try:
             blob = pickle.dumps(("done", index, raw))
         except Exception as exc:  # unpicklable result = a crash
@@ -193,24 +176,20 @@ def execute(tasks: Sequence[tuple],
             spec: Optional[Any],  # BudgetSpec (shared, unsliced)
             fault_config: Optional[dict],
             jobs: int,
-            pool_name: str,
-            first_win: Optional[Callable[[Any], bool]]
+            pool_name: str
             ) -> Tuple[List[Optional[tuple]], Dict[str, Any]]:
     """Run ``tasks`` over a work-stealing worker pool.
 
     Returns ``(raws, meta)``: ``raws`` is the per-index list of raw
     ``(kind, value, snapshot, seconds)`` tuples (None only for slots
     the watchdog or a crash already resolved — those land in ``meta``),
-    aligned to submission order.  ``meta`` carries ``watchdog`` /
-    ``crashed`` slot lists and, when ``first_win`` fired,
-    ``first_win_index`` and the ``cancel_latency`` between the winning
-    result and the last loser draining out.
+    aligned to submission order.  ``meta`` carries the ``watchdog`` /
+    ``crashed`` slot lists.
     """
     n = len(tasks)
     ctx = multiprocessing.get_context()
     task_q: Any = ctx.Queue()
     result_q: Any = ctx.Queue()
-    cancel_event = ctx.Event()
     conflicts = queries = None
     deadline_epoch = None
     if spec is not None:
@@ -227,8 +206,7 @@ def execute(tasks: Sequence[tuple],
         ctx.Process(
             target=_drain_worker,
             args=(list(tasks), list(labels), pool_name, deadline_epoch,
-                  fault_config, task_q, result_q, cancel_event,
-                  conflicts, queries),
+                  fault_config, task_q, result_q, conflicts, queries),
             daemon=True)
         for _ in range(jobs)
     ]
@@ -244,7 +222,6 @@ def execute(tasks: Sequence[tuple],
         timeout = spec.watchdog_timeout()
         if timeout is not None:
             watchdog_at = time.monotonic() + timeout
-    win_at: Optional[float] = None
     try:
         while pending:
             try:
@@ -278,11 +255,6 @@ def execute(tasks: Sequence[tuple],
             inflight.pop(index, None)
             raws[index] = extra
             pending.discard(index)
-            if first_win is not None and win_at is None and \
-                    extra[0] == "ok" and first_win(extra[1]):
-                cancel_event.set()
-                win_at = time.monotonic()
-                meta["first_win_index"] = index
     finally:
         if pending:
             # Watchdog or pool death: nothing left to wait for.
@@ -297,6 +269,4 @@ def execute(tasks: Sequence[tuple],
         for q in (task_q, result_q):
             q.close()
             q.cancel_join_thread()
-    if win_at is not None:
-        meta["cancel_latency"] = time.monotonic() - win_at
     return raws, meta

@@ -16,9 +16,7 @@ construction, same error-to-outcome mapping — so a fan-out at any
 * :func:`run_design` — one experiment table row
   (:func:`repro.experiments.runner.run_table`);
 * :func:`run_bmc_probe` / :func:`run_induction_probe` — the
-  independent engine probes ``prove()`` races after the portfolio;
-* :func:`run_cube` — one cube of a split hard query
-  (:func:`repro.sat.cube.solve_cubes`).
+  independent engine probes ``prove()`` races after the portfolio.
 """
 
 from __future__ import annotations
@@ -28,8 +26,8 @@ from typing import Any, Dict, Optional
 from .. import obs
 from ..resilience import Budget
 
-__all__ = ["run_bmc_probe", "run_cube", "run_design",
-           "run_induction_probe", "run_strategy"]
+__all__ = ["run_bmc_probe", "run_design", "run_induction_probe",
+           "run_strategy"]
 
 
 def run_strategy(payload: Dict[str, Any],
@@ -98,31 +96,13 @@ def run_design(payload: Dict[str, Any],
                          error=str(exc) or type(exc).__name__)
 
 
-def run_cube(payload: Dict[str, Any],
-             budget: Optional[Budget]) -> Any:
-    """One cube of a split query (see :mod:`repro.sat.cube`).
-
-    Payload keys: ``mode`` (``cnf``/``bmc``/``induction``), the
-    mode's rebuild recipe (clauses, or netlist + frame/k + target),
-    ``cube`` (the assumption literals), ``cube_index``/``cube_of``,
-    and the ``certify`` / ``conflict_budget`` / ``share_max_len``
-    knobs.  Certification runs *inside* the worker (per-cube DRAT
-    check, witness replay); a :class:`CertificationFailure`
-    propagates to the shim and re-raises at the join.
-    """
-    from ..sat.cube import run_cube_task
-
-    return run_cube_task(payload, budget)
-
-
 def run_bmc_probe(payload: Dict[str, Any],
                   budget: Optional[Budget]) -> Any:
     """The quick falsification probe of ``prove()``'s engine race.
 
-    The optional ``certify`` and ``use_cubes`` payload keys carry the
-    parent's certification and cube-split toggles explicitly — a
-    worker never relies on inheriting process globals across the pool
-    boundary.  A
+    The optional ``certify`` payload key carries the parent's
+    certification toggle explicitly — a worker never relies on
+    inheriting process globals across the pool boundary.  A
     :class:`repro.resilience.CertificationFailure` propagates to the
     shim, surfaces as the outcome's ``error``, and re-enters the
     parent's certification retry.
@@ -133,8 +113,7 @@ def run_bmc_probe(payload: Dict[str, Any],
     with reg.span("quick-bmc"):
         return bmc(payload["net"], payload["target"],
                    max_depth=payload["max_depth"], budget=budget,
-                   certify=payload.get("certify"),
-                   use_cubes=payload.get("use_cubes"))
+                   certify=payload.get("certify"))
 
 
 def run_induction_probe(payload: Dict[str, Any],
@@ -149,5 +128,4 @@ def run_induction_probe(payload: Dict[str, Any],
     with reg.span("k-induction"):
         return k_induction(payload["net"], payload["target"],
                            max_k=payload["max_k"], budget=budget,
-                           certify=payload.get("certify"),
-                           use_cubes=payload.get("use_cubes"))
+                           certify=payload.get("certify"))

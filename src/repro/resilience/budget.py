@@ -19,7 +19,10 @@ Hierarchy
   tighten but never extend its parent's wall clock);
 * *conflict* and *query* charges propagate up the chain, so siblings
   share their parent's pool while each can carry a smaller cap of its
-  own — ``prove()`` slices its phase budgets this way;
+  own — ``prove()`` slices its phase budgets this way.  The walk reads
+  and charges each node through its per-node pool accessors, so a
+  subclass that keeps its pools elsewhere (the work-stealing pool's
+  cross-process ``SharedBudget``) is seen and drained by every child;
 * :meth:`cancel` flows *down*: cancelling a parent cancels every
   descendant (the flag is discovered by walking the parent chain).
 
@@ -147,9 +150,10 @@ class Budget:
         unlimited); never negative."""
         tightest: Optional[int] = None
         for node in self._chain():
-            if node._conflicts_left is None:
+            own = node._own_conflicts()
+            if own is None:
                 continue
-            value = max(0, node._conflicts_left)
+            value = max(0, own)
             tightest = value if tightest is None else min(tightest, value)
         return tightest
 
@@ -158,9 +162,10 @@ class Budget:
         unlimited); never negative."""
         tightest: Optional[int] = None
         for node in self._chain():
-            if node._queries_left is None:
+            own = node._own_queries()
+            if own is None:
                 continue
-            value = max(0, node._queries_left)
+            value = max(0, own)
             tightest = value if tightest is None else min(tightest, value)
         return tightest
 
@@ -182,15 +187,32 @@ class Budget:
     def charge_conflicts(self, n: int = 1) -> None:
         """Deduct ``n`` conflicts from every pool along the chain."""
         for node in self._chain():
-            if node._conflicts_left is not None:
-                node._conflicts_left -= n
+            node._spend_conflicts(n)
 
     def charge_query(self, n: int = 1) -> None:
         """Deduct ``n`` solver queries from every pool along the
         chain."""
         for node in self._chain():
-            if node._queries_left is not None:
-                node._queries_left -= n
+            node._spend_queries(n)
+
+    # ------------------------------------------------------------------
+    # Per-node pools (overridden by budgets whose pools live elsewhere)
+    # ------------------------------------------------------------------
+    def _own_conflicts(self) -> Optional[int]:
+        """This node's own conflict pool (None = unlimited)."""
+        return self._conflicts_left
+
+    def _own_queries(self) -> Optional[int]:
+        """This node's own query pool (None = unlimited)."""
+        return self._queries_left
+
+    def _spend_conflicts(self, n: int) -> None:
+        if self._conflicts_left is not None:
+            self._conflicts_left -= n
+
+    def _spend_queries(self, n: int) -> None:
+        if self._queries_left is not None:
+            self._queries_left -= n
 
     # ------------------------------------------------------------------
     # Checking

@@ -15,12 +15,8 @@ cache (includes the one-off compile) and a warm one, plus a
 ``time_split`` giving the total encode-vs-solve seconds across the
 whole run with the solve side broken down into propagation, decision
 and conflict-analysis seconds (the run enables the solver's
-search-phase profiling).  The ``cube`` section measures the
-cube-and-conquer race (:mod:`repro.sat.cube`) on a fixed pigeonhole
-pair across a ``jobs`` grid — its ``speedup`` and ``cancel_latency``
-are the headline numbers of the work-stealing/first-win work.
-``<rev>`` defaults to the current git short hash (``dev`` outside a
-checkout).
+search-phase profiling).  ``<rev>`` defaults to the current git short
+hash (``dev`` outside a checkout).
 
 The artifact is a per-engine breakdown for inspecting one revision
 (``repro-report``) or comparing two of the same workload
@@ -77,7 +73,6 @@ BENCH_PROFILES: Dict[str, Dict[str, Any]] = {
         "qbf_max_k": 8,
         "kind_bits": 8,
         "encode_design": "S5378", "encode_frames": 16,
-        "cube_holes": 7, "cube_jobs": (1, 2, 4, 8),
     },
     "smoke": {
         "designs": ("S27", "S298"),
@@ -87,7 +82,6 @@ BENCH_PROFILES: Dict[str, Dict[str, Any]] = {
         "qbf_max_k": 3,
         "kind_bits": 3,
         "encode_design": "S298", "encode_frames": 4,
-        "cube_holes": 5, "cube_jobs": (1, 2),
     },
 }
 
@@ -149,125 +143,6 @@ def _encode_section(reg: obs.Registry, design: str, frames: int,
         - compiles_before,
         "template_hits": reg.counter_value("template.hits")
         - hits_before,
-    }
-
-
-def _php_clauses(holes: int) -> List[List[int]]:
-    """Pigeonhole clauses PHP(holes+1, holes) — the classic UNSAT
-    family: variable ``i*holes + j`` means pigeon ``i`` sits in hole
-    ``j``.  Resolution-hard, so it stays a genuinely hard query for a
-    CDCL solver at small sizes — the stable workload the cube section
-    needs (netlist queries of comparable difficulty would dominate the
-    whole bench run)."""
-    from ..sat import neg, pos
-
-    pigeons = holes + 1
-    clauses: List[List[int]] = [
-        [pos(i * holes + j) for j in range(holes)]
-        for i in range(pigeons)
-    ]
-    for j in range(holes):
-        for a in range(pigeons):
-            for b in range(a + 1, pigeons):
-                clauses.append([neg(a * holes + j),
-                                neg(b * holes + j)])
-    return clauses
-
-
-def _cube_section(reg: obs.Registry, holes: int,
-                  jobs_grid: Sequence[int]) -> Dict[str, Any]:
-    """Cube-and-conquer scaling on a pigeonhole pair.
-
-    Two fixed instances: pure ``PHP(holes+1, holes)`` (UNSAT — every
-    cube must finish, so the curve shows the join cost) and a
-    *backdoored* SAT variant (every clause weakened with a backdoor
-    literal ``B``, plus one ``¬B`` clause so the simplifier cannot
-    eliminate ``B`` as pure).  Both are split on ``B`` and the first
-    two pigeon variables — 8 cubes in the negative-first order, so
-    cube 0 fixes ``¬B`` and grinds a pigeonhole subspace while every
-    odd cube (``B`` true) is satisfiable within milliseconds.
-
-    That makes the SAT race the honest first-win demonstration this
-    host (single core) allows: at ``jobs=1`` the cubes drain in order
-    and the grinder runs to completion before a SAT cube is reached;
-    at ``jobs>1`` a SAT cube wins almost immediately and the pool-wide
-    cancel event stops the grinder mid-search — the wall-clock gap is
-    cancellation, not core count.  ``speedup`` is jobs=1 over the
-    largest jobs value (the artifact's scaling headline);
-    ``cancel_latency`` the win-to-drained gap of that run.
-    """
-    from ..sat import SAT, UNSAT, Solver, neg, pos
-    from ..sat import cube as cube_mod
-
-    unsat_clauses = _php_clauses(holes)
-    backdoor = (holes + 1) * holes
-    sat_clauses = [clause + [pos(backdoor)]
-                   for clause in unsat_clauses]
-    sat_clauses.append([neg(backdoor), pos(backdoor + 1)])
-    def enumerate_cubes(split_vars: List[int]):
-        return [tuple((v << 1) | (0 if (mask >> i) & 1 else 1)
-                      for i, v in enumerate(split_vars))
-                for mask in range(1 << len(split_vars))]
-
-    cubes = enumerate_cubes([backdoor, 0, 1])
-    unsat_cubes = enumerate_cubes([0, 1])  # no backdoor variable
-
-    def plain(clauses: List[List[int]], label: str) -> Dict[str, Any]:
-        solver = Solver()
-        for clause in clauses:
-            solver.add_clause(list(clause))
-        with reg.span(f"bench/cube/plain-{label}") as sp:
-            result = solver.solve()
-        return {"seconds": sp.seconds, "result": result}
-
-    def race(clauses: List[List[int]], cube_set, jobs: int,
-             label: str) -> Dict[str, Any]:
-        payload = {"mode": "cnf", "clauses": clauses}
-        with reg.span(f"bench/cube/{label}-jobs{jobs}") as sp:
-            join = cube_mod.solve_cubes(payload, cube_set, jobs=jobs,
-                                        name="bench.cube")
-        return {
-            "seconds": sp.seconds,
-            "result": join.result,
-            "winner": join.winner,
-            "cancel_latency": join.cancel_latency,
-        }
-
-    # The race's solver effort is nondeterministic by design (losers
-    # burn a cancellation-timing-dependent amount of work), so the
-    # whole section runs under a scratch registry: its conflicts and
-    # search-phase nanoseconds must not contaminate the artifact's
-    # global solver counters / time_split, which regress compares
-    # run-to-run.  The section's own spans target the outer ``reg``
-    # explicitly and are unaffected.
-    with obs.scoped(obs.Registry("bench.cube")):
-        sat_plain = plain(sat_clauses, "sat")
-        unsat_plain = plain(unsat_clauses, "unsat")
-        sat_runs = {str(j): race(sat_clauses, cubes, j, "sat")
-                    for j in jobs_grid}
-        unsat_jobs = (jobs_grid[0], jobs_grid[-1])
-        unsat_runs = {str(j): race(unsat_clauses, unsat_cubes, j,
-                                   "unsat")
-                      for j in unsat_jobs}
-    lo, hi = str(jobs_grid[0]), str(jobs_grid[-1])
-    verdicts_match = (
-        sat_plain["result"] == SAT
-        and all(run["result"] == SAT for run in sat_runs.values())
-        and unsat_plain["result"] == UNSAT
-        and all(run["result"] == UNSAT for run in unsat_runs.values())
-    )
-    hi_seconds = sat_runs[hi]["seconds"]
-    return {
-        "holes": holes,
-        "cubes": len(cubes),
-        "sat_plain_seconds": sat_plain["seconds"],
-        "unsat_plain_seconds": unsat_plain["seconds"],
-        "sat_jobs": sat_runs,
-        "unsat_jobs": unsat_runs,
-        "verdicts_match": verdicts_match,
-        "speedup": sat_runs[lo]["seconds"] / hi_seconds
-        if hi_seconds else None,
-        "cancel_latency": sat_runs[hi]["cancel_latency"],
     }
 
 
@@ -436,15 +311,6 @@ def run_workload(reg: obs.Registry,
                            for outcome in outcomes},
         }
 
-    # Cube-and-conquer scaling on a fixed pigeonhole pair: the SAT
-    # race (first-win cancellation) and the all-cubes UNSAT join, at
-    # every grid point plus the plain cubes-off baselines.
-    with reg.span("bench/cube") as sp:
-        cube = _cube_section(reg, cfg["cube_holes"],
-                             cfg["cube_jobs"])
-    cube["seconds"] = sp.seconds
-    sections["cube"] = cube
-
     # Resource-governance micro-workload: a pre-exhausted budget and an
     # injected timeout fault drive the degradation paths every run, so
     # their counters and outcomes are tracked revision over revision.
@@ -600,19 +466,10 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
                         choices=sorted(BENCH_PROFILES),
                         help="workload size (default: full; smoke is "
                              "the tier-1 schema check)")
-    parser.add_argument("--cubes", action="store_true",
-                        help="arm the cube-and-conquer path for the "
-                             "engine sections too (the dedicated cube "
-                             "section always runs)")
     parser.add_argument("--progress", action="store_true",
                         help="report live engine progress on stderr")
     args = parser.parse_args(argv)
     obs.trace.setup_cli(progress_flag=args.progress)
-    if args.cubes:
-        from ..sat import cube as _cube
-
-        _cube.set_cubes_enabled(True)
-        _cube.set_cube_config(jobs=max(1, args.jobs))
     rev = args.rev or _git_rev()
     artifact = run_bench(rev, timeout=args.timeout, jobs=args.jobs,
                          profile=args.profile)
@@ -638,18 +495,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
                      f"overhead {cert['overhead_ratio']:.2f}x, "
                      f"{cert['checked']} check(s), "
                      f"{cert['lemmas_checked']} lemma(s) verified")
-    cube = artifact["sections"].get("cube", {})
-    if cube.get("speedup") is not None:
-        jobs_curve = ", ".join(
-            f"jobs={j} {run['seconds']:.3f} s"
-            for j, run in cube["sat_jobs"].items())
-        latency = cube.get("cancel_latency")
-        lines.append(f"  cube race (PHP backdoor, "
-                     f"{cube['holes']} holes): "
-                     f"verdicts_match={cube['verdicts_match']}, "
-                     f"{cube['speedup']:.2f}x ({jobs_curve})"
-                     + (f", cancel latency {latency * 1000:.0f} ms"
-                        if latency is not None else ""))
     latency = artifact.get("metrics", {}).get("solve_latency")
     if latency:
         lines.append(

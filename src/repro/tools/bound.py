@@ -92,19 +92,10 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
                         help="worker processes for /-separated "
                              "strategy alternatives (default 1 = "
                              "sequential)")
-    parser.add_argument("--cubes", action="store_true",
-                        help="split hard solver queries into cube sets "
-                             "raced across --jobs workers (bounds are "
-                             "unchanged)")
     parser.add_argument("--progress", action="store_true",
                         help="report live engine progress on stderr")
     args = parser.parse_args(argv)
     obs.trace.setup_cli(progress_flag=args.progress)
-    if args.cubes:
-        from ..sat import cube as _cube
-
-        _cube.set_cubes_enabled(True)
-        _cube.set_cube_config(jobs=max(1, args.jobs))
 
     net = load_netlist(args.netlist)
     print(f"loaded {net}")

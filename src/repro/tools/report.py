@@ -273,9 +273,8 @@ def _regress_table(baseline: Dict[str, Any],
         mark = ("<span class='bad'>REGRESSED</span>" if r["regressed"]
                 else "<span class='ok'>ok</span>")
         ratio = f"{r['ratio']:.2f}x" if r["ratio"] is not None else "-"
-        arrow = " &uarr;" if r["higher_better"] else ""
         body.append(
-            f"<tr><td>{_esc(r['metric'])}{arrow}</td>"
+            f"<tr><td>{_esc(r['metric'])}</td>"
             f"<td class='num'>{r['baseline']:.4g}</td>"
             f"<td class='num'>{r['candidate']:.4g}</td>"
             f"<td class='num'>{ratio}</td><td>{mark}</td></tr>")

@@ -31,10 +31,9 @@ the encode/solve seconds and verdict trend across every committed
 
 ``regress`` compares two committed bench artifacts
 (``benchmarks/BENCH_<rev>.json``) metric by metric — per-section
-seconds, the encode/solve time split, solver effort counters, and the
-higher-is-better ``cube.speedup`` headline — and exits 1 when any
-metric regressed beyond the threshold, making the perf trajectory
-CI-gateable:
+seconds, the encode/solve time split and solver effort counters — and
+exits 1 when any metric regressed beyond the threshold, making the
+perf trajectory CI-gateable:
 
     python -m repro.tools.trace regress benchmarks/BENCH_pr3.json \
         benchmarks/BENCH_pr4.json --report-only
@@ -398,9 +397,7 @@ def compare_artifacts(baseline: Dict[str, Any],
     Returns one row per compared metric with ``regressed`` set when
     the candidate is worse than ``threshold`` times the baseline AND
     the absolute change clears the noise floor (``min_seconds`` for
-    wall times, :data:`_MIN_COUNT` for solver counters).  The
-    ``cube.speedup`` headline is higher-is-better: it regresses when
-    the candidate drops below ``baseline / threshold``.
+    wall times, :data:`_MIN_COUNT` for solver counters).
 
     Raises :class:`ValueError` when the two artifacts ran different
     workloads (see :func:`check_same_workload`): every row would then
@@ -409,13 +406,12 @@ def compare_artifacts(baseline: Dict[str, Any],
     check_same_workload(baseline, candidate)
     rows: List[Dict[str, Any]] = []
 
-    def row(metric: str, base: float, cand: float, regressed: bool,
-            higher_better: bool = False) -> None:
+    def row(metric: str, base: float, cand: float,
+            regressed: bool) -> None:
         ratio = (cand / base) if base else None
         rows.append({"metric": metric, "baseline": base,
                      "candidate": cand, "ratio": ratio,
-                     "regressed": regressed,
-                     "higher_better": higher_better})
+                     "regressed": regressed})
 
     base_seconds = _seconds_metrics(baseline)
     cand_seconds = _seconds_metrics(candidate)
@@ -437,16 +433,6 @@ def compare_artifacts(baseline: Dict[str, Any],
         regressed = (base > 0 and cand > base * threshold
                      and cand - base > _MIN_COUNT)
         row(f"solver.{key}", float(base), float(cand), regressed)
-
-    base_cube = baseline.get("sections", {}) \
-        .get("cube", {}).get("speedup")
-    cand_cube = candidate.get("sections", {}) \
-        .get("cube", {}).get("speedup")
-    if isinstance(base_cube, (int, float)) and \
-            isinstance(cand_cube, (int, float)):
-        regressed = cand_cube < base_cube / threshold
-        row("cube.speedup", float(base_cube),
-            float(cand_cube), regressed, higher_better=True)
     return rows
 
 
@@ -473,8 +459,7 @@ def _cmd_regress(args: argparse.Namespace) -> int:
         mark = "REGRESSED" if r["regressed"] else "ok"
         ratio = f"{r['ratio']:.2f}x" if r["ratio"] is not None \
             else "  n/a"
-        arrow = "^" if r["higher_better"] else ""
-        print(f"  {mark:<9} {ratio:>7}{arrow}  "
+        print(f"  {mark:<9} {ratio:>7}  "
               f"{r['baseline']:>12.3f} -> {r['candidate']:>12.3f}  "
               f"{r['metric']}")
     print(f"{len(regressions)} regression(s) over {len(rows)} metrics")

@@ -21,7 +21,6 @@ from ..cert import certification_enabled, certify_unsat, certify_witness
 from ..netlist import Netlist
 from ..resilience import Budget, Cancelled
 from ..sat import SAT, UNKNOWN, use_proofs
-from ..sat import cube as _cube
 from .unroller import Unrolling
 
 #: Verification statuses.
@@ -110,7 +109,6 @@ def bmc(
     conflict_budget: Optional[int] = None,
     budget: Optional[Budget] = None,
     certify: Optional[bool] = None,
-    use_cubes: Optional[bool] = None,
 ) -> BMCResult:
     """Check target reachability for depths ``0 .. max_depth - 1``.
 
@@ -132,25 +130,15 @@ def bmc(
     :class:`repro.resilience.CertificationFailure` instead of
     returning.  ABORTED results are never certified (no verdict
     stands).
-
-    ``use_cubes`` (None = the :func:`repro.sat.cube.cubes_enabled`
-    toggle) arms the cube-and-conquer path: a frame query that burns
-    the configured conflict threshold inconclusively is split into a
-    cube set and raced across workers (see :mod:`repro.sat.cube`).
-    Verdicts, bounds and ``depth_checked`` are identical either way;
-    a SAT frame's counterexample may come from any cube (each is
-    certified by replay when ``certify`` is armed).
     """
     if target is None:
         if not net.targets:
             raise ValueError("netlist has no targets")
         target = net.targets[0]
     do_cert = certification_enabled() if certify is None else certify
-    cubes = _cube.cubes_enabled() if use_cubes is None else use_cubes
     with use_proofs(True) if do_cert else _nullcontext():
         unroll = Unrolling(net, constrain_init=True)
     refuted = 0
-    refuted_local = 0  # frames refuted by *this* solver's own proof
     depth = max_depth
     if complete_bound is not None:
         depth = min(max_depth, complete_bound)
@@ -163,7 +151,7 @@ def bmc(
             engine="bmc", boundary=True, verdict=res.status,
             frame=res.depth_checked, seconds=watch.elapsed,
             exhausted=res.exhaustion_reason,
-            cert=do_cert or None, cube=cubes or None)
+            cert=do_cert or None)
         return res
 
     with reg.span("bmc"):
@@ -174,63 +162,39 @@ def bmc(
                 return _finish(BMCResult(ABORTED, target, t,
                                          exhaustion_reason=reason))
             lit = unroll.literal(target, t)
-            attempt = None
             with _metrics.query_context("bmc", frame=t, target=target,
-                                        cube=cubes or None,
                                         cert=do_cert or None), \
                     reg.span("frame") as frame_span:
-                if cubes:
-                    attempt = _cube.cube_solve(
-                        unroll.solver, [lit],
-                        payload={"mode": "bmc", "net": net,
-                                 "frame": t, "target": target,
-                                 "certify": do_cert},
-                        conflict_budget=conflict_budget,
-                        budget=budget, name="bmc.cube")
-                    result = attempt.result
-                else:
-                    result = unroll.solver.solve(
-                        [lit], conflict_budget=conflict_budget,
-                        budget=budget)
+                result = unroll.solver.solve(
+                    [lit], conflict_budget=conflict_budget,
+                    budget=budget)
             _metrics.observe("bmc.frame_seconds", frame_span.seconds)
-            split = attempt is not None and attempt.used_cubes
             reg.event("bmc.frame", t=t, result=result,
-                      seconds=frame_span.seconds, cubes=split)
+                      seconds=frame_span.seconds)
             obs.progress(
                 "bmc", frame=t, of=depth, result=result,
                 seconds=round(frame_span.seconds, 6),
                 budget_s=_budget_remaining(budget))
             if result == SAT:
-                if split:
-                    # The winning cube built and (when certifying)
-                    # literal-checked the trace in its worker; replay
-                    # it once more against the netlist semantics here.
-                    cex = attempt.cex
-                    if do_cert:
-                        certify_witness(net, target, cex, engine="bmc")
-                else:
-                    model = unroll.solver.model
-                    cex = Counterexample(
-                        depth=t,
-                        inputs=[unroll.input_values(model, i)
-                                for i in range(t + 1)],
-                        initial_state=unroll.state_values(model, 0),
-                    )
-                    if do_cert:
-                        certify_witness(net, target, cex, model=model,
-                                        unroll=unroll, engine="bmc")
-                if do_cert and refuted_local:
-                    certify_unsat(unroll.solver, "bmc")
+                model = unroll.solver.model
+                cex = Counterexample(
+                    depth=t,
+                    inputs=[unroll.input_values(model, i)
+                            for i in range(t + 1)],
+                    initial_state=unroll.state_values(model, 0),
+                )
+                if do_cert:
+                    certify_witness(net, target, cex, model=model,
+                                    unroll=unroll, engine="bmc")
+                    if refuted:
+                        certify_unsat(unroll.solver, "bmc")
                 return _finish(BMCResult(FALSIFIED, target, t + 1, cex))
             if result == UNKNOWN:
                 return _finish(BMCResult(
                     ABORTED, target, t,
-                    exhaustion_reason=attempt.exhaustion if split
-                    else unroll.solver.last_exhaustion))
+                    exhaustion_reason=unroll.solver.last_exhaustion))
             refuted += 1
-            if not split:
-                refuted_local += 1
-    if do_cert and refuted_local:
+    if do_cert and refuted:
         certify_unsat(unroll.solver, "bmc")
     if complete_bound is not None and depth >= complete_bound:
         return _finish(BMCResult(PROVEN, target, depth))
@@ -245,7 +209,6 @@ def bmc_multi(
     conflict_budget: Optional[int] = None,
     budget: Optional[Budget] = None,
     certify: Optional[bool] = None,
-    use_cubes: Optional[bool] = None,
 ) -> Dict[int, BMCResult]:
     """Check many targets over one shared unrolling.
 
@@ -261,20 +224,16 @@ def bmc_multi(
     replayed at discovery time; the shared solver's proof log —
     which covers every refuted (target, frame) query — is checked
     once after the sweep, so one check certifies every UNSAT-backed
-    verdict in the returned map.  ``use_cubes`` follows the
-    :func:`bmc` contract too; a cube-refuted (target, frame) query is
-    certified in its workers, not by the shared solver's log, so the
-    final check is skipped when *every* refutation came from cubes.
+    verdict in the returned map.
     """
     if targets is None:
         targets = list(dict.fromkeys(net.targets))
     complete_bounds = complete_bounds or {}
     do_cert = certification_enabled() if certify is None else certify
-    cubes = _cube.cubes_enabled() if use_cubes is None else use_cubes
     watch = obs.stopwatch()
     with use_proofs(True) if do_cert else _nullcontext():
         unroll = Unrolling(net, constrain_init=True)
-    refuted_local = 0
+    refuted = 0
     results: Dict[int, BMCResult] = {}
     open_targets = list(dict.fromkeys(targets))
     reg = obs.get_registry()
@@ -295,59 +254,37 @@ def bmc_multi(
                                             exhaustion_reason=reason)
                 continue
             lit = unroll.literal(target, t)
-            attempt = None
             with _metrics.query_context("bmc.multi", frame=t,
                                         target=target,
-                                        cube=cubes or None,
                                         cert=do_cert or None), \
                     reg.span("bmc.multi/frame"):
-                if cubes:
-                    attempt = _cube.cube_solve(
-                        unroll.solver, [lit],
-                        payload={"mode": "bmc", "net": net,
-                                 "frame": t, "target": target,
-                                 "certify": do_cert},
-                        conflict_budget=conflict_budget,
-                        budget=budget, name="bmc.multi.cube")
-                    outcome = attempt.result
-                else:
-                    outcome = unroll.solver.solve(
-                        [lit], conflict_budget=conflict_budget,
-                        budget=budget)
-            split = attempt is not None and attempt.used_cubes
+                outcome = unroll.solver.solve(
+                    [lit], conflict_budget=conflict_budget,
+                    budget=budget)
             if outcome == SAT:
-                if split:
-                    cex = attempt.cex
-                    if do_cert:
-                        certify_witness(net, target, cex,
-                                        engine="bmc.multi")
-                else:
-                    model = unroll.solver.model
-                    cex = Counterexample(
-                        depth=t,
-                        inputs=[unroll.input_values(model, i)
-                                for i in range(t + 1)],
-                        initial_state=unroll.state_values(model, 0),
-                    )
-                    if do_cert:
-                        certify_witness(net, target, cex, model=model,
-                                        unroll=unroll,
-                                        engine="bmc.multi")
+                model = unroll.solver.model
+                cex = Counterexample(
+                    depth=t,
+                    inputs=[unroll.input_values(model, i)
+                            for i in range(t + 1)],
+                    initial_state=unroll.state_values(model, 0),
+                )
+                if do_cert:
+                    certify_witness(net, target, cex, model=model,
+                                    unroll=unroll, engine="bmc.multi")
                 results[target] = BMCResult(FALSIFIED, target, t + 1, cex)
             elif outcome == UNKNOWN:
                 results[target] = BMCResult(
                     ABORTED, target, t,
-                    exhaustion_reason=attempt.exhaustion if split
-                    else unroll.solver.last_exhaustion)
+                    exhaustion_reason=unroll.solver.last_exhaustion)
             else:
-                if not split:
-                    refuted_local += 1
+                refuted += 1
                 still_open.append(target)
         obs.progress("bmc.multi", frame=t, of=max_depth,
                      open=len(still_open), resolved=len(results),
                      budget_s=_budget_remaining(budget))
         open_targets = still_open
-    if do_cert and refuted_local:
+    if do_cert and refuted:
         certify_unsat(unroll.solver, "bmc.multi")
     for target in open_targets:
         bound = complete_bounds.get(target)
@@ -361,7 +298,7 @@ def bmc_multi(
         falsified=sum(1 for r in results.values()
                       if r.status == FALSIFIED),
         proven=sum(1 for r in results.values() if r.status == PROVEN),
-        cert=do_cert or None, cube=cubes or None)
+        cert=do_cert or None)
     return results
 
 

@@ -21,7 +21,6 @@ from ..netlist import Netlist
 from ..resilience import Budget
 from ..sat import UNKNOWN, UNSAT, CnfSink, encode_xor2, lit_not, pos, \
     use_proofs
-from ..sat import cube as _cube
 from .bmc import BMCResult, FALSIFIED, PROVEN, BOUNDED, ABORTED, \
     _budget_abort, _budget_remaining, bmc
 from .unroller import Unrolling
@@ -47,7 +46,6 @@ def k_induction(
     conflict_budget: Optional[int] = None,
     budget: Optional[Budget] = None,
     certify: Optional[bool] = None,
-    use_cubes: Optional[bool] = None,
 ) -> BMCResult:
     """Prove or falsify a target by k-induction up to ``max_k``.
 
@@ -76,27 +74,18 @@ def k_induction(
     refutation by DRAT-checking the step solver's proof log before
     PROVEN is returned.  Failure raises
     :class:`repro.resilience.CertificationFailure`.
-
-    ``use_cubes`` (None = the :func:`repro.sat.cube.cubes_enabled`
-    toggle) arms cube-and-conquer for both halves: the base window
-    through :func:`~repro.unroll.bmc.bmc`'s cube path, and the step
-    query by splitting it when it exceeds the configured conflict
-    threshold.  A cube-refuted step is certified per cube in its
-    workers; the parent proof-log check then covers only queries this
-    solver refuted itself.
     """
     if target is None:
         if not net.targets:
             raise ValueError("netlist has no targets")
         target = net.targets[0]
     do_cert = certification_enabled() if certify is None else certify
-    cubes = _cube.cubes_enabled() if use_cubes is None else use_cubes
     # Base cases are discharged incrementally by plain BMC.  Base and
     # step share one compiled frame template (the template cache is
     # keyed by netlist structure, not by unrolling).
     base = bmc(net, target, max_depth=max_k + 1,
                conflict_budget=conflict_budget, budget=budget,
-               certify=do_cert, use_cubes=cubes)
+               certify=do_cert)
     if base.status in (FALSIFIED, ABORTED):
         return base
 
@@ -119,41 +108,26 @@ def k_induction(
         assumptions = [lit_not(step.literal(target, i))
                        for i in range(k)]
         assumptions.append(step.literal(target, k))
-        attempt = None
         with _metrics.query_context("induction", k=k, target=target,
-                                    cube=cubes or None,
                                     cert=do_cert or None), \
                 reg.span("induction/step") as step_span:
-            if cubes:
-                attempt = _cube.cube_solve(
-                    solver, assumptions,
-                    payload={"mode": "induction", "net": net,
-                             "k": k, "target": target,
-                             "certify": do_cert},
-                    conflict_budget=conflict_budget,
-                    budget=budget, name="induction.cube")
-                result = attempt.result
-            else:
-                result = solver.solve(assumptions,
-                                      conflict_budget=conflict_budget,
-                                      budget=budget)
-        split = attempt is not None and attempt.used_cubes
+            result = solver.solve(assumptions,
+                                  conflict_budget=conflict_budget,
+                                  budget=budget)
         _metrics.observe("induction.step_seconds", step_span.seconds)
         obs.progress("induction", k=k, of=max_k, result=result,
                      seconds=round(step_span.seconds, 6),
                      budget_s=_budget_remaining(budget))
         if result == UNSAT:
             reg.counter("induction.step_vars", solver.num_vars)
-            if do_cert and not split:
+            if do_cert:
                 certify_unsat(solver, "k-induction")
             _metrics.record_query(
                 engine="induction", boundary=True, verdict=PROVEN,
-                k=k, cert=do_cert or None, cube=cubes or None)
+                k=k, cert=do_cert or None)
             return BMCResult(PROVEN, target, k)
         if result == UNKNOWN:
-            return BMCResult(
-                ABORTED, target, k,
-                exhaustion_reason=attempt.exhaustion if split
-                else solver.last_exhaustion)
+            return BMCResult(ABORTED, target, k,
+                             exhaustion_reason=solver.last_exhaustion)
     reg.counter("induction.step_vars", solver.num_vars)
     return BMCResult(BOUNDED, target, max_k)

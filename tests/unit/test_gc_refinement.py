@@ -1,8 +1,11 @@
 """Unit tests for the reachable-state GC refinement."""
 
+import pytest
 from hypothesis import HealthCheck, given, settings
 
-from repro.diameter import StructuralAnalysis, first_hit_time
+from repro.diameter import StructuralAnalysis, first_hit_time, \
+    state_diameter
+from repro.gen.protocols import round_robin_arbiter
 from repro.netlist import NetlistBuilder
 
 from ..property.strategies import small_netlists
@@ -88,3 +91,17 @@ def test_refined_bounds_sound_on_random_netlists(net):
     if hit is not None:
         bound = StructuralAnalysis(net, refine_gc_limit=4).bound(target)
         assert hit < bound
+
+
+@pytest.mark.parametrize("requesters", range(3, 8))
+def test_refined_arbiter_bounds_sound_against_exact_oracle(requesters):
+    # The arbiter's one-hot token ring is one GC of ``requesters``
+    # registers.  Refinement must stay at or above the exact state
+    # diameter and beat the coarse 2**n; the refined value itself is
+    # not pinned, so a tighter per-component rule may lower it.
+    net, target = round_robin_arbiter(requesters)
+    refined = StructuralAnalysis(
+        net, refine_gc_limit=requesters).bound(target)
+    coarse = StructuralAnalysis(net).bound(target)
+    assert coarse == 2 ** requesters
+    assert state_diameter(net) <= refined < coarse

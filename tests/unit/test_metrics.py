@@ -359,9 +359,9 @@ class TestQueryContext:
         assert M.current_context() == {}
 
     def test_none_fields_dropped(self, enabled):
-        with M.query_context("bmc", cube=None, cert=True):
+        with M.query_context("bmc", target=None, cert=True):
             ctx = M.current_context()
-            assert "cube" not in ctx and ctx["cert"] is True
+            assert "target" not in ctx and ctx["cert"] is True
 
     def test_record_query_merges_context(self, enabled,
                                          fresh_registry):

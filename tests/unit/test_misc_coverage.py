@@ -115,11 +115,9 @@ class TestEnvironmentVariables:
     #: the configurations to test, so a new one must be added here
     #: (and to the table in docs/architecture.md) on purpose.
     EXPECTED = {
-        "REPRO_CERT", "REPRO_CUBE", "REPRO_CUBE_CONFLICTS",
-        "REPRO_CUBE_JOBS", "REPRO_CUBE_SHARE", "REPRO_CUBE_VARS",
-        "REPRO_METRICS", "REPRO_PROGRESS", "REPRO_SAT_DEBUG",
-        "REPRO_SAT_PROFILE", "REPRO_SAT_PROOF", "REPRO_TRACE",
-        "REPRO_TRACE_ID",
+        "REPRO_CERT", "REPRO_METRICS", "REPRO_PROGRESS",
+        "REPRO_SAT_DEBUG", "REPRO_SAT_PROFILE", "REPRO_SAT_PROOF",
+        "REPRO_TRACE", "REPRO_TRACE_ID",
     }
 
     def test_repro_variables_are_pinned(self):

@@ -1,5 +1,6 @@
 """Unit tests for the process-pool fan-out layer (repro.parallel)."""
 
+import multiprocessing
 import pickle
 import time
 
@@ -9,8 +10,11 @@ from repro import obs
 from repro.core import TBVEngine
 from repro.core.portfolio import StrategyOutcome
 from repro.netlist import NetlistError, s27
-from repro.parallel import BudgetSpec, ParallelExecutor, WorkerOutcome
+from repro.parallel import BudgetSpec, ParallelExecutor, SharedBudget, \
+    WorkerOutcome
 from repro.resilience import (
+    EXHAUSTED_CONFLICTS,
+    EXHAUSTED_QUERIES,
     FAULT_CRASH,
     Budget,
     Cancelled,
@@ -74,20 +78,27 @@ def _cert_instrumented(payload, budget):
     return payload
 
 
-def _quick_win(payload, budget):
-    return "win"
+def _charge_through_slice(payload, budget):
+    # Charge the shared pool through a derived slice, then read it
+    # directly and through a fresh subbudget.  The sibling task may
+    # charge between two reads; the pool only shrinks, so equal direct
+    # readings on both sides pin the subbudget's reading to the same
+    # pool state.
+    budget.slice(0.5).charge_conflicts(payload)
+    while True:
+        pool = budget.remaining_conflicts()
+        through_child = budget.subbudget().remaining_conflicts()
+        if budget.remaining_conflicts() == pool:
+            return {"pool": pool, "child": through_child}
 
 
-def _poll_until_cancelled(payload, budget):
-    # A cooperative loser: spins until the pool-wide first-win cancel
-    # event (threaded through the shared budget) tells it to stop —
-    # the same per-conflict check the solver performs.
-    deadline = time.monotonic() + payload
-    while time.monotonic() < deadline:
-        if budget is not None and budget.cancelled:
-            raise Cancelled(budget_name=budget.name)
-        time.sleep(0.01)
-    return "survived"
+def _charge_one_at_a_time(payload, budget):
+    # Single-conflict charges through a derived slice, many enough that
+    # sibling workers' read-modify-writes on the shared pool overlap.
+    child = budget.slice(0.5)
+    for _ in range(payload):
+        child.charge_conflicts(1)
+    return budget.remaining_conflicts()
 
 
 def _solver_probe(payload, budget):
@@ -358,10 +369,51 @@ class TestDataPickles:
         assert clone.seconds == 1.5
 
 
+class TestSharedBudget:
+    """Budgets derived from a worker's :class:`SharedBudget` read and
+    charge the cross-process pools (built here without processes)."""
+
+    @staticmethod
+    def _shared(conflicts=100, queries=10):
+        ctx = multiprocessing.get_context()
+        return SharedBudget(None, ctx.Value("q", conflicts),
+                            ctx.Value("q", queries), name="worker")
+
+    def test_subbudget_and_slice_see_the_pool(self):
+        shared = self._shared()
+        child = shared.subbudget()
+        assert child.remaining_conflicts() == 100
+        assert child.remaining_queries() == 10
+        half = shared.slice(0.5)
+        assert half.remaining_conflicts() == 50
+        assert half.remaining_queries() == 5
+
+    def test_charges_through_children_drain_the_pool(self):
+        shared = self._shared()
+        shared.subbudget().charge_conflicts(30)
+        assert shared.remaining_conflicts() == 70
+        half = shared.slice(0.5)
+        half.charge_conflicts(30)
+        half.charge_query(4)
+        assert shared.remaining_conflicts() == 40
+        assert shared.remaining_queries() == 6
+        assert half.remaining_conflicts() == 5  # its own cap of 35
+
+    def test_drained_pool_exhausts_the_child(self):
+        shared = self._shared()
+        child = shared.subbudget()
+        assert child.exhausted() is None
+        shared.charge_conflicts(100)
+        assert child.exhausted() == EXHAUSTED_CONFLICTS
+        queries_only = self._shared(conflicts=1000)
+        child = queries_only.slice(0.5)
+        queries_only.charge_query(10)
+        assert child.exhausted() == EXHAUSTED_QUERIES
+
+
 class TestWorkStealingInProcess:
     """The jobs=1 drain of the work-stealing engine: same queue
-    semantics (shared budget pool, first-win early exit), no
-    processes."""
+    semantics (shared budget pool), no processes."""
 
     def test_results_in_submission_order(self):
         outcomes = ParallelExecutor(jobs=1, stealing=True).map(
@@ -380,24 +432,6 @@ class TestWorkStealingInProcess:
         assert outcomes[0].value["conflicts"] == 100
         assert outcomes[1].value["queries"] == 10
         assert outcomes[0].value["name"] == "pool[a]"
-
-    def test_first_win_short_circuits_the_rest(self):
-        executor = ParallelExecutor(jobs=1, name="race")
-        outcomes = executor.map(_double, [1, 2, 3],
-                                first_win=lambda v: v == 2)
-        assert outcomes[0].value == 2
-        assert isinstance(outcomes[1].error, Cancelled)
-        assert isinstance(outcomes[2].error, Cancelled)
-        assert executor.last_race["first_win_index"] == 0
-        assert executor.last_race["cancel_latency"] >= 0.0
-
-    def test_losers_cancellation_does_not_reraise(self):
-        # Under a first_win race the join rule owns error precedence;
-        # a loser's Cancelled must come back as an outcome, not
-        # propagate (the regression the first PR 9 satellite pins).
-        outcomes = ParallelExecutor(jobs=1).map(
-            _double, [1, 2], first_win=lambda v: v == 2)
-        assert not outcomes[1].ok  # and no exception reached us
 
     def test_cancelled_budget_still_raises_at_submit(self):
         budget = Budget(name="parent")
@@ -426,19 +460,31 @@ class TestWorkStealingPooled:
             assert outcome.value["queries"] == 10
         assert outcomes[1].value["name"] == "pool[b]"
 
-    def test_pooled_first_win_cancels_cooperative_loser(self):
-        executor = ParallelExecutor(jobs=2, name="race")
-        start = time.monotonic()
-        outcomes = executor.map_tasks(
-            [(_quick_win, None), (_poll_until_cancelled, 20.0)],
-            first_win=lambda v: v == "win",
-            labels=["winner", "loser"])
-        elapsed = time.monotonic() - start
-        assert elapsed < 15.0  # the 20 s loser was not waited out
-        assert outcomes[0].value == "win"
-        assert isinstance(outcomes[1].error, Cancelled)
-        assert executor.last_race["first_win_index"] == 0
-        assert executor.last_race["cancel_latency"] < 15.0
+    def test_pooled_slices_drain_the_shared_pool(self):
+        # Each task charges 30 conflicts through budget.slice(0.5), as
+        # the table runner slices a worker's budget per pipeline.  The
+        # charges must reach the one shared pool, and a subbudget must
+        # read that pool, whichever worker ran which task.
+        budget = Budget(conflicts=100, name="parent")
+        outcomes = ParallelExecutor(jobs=2, name="pool",
+                                    stealing=True).map(
+            _charge_through_slice, [30, 30], budget=budget,
+            labels=["a", "b"])
+        readings = [outcome.value for outcome in outcomes]
+        for reading in readings:
+            assert reading["child"] == reading["pool"]
+        assert min(reading["pool"] for reading in readings) == 40
+
+    def test_pooled_concurrent_charges_are_never_lost(self):
+        # More workers than cores charging one shared pool: the task
+        # that charges last reads the final pool, so a lost update
+        # would leave every reading above the exact remainder.
+        tasks, charges = 8, 20_000
+        budget = Budget(conflicts=1_000_000, name="parent")
+        outcomes = ParallelExecutor(jobs=4, stealing=True).map(
+            _charge_one_at_a_time, [charges] * tasks, budget=budget)
+        assert min(outcome.value for outcome in outcomes) == \
+            1_000_000 - tasks * charges
 
     def test_pooled_typed_error_round_trips(self):
         outcomes = ParallelExecutor(jobs=2, stealing=True).map(
