@@ -23,7 +23,6 @@ from dataclasses import dataclass
 from typing import Dict, List, Optional
 
 from .. import obs
-from ..obs import metrics as _metrics
 from ..netlist import GateType, Netlist
 from ..resilience import Budget, Cancelled
 from ..sat import CnfSink, encode_xor2, lit_not, pos
@@ -52,8 +51,8 @@ def _unroll_over_lits(net: Netlist, sink: CnfSink,
     reg = obs.get_registry()
     # Initial state from the init cones over the init-input literals.
     # (Templates are fetched outside the ``encode`` spans so the
-    # one-off ``encode.compile`` time is not counted twice in the
-    # bench tool's encode/solve split.)
+    # one-off ``encode.compile`` time is not also charged to
+    # ``encode``.)
     init_tmpl = get_template(net, "init") if net.registers else None
     io_tmpl = get_template(net, "io")
     with reg.span("encode"):
@@ -168,12 +167,10 @@ def qbf_initial_diameter(net: Netlist, max_k: int = 32,
                     return QBFDiameterResult(bound=k + 1, exact=False,
                                              checks=checks,
                                              exhaustion_reason=reason)
-            with _metrics.query_context("qbf", k=k), \
-                    reg.span("check") as check_span:
+            with reg.span("check") as check_span:
                 result = qbf_initial_diameter_check(
                     net, k, max_iterations=max_iterations,
                     conflict_budget=conflict_budget, budget=budget)
-            _metrics.observe("qbf.check_seconds", check_span.seconds)
             reg.event("qbf.check", k=k, valid=result.valid,
                       exact=result.exact, seconds=check_span.seconds)
             obs.progress("qbf", k=k, of=max_k, valid=result.valid,

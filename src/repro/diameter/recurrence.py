@@ -22,7 +22,6 @@ from dataclasses import dataclass
 from typing import Optional
 
 from .. import obs
-from ..obs import metrics as _metrics
 from ..netlist import Netlist
 from ..resilience import Budget, Cancelled
 from ..sat import UNKNOWN, UNSAT
@@ -82,12 +81,9 @@ def recurrence_diameter(
             for i in range(k):
                 add_state_difference(unroll.sink, unroll.state_lits[i],
                                      unroll.state_lits[k])
-            with _metrics.query_context("recurrence", k=k), \
-                    reg.span("step") as step_span:
+            with reg.span("step") as step_span:
                 result = unroll.solver.solve(
                     conflict_budget=conflict_budget, budget=budget)
-            _metrics.observe("recurrence.step_seconds",
-                             step_span.seconds)
             reg.event("recurrence.step", k=k, result=result,
                       seconds=step_span.seconds)
             obs.progress("recurrence", k=k, of=max_k, result=result,

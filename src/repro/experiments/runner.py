@@ -142,7 +142,7 @@ def evaluate_design(net: Netlist,
                                    name=f"{net.name}/{pipeline}")
             # The per-pipeline span doubles as the table's time column:
             # monotonic, and visible in any enclosing obs snapshot
-            # (e.g. the bench harness) as experiment/<design>/<col>.
+            # (e.g. a test's obs.scoped()) as experiment/<design>/<col>.
             column_span = None
             try:
                 with reg.span(pipeline) as column_span:

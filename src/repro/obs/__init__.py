@@ -27,21 +27,9 @@ Live visibility while a run executes comes from :mod:`repro.obs.trace`
 stitching, progress heartbeats)::
 
     obs.progress("bmc", frame=t, of=depth)   # no-op unless enabled
-
-Distribution metrics and per-query attribution come from
-:mod:`repro.obs.metrics` (``REPRO_METRICS``): log-bucket histograms
-with p50/p90/p99, gauges, rate meters and a bounded per-query ledger,
-all riding ``snapshot()``/``merge_snapshot()`` so worker shards fold
-in losslessly::
-
-    from repro.obs import metrics
-    with metrics.use_metrics(True):
-        run_workload()
-        hist = metrics.metrics_store().histogram("sat.solve_seconds")
-        hist.quantile(0.99)
 """
 
-from . import metrics, trace
+from . import trace
 from .registry import (
     Registry,
     SpanHandle,
@@ -62,7 +50,6 @@ __all__ = [
     "counter",
     "event",
     "get_registry",
-    "metrics",
     "progress",
     "scoped",
     "span",

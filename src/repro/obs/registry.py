@@ -28,7 +28,7 @@ Design points:
   week-long runs cannot exhaust memory.  For unbounded event capture
   use the streaming trace layer (:mod:`repro.obs.trace`).
 * **A process-global default registry** plus :func:`scoped` for
-  isolation (tests, the bench harness).  The current-registry state
+  isolation (tests, benchmarks).  The current-registry state
   is a lock-protected scope *stack*: enters and exits are atomic, and
   an exit removes its own registry (not blindly the top), so even
   overlapping scopes from different threads can never reinstate an
@@ -122,9 +122,6 @@ class Registry:
         #: span path -> [total_seconds, count, max_seconds]
         self._timers: Dict[str, List[float]] = {}
         self._counters: Dict[str, int] = {}
-        #: Lazily-attached :class:`repro.obs.metrics.MetricsStore`
-        #: (None until the first metric records under this registry).
-        self._metrics = None
         self._events: Deque[Dict[str, Any]] = deque()
         self._max_events = max_events
         self._local = threading.local()
@@ -240,7 +237,7 @@ class Registry:
         :meth:`merge_snapshot` align snapshots taken in different
         processes onto one timeline.
         """
-        data = {
+        return {
             "name": self.name,
             "epoch": self.epoch_wall,
             "timers": {
@@ -253,9 +250,6 @@ class Registry:
             "events_dropped": self._counters.get("obs.events_dropped",
                                                  0),
         }
-        if self._metrics is not None:
-            data["metrics"] = self._metrics.snapshot()
-        return data
 
     @classmethod
     def from_snapshot(cls, data: Dict[str, Any]) -> "Registry":
@@ -268,9 +262,6 @@ class Registry:
                                  stat["max_s"]]
         reg._counters.update(data.get("counters", {}))
         reg._events.extend(data.get("events", []))
-        if "metrics" in data:
-            from .metrics import MetricsStore
-            reg._metrics = MetricsStore.from_snapshot(data["metrics"])
         return reg
 
     def merge_snapshot(self, data: Dict[str, Any],
@@ -289,14 +280,6 @@ class Registry:
         events land at their true position on the parent's timeline
         (monotonic clocks do not compare across processes, but the
         wall-clock epochs recorded next to them do).
-
-        A ``"metrics"`` section merges **un-prefixed**: histogram
-        buckets, gauge envelopes and meter windows fold under their
-        own global names (bucket-wise addition — the fixed-bucket
-        design makes this lossless), and ledger records gain a
-        ``source`` tag.  This is deliberate: per-worker quantiles are
-        meaningless split across prefixes, and the whole point of
-        mergeable histograms is that jobs=4 equals jobs=1.
         """
         pre = f"{prefix.rstrip('/')}/" if prefix else ""
         for path, stat in data.get("timers", {}).items():
@@ -328,12 +311,6 @@ class Registry:
             if shift is not None and "at" in record:
                 record["at"] = record["at"] + shift
             self._append_event(record)
-        metrics = data.get("metrics")
-        if metrics:
-            if self._metrics is None:
-                from .metrics import MetricsStore
-                self._metrics = MetricsStore()
-            self._metrics.merge(metrics, source=source)
 
     def to_json(self, indent: Optional[int] = 2) -> str:
         """The snapshot serialized as JSON."""
@@ -354,17 +331,6 @@ class Registry:
             for name, value in sorted(self._counters.items()):
                 lines.append(f"| `{name}` | {value} |")
             lines.append("")
-        if self._metrics is not None and self._metrics._histograms:
-            lines += ["| histogram | count | p50 | p90 | p99 | max |",
-                      "|---|---:|---:|---:|---:|---:|"]
-            for name in sorted(self._metrics._histograms):
-                hist = self._metrics._histograms[name]
-                qs = hist.quantiles()
-                lines.append(
-                    f"| `{name}` | {hist.count} | {qs['p50']:.4g} "
-                    f"| {qs['p90']:.4g} | {qs['p99']:.4g} "
-                    f"| {hist.max if hist.max is not None else 0:.4g} |")
-            lines.append("")
         if not self._timers and not self._counters:
             lines.append("(empty)")
         return "\n".join(lines)
@@ -373,7 +339,6 @@ class Registry:
         """Drop all recorded data (active span paths survive)."""
         self._timers.clear()
         self._counters.clear()
-        self._metrics = None
         self._events.clear()
         self._epoch = time.perf_counter()
         self.epoch_wall = time.time()
@@ -409,7 +374,7 @@ def scoped(registry: Optional[Registry] = None) -> Iterator[Registry]:
     Everything instrumented inside the block records into the scoped
     registry; on exit the most recent still-active scope (or the
     global registry) becomes current again.  This is how tests and
-    the bench harness isolate their measurements from the global
+    benchmarks isolate their measurements from the global
     accumulator.  The *scope* is process-global — a worker thread
     running during the block records into the scoped registry too.
     Overlapping scopes from different threads are safe in the sense

@@ -41,9 +41,6 @@ Record schema (``repro-trace-v1``) — common keys ``ty``, ``t``
 ``C``  counter delta: ``name``, ``delta``, ``value`` (running total)
 ``I``  instant event: ``name``, ``span`` (optional), ``fields``
 ``P``  progress heartbeat: ``source``, ``fields``
-``Q``  per-query ledger record: ``fields`` (engine, frame/k,
-       verdict, conflicts, seconds, ... — see
-       :mod:`repro.obs.metrics`)
 ====  =============================================================
 
 Stdlib-only, like everything under ``repro.obs``.
@@ -218,11 +215,6 @@ class TraceSink:
     def progress(self, source: str, fields: Dict[str, Any]) -> None:
         self._emit({"ty": "P", "source": source,
                     "fields": dict(fields)})
-
-    def query(self, fields: Dict[str, Any]) -> None:
-        """A per-query ledger record (:func:`repro.obs.metrics
-        .record_query`) on the stitched timeline."""
-        self._emit({"ty": "Q", "fields": dict(fields)})
 
     # ------------------------------------------------------------------
     def flush(self) -> None:
@@ -576,13 +568,5 @@ def to_chrome(records: List[Dict[str, Any]]) -> Dict[str, Any]:
                 "name": f"progress:{record.get('source', '?')}",
                 "cat": "progress", "pid": pid, "tid": tid, "ts": ts,
                 "args": dict(record.get("fields", {})),
-            })
-        elif ty == "Q":
-            fields = dict(record.get("fields", {}))
-            events.append({
-                "ph": "i", "s": "t",
-                "name": f"query:{fields.get('engine', '?')}",
-                "cat": "query", "pid": pid, "tid": tid, "ts": ts,
-                "args": fields,
             })
     return {"traceEvents": events, "displayTimeUnit": "ms"}

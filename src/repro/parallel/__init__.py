@@ -19,7 +19,7 @@ task indices from a shared deque under one shared cross-process budget
 pool — used by the experiment grid.
 
 Entry points: ``--jobs N`` on the ``table1`` / ``table2`` / ``report``
-/ ``bound`` / ``bench`` CLIs, or the ``jobs=`` keyword on
+/ ``bound`` CLIs, or the ``jobs=`` keyword on
 :func:`repro.core.portfolio.compare_strategies`,
 :func:`repro.experiments.runner.run_table` and
 :func:`repro.core.prove.prove`.  ``jobs=1`` (the default) is exactly

@@ -9,8 +9,8 @@ of those share: a :class:`ParallelExecutor` that ships
 a ``concurrent.futures.ProcessPoolExecutor``, collects
 ``(result-or-typed-error, obs snapshot)`` tuples back, and merges them
 **deterministically** — outcomes are returned in input order, never
-completion order, so tables and bench artifacts are byte-identical at
-any ``--jobs`` value.
+completion order, so tables are byte-identical at any ``--jobs``
+value.
 
 Protocol invariants (see ``docs/architecture.md``, Layer 0.7):
 
@@ -449,8 +449,8 @@ class ParallelExecutor:
                     prefix=f"parallel/{self.name}/{outcome.label}")
                 counters = outcome.snapshot.get("counters", {})
                 # Certification telemetry stays globally additive:
-                # the arbitration layer and the bench certification
-                # section read the top-level ``cert.*`` counters, so
+                # the arbitration layer and ``repro-check --certify``
+                # read the top-level ``cert.*`` counters, so
                 # worker-side checks fold in un-prefixed too.
                 for key, delta in counters.items():
                     if key.startswith("cert.") and delta:

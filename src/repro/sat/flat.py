@@ -28,7 +28,8 @@ they outnumber the live words.  Compaction rewrites crefs in place
 
 The layout removes object allocation and attribute dispatch from the
 propagation/analysis inner loops, which profile as the solver's hot
-path (see ``time_split`` in the bench artifacts).
+path (``python -m cProfile -s tottime`` ranks ``_propagate``,
+``_analyze`` and ``_pick_branch`` first).
 """
 
 from __future__ import annotations

@@ -33,12 +33,10 @@ from __future__ import annotations
 import heapq
 import os
 from contextlib import contextmanager
-from time import perf_counter
 from typing import Dict, Iterable, Iterator, List, Optional, Sequence, \
     Tuple
 
 from .. import obs
-from ..obs import metrics as _metrics
 from ..cert.proof import ProofLog
 from ..resilience import Budget, Cancelled, EngineFailure, \
     EXHAUSTED_CONFLICTS, EXHAUSTED_DEADLINE
@@ -74,40 +72,6 @@ def set_debug_checks(enabled: bool) -> bool:
 
 
 # ----------------------------------------------------------------------
-# Search-time profiling toggle (the bench tool's time_split breakdown)
-# ----------------------------------------------------------------------
-_PROFILE_ENV = "REPRO_SAT_PROFILE"
-_profile_enabled = os.environ.get(_PROFILE_ENV, "0").strip().lower() \
-    not in ("0", "false", "off", "no", "")
-
-
-def profile_enabled() -> bool:
-    """Whether new solvers time propagation/analysis/decisions."""
-    return _profile_enabled
-
-
-def set_profile_enabled(enabled: bool) -> bool:
-    """Set the profiling toggle; returns the previous value.
-
-    Only affects solvers constructed afterwards.
-    """
-    global _profile_enabled
-    previous = _profile_enabled
-    _profile_enabled = bool(enabled)
-    return previous
-
-
-@contextmanager
-def use_sat_profile(enabled: bool) -> Iterator[None]:
-    """Scoped override of the profiling toggle (the bench tool)."""
-    previous = set_profile_enabled(enabled)
-    try:
-        yield
-    finally:
-        set_profile_enabled(previous)
-
-
-# ----------------------------------------------------------------------
 # Proof-logging toggle (the certification layer, repro.cert)
 # ----------------------------------------------------------------------
 _PROOF_ENV = "REPRO_SAT_PROOF"
@@ -132,9 +96,9 @@ _proof_enabled, _proof_stream_path = \
 def proofs_enabled() -> bool:
     """Whether new solvers log DRAT-style proof events.
 
-    Like profiling, the toggle is read at construction time only:
-    a solver either carries a :class:`~repro.cert.proof.ProofLog`
-    for its whole life or never pays a single hot-path branch.
+    The toggle is read at construction time only: a solver either
+    carries a :class:`~repro.cert.proof.ProofLog` for its whole life
+    or never pays a single hot-path branch.
     """
     return _proof_enabled
 
@@ -158,21 +122,6 @@ def use_proofs(enabled: bool) -> Iterator[None]:
         yield
     finally:
         set_proofs_enabled(previous)
-
-
-#: Profiled search phases, in ``time_breakdown()`` key order.
-PROFILE_PHASES = ("propagate", "analyze", "decide")
-
-
-def _timed(fn, acc: Dict[str, float], key: str):
-    """Wrap ``fn`` to accumulate its wall time into ``acc[key]``."""
-    def wrapper(*args):
-        t0 = perf_counter()
-        try:
-            return fn(*args)
-        finally:
-            acc[key] += perf_counter() - t0
-    return wrapper
 
 
 class _Clause:
@@ -240,16 +189,9 @@ class Solver:
         #: the call was conclusive (or inconclusive for a non-resource
         #: reason, e.g. an injected spurious unknown).
         self.last_exhaustion: Optional[str] = None
-        #: Lifetime seconds spent in each search phase, or None when
-        #: profiling was off at construction (the default — the hot
-        #: path then carries no timing overhead at all).
-        self._profile: Optional[Dict[str, float]] = \
-            {phase: 0.0 for phase in PROFILE_PHASES} \
-            if _profile_enabled else None
         #: DRAT-style proof event log (repro.cert), or None when proof
         #: logging was off at construction — the hot paths then guard
-        #: on a single ``is not None`` per batch/conflict/solve, the
-        #: same zero-cost-when-off contract as the profile wrappers.
+        #: on a single ``is not None`` per batch/conflict/solve.
         self._proof: Optional[ProofLog] = \
             ProofLog(stream_path=_proof_stream_path) \
             if _proof_enabled else None
@@ -295,12 +237,6 @@ class Solver:
         if self._simp_counters:
             out.update(self._simp_counters)
         return out
-
-    def time_breakdown(self) -> Optional[Dict[str, float]]:
-        """Lifetime seconds per search phase (propagate / analyze /
-        decide), or None when profiling was off at construction."""
-        return dict(self._profile) if self._profile is not None \
-            else None
 
     # ------------------------------------------------------------------
     # Problem construction (core-independent slow paths)
@@ -457,10 +393,8 @@ class Solver:
                              f"got {conflict_budget}")
         self.model = []  # never expose a stale assignment (see above)
         before = self.stats()
-        profile_before = dict(self._profile) \
-            if self._profile is not None else None
         reg = obs.get_registry()
-        with reg.span("sat.solve") as solve_span:
+        with reg.span("sat.solve"):
             result = self._solve_governed(assumptions, conflict_budget,
                                           budget)
         # Delta over whatever keys exist *now*: a counter that first
@@ -476,31 +410,6 @@ class Solver:
                 # simplify_* deltas are published by the simplifier
                 # itself under the simplify.* counter namespace.
                 reg.counter(f"sat.{key}", value)
-        if profile_before is not None:
-            for phase in PROFILE_PHASES:
-                ns = int((self._profile[phase]
-                          - profile_before[phase]) * 1e9)
-                if ns:
-                    reg.counter(f"sat.{phase}_ns", ns)
-        if _metrics._enabled:
-            # One module-attribute load when disabled (the line
-            # above); everything below runs only under REPRO_METRICS.
-            _metrics.observe("sat.solve_seconds", solve_span.seconds)
-            _metrics.gauge_set("sat.vars", self.num_vars)
-            _metrics.mark("sat.solves")
-            conflicts = delta.get("conflicts", 0)
-            if conflicts:
-                _metrics.mark("sat.conflicts", conflicts)
-            _metrics.record_query(
-                engine=_metrics.current_context().get("engine", "sat"),
-                verdict=result,
-                conflicts=conflicts,
-                propagations=delta.get("propagations", 0),
-                decisions=delta.get("decisions", 0),
-                seconds=solve_span.seconds,
-                budget_charged=conflicts if budget is not None else 0,
-                exhausted=self.last_exhaustion,
-            )
         return result
 
     def _solve_governed(
@@ -587,11 +496,6 @@ class Solver:
         propagate = self._propagate
         analyze = self._analyze
         pick_branch = self._pick_branch
-        if self._profile is not None:
-            acc = self._profile
-            propagate = _timed(propagate, acc, "propagate")
-            analyze = _timed(analyze, acc, "analyze")
-            pick_branch = _timed(pick_branch, acc, "decide")
         fault_plan = _faults.active_plan()
         if propagate() is not None:
             self._ok = False

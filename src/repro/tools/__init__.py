@@ -3,8 +3,10 @@
 * ``python -m repro.tools.bound``   — per-target diameter bounds
 * ``python -m repro.tools.check``   — complete bounded verification
 * ``python -m repro.tools.convert`` — BENCH <-> AIGER conversion
-* ``python -m repro.tools.bench``   — fixed perf workload, emits
-  ``BENCH_<rev>.json`` (see EXPERIMENTS.md)
+* ``python -m repro.tools.trace``   — summarise, export, fold and diff
+  streamed traces
+* ``python -m repro.tools.report``  — one HTML page from a
+  ``perf/run.py --out`` results file
 * :mod:`repro.tools.vcd`            — VCD waveform dumping
 """
 

@@ -1,32 +1,28 @@
-"""CLI: render a bench artifact (+ optional trace) as one HTML file.
+"""CLI: render a benchmark results file (+ optional trace) as one HTML file.
 
 Usage::
 
-    python -m repro.tools.report BENCH_pr10.json [--trace run.trace]
-        [--baseline BENCH_pr9.json] [--out report.html] [--top 10]
+    python -m repro.tools.report perf/results/seed-a.json
+        [--trace perf/out/table1.trace.jsonl] [--out report.html]
 
-The output is a **single self-contained HTML file** — no external
-assets, scripts, stylesheets or network references — so it can be
-attached to a PR, archived next to the bench artifact, or opened from
-a mail attachment years later and still render.  Sections:
+The input is the ``perf-bench-v1`` document that ``perf/run.py --out``
+writes; a file of any other schema is refused with exit code 2.  The
+output is a **single self-contained HTML file** — no external assets,
+scripts, stylesheets or network references — so it can be attached to
+a PR, archived next to the results file, or opened years later and
+still render.  Sections:
 
-* run header (rev, host, workload) and per-section wall time;
-* encode/solve **time-split bars** and the solve-phase breakdown;
-* an **inline SVG flamegraph** of where the time went — from the
-  stitched trace's span records when ``--trace`` is given (covering
-  worker processes too), otherwise from the artifact's own ``timers``
-  (the same hierarchy, minus cross-process detail);
-* **latency histograms** (the artifact's log-bucket ``metrics``
-  section: solve latency plus the per-engine step distributions) with
-  p50/p90/p99 markers;
-* the **top-N slowest queries** from the per-query ledger;
-* a **regress table** against ``--baseline`` (same comparison as
-  ``repro-trace regress``; a baseline of a different workload is
-  refused with exit code 2).
+* run header (host, seed, settings);
+* per workload: failed operations of attempted, and every end-to-end
+  metric as ``median [q1, q3]`` with its n;
+* per workload with a traced pass: the **per-layer self time** as one
+  stacked bar, and the per-layer metrics;
+* with ``--trace``: an **inline SVG flamegraph** of the stitched
+  trace's span records (worker files ``<trace>.<pid>`` included).
 
 Everything here is presentation: the numbers come verbatim from the
-artifact produced by :mod:`repro.tools.bench` and the trace written
-under ``REPRO_TRACE`` (see :mod:`repro.obs.trace`).
+results file and the trace (see :mod:`repro.obs.trace`).  Comparing
+two results files is ``perf/compare.py``'s job.
 """
 
 from __future__ import annotations
@@ -37,10 +33,11 @@ import json
 import sys
 from typing import Any, Dict, List, Optional, Sequence, Tuple
 
-from ..obs import metrics as _metrics
 from ..obs import trace as _trace
-from .trace import _self_times, _span_totals, check_same_workload, \
-    compare_artifacts
+from .trace import _span_totals, span_parent
+
+#: The results-file schema ``perf/run.py --out`` writes.
+SCHEMA = "perf-bench-v1"
 
 #: Flamegraph geometry (SVG user units == px).
 _FRAME_H = 18
@@ -89,8 +86,8 @@ def _flame_tree(totals: Dict[str, float]
     children: Dict[str, list] = {path: [] for path in totals}
     roots: List[str] = []
     for path in sorted(totals):
-        head, _, _ = path.rpartition("/")
-        if head and head in children:
+        head = span_parent(path, totals)
+        if head is not None:
             children[head].append(path)
         else:
             roots.append(path)
@@ -109,27 +106,18 @@ def flame_svg(totals: Dict[str, float], title: str = "") -> str:
     if total <= 0.0:
         return "<p class='muted'>(no span data)</p>"
 
-    depth_of: Dict[str, int] = {}
-
-    def depth(path: str) -> int:
-        if path not in depth_of:
-            head, _, _ = path.rpartition("/")
-            depth_of[path] = depth(head) + 1 \
-                if head and head in children else 0
-        return depth_of[path]
-
-    max_depth = max(depth(path) for path in totals)
-    height = (max_depth + 1) * _FRAME_H + 4
     scale = _WIDTH / total
     rects: List[str] = []
+    max_depth = 0
 
-    def emit(path: str, x: float) -> None:
+    def emit(path: str, name: str, x: float, depth: int) -> None:
+        nonlocal max_depth
         seconds = totals[path]
         w = seconds * scale
         if w < _MIN_W:
             return
-        y = depth(path) * _FRAME_H + 2
-        name = path.rpartition("/")[2]
+        max_depth = max(max_depth, depth)
+        y = depth * _FRAME_H + 2
         share = 100.0 * seconds / total
         label = (f"<text x='{x + 3:.1f}' y='{y + 13}' "
                  f"font-size='11'>{_esc(name)}</text>"
@@ -141,13 +129,15 @@ def flame_svg(totals: Dict[str, float], title: str = "") -> str:
             f"({share:.1f}%)</title></rect>{label}</g>")
         cx = x
         for child in children[path]:
-            emit(child, cx)
+            # The frame name is the child's path past its parent's.
+            emit(child, child[len(path) + 1:], cx, depth + 1)
             cx += totals[child] * scale
 
     x = 0.0
     for root in roots:
-        emit(root, x)
+        emit(root, root, x, 0)
         x += totals[root] * scale
+    height = (max_depth + 1) * _FRAME_H + 4
     caption = f"<p class='muted'>{_esc(title)}</p>" if title else ""
     return (f"{caption}<svg width='{_WIDTH}' height='{height}' "
             f"viewBox='0 0 {_WIDTH} {height}' role='img'>"
@@ -155,14 +145,14 @@ def flame_svg(totals: Dict[str, float], title: str = "") -> str:
 
 
 # ----------------------------------------------------------------------
-# Bars and histograms
+# Sections
 # ----------------------------------------------------------------------
 def _split_bar(parts: List[Tuple[str, float]], width: int = _WIDTH
                ) -> str:
     """One horizontal stacked bar with a legend."""
     total = sum(seconds for _, seconds in parts)
     if total <= 0:
-        return "<p class='muted'>(no time-split data)</p>"
+        return "<p class='muted'>(no self-time data)</p>"
     x = 0.0
     rects = []
     legend = []
@@ -182,187 +172,101 @@ def _split_bar(parts: List[Tuple[str, float]], width: int = _WIDTH
             + " &nbsp; ".join(legend) + "</div>")
 
 
-def _histogram_svg(name: str, snap: Dict[str, Any]) -> str:
-    """Log-bucket bars for one histogram snapshot, with quantiles."""
-    hist = _metrics.Histogram.from_snapshot(snap)
-    if not hist.count:
-        return ""
-    buckets = sorted(hist.buckets)
-    if not buckets:
-        return ""
-    lo, hi = buckets[0], buckets[-1]
-    span = hi - lo + 1
-    bar_w = max(3.0, min(28.0, (_WIDTH - 120) / span))
-    peak = max(hist.buckets.values())
-    height = 70
-    bars = []
-    for i, idx in enumerate(range(lo, hi + 1)):
-        n = hist.buckets.get(idx, 0)
-        if not n:
-            continue
-        h = max(2.0, (height - 16) * n / peak)
-        x = i * bar_w
-        blo, bhi = _metrics.bucket_bounds(idx)
-        bars.append(
-            f"<rect x='{x:.1f}' y='{height - h:.1f}' "
-            f"width='{bar_w - 1:.1f}' height='{h:.1f}' "
-            f"fill='{_color(name)}'><title>[{blo:.2e}, {bhi:.2e}) s: "
-            f"{n}</title></rect>")
-    qs = hist.quantiles()
-    stats = (f"n={hist.count} &nbsp; p50={qs['p50'] * 1e3:.3f} ms "
-             f"&nbsp; p90={qs['p90'] * 1e3:.3f} ms "
-             f"&nbsp; p99={qs['p99'] * 1e3:.3f} ms "
-             f"&nbsp; max={(hist.max or 0) * 1e3:.3f} ms")
-    return (f"<h3>{_esc(name)}</h3><p class='muted'>{stats}</p>"
-            f"<svg width='{max(60, span * bar_w):.0f}' "
-            f"height='{height}'>" + "".join(bars) + "</svg>")
+def _number(value: Any) -> str:
+    """Counts exactly, measurements to six significant digits."""
+    return str(value) if isinstance(value, int) else f"{value:.6g}"
 
 
-# ----------------------------------------------------------------------
-# Tables
-# ----------------------------------------------------------------------
-def _sections_table(artifact: Dict[str, Any]) -> str:
-    rows = []
-    for name, section in artifact.get("sections", {}).items():
-        seconds = section.get("seconds")
-        if isinstance(seconds, (int, float)):
-            rows.append(f"<tr><td>{_esc(name)}</td>"
-                        f"<td class='num'>{seconds:.3f}</td></tr>")
-    if not rows:
-        return ""
-    return ("<table><tr><th>section</th><th>seconds</th></tr>"
-            + "".join(rows) + "</table>")
+def _end_to_end_table(summary: Dict[str, Any]) -> str:
+    """Each end-to-end metric as ``median [q1, q3]`` with its n."""
+    rows = "".join(
+        f"<tr><td>{_esc(name)}</td>"
+        f"<td class='num'>{m['median']:.4g} "
+        f"[{m['q1']:.4g}, {m['q3']:.4g}]</td>"
+        f"<td>{_esc(m['unit'])}</td><td class='num'>{m['n']}</td></tr>"
+        for name, m in summary["end_to_end"].items())
+    return ("<table><tr><th>metric</th><th>median [q1, q3]</th>"
+            "<th>unit</th><th>n</th></tr>" + rows + "</table>")
 
 
-def _ledger_table(artifact: Dict[str, Any], top: int) -> str:
-    records = artifact.get("metrics", {}).get("ledger_top", [])[:top]
-    if not records:
-        return "<p class='muted'>(no ledger records)</p>"
-    keys = ["engine", "frame", "k", "verdict", "conflicts", "seconds",
-            "source"]
-    used = [key for key in keys
-            if any(rec.get(key) is not None for rec in records)]
-    head = "".join(f"<th>{_esc(key)}</th>" for key in used)
-    body = []
-    for rec in records:
-        cells = []
-        for key in used:
-            value = rec.get(key)
-            if key == "seconds" and isinstance(value, (int, float)):
-                cells.append(f"<td class='num'>{value * 1e3:.3f} ms"
-                             f"</td>")
-            elif isinstance(value, (int, float)):
-                cells.append(f"<td class='num'>{_esc(value)}</td>")
-            else:
-                cells.append(f"<td>{_esc(value) if value is not None else ''}</td>")
-        body.append("<tr>" + "".join(cells) + "</tr>")
-    dropped = artifact.get("metrics", {}).get("ledger_dropped", 0)
-    note = (f"<p class='muted'>(+{dropped} older records evicted from "
-            f"the ring)</p>" if dropped else "")
-    return (f"<table><tr>{head}</tr>" + "".join(body) + "</table>"
-            + note)
+def _layers_section(summary: Dict[str, Any]) -> str:
+    """The traced pass: self time per layer, then the nonzero layer
+    metrics.
 
-
-def _regress_table(baseline: Dict[str, Any],
-                   artifact: Dict[str, Any]) -> str:
-    rows = compare_artifacts(baseline, artifact)
-    if not rows:
-        return "<p class='muted'>(no comparable metrics)</p>"
-    body = []
-    for r in rows:
-        mark = ("<span class='bad'>REGRESSED</span>" if r["regressed"]
-                else "<span class='ok'>ok</span>")
-        ratio = f"{r['ratio']:.2f}x" if r["ratio"] is not None else "-"
-        body.append(
-            f"<tr><td>{_esc(r['metric'])}</td>"
-            f"<td class='num'>{r['baseline']:.4g}</td>"
-            f"<td class='num'>{r['candidate']:.4g}</td>"
-            f"<td class='num'>{ratio}</td><td>{mark}</td></tr>")
-    regressions = sum(1 for r in rows if r["regressed"])
-    verdict = (f"<p class='bad'>{regressions} regression(s)</p>"
-               if regressions
-               else "<p class='ok'>0 regressions</p>")
-    return ("<table><tr><th>metric</th><th>baseline</th>"
-            "<th>candidate</th><th>ratio</th><th></th></tr>"
-            + "".join(body) + "</table>" + verdict)
+    The ``*.self_s`` values and ``unattributed_s`` add up to the
+    traced wall time, so they stack into one bar.
+    """
+    per_layer = summary["per_layer"]
+    parts = [(name[:-len(".self_s")], m["value"])
+             for name, m in per_layer.items()
+             if name.endswith(".self_s") and m["value"] > 0]
+    parts.append(("unattributed", per_layer["unattributed_s"]["value"]))
+    parts.sort(key=lambda part: -part[1])
+    # Layers the workload never entered read 0; list only the rest.
+    shown = {name: m for name, m in per_layer.items() if m["value"]}
+    rows = "".join(
+        f"<tr><td>{_esc(name)}</td>"
+        f"<td class='num'>{_esc(_number(m['value']))}</td>"
+        f"<td>{_esc(m['unit'])}</td></tr>"
+        for name, m in shown.items())
+    return (f"<p class='muted'>traced pass: "
+            f"{summary['traced_wall_s']:.3f} s wall, trace "
+            f"{_esc(summary['trace'])}</p>"
+            + _split_bar(parts)
+            + "<table><tr><th>layer metric</th><th>value</th>"
+              "<th>unit</th></tr>" + rows + "</table>"
+            + f"<p class='muted'>({len(per_layer) - len(shown)} "
+              f"metrics read 0)</p>")
 
 
 # ----------------------------------------------------------------------
 # Assembly
 # ----------------------------------------------------------------------
-def build_report(artifact: Dict[str, Any],
-                 trace_base: Optional[str] = None,
-                 baseline: Optional[Dict[str, Any]] = None,
-                 top: int = 10) -> str:
+def build_report(results: Dict[str, Any],
+                 trace_base: Optional[str] = None) -> str:
     """The full self-contained HTML document as a string."""
-    rev = artifact.get("rev", "?")
-    host = artifact.get("host", {})
-    workload = artifact.get("workload", {})
+    rev = results["rev"]
+    host = results["host"]
+    settings = ", ".join(f"{key} {value}" for key, value
+                         in results["settings"].items()
+                         if value is not None)
     parts: List[str] = [
         "<!DOCTYPE html><html><head><meta charset='utf-8'/>",
-        f"<title>bench report — {_esc(rev)}</title>",
+        f"<title>benchmark report — {_esc(rev)}</title>",
         f"<style>{_CSS}</style></head><body>",
-        f"<h1>Bench report — <code>{_esc(rev)}</code></h1>",
-        f"<p class='muted'>{_esc(host.get('implementation', '?'))} "
-        f"{_esc(host.get('python', '?'))} on "
-        f"{_esc(host.get('system', '?'))}/"
-        f"{_esc(host.get('machine', '?'))} &nbsp;&middot;&nbsp; "
-        f"profile {_esc(workload.get('profile', '?'))}, designs "
-        f"{_esc(', '.join(workload.get('designs', [])))}</p>",
-        "<h2>Section wall time</h2>",
-        _sections_table(artifact),
+        f"<h1>Benchmark report — <code>{_esc(rev)}</code></h1>",
+        f"<p class='muted'>{_esc(host['implementation'])} "
+        f"{_esc(host['python'])} on {_esc(host['system'])}/"
+        f"{_esc(host['machine'])}, {_esc(host['cpu'])}, "
+        f"{_esc(host['nproc'])} CPUs &nbsp;&middot;&nbsp; "
+        f"seed {_esc(results['seed'])} &nbsp;&middot;&nbsp; "
+        f"{_esc(settings)}</p>",
     ]
+    for name, summary in results["workloads"].items():
+        failed = summary["failed"]
+        parts += [
+            f"<h2>{_esc(name)}</h2>",
+            f"<p class='{'bad' if failed else 'ok'}'>{_esc(failed)} of "
+            f"{_esc(summary['attempted'])} operations failed</p>",
+        ]
+        if summary["failures"]:
+            parts.append("<ul>" + "".join(f"<li>{_esc(f)}</li>"
+                                          for f in summary["failures"])
+                         + "</ul>")
+        parts.append(_end_to_end_table(summary))
+        if "per_layer" in summary:
+            parts += ["<h3>Per-layer self time (traced pass)</h3>",
+                      _layers_section(summary)]
 
-    split = artifact.get("time_split", {})
-    encode = split.get("encode_seconds")
-    solve = split.get("solve_seconds")
-    if isinstance(encode, (int, float)) and \
-            isinstance(solve, (int, float)):
-        parts += ["<h2>Time split</h2>",
-                  _split_bar([("encode", encode), ("solve", solve)])]
-        phases = [(key[len("solve_"):-len("_seconds")],
-                   split.get(key))
-                  for key in ("solve_propagate_seconds",
-                              "solve_decide_seconds",
-                              "solve_analyze_seconds",
-                              "solve_other_seconds")]
-        phases = [(name, value) for name, value in phases
-                  if isinstance(value, (int, float))]
-        if phases:
-            parts.append(_split_bar(phases))
-
-    # Flame: stitched trace when given (covers workers), else the
-    # artifact's own timer hierarchy.
-    parts.append("<h2>Flamegraph</h2>")
-    totals: Dict[str, float] = {}
-    source = ""
     if trace_base:
+        parts.append("<h2>Flamegraph</h2>")
         paths = _trace.discover_trace_files(trace_base)
+        totals: Dict[str, float] = {}
         if paths:
-            records = _trace.stitch_files(paths)
-            totals, _ = _span_totals(records)
-            source = (f"from trace {trace_base} "
-                      f"({len(paths)} file(s))")
-    if not totals:
-        totals = {path: stat.get("total_s", 0.0)
-                  for path, stat in artifact.get("timers", {}).items()}
-        source = "from artifact timers"
-    parts.append(flame_svg(totals, title=source))
-
-    histograms = artifact.get("metrics", {}).get("histograms", {})
-    if histograms:
-        parts.append("<h2>Latency distributions</h2>")
-        for name in sorted(histograms):
-            parts.append(_histogram_svg(name, histograms[name]))
-
-    parts.append(f"<h2>Top {top} slowest queries (ledger)</h2>")
-    parts.append(_ledger_table(artifact, top))
-
-    if baseline is not None:
-        parts.append(
-            f"<h2>Regressions vs {_esc(baseline.get('rev', '?'))}"
-            f"</h2>")
-        parts.append(_regress_table(baseline, artifact))
+            totals, _ = _span_totals(_trace.stitch_files(paths))
+        parts.append(flame_svg(
+            totals, title=f"from trace {trace_base} "
+                          f"({len(paths)} file(s))"))
 
     parts.append("</body></html>")
     return "\n".join(parts)
@@ -372,34 +276,25 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     """CLI entry point; returns a process exit code."""
     parser = argparse.ArgumentParser(prog="repro.tools.report",
                                      description=__doc__)
-    parser.add_argument("artifact",
-                        help="bench artifact (BENCH_<rev>.json)")
+    parser.add_argument("results",
+                        help="results file of perf/run.py --out")
     parser.add_argument("--trace", default=None,
                         help="trace base path (workers at "
                              "<trace>.<pid> auto-included)")
-    parser.add_argument("--baseline", default=None,
-                        help="baseline artifact for the regress table")
     parser.add_argument("--out", default=None,
                         help="output path (default: "
                              "report_<rev>.html)")
-    parser.add_argument("--top", type=int, default=10,
-                        help="ledger rows to show (default 10)")
     args = parser.parse_args(argv)
-    with open(args.artifact) as handle:
-        artifact = json.load(handle)
-    baseline = None
-    if args.baseline:
-        with open(args.baseline) as handle:
-            baseline = json.load(handle)
-        try:
-            check_same_workload(baseline, artifact)
-        except ValueError as exc:
-            print(f"repro-report: refusing the baseline: {exc}",
-                  file=sys.stderr)
-            return 2
-    document = build_report(artifact, trace_base=args.trace,
-                            baseline=baseline, top=args.top)
-    out = args.out or f"report_{artifact.get('rev', 'run')}.html"
+    with open(args.results) as handle:
+        results = json.load(handle)
+    schema = results.get("schema") if isinstance(results, dict) else None
+    if schema != SCHEMA:
+        print(f"repro-report: {args.results} has schema {schema!r}; "
+              f"expected {SCHEMA!r} (a perf/run.py --out file)",
+              file=sys.stderr)
+        return 2
+    document = build_report(results, trace_base=args.trace)
+    out = args.out or f"report_{results['rev']}.html"
     with open(out, "w") as handle:
         handle.write(document)
     print(f"wrote {out} ({len(document)} bytes, self-contained)")

@@ -16,7 +16,6 @@ from dataclasses import dataclass, field
 from typing import Dict, List, Optional
 
 from .. import obs
-from ..obs import metrics as _metrics
 from ..cert import certification_enabled, certify_unsat, certify_witness
 from ..netlist import Netlist
 from ..resilience import Budget, Cancelled
@@ -143,32 +142,18 @@ def bmc(
     if complete_bound is not None:
         depth = min(max_depth, complete_bound)
     reg = obs.get_registry()
-    watch = obs.stopwatch()
-
-    def _finish(res: BMCResult) -> BMCResult:
-        # Engine-call-boundary ledger record (no-op when disabled).
-        _metrics.record_query(
-            engine="bmc", boundary=True, verdict=res.status,
-            frame=res.depth_checked, seconds=watch.elapsed,
-            exhausted=res.exhaustion_reason,
-            cert=do_cert or None)
-        return res
-
     with reg.span("bmc"):
         for t in range(depth):
             reason = _budget_abort(budget)
             if reason is not None:
                 reg.counter("bmc.budget_aborts")
-                return _finish(BMCResult(ABORTED, target, t,
-                                         exhaustion_reason=reason))
+                return BMCResult(ABORTED, target, t,
+                                 exhaustion_reason=reason)
             lit = unroll.literal(target, t)
-            with _metrics.query_context("bmc", frame=t, target=target,
-                                        cert=do_cert or None), \
-                    reg.span("frame") as frame_span:
+            with reg.span("frame") as frame_span:
                 result = unroll.solver.solve(
                     [lit], conflict_budget=conflict_budget,
                     budget=budget)
-            _metrics.observe("bmc.frame_seconds", frame_span.seconds)
             reg.event("bmc.frame", t=t, result=result,
                       seconds=frame_span.seconds)
             obs.progress(
@@ -188,17 +173,17 @@ def bmc(
                                     unroll=unroll, engine="bmc")
                     if refuted:
                         certify_unsat(unroll.solver, "bmc")
-                return _finish(BMCResult(FALSIFIED, target, t + 1, cex))
+                return BMCResult(FALSIFIED, target, t + 1, cex)
             if result == UNKNOWN:
-                return _finish(BMCResult(
+                return BMCResult(
                     ABORTED, target, t,
-                    exhaustion_reason=unroll.solver.last_exhaustion))
+                    exhaustion_reason=unroll.solver.last_exhaustion)
             refuted += 1
     if do_cert and refuted:
         certify_unsat(unroll.solver, "bmc")
     if complete_bound is not None and depth >= complete_bound:
-        return _finish(BMCResult(PROVEN, target, depth))
-    return _finish(BMCResult(BOUNDED, target, depth))
+        return BMCResult(PROVEN, target, depth)
+    return BMCResult(BOUNDED, target, depth)
 
 
 def bmc_multi(
@@ -230,7 +215,6 @@ def bmc_multi(
         targets = list(dict.fromkeys(net.targets))
     complete_bounds = complete_bounds or {}
     do_cert = certification_enabled() if certify is None else certify
-    watch = obs.stopwatch()
     with use_proofs(True) if do_cert else _nullcontext():
         unroll = Unrolling(net, constrain_init=True)
     refuted = 0
@@ -254,10 +238,7 @@ def bmc_multi(
                                             exhaustion_reason=reason)
                 continue
             lit = unroll.literal(target, t)
-            with _metrics.query_context("bmc.multi", frame=t,
-                                        target=target,
-                                        cert=do_cert or None), \
-                    reg.span("bmc.multi/frame"):
+            with reg.span("bmc.multi/frame"):
                 outcome = unroll.solver.solve(
                     [lit], conflict_budget=conflict_budget,
                     budget=budget)
@@ -292,13 +273,6 @@ def bmc_multi(
             results[target] = BMCResult(PROVEN, target, max_depth)
         else:
             results[target] = BMCResult(BOUNDED, target, max_depth)
-    _metrics.record_query(
-        engine="bmc.multi", boundary=True, seconds=watch.elapsed,
-        targets=len(results),
-        falsified=sum(1 for r in results.values()
-                      if r.status == FALSIFIED),
-        proven=sum(1 for r in results.values() if r.status == PROVEN),
-        cert=do_cert or None)
     return results
 
 

@@ -15,7 +15,6 @@ from contextlib import nullcontext as _nullcontext
 from typing import Dict, Optional
 
 from .. import obs
-from ..obs import metrics as _metrics
 from ..cert import certification_enabled, certify_unsat
 from ..netlist import Netlist
 from ..resilience import Budget
@@ -66,7 +65,7 @@ def k_induction(
     pairwise difference clauses every round (O(k³) clauses total over
     a run); the ``induction.diff_clauses`` / ``induction.step_vars``
     counters expose the encoding size so the reduction is visible in
-    bench artifacts.
+    the registry snapshot.
 
     ``certify`` (None = the global certification toggle) certifies
     both halves of a PROVEN verdict: the base window through
@@ -108,13 +107,10 @@ def k_induction(
         assumptions = [lit_not(step.literal(target, i))
                        for i in range(k)]
         assumptions.append(step.literal(target, k))
-        with _metrics.query_context("induction", k=k, target=target,
-                                    cert=do_cert or None), \
-                reg.span("induction/step") as step_span:
+        with reg.span("induction/step") as step_span:
             result = solver.solve(assumptions,
                                   conflict_budget=conflict_budget,
                                   budget=budget)
-        _metrics.observe("induction.step_seconds", step_span.seconds)
         obs.progress("induction", k=k, of=max_k, result=result,
                      seconds=round(step_span.seconds, 6),
                      budget_s=_budget_remaining(budget))
@@ -122,9 +118,6 @@ def k_induction(
             reg.counter("induction.step_vars", solver.num_vars)
             if do_cert:
                 certify_unsat(solver, "k-induction")
-            _metrics.record_query(
-                engine="induction", boundary=True, verdict=PROVEN,
-                k=k, cert=do_cert or None)
             return BMCResult(PROVEN, target, k)
         if result == UNKNOWN:
             return BMCResult(ABORTED, target, k,

@@ -4,12 +4,9 @@ Covers the ISSUE 5 acceptance path: a tiny BMC run under
 ``REPRO_TRACE`` yields schema-valid JSONL and a Chrome-loadable
 export; a ``jobs=2`` table run produces per-worker trace files that
 stitch into one wall-clock-aligned timeline carrying BMC frame and
-COM sweep-round progress events; and ``trace regress`` gates the
-committed bench artifacts (report-only against the real pair, nonzero
-exit on an injected slowdown, refusal across different workloads).
+COM sweep-round progress events.
 """
 
-import copy
 import json
 import os
 import subprocess
@@ -23,12 +20,6 @@ from repro.obs import trace
 from repro.tools.trace import main as trace_main
 from repro.unroll import bmc
 
-BENCH_DIR = os.path.join(os.path.dirname(__file__), "..", "..",
-                         "benchmarks")
-BENCH_PR3 = os.path.join(BENCH_DIR, "BENCH_pr3.json")
-BENCH_PR4 = os.path.join(BENCH_DIR, "BENCH_pr4.json")
-BENCH_PR10 = os.path.join(BENCH_DIR, "BENCH_pr10.json")
-
 #: Keys required on every trace record.
 COMMON_KEYS = {"ty", "t", "pid", "tid", "trace"}
 #: Per-type required keys (schema repro-trace-v1).
@@ -39,7 +30,6 @@ TYPE_KEYS = {
     "C": {"name", "delta", "value"},
     "I": {"name", "fields"},
     "P": {"source", "fields"},
-    "Q": {"fields"},
 }
 
 
@@ -168,51 +158,3 @@ class TestJobs2Stitching:
         document = trace.to_chrome(records)
         json.dumps(document)
         assert len(document["traceEvents"]) > 0
-
-
-class TestBenchRegress:
-    def test_committed_artifacts_report_only_exit_zero(self, capsys):
-        code = trace_main(["regress", BENCH_PR3, BENCH_PR4,
-                           "--report-only"])
-        assert code == 0
-        out = capsys.readouterr().out
-        assert "bench regress: pr3 -> pr4" in out
-        assert "metrics" in out
-
-    def test_injected_slowdown_exits_nonzero(self, tmp_path, capsys):
-        with open(BENCH_PR4) as handle:
-            artifact = json.load(handle)
-        slowed = copy.deepcopy(artifact)
-        slowed["rev"] = "slowed"
-        for section in slowed["sections"].values():
-            if isinstance(section.get("seconds"), (int, float)):
-                section["seconds"] = section["seconds"] * 10 + 1.0
-        slow_path = str(tmp_path / "BENCH_slowed.json")
-        with open(slow_path, "w") as handle:
-            json.dump(slowed, handle)
-        code = trace_main(["regress", BENCH_PR4, slow_path])
-        assert code == 1
-        out = capsys.readouterr().out
-        assert "REGRESSED" in out
-        # Identical artifacts are always clean.
-        assert trace_main(["regress", BENCH_PR4, BENCH_PR4]) == 0
-
-    def test_different_workloads_refuse_to_compare(
-            self, tmp_path, capsys):
-        # The smoke profile's workload block, on otherwise committed
-        # numbers: every row would compare different work.
-        with open(BENCH_PR10) as handle:
-            smoke = json.load(handle)
-        smoke["rev"] = "smoke"
-        smoke["workload"] = {"designs": ["S27", "S298"], "scale": 0.5,
-                             "profile": "smoke"}
-        smoke_path = str(tmp_path / "BENCH_smoke.json")
-        with open(smoke_path, "w") as handle:
-            json.dump(smoke, handle)
-        code = trace_main(["regress", BENCH_PR10, smoke_path,
-                           "--report-only"])
-        captured = capsys.readouterr()
-        assert code == 2
-        assert "different workloads" in captured.err
-        assert "pr10" in captured.err and "smoke" in captured.err
-        assert captured.out == ""

@@ -126,15 +126,6 @@ class TestSerialization:
             == [line for line in b.to_markdown().splitlines()
                 if line.startswith("| `")]
 
-    def test_snapshot_sorts_metrics_sections(self):
-        from repro.obs import metrics as M
-        reg = obs.Registry("m")
-        store = M.metrics_store(reg)
-        for name in ("z.h", "a.h"):
-            store.histogram(name).observe(1.0)
-        snap = reg.snapshot()
-        assert list(snap["metrics"]["histograms"]) == ["a.h", "z.h"]
-
 
 class TestScoping:
     def test_scoped_registry_isolates_measurements(self):

@@ -290,9 +290,9 @@ class TestWatchdog:
 
 class TestCertCounterFold:
     def test_cert_counters_fold_unprefixed_too(self):
-        # Certification telemetry must stay globally additive so the
-        # bench certification section and the arbitration counters
-        # see worker-side checks.
+        # Certification telemetry must stay globally additive so
+        # repro-check --certify and the arbitration counters see
+        # worker-side checks.
         with obs.scoped(obs.Registry("parent")) as reg:
             ParallelExecutor(jobs=1, name="pool").map(
                 _cert_instrumented, ["a"], labels=["a"])

@@ -1,24 +1,18 @@
-"""Unit tests for the human-facing tooling: repro-trace flame/diff/
-trajectory and the repro-report HTML builder."""
+"""Unit tests for the human-facing tooling: repro-trace flame/diff
+and the repro-report HTML builder."""
 
 import json
+import pathlib
 import re
 
 import pytest
 
 from repro import obs
-from repro.obs import metrics as M
 from repro.obs import trace
 from repro.tools.report import build_report, flame_svg
 from repro.tools.report import main as report_main
-from repro.tools.trace import (
-    _artifact_order,
-    collapsed_stacks,
-    trajectory_table,
-)
+from repro.tools.trace import _self_times, _span_totals, collapsed_stacks
 from repro.tools.trace import main as trace_main
-
-BENCH_PR9 = "benchmarks/BENCH_pr9.json"
 
 
 @pytest.fixture(autouse=True)
@@ -50,49 +44,48 @@ def _traced_run(path, spans):
     return str(path)
 
 
-def _artifact(rev="test", solve=1.0, with_metrics=True):
-    """A minimal but schema-shaped bench artifact."""
-    data = {
-        "rev": rev,
-        "host": {"python": "3.x", "implementation": "CPython",
-                 "system": "Linux", "machine": "x86_64"},
-        "workload": {"profile": "smoke", "designs": ["counter8"]},
-        "sections": {"bmc": {"seconds": solve,
-                             "status": "falsified",
-                             "depth_checked": 8},
-                     "prove": {"seconds": 0.2, "status": "proven",
-                               "method": "k_induction"}},
-        "timers": {"bmc": {"total_s": solve, "count": 1,
-                           "max_s": solve},
-                   "bmc/frame": {"total_s": solve * 0.8, "count": 8,
-                                 "max_s": solve * 0.2},
-                   "bmc/frame/sat.solve": {"total_s": solve * 0.6,
-                                           "count": 8,
-                                           "max_s": solve * 0.2}},
-        "counters": {"sat.conflicts": 100},
-        "time_split": {"encode_seconds": 0.4,
-                       "solve_seconds": solve,
-                       "solve_propagate_seconds": solve * 0.5,
-                       "solve_decide_seconds": solve * 0.2,
-                       "solve_analyze_seconds": solve * 0.2,
-                       "solve_other_seconds": solve * 0.1},
+def _results(rev="test", traced=True, wall=2.0):
+    """A minimal but schema-shaped ``perf/run.py --out`` document."""
+    def metric(unit, median):
+        return {"unit": unit, "better": "lower", "bound": 0.25,
+                "values": [median * 0.9, median, median * 1.2],
+                "median": median, "q1": median * 0.95,
+                "q3": median * 1.1, "n": 3, "spread": 0.15}
+
+    summary = {
+        "attempted": 15, "failed": 0, "fail_frac": 0.0, "failures": [],
+        "end_to_end": {"wall_s": metric("s", wall),
+                       "cpu_s": metric("s", wall * 0.98),
+                       "setup_s": metric("s", 0.61),
+                       "peak_rss_mb": metric("MiB", 100.3)},
+        "passes": [],
     }
-    if with_metrics:
-        hist = M.Histogram()
-        for i in range(40):
-            hist.observe(0.001 * (i + 1))
-        data["metrics"] = {
-            "histograms": {"sat.solve_seconds": hist.to_snapshot()},
-            "solve_latency": dict(count=hist.count, mean=hist.mean,
-                                  **hist.quantiles()),
-            "ledger_top": [{"engine": "bmc", "frame": 7,
-                            "verdict": "sat", "conflicts": 42,
-                            "seconds": 0.04},
-                           {"engine": "qbf", "k": 3,
-                            "verdict": "unsat", "seconds": 0.01}],
-            "ledger_dropped": 0,
-        }
-    return data
+    if traced:
+        summary.update({
+            "traced_wall_s": wall, "self_time_sum_s": wall,
+            "trace": "perf/out/prove.trace.jsonl",
+            "per_layer": {
+                "prove.calls": {"unit": "count", "better": "lower",
+                                "value": 15},
+                "prove.self_s": {"unit": "s", "better": "lower",
+                                 "value": 0.25 * wall},
+                "sat.calls": {"unit": "count", "better": "lower",
+                              "value": 10668},
+                "sat.self_s": {"unit": "s", "better": "lower",
+                               "value": 0.75 * wall},
+                "cert.calls": {"unit": "count", "better": "lower",
+                               "value": 0},
+                "unattributed_s": {"unit": "s", "better": "lower",
+                                   "value": 0.0},
+            },
+        })
+    return {"schema": "perf-bench-v1", "rev": rev, "seed": 0,
+            "settings": {"repeat": 3, "seconds": None, "trace": 1,
+                         "inject": None},
+            "host": {"python": "3.11.7", "implementation": "CPython",
+                     "system": "Linux", "machine": "x86_64",
+                     "cpu": "Xeon", "nproc": 2},
+            "workloads": {"prove": summary}}
 
 
 # ----------------------------------------------------------------------
@@ -123,6 +116,49 @@ class TestFlame:
 
 
 # ----------------------------------------------------------------------
+# Span names that contain "/"
+# ----------------------------------------------------------------------
+class TestNestedSpanNames:
+    """``span("ret/lp")`` inside ``span("ret")`` records the path
+    ``ret/ret/lp``; its parent is ``ret``, not the unrecorded
+    ``ret/ret``."""
+
+    @pytest.fixture
+    def records(self, tmp_path):
+        import time
+
+        path = str(tmp_path / "ret.trace")
+        with obs.scoped(obs.Registry("t")):
+            trace.start_trace(path)
+            try:
+                with obs.span("ret"):
+                    with obs.span("ret/lp"):
+                        time.sleep(0.01)
+            finally:
+                trace.stop_trace()
+        return trace.read_trace(path)
+
+    def test_self_times_add_up_to_the_root_total(self, records):
+        totals, _ = _span_totals(records)
+        assert set(totals) == {"ret", "ret/ret/lp"}
+        self_times = _self_times(totals)
+        assert sum(self_times.values()) == pytest.approx(totals["ret"])
+        assert self_times["ret"] < 0.5 * self_times["ret/ret/lp"]
+
+    def test_collapsed_stacks_follow_the_parent_chain(self, records):
+        stacks = [line.rpartition(" ")[0]
+                  for line in collapsed_stacks(records)]
+        assert "ret;ret/lp" in stacks
+        assert "ret;ret;lp" not in stacks
+
+    def test_flame_svg_draws_one_root(self, records):
+        totals, _ = _span_totals(records)
+        svg = flame_svg(totals)
+        assert len(re.findall(r"y='2' width", svg)) == 1
+        assert ">ret/lp</text>" in svg
+
+
+# ----------------------------------------------------------------------
 # repro-trace diff
 # ----------------------------------------------------------------------
 class TestDiff:
@@ -147,51 +183,6 @@ class TestDiff:
 
 
 # ----------------------------------------------------------------------
-# repro-trace trajectory
-# ----------------------------------------------------------------------
-class TestTrajectory:
-    def test_artifact_order_seed_then_prs_then_rest(self):
-        paths = ["benchmarks/BENCH_pr10.json",
-                 "benchmarks/BENCH_seed.json",
-                 "benchmarks/BENCH_pr2.json",
-                 "benchmarks/BENCH_exp.json"]
-        ordered = sorted(paths, key=_artifact_order)
-        assert [p.split("BENCH_")[1].split(".")[0] for p in ordered] \
-            == ["seed", "pr2", "pr10", "exp"]
-
-    def test_table_from_committed_artifacts(self, capsys):
-        assert trace_main(["trajectory", "--dir", "benchmarks"]) == 0
-        out = capsys.readouterr().out
-        assert "| rev |" in out
-        assert "| seed |" in out
-        assert "| pr9 |" in out
-
-    def test_table_renders_metrics_columns_when_present(self,
-                                                       tmp_path):
-        art = _artifact(rev="pr42")
-        p = tmp_path / "BENCH_pr42.json"
-        p.write_text(json.dumps(art))
-        table = trajectory_table([str(p)])
-        header = table.splitlines()[0]
-        assert "solve p50" in header and "p99" in header
-        row = [line for line in table.splitlines()
-               if line.startswith("| pr42 ")][0]
-        assert "falsified@8" in row
-        assert "proven (k_induction)" in row
-
-    def test_missing_values_render_as_dash(self, tmp_path):
-        art = _artifact(rev="pr7", with_metrics=False)
-        p = tmp_path / "BENCH_pr7.json"
-        p.write_text(json.dumps(art))
-        row = [line for line in trajectory_table([str(p)]).splitlines()
-               if line.startswith("| pr7 ")][0]
-        assert "| - |" in row
-
-    def test_empty_dir_exits_2(self, tmp_path, capsys):
-        assert trace_main(["trajectory", "--dir", str(tmp_path)]) == 2
-
-
-# ----------------------------------------------------------------------
 # repro-report
 # ----------------------------------------------------------------------
 class TestReportHTML:
@@ -204,21 +195,40 @@ class TestReportHTML:
         assert re.search(r"\bsrc\s*=", lowered) is None
 
     def test_report_is_self_contained(self):
-        doc = build_report(_artifact())
+        doc = build_report(_results())
         self._assert_self_contained(doc)
 
     def test_report_sections_present(self):
-        doc = build_report(_artifact(), baseline=_artifact(solve=1.0))
-        for needle in ("Flamegraph", "Latency distributions",
-                       "slowest queries", "Time split",
-                       "Regressions vs", "sat.solve_seconds",
-                       "0 regressions"):
+        doc = build_report(_results(wall=2.0))
+        for needle in ("prove", "0 of 15 operations failed",
+                       "2 [1.9, 2.2]", "100.3", "Per-layer self time",
+                       "sat 1.500", "prove 0.500", "10668",
+                       "seed 0", "repeat 3, trace 1"):
             assert needle in doc, needle
+        # Layers that read 0 are counted, not listed.
+        assert "cert.calls" not in doc
+        assert "(2 metrics read 0)" in doc
 
-    def test_regression_flagged_against_faster_baseline(self):
-        doc = build_report(_artifact(solve=10.0),
-                           baseline=_artifact(solve=1.0))
-        assert "REGRESSED" in doc
+    def test_untraced_run_has_no_layer_section(self):
+        doc = build_report(_results(traced=False))
+        assert "wall_s" in doc
+        assert "Per-layer" not in doc
+        assert "<svg" not in doc
+
+    def test_committed_results_render_every_workload(self, tmp_path,
+                                                     capsys):
+        results = str(pathlib.Path(__file__).resolve().parents[2]
+                      / "perf" / "results" / "seed-a.json")
+        out = tmp_path / "report.html"
+        assert report_main([results, "--out", str(out)]) == 0
+        doc = out.read_text()
+        self._assert_self_contained(doc)
+        with open(results) as handle:
+            committed = json.load(handle)
+        for name, summary in committed["workloads"].items():
+            assert f"<h2>{name}</h2>" in doc, name
+            median = summary["end_to_end"]["wall_s"]["median"]
+            assert f"{median:.4g} [" in doc, name
 
     def test_flame_svg_nests_by_path_depth(self):
         svg = flame_svg({"a": 1.0, "a/b": 0.6, "a/b/c": 0.3,
@@ -231,43 +241,42 @@ class TestReportHTML:
     def test_flame_svg_empty_totals(self):
         assert "<svg" not in flame_svg({})
 
-    def test_ledger_values_escaped(self):
-        art = _artifact()
-        art["metrics"]["ledger_top"][0]["verdict"] = "<script>x"
-        doc = build_report(art)
+    def test_values_escaped(self):
+        results = _results(rev="<b>r</b>")
+        results["workloads"]["prove"]["failed"] = 1
+        results["workloads"]["prove"]["failures"] = ["<script>x"]
+        doc = build_report(results)
         assert "<script>x" not in doc
         assert "&lt;script&gt;x" in doc
+        assert "&lt;b&gt;r&lt;/b&gt;" in doc
 
     def test_cli_writes_html_with_trace(self, tmp_path, capsys):
-        art_path = tmp_path / "BENCH_t.json"
-        art_path.write_text(json.dumps(_artifact()))
-        base_path = tmp_path / "BENCH_base.json"
-        base_path.write_text(json.dumps(_artifact(rev="base")))
+        results_path = tmp_path / "run.json"
+        results_path.write_text(json.dumps(_results()))
         trace_path = _traced_run(tmp_path / "r.trace",
                                  [("bmc", ["frame", "frame"])])
         out = str(tmp_path / "report.html")
-        assert report_main([str(art_path), "--trace", trace_path,
-                            "--baseline", str(base_path),
+        assert report_main([str(results_path), "--trace", trace_path,
                             "--out", out]) == 0
         doc = open(out).read()
         self._assert_self_contained(doc)
+        assert "Flamegraph" in doc
         assert "from trace" in doc
-        assert "Regressions vs base" in doc
+        assert "bmc/frame: " in doc
 
-    def test_cli_refuses_baseline_of_another_workload(self, tmp_path,
-                                                      capsys):
-        art_path = tmp_path / "BENCH_t.json"
-        art_path.write_text(json.dumps(_artifact()))
+    def test_cli_refuses_another_schema(self, tmp_path, capsys):
+        old_path = tmp_path / "old-bench.json"
+        old_path.write_text(json.dumps({"schema": "repro-bench-v2",
+                                        "rev": "t", "sections": {}}))
         out = tmp_path / "report.html"
-        assert report_main([str(art_path), "--baseline", BENCH_PR9,
-                            "--out", str(out)]) == 2
-        assert "different workloads" in capsys.readouterr().err
+        assert report_main([str(old_path), "--out", str(out)]) == 2
+        assert "perf-bench-v1" in capsys.readouterr().err
         assert not out.exists()
 
     def test_cli_defaults_output_name_from_rev(self, tmp_path,
                                                capsys, monkeypatch):
         monkeypatch.chdir(tmp_path)
-        art_path = tmp_path / "BENCH_t.json"
-        art_path.write_text(json.dumps(_artifact(rev="zz")))
-        assert report_main([str(art_path)]) == 0
+        results_path = tmp_path / "zz.json"
+        results_path.write_text(json.dumps(_results(rev="zz")))
+        assert report_main([str(results_path)]) == 0
         assert (tmp_path / "report_zz.html").exists()

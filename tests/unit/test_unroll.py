@@ -1,5 +1,7 @@
 """Unit tests for unrolling, BMC and k-induction."""
 
+import pytest
+
 from repro import obs
 from repro.netlist import GateType, Netlist, NetlistBuilder, s27
 from repro.unroll import (
@@ -175,8 +177,8 @@ class TestKInduction:
 
     def test_step_encoding_accumulates_quadratically(self):
         # Round k adds exactly k new difference-clause pairs, so a run
-        # to max_k accumulates max_k*(max_k+1)/2 in total — the bench
-        # marker for the O(k^3) -> O(k^2) re-encoding fix.  A stuck
+        # to max_k accumulates max_k*(max_k+1)/2 in total — the
+        # marker of the O(k^3) -> O(k^2) re-encoding fix.  A stuck
         # register never reaches the target, so every step round runs.
         b = NetlistBuilder("idle")
         regs = b.registers(3, prefix="r")
@@ -192,6 +194,25 @@ class TestKInduction:
         assert snap["counters"]["induction.diff_clauses"] == \
             k * (k + 1) // 2
         assert snap["counters"]["induction.step_vars"] > 0
+
+    @pytest.mark.parametrize("bits", [3, 4, 5])
+    def test_inconclusive_run_adds_k_pairs_in_round_k(self, bits):
+        # An n-bit counter targeting "all ones": the simple path
+        # 2^n-2 -> 2^n-1 always exists, so every one of the n step
+        # rounds runs inconclusively and the run ends BOUNDED.  The
+        # persistent step unrolling adds k difference-clause pairs in
+        # round k (n(n+1)/2 in total); re-encoding every round would
+        # add k(k+1)/2 in round k.
+        net, t = counter_target(bits, 2 ** bits - 1)
+        with obs.scoped(obs.Registry("t")) as reg:
+            result = k_induction(net, t, max_k=bits,
+                                 conflict_budget=20000)
+            counters = reg.snapshot()["counters"]
+        assert result.status == BOUNDED
+        assert result.depth_checked == bits
+        assert counters["induction.diff_clauses"] == \
+            bits * (bits + 1) // 2
+        assert counters["induction.step_vars"] > 0
 
 
 def contradiction_target():
