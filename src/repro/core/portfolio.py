@@ -124,13 +124,14 @@ def compare_strategies(
     ``portfolio.budget_skips`` counter) once the shared pool is dry,
     and cancellation raises :class:`Cancelled` immediately.
 
-    ``jobs > 1`` fans the strategies across a process pool
-    (:mod:`repro.parallel`): outcomes come back in strategy order —
-    the per-target minima, and therefore every table derived from
-    them, are identical at any ``jobs`` value — each worker gets an
-    equal pre-split budget slice, a crashed worker becomes a failed
-    outcome (never an aborted portfolio), and worker telemetry lands
-    under ``parallel/portfolio/<strategy>``.
+    ``jobs > 1`` fans the strategies across the work-stealing pool
+    (:mod:`repro.parallel`): outcomes come back in strategy order, so
+    without a budget the per-target minima are identical at any
+    ``jobs`` value.  The strategies share ``budget`` as one pool under
+    one deadline, as table rows do, instead of taking equal slices; a
+    strategy whose worker crashes becomes a failed outcome (never an
+    aborted portfolio), and worker telemetry lands under
+    ``parallel/portfolio/<strategy>``.
     """
     if jobs > 1:
         return _compare_strategies_parallel(

@@ -24,7 +24,6 @@ from dataclasses import dataclass, field
 from typing import List, Optional, Sequence
 
 from .. import obs
-from ..cert import certification_enabled
 from ..netlist import Netlist
 from ..resilience import Budget, Cancelled, CertificationFailure, \
     EngineFailure
@@ -87,41 +86,9 @@ def _structural_fallback(net: Netlist, target: int,
     return min(best, fallback)
 
 
-def _race_probes(net: Netlist, target: int, quick_bmc_depth: int,
-                 induction_k: int, budget: Optional[Budget],
-                 jobs: int):
-    """Run the quick-BMC and k-induction probes as concurrent workers.
-
-    Returns their :class:`repro.parallel.WorkerOutcome` pair in fixed
-    ``(quick, induction)`` order regardless of completion order; the
-    caller merges them with the sequential priority (falsification
-    beats induction).  A crashed worker surfaces as an outcome whose
-    ``error`` is an :class:`EngineFailure`, which the caller maps to
-    the same degradation path as an in-process engine crash.
-    """
-    from ..parallel import ParallelExecutor
-    from ..parallel.workers import run_bmc_probe, run_induction_probe
-
-    # The certification toggle is captured in the parent and shipped
-    # in the payload: workers must not depend on inheriting process
-    # globals across the spawn/fork boundary.
-    certify = certification_enabled()
-    executor = ParallelExecutor(jobs=min(jobs, 2), name="prove")
-    tasks = [
-        (run_bmc_probe,
-         {"net": net, "target": target, "max_depth": quick_bmc_depth,
-          "certify": certify}),
-        (run_induction_probe,
-         {"net": net, "target": target, "max_k": induction_k,
-          "certify": certify}),
-    ]
-    outcomes = executor.map_tasks(tasks, budget=budget,
-                                  labels=["quick-bmc", "k-induction"])
-    return outcomes[0], outcomes[1]
-
-
-def _cert_retry(reg, budget: Optional[Budget], phase: str, call):
-    """One retry of an engine call after a certification failure.
+def _run_certified(reg, budget: Optional[Budget], phase: str, call):
+    """Run an engine call, retrying it once after a certification
+    failure.
 
     A genuine solver bug fails again (the checker does not share the
     search), while a transient fault — such as a scripted
@@ -132,6 +99,10 @@ def _cert_retry(reg, budget: Optional[Budget], phase: str, call):
     :class:`CertificationFailure` (or any :class:`EngineFailure`)
     propagates to the caller's degradation path.
     """
+    try:
+        return call()
+    except CertificationFailure:
+        pass
     reg.counter("cert.retried")
     reg.event("cert.retry", phase=phase)
     delay = 0.05
@@ -154,14 +125,6 @@ def _cert_retry(reg, budget: Optional[Budget], phase: str, call):
     return result
 
 
-def _run_certified(reg, budget: Optional[Budget], phase: str, call):
-    """Run an engine call, arbitrating one certification failure."""
-    try:
-        return call()
-    except CertificationFailure:
-        return _cert_retry(reg, budget, phase, call)
-
-
 def prove(
     net: Netlist,
     target: Optional[int] = None,
@@ -172,7 +135,6 @@ def prove(
     sweep_config=None,
     refine_gc_limit: int = 6,
     budget: Optional[Budget] = None,
-    jobs: int = 1,
 ) -> ProofResult:
     """Decide ``AG(!target)`` with the full engine stack.
 
@@ -198,13 +160,6 @@ def prove(
     ``cert.recovered`` counters); a second failure degrades to the
     structural bound with ``exhaustion_reason="certification"`` —
     the same never-lie posture as an engine crash.
-
-    ``jobs > 1`` parallelizes the independent engine calls
-    (:mod:`repro.parallel`): the portfolio strategies fan out across
-    the pool, and the quick-BMC / k-induction probes race as two
-    concurrent workers whose results merge in the sequential priority
-    order (falsification first, then induction), so the verdict —
-    though not the wall-clock — is the sequential one.
     """
     if target is None:
         if not net.targets:
@@ -250,8 +205,7 @@ def prove(
         portfolio = compare_strategies(scoped, strategies=strategies,
                                        sweep_config=sweep_config,
                                        refine_gc_limit=refine_gc_limit,
-                                       budget=portfolio_budget,
-                                       jobs=jobs)
+                                       budget=portfolio_budget)
         bound, strategy = portfolio.best(target)
         log.append(f"portfolio best bound: {bound} via "
                    f"{strategy or '(none)'}")
@@ -292,47 +246,16 @@ def prove(
         stop = gate(bound, strategy, "quick BMC")
         if stop is not None:
             return stop
-        if jobs > 1:
-            # Engine race: the probes are independent, so they run as
-            # concurrent workers; the merge below inspects them in the
-            # sequential priority order (falsification, induction), so
-            # the verdict is deterministic at any jobs value.
-            quick_out, induct_out = _race_probes(
-                net, target, quick_bmc_depth, induction_k, budget,
-                jobs)
-            if isinstance(quick_out.error, CertificationFailure):
-                # Worker-side certification failure: retry in-process,
-                # like the sequential path would.
-                try:
-                    quick = _cert_retry(
-                        reg, budget, "quick-bmc",
-                        lambda: bmc(net, target,
-                                    max_depth=quick_bmc_depth,
-                                    budget=budget))
-                except CertificationFailure as exc:
-                    return degraded(bound, strategy, "certification",
-                                    str(exc))
-                except EngineFailure as exc:
-                    return degraded(bound, strategy, "failure",
-                                    str(exc))
-            elif quick_out.error is not None:
-                return degraded(bound, strategy, "failure",
-                                str(quick_out.error))
-            else:
-                quick = quick_out.value
-        else:
-            try:
-                with reg.span("quick-bmc"):
-                    quick = _run_certified(
-                        reg, budget, "quick-bmc",
-                        lambda: bmc(net, target,
-                                    max_depth=quick_bmc_depth,
-                                    budget=budget))
-            except CertificationFailure as exc:
-                return degraded(bound, strategy, "certification",
-                                str(exc))
-            except EngineFailure as exc:
-                return degraded(bound, strategy, "failure", str(exc))
+        try:
+            with reg.span("quick-bmc"):
+                quick = _run_certified(
+                    reg, budget, "quick-bmc",
+                    lambda: bmc(net, target, max_depth=quick_bmc_depth,
+                                budget=budget))
+        except CertificationFailure as exc:
+            return degraded(bound, strategy, "certification", str(exc))
+        except EngineFailure as exc:
+            return degraded(bound, strategy, "failure", str(exc))
         log.append(f"quick BMC to {quick_bmc_depth}: {quick.status}")
         if quick.status == BMCFALSIFIED:
             reg.counter("prove.falsified.bmc")
@@ -340,41 +263,19 @@ def prove(
                                counterexample=quick.counterexample,
                                log=log, seconds=watch.elapsed)
 
-        if jobs > 1:
-            if isinstance(induct_out.error, CertificationFailure):
-                try:
-                    induct = _cert_retry(
-                        reg, budget, "k-induction",
-                        lambda: k_induction(net, target,
-                                            max_k=induction_k,
-                                            budget=budget))
-                except CertificationFailure as exc:
-                    return degraded(bound, strategy, "certification",
-                                    str(exc))
-                except EngineFailure as exc:
-                    return degraded(bound, strategy, "failure",
-                                    str(exc))
-            elif induct_out.error is not None:
-                return degraded(bound, strategy, "failure",
-                                str(induct_out.error))
-            else:
-                induct = induct_out.value
-        else:
-            stop = gate(bound, strategy, "k-induction")
-            if stop is not None:
-                return stop
-            try:
-                with reg.span("k-induction"):
-                    induct = _run_certified(
-                        reg, budget, "k-induction",
-                        lambda: k_induction(net, target,
-                                            max_k=induction_k,
-                                            budget=budget))
-            except CertificationFailure as exc:
-                return degraded(bound, strategy, "certification",
-                                str(exc))
-            except EngineFailure as exc:
-                return degraded(bound, strategy, "failure", str(exc))
+        stop = gate(bound, strategy, "k-induction")
+        if stop is not None:
+            return stop
+        try:
+            with reg.span("k-induction"):
+                induct = _run_certified(
+                    reg, budget, "k-induction",
+                    lambda: k_induction(net, target, max_k=induction_k,
+                                        budget=budget))
+        except CertificationFailure as exc:
+            return degraded(bound, strategy, "certification", str(exc))
+        except EngineFailure as exc:
+            return degraded(bound, strategy, "failure", str(exc))
         log.append(f"k-induction to k={induction_k}: {induct.status}")
         if induct.status == BMC_PROVEN:
             reg.counter("prove.proven.k-induction")

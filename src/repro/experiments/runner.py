@@ -188,11 +188,11 @@ def run_table(generate: Callable[..., Netlist],
     are emitted as error rows immediately.  :class:`Cancelled` is the
     only exception that escapes.
 
-    ``jobs > 1`` evaluates the designs across a process pool
+    ``jobs > 1`` evaluates the designs across the work-stealing pool
     (:mod:`repro.parallel`): rows come back in profile order — the
-    rendered table is byte-identical at any ``jobs`` value — each
-    design runs on an equal pre-split budget slice, and a crashed
-    worker becomes an error row, never an aborted table.
+    rendered table is byte-identical at any ``jobs`` value — the
+    designs share ``budget`` as one pool under one deadline, and a
+    crashed worker becomes an error row, never an aborted table.
     """
     if jobs > 1:
         return _run_table_parallel(generate, profiles, scale,
@@ -266,11 +266,11 @@ def _run_table_parallel(generate: Callable[..., Netlist],
             return [RowResult(payload["name"],
                               error=f"budget exhausted ({reason})")
                     for payload in payloads]
-    # Work-stealing engine: rows are heterogeneous (one big design can
-    # dwarf the rest), so workers steal from a shared queue instead of
-    # receiving a fixed pre-split; outcomes still merge in submission
-    # order, keeping the rendered table byte-identical at any jobs.
-    executor = ParallelExecutor(jobs=jobs, name="table", stealing=True)
+    # Rows are heterogeneous (one big design can dwarf the rest), so
+    # idle workers steal the next design; outcomes still merge in
+    # submission order, keeping the rendered table byte-identical at
+    # any jobs.
+    executor = ParallelExecutor(jobs=jobs, name="table")
     outcomes = executor.map(run_design, payloads, budget=budget,
                             labels=[p["name"] for p in payloads])
     rows: List[RowResult] = []

@@ -1,40 +1,39 @@
 """The work-stealing task queue behind ``ParallelExecutor``.
 
-The PR 3 pool pre-split everything: each task got its own future and a
-private ``slice(1/n)`` of the budget, so an unlucky static split left
-workers idle behind one long task and starved hard tasks of budget
-their easy siblings never used.  This module replaces that with a
-shared deque: the parent enqueues task *indices*, every worker process
-runs a drain loop that steals the next index whenever it goes idle, and
-results are shipped back tagged by index so the parent still joins them
-in **submission order** — execution is dynamic, the join is not, and
-tables stay byte-identical at any ``--jobs``.
+The parent enqueues task *indices* on a shared deque, every worker
+process runs a drain loop that steals the next index whenever it goes
+idle, and results are shipped back tagged by index so the parent joins
+them in **submission order** — execution is dynamic, the join is not,
+and tables stay byte-identical at any ``--jobs``.  No worker idles
+behind a static split while one long task runs elsewhere.
 
 Two pieces of shared state ride along (plain ``multiprocessing``
 primitives, shipped at process-spawn time):
 
-* a **shared conflict pool** and a **shared query pool** — the
-  work-stealing replacement for pre-split budget slices: one
-  cross-process counter that every worker charges, so budget flows to
-  whichever tasks actually need it (the wall deadline is naturally
+* a **shared conflict pool** and a **shared query pool** — one
+  cross-process counter each that every task charges, so budget flows
+  to whichever tasks actually need it (the wall deadline is naturally
   shared already: it is one absolute epoch).  Budgets a task derives
   from its :class:`SharedBudget` (``subbudget``/``slice``) see and
-  drain the same pools through the parent chain;
+  drain the same pools through the parent chain.  A map without a
+  budget ships no pools, and its tasks get ``None``;
 * the **task queue** itself, FIFO with one sentinel per worker
   enqueued after the real work.
 
-Per-task hygiene (the second satellite): every *stolen task* — not
-every worker process — re-arms the fault schedule from call index 0
-and opens a fresh scoped registry, so fault injection and the
-``parallel/<pool>/<label>`` obs merge are functions of the task label
-alone, independent of which worker stole it.
+Per-task hygiene: every *stolen task* — not every worker process —
+re-arms the fault schedule from call index 0 and opens a fresh scoped
+registry, so fault injection and the ``parallel/<pool>/<label>`` obs
+merge are functions of the task label alone, independent of which
+worker stole it.
 
-Crash containment: workers announce ``("start", index)`` before
-running a task, so when a worker process dies the parent knows exactly
-which index was in flight, fills that slot with the existing
-:class:`EngineFailure` crash outcome, and lets the surviving workers
-drain the rest.  A pool-wide wall-clock watchdog (same grace policy as
-the pre-split pool) terminates a stalled pool outright.
+Crash containment covers both ways a task can fail outside the typed
+taxonomy.  A task that raises any other exception becomes that
+index's :class:`EngineFailure` and its worker keeps draining.  A
+worker process that dies announced ``("start", index, pid)`` before
+running its task, so the parent knows exactly which index was in
+flight, fills that slot with the same :class:`EngineFailure`, and
+lets the surviving workers drain the rest.  A pool-wide wall-clock
+watchdog terminates a stalled pool outright.
 """
 
 from __future__ import annotations
@@ -43,14 +42,21 @@ import multiprocessing
 import pickle
 import queue as _queue
 import time
+import traceback
 from typing import Any, Callable, Dict, List, Optional, Sequence, \
     Tuple
 
 from .. import obs
-from ..resilience import Budget, EngineFailure
+from ..netlist import NetlistError
+from ..resilience import Budget, Cancelled, EngineFailure, \
+    ResourceExhausted
 from ..resilience import faults as _faults
 
 __all__ = ["SharedBudget", "execute"]
+
+#: Error types tasks return as values (everything else is a crash).
+_TYPED_ERRORS = (ResourceExhausted, EngineFailure, Cancelled,
+                 NetlistError, ValueError)
 
 #: Parent-side poll period while waiting on the result queue: short
 #: enough to notice dead workers and an expired watchdog promptly,
@@ -107,16 +113,16 @@ def _run_stolen_task(fn: Callable[[Any, Optional[Budget]], Any],
                      payload: Any,
                      budget: Optional[Budget],
                      fault_config: Optional[dict]) -> tuple:
-    """One stolen task under a fresh registry and re-armed faults.
+    """One task under a fresh registry and re-armed faults.
 
-    Mirrors the pre-split pool's ``_run_task`` contract — ``(kind,
-    value, snapshot, seconds)`` with the typed taxonomy as values —
-    but takes a live (shared-view) budget instead of a spec.  The
-    fault schedule restarts at call index 0 *per task*, so injection
-    points are deterministic under stealing.
+    Returns ``(kind, value, snapshot, seconds)`` where ``kind`` is
+    ``"ok"`` or ``"error"``: the typed taxonomy comes back as the
+    error value, and any other exception as an :class:`EngineFailure`
+    crash of this task alone.  The fault schedule restarts at call
+    index 0 *per task*, so injection points are deterministic under
+    stealing; with no schedule the caller's active plan, if any, stays
+    in force (the in-process drain).
     """
-    from .executor import _TYPED_ERRORS
-
     watch = obs.stopwatch()
     with obs.scoped(obs.Registry("worker")) as reg:
         plan = _faults.FaultPlan(**fault_config) \
@@ -130,16 +136,30 @@ def _run_stolen_task(fn: Callable[[Any, Optional[Budget]], Any],
             return ("ok", value, reg.snapshot(), watch.elapsed)
         except _TYPED_ERRORS as exc:
             return ("error", exc, reg.snapshot(), watch.elapsed)
+        except Exception as exc:
+            # The drain must keep running: keep the traceback in the
+            # task's telemetry and fail this task alone.
+            reg.event("parallel.task_crash",
+                      traceback=traceback.format_exc())
+            crash = EngineFailure(
+                "parallel.worker",
+                f"worker crashed: {str(exc) or type(exc).__name__}")
+            return ("error", crash, reg.snapshot(), watch.elapsed)
         finally:
+            # A worker process ends without running atexit hooks (or
+            # is terminated by the watchdog): push buffered trace
+            # records out after every task so the parent can stitch
+            # complete files at any point.
             sink = obs.trace.active_sink()
             if sink is not None:
                 sink.flush()
 
 
-def _drain_worker(tasks: Sequence[tuple],
+def _drain_worker(fn: Callable[[Any, Optional[Budget]], Any],
+                  payloads: Sequence[Any],
                   labels: Sequence[str],
                   pool_name: str,
-                  deadline_epoch: Optional[float],
+                  spec: Optional[Any],
                   fault_config: Optional[dict],
                   task_q: Any,
                   result_q: Any,
@@ -148,17 +168,17 @@ def _drain_worker(tasks: Sequence[tuple],
     """Worker-process drain loop: steal, run, report, repeat."""
     obs.trace.open_worker_sink()
     obs.trace.progress_from_env()
+    pid = multiprocessing.current_process().pid
     while True:
         index = task_q.get()
         if index is None:
             break
-        name = f"{pool_name}[{labels[index]}]"
-        pid = multiprocessing.current_process().pid
         result_q.put(pickle.dumps(("start", index, pid)))
-        budget = SharedBudget(deadline_epoch, conflicts, queries,
-                              name=name)
-        fn, payload = tasks[index]
-        raw = _run_stolen_task(fn, payload, budget, fault_config)
+        budget = None if spec is None else SharedBudget(
+            spec.deadline_epoch, conflicts, queries,
+            name=f"{pool_name}[{labels[index]}]")
+        raw = _run_stolen_task(fn, payloads[index], budget,
+                               fault_config)
         try:
             blob = pickle.dumps(("done", index, raw))
         except Exception as exc:  # unpicklable result = a crash
@@ -171,29 +191,27 @@ def _drain_worker(tasks: Sequence[tuple],
         result_q.put(blob)
 
 
-def execute(tasks: Sequence[tuple],
+def execute(fn: Callable[[Any, Optional[Budget]], Any],
+            payloads: Sequence[Any],
             labels: Sequence[str],
-            spec: Optional[Any],  # BudgetSpec (shared, unsliced)
+            spec: Optional[Any],  # BudgetSpec
             fault_config: Optional[dict],
             jobs: int,
             pool_name: str
-            ) -> Tuple[List[Optional[tuple]], Dict[str, Any]]:
-    """Run ``tasks`` over a work-stealing worker pool.
+            ) -> Tuple[List[Optional[tuple]], List[int]]:
+    """Run ``fn`` over ``payloads`` on ``jobs`` work-stealing workers.
 
-    Returns ``(raws, meta)``: ``raws`` is the per-index list of raw
-    ``(kind, value, snapshot, seconds)`` tuples (None only for slots
-    the watchdog or a crash already resolved — those land in ``meta``),
-    aligned to submission order.  ``meta`` carries the ``watchdog`` /
-    ``crashed`` slot lists.
+    Returns ``(raws, watchdog)``: ``raws`` is the per-index list of raw
+    ``(kind, value, snapshot, seconds)`` tuples aligned to submission
+    order, None for a slot whose worker died or that the watchdog
+    cancelled; ``watchdog`` lists the cancelled indices.
     """
-    n = len(tasks)
+    n = len(payloads)
     ctx = multiprocessing.get_context()
     task_q: Any = ctx.Queue()
     result_q: Any = ctx.Queue()
     conflicts = queries = None
-    deadline_epoch = None
     if spec is not None:
-        deadline_epoch = spec.deadline_epoch
         if spec.conflicts is not None:
             conflicts = ctx.Value("q", spec.conflicts)
         if spec.queries is not None:
@@ -205,7 +223,7 @@ def execute(tasks: Sequence[tuple],
     procs = [
         ctx.Process(
             target=_drain_worker,
-            args=(list(tasks), list(labels), pool_name, deadline_epoch,
+            args=(fn, list(payloads), list(labels), pool_name, spec,
                   fault_config, task_q, result_q, conflicts, queries),
             daemon=True)
         for _ in range(jobs)
@@ -214,7 +232,7 @@ def execute(tasks: Sequence[tuple],
         proc.start()
 
     raws: List[Optional[tuple]] = [None] * n
-    meta: Dict[str, Any] = {"watchdog": [], "crashed": []}
+    watchdog: List[int] = []
     pending = set(range(n))
     inflight: Dict[int, int] = {}  # index -> worker pid running it
     watchdog_at = None
@@ -230,22 +248,23 @@ def execute(tasks: Sequence[tuple],
             except _queue.Empty:
                 if watchdog_at is not None and \
                         time.monotonic() >= watchdog_at:
-                    meta["watchdog"] = sorted(pending)
+                    watchdog = sorted(pending)
                     break
                 # The start/done protocol maps every in-flight index
                 # to the pid running it: a dead pid with a missing
-                # "done" is a crashed task (fill the slot, keep the
-                # survivors draining).  A fully dead pool dooms the
-                # never-started remainder too.
+                # "done" is a crashed task (its slot stays None, the
+                # survivors keep draining).  A fully dead pool dooms
+                # the never-started remainder too.
                 dead_pids = {proc.pid for proc in procs
                              if not proc.is_alive()}
+                if not result_q.empty():
+                    # A worker's last report landed after the poll.
+                    continue
                 for index, pid in list(inflight.items()):
-                    if pid in dead_pids and index in pending:
-                        meta["crashed"].append(index)
+                    if pid in dead_pids:
                         pending.discard(index)
                         del inflight[index]
                 if not any(proc.is_alive() for proc in procs):
-                    meta["crashed"].extend(sorted(pending))
                     break
                 continue
             kind, index, extra = message
@@ -269,4 +288,4 @@ def execute(tasks: Sequence[tuple],
         for q in (task_q, result_q):
             q.close()
             q.cancel_join_thread()
-    return raws, meta
+    return raws, watchdog

@@ -1,4 +1,4 @@
-"""Module-level worker entry points for the process-pool fan-out.
+"""Module-level worker entry points for the work-stealing pool.
 
 Every function here has the shape ``fn(payload, budget) -> result``
 demanded by :meth:`repro.parallel.ParallelExecutor.map`: module-level
@@ -8,15 +8,15 @@ pickle cleanly — they carry netlists, bounds and traces, never live
 solvers or registries).
 
 Each mirrors one sequential loop body exactly — same engine
-construction, same error-to-outcome mapping — so a fan-out at any
-``jobs`` value reproduces the sequential results value-for-value:
+construction, same error-to-outcome mapping — so without a budget a
+fan-out at any ``jobs`` value reproduces the sequential results
+value-for-value (under a budget the tasks share one pool instead of
+the sequential loop's per-item slices):
 
 * :func:`run_strategy` — one portfolio strategy
   (:func:`repro.core.portfolio.compare_strategies`);
 * :func:`run_design` — one experiment table row
-  (:func:`repro.experiments.runner.run_table`);
-* :func:`run_bmc_probe` / :func:`run_induction_probe` — the
-  independent engine probes ``prove()`` races after the portfolio.
+  (:func:`repro.experiments.runner.run_table`).
 """
 
 from __future__ import annotations
@@ -26,8 +26,7 @@ from typing import Any, Dict, Optional
 from .. import obs
 from ..resilience import Budget
 
-__all__ = ["run_bmc_probe", "run_design", "run_induction_probe",
-           "run_strategy"]
+__all__ = ["run_design", "run_strategy"]
 
 
 def run_strategy(payload: Dict[str, Any],
@@ -38,8 +37,9 @@ def run_strategy(payload: Dict[str, Any],
     ``refine_gc_limit``.  Returns a
     :class:`~repro.core.portfolio.StrategyOutcome` — engine errors
     become the outcome's ``error`` field exactly as in the sequential
-    portfolio loop.  :class:`Cancelled` (and anything non-engine)
-    propagates to the shim.
+    portfolio loop.  :class:`Cancelled` propagates and is re-raised
+    at the join; anything non-engine becomes a crash of this strategy
+    alone.
     """
     from ..core.engine import TBVEngine
     from ..core.portfolio import StrategyOutcome
@@ -94,38 +94,3 @@ def run_design(payload: Dict[str, Any],
                   error=str(exc))
         return RowResult(payload["name"],
                          error=str(exc) or type(exc).__name__)
-
-
-def run_bmc_probe(payload: Dict[str, Any],
-                  budget: Optional[Budget]) -> Any:
-    """The quick falsification probe of ``prove()``'s engine race.
-
-    The optional ``certify`` payload key carries the parent's
-    certification toggle explicitly — a worker never relies on
-    inheriting process globals across the pool boundary.  A
-    :class:`repro.resilience.CertificationFailure` propagates to the
-    shim, surfaces as the outcome's ``error``, and re-enters the
-    parent's certification retry.
-    """
-    from ..unroll import bmc
-
-    reg = obs.get_registry()
-    with reg.span("quick-bmc"):
-        return bmc(payload["net"], payload["target"],
-                   max_depth=payload["max_depth"], budget=budget,
-                   certify=payload.get("certify"))
-
-
-def run_induction_probe(payload: Dict[str, Any],
-                        budget: Optional[Budget]) -> Any:
-    """The k-induction probe of ``prove()``'s engine race.
-
-    ``certify`` follows the :func:`run_bmc_probe` contract.
-    """
-    from ..unroll import k_induction
-
-    reg = obs.get_registry()
-    with reg.span("k-induction"):
-        return k_induction(payload["net"], payload["target"],
-                           max_k=payload["max_k"], budget=budget,
-                           certify=payload.get("certify"))

@@ -1,5 +1,5 @@
-"""Integration tests for the --jobs fan-out: determinism, fault
-tolerance, and the prove() engine race.
+"""Integration tests for the --jobs fan-out: determinism and fault
+tolerance of the table and portfolio fan-outs.
 
 All pooled tests carry the ``parallel`` marker; they run in tier-1 (the
 marker is informational, not excluded) and use tiny designs so the
@@ -10,7 +10,6 @@ import pytest
 
 from repro import obs
 from repro.core import compare_strategies
-from repro.core.prove import prove
 from repro.experiments.runner import format_table, run_table
 from repro.experiments.table1 import run as run_table1
 from repro.gen import iscas89
@@ -89,11 +88,3 @@ class TestPortfolioAndProve:
                     if key.startswith("parallel/portfolio/")]
         assert prefixed
         assert snap["counters"]["parallel.tasks"] == 2
-
-    def test_prove_jobs2_matches_sequential_verdict(self):
-        net = s27()
-        seq = prove(net, jobs=1)
-        par = prove(net, jobs=2)
-        assert par.status == seq.status
-        assert par.method == seq.method
-        assert par.bound == seq.bound

@@ -13,6 +13,7 @@ across worker processes).
 import pytest
 
 from repro import obs
+from repro.core import compare_strategies
 from repro.core.prove import prove
 from repro.diameter.recurrence import recurrence_diameter
 from repro.netlist import NetlistBuilder, s27
@@ -143,7 +144,8 @@ class TestCacheEconomics:
         ``parallel/<pool>/<label>/`` prefix."""
         reg = obs.get_registry()
         snap0 = reg.snapshot()["counters"]
-        prove(s27(), jobs=2)
+        compare_strategies(s27(), strategies=("COM", "COM,RET,COM"),
+                           jobs=2)
         snap = reg.snapshot()["counters"]
         merged = {
             key: value - snap0.get(key, 0)
@@ -153,10 +155,3 @@ class TestCacheEconomics:
         }
         assert merged, "no worker template counters merged"
         assert sum(merged.values()) > 0
-
-    def test_jobs_invariance_of_verdict(self):
-        net = s27()
-        seq = prove(net, jobs=1)
-        par = prove(net, jobs=2)
-        assert (seq.status, seq.method, seq.bound) \
-            == (par.status, par.method, par.bound)

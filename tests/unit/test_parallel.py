@@ -1,6 +1,7 @@
-"""Unit tests for the process-pool fan-out layer (repro.parallel)."""
+"""Unit tests for the work-stealing fan-out layer (repro.parallel)."""
 
 import multiprocessing
+import os
 import pickle
 import time
 
@@ -51,6 +52,19 @@ def _crash(payload, budget):
     raise RuntimeError("unexpected failure in worker")
 
 
+def _raise_on_none(payload, budget):
+    if payload is None:
+        raise RuntimeError("no payload to double")
+    return payload * 2
+
+
+def _exit_on_none(payload, budget):
+    # The worker process dies outright, with no exception to catch.
+    if payload is None:
+        os._exit(3)
+    return payload * 2
+
+
 def _cancelled(payload, budget):
     raise Cancelled(budget_name="pool")
 
@@ -69,13 +83,6 @@ def _stall(payload, budget):
     # the parent-side watchdog exists to catch.
     time.sleep(payload)
     return "done"
-
-
-def _cert_instrumented(payload, budget):
-    reg = obs.get_registry()
-    reg.counter("cert.checked", 2)
-    reg.counter("cert.lemmas_checked", 5)
-    return payload
 
 
 def _charge_through_slice(payload, budget):
@@ -154,13 +161,15 @@ class TestExecutorInProcess:
         assert [o.index for o in outcomes] == [0, 1, 2]
         assert all(o.ok for o in outcomes)
 
-    def test_budget_pre_split_equally(self):
+    def test_budget_shared_not_pre_split(self):
         budget = Budget(conflicts=100, queries=10, name="parent")
         outcomes = ParallelExecutor(jobs=1, name="pool").map(
             _record_budget, ["a", "b"], budget=budget,
             labels=["a", "b"])
-        assert outcomes[0].value["conflicts"] == 50
-        assert outcomes[1].value["queries"] == 5
+        # The tasks share one pool instead of taking 1/n slices, so
+        # every task sees the full remains.
+        assert outcomes[0].value["conflicts"] == 100
+        assert outcomes[1].value["queries"] == 10
         assert outcomes[0].value["name"] == "pool[a]"
 
     def test_cancelled_budget_raises_at_submit(self):
@@ -198,12 +207,6 @@ class TestExecutorInProcess:
                                      budget=budget)
         assert budget.remaining_conflicts() == 100 - 7
         assert budget.remaining_queries() == 10 - 3
-
-    def test_map_tasks_heterogeneous(self):
-        outcomes = ParallelExecutor(jobs=1).map_tasks(
-            [(_double, 5), (_instrumented, "ok")])
-        assert outcomes[0].value == 10
-        assert outcomes[1].value == "ok"
 
 
 @pytest.mark.parallel
@@ -245,9 +248,106 @@ class TestExecutorPooled:
         assert snap["counters"]["parallel/pool/a/sat.conflicts"] == 7
         assert snap["counters"]["parallel/pool/b/sat.solve_calls"] == 3
 
+    def test_raising_task_costs_only_its_slot(self):
+        # An exception outside the typed taxonomy fails its own task;
+        # the worker keeps draining the healthy ones.
+        for jobs in (1, 2):
+            with obs.scoped(obs.Registry("parent")) as reg:
+                outcomes = ParallelExecutor(jobs=jobs).map(
+                    _raise_on_none, [None, None, 3, 4])
+                snap = reg.snapshot()
+            for outcome in outcomes[:2]:
+                assert isinstance(outcome.error, EngineFailure)
+                assert outcome.error.engine == "parallel.worker"
+                assert "no payload to double" in str(outcome.error)
+            assert [o.value for o in outcomes[2:]] == [6, 8]
+            assert snap["counters"]["parallel.worker_crashes"] == 2
+            crashes = [event for event in snap["events"]
+                       if event["name"] == "parallel.task_crash"]
+            assert len(crashes) == 2
+            assert "no payload to double" in crashes[0]["traceback"]
+
+    def test_dead_worker_loses_only_its_task(self):
+        with obs.scoped(obs.Registry("parent")) as reg:
+            outcomes = ParallelExecutor(jobs=2).map(
+                _exit_on_none, [None, 1, 2, 3])
+            snap = reg.snapshot()
+        assert isinstance(outcomes[0].error, EngineFailure)
+        assert outcomes[0].error.engine == "parallel.worker"
+        assert [o.value for o in outcomes[1:]] == [2, 4, 6]
+        assert snap["counters"]["parallel.worker_crashes"] == 1
+
+    def test_no_budget_means_none_at_any_jobs(self):
+        # Any non-None budget changes solver behaviour (budget polling,
+        # no solve-entry inprocessing), so no budget must stay None.
+        for jobs in (1, 2):
+            outcomes = ParallelExecutor(jobs=jobs).map(
+                _record_budget, ["a", "b"])
+            assert [o.value for o in outcomes] == [None, None]
+
+    def test_pooled_budget_shared_not_pre_split(self):
+        budget = Budget(conflicts=100, queries=10, name="parent")
+        outcomes = ParallelExecutor(jobs=2, name="pool").map(
+            _record_budget, ["a", "b"], budget=budget,
+            labels=["a", "b"])
+        for outcome in outcomes:
+            assert outcome.value["conflicts"] == 100
+            assert outcome.value["queries"] == 10
+        assert outcomes[1].value["name"] == "pool[b]"
+
+    def test_pooled_slices_drain_the_shared_pool(self):
+        # Each task charges 30 conflicts through budget.slice(0.5), as
+        # the table runner slices a worker's budget per pipeline.  The
+        # charges must reach the one shared pool, and a subbudget must
+        # read that pool, whichever worker ran which task.
+        budget = Budget(conflicts=100, name="parent")
+        outcomes = ParallelExecutor(jobs=2, name="pool").map(
+            _charge_through_slice, [30, 30], budget=budget,
+            labels=["a", "b"])
+        readings = [outcome.value for outcome in outcomes]
+        for reading in readings:
+            assert reading["child"] == reading["pool"]
+        assert min(reading["pool"] for reading in readings) == 40
+
+    def test_pooled_concurrent_charges_are_never_lost(self):
+        # More workers than cores charging one shared pool: the task
+        # that charges last reads the final pool, so a lost update
+        # would leave every reading above the exact remainder.
+        tasks, charges = 8, 20_000
+        budget = Budget(conflicts=1_000_000, name="parent")
+        outcomes = ParallelExecutor(jobs=4).map(
+            _charge_one_at_a_time, [charges] * tasks, budget=budget)
+        assert min(outcome.value for outcome in outcomes) == \
+            1_000_000 - tasks * charges
+
+    def test_fault_plan_rearmed_per_stolen_task(self):
+        # Three tasks over two workers: one worker necessarily steals
+        # two.  If the fault schedule were per *process*, the second
+        # stolen task would observe call index 1 and dodge the at={0}
+        # fault; re-arming per task makes every task's first solver
+        # call crash, independent of which worker stole it.
+        with inject(FaultPlan(at={0: FAULT_CRASH})):
+            outcomes = ParallelExecutor(jobs=2).map(
+                _solver_probe, [None, None, None])
+        assert len(outcomes) == 3
+        for outcome in outcomes:
+            assert isinstance(outcome.error, EngineFailure)
+            assert "injected crash" in str(outcome.error)
+
+    def test_obs_prefix_is_task_label_not_worker(self):
+        # Telemetry lands under parallel/<pool>/<label> regardless of
+        # which worker ran the task.
+        with obs.scoped(obs.Registry("parent")) as reg:
+            ParallelExecutor(jobs=2, name="pool").map(
+                _instrumented, ["a", "b", "c"], labels=["a", "b", "c"])
+            snap = reg.snapshot()
+        for label in ("a", "b", "c"):
+            assert snap["counters"][
+                f"parallel/pool/{label}/sat.conflicts"] == 7
+
 
 class TestWatchdog:
-    """The per-task wall-clock watchdog: a worker overrunning its
+    """The pool-wide wall-clock watchdog: a worker overrunning the
     budget deadline past the grace factor is cancelled as a typed
     exhaustion, without disturbing submission-order determinism."""
 
@@ -265,8 +365,8 @@ class TestWatchdog:
         budget = Budget(wall_seconds=0.4, name="wd")
         start = time.monotonic()
         with obs.scoped(obs.Registry("parent")) as reg:
-            outcomes = ParallelExecutor(jobs=2, name="wd").map_tasks(
-                [(_stall, 30.0), (_double, 21)], budget=budget,
+            outcomes = ParallelExecutor(jobs=2, name="wd").map(
+                _stall, [30.0, 0.0], budget=budget,
                 labels=["stall", "quick"])
             snap = reg.snapshot()
         elapsed = time.monotonic() - start
@@ -278,7 +378,7 @@ class TestWatchdog:
         assert stalled.error.reason == "parallel.watchdog"
         assert stalled.error.budget_name == "wd[stall]"
         # The healthy worker's slot is untouched, in input order.
-        assert quick.index == 1 and quick.value == 42
+        assert quick.index == 1 and quick.value == "done"
         assert snap["counters"]["parallel.watchdog_kills"] == 1
 
     def test_prompt_workers_pass_untouched(self):
@@ -286,20 +386,6 @@ class TestWatchdog:
         outcomes = ParallelExecutor(jobs=2).map(
             _stall, [0.05, 0.05], budget=budget)
         assert [o.value for o in outcomes] == ["done", "done"]
-
-
-class TestCertCounterFold:
-    def test_cert_counters_fold_unprefixed_too(self):
-        # Certification telemetry must stay globally additive so
-        # repro-check --certify and the arbitration counters see
-        # worker-side checks.
-        with obs.scoped(obs.Registry("parent")) as reg:
-            ParallelExecutor(jobs=1, name="pool").map(
-                _cert_instrumented, ["a"], labels=["a"])
-            snap = reg.snapshot()
-        assert snap["counters"]["cert.checked"] == 2
-        assert snap["counters"]["cert.lemmas_checked"] == 5
-        assert snap["counters"]["parallel/pool/a/cert.checked"] == 2
 
 
 class TestTypedErrorPickles:
@@ -409,115 +495,6 @@ class TestSharedBudget:
         child = queries_only.slice(0.5)
         queries_only.charge_query(10)
         assert child.exhausted() == EXHAUSTED_QUERIES
-
-
-class TestWorkStealingInProcess:
-    """The jobs=1 drain of the work-stealing engine: same queue
-    semantics (shared budget pool), no processes."""
-
-    def test_results_in_submission_order(self):
-        outcomes = ParallelExecutor(jobs=1, stealing=True).map(
-            _double, [1, 2, 3])
-        assert [o.value for o in outcomes] == [2, 4, 6]
-        assert [o.index for o in outcomes] == [0, 1, 2]
-
-    def test_budget_shared_not_pre_split(self):
-        budget = Budget(conflicts=100, queries=10, name="parent")
-        outcomes = ParallelExecutor(jobs=1, name="pool",
-                                    stealing=True).map(
-            _record_budget, ["a", "b"], budget=budget,
-            labels=["a", "b"])
-        # The pre-split engine would show 50/5 slices; the stealing
-        # engine shares one pool, so every task sees the full remains.
-        assert outcomes[0].value["conflicts"] == 100
-        assert outcomes[1].value["queries"] == 10
-        assert outcomes[0].value["name"] == "pool[a]"
-
-    def test_cancelled_budget_still_raises_at_submit(self):
-        budget = Budget(name="parent")
-        budget.cancel()
-        with pytest.raises(Cancelled):
-            ParallelExecutor(jobs=1, stealing=True).map(
-                _double, [1], budget=budget)
-
-
-@pytest.mark.parallel
-class TestWorkStealingPooled:
-    def test_pooled_stealing_submission_order(self):
-        outcomes = ParallelExecutor(jobs=2, stealing=True).map(
-            _double, [1, 2, 3, 4])
-        assert [o.value for o in outcomes] == [2, 4, 6, 8]
-        assert [o.index for o in outcomes] == [0, 1, 2, 3]
-
-    def test_pooled_budget_shared_not_pre_split(self):
-        budget = Budget(conflicts=100, queries=10, name="parent")
-        outcomes = ParallelExecutor(jobs=2, name="pool",
-                                    stealing=True).map(
-            _record_budget, ["a", "b"], budget=budget,
-            labels=["a", "b"])
-        for outcome in outcomes:
-            assert outcome.value["conflicts"] == 100
-            assert outcome.value["queries"] == 10
-        assert outcomes[1].value["name"] == "pool[b]"
-
-    def test_pooled_slices_drain_the_shared_pool(self):
-        # Each task charges 30 conflicts through budget.slice(0.5), as
-        # the table runner slices a worker's budget per pipeline.  The
-        # charges must reach the one shared pool, and a subbudget must
-        # read that pool, whichever worker ran which task.
-        budget = Budget(conflicts=100, name="parent")
-        outcomes = ParallelExecutor(jobs=2, name="pool",
-                                    stealing=True).map(
-            _charge_through_slice, [30, 30], budget=budget,
-            labels=["a", "b"])
-        readings = [outcome.value for outcome in outcomes]
-        for reading in readings:
-            assert reading["child"] == reading["pool"]
-        assert min(reading["pool"] for reading in readings) == 40
-
-    def test_pooled_concurrent_charges_are_never_lost(self):
-        # More workers than cores charging one shared pool: the task
-        # that charges last reads the final pool, so a lost update
-        # would leave every reading above the exact remainder.
-        tasks, charges = 8, 20_000
-        budget = Budget(conflicts=1_000_000, name="parent")
-        outcomes = ParallelExecutor(jobs=4, stealing=True).map(
-            _charge_one_at_a_time, [charges] * tasks, budget=budget)
-        assert min(outcome.value for outcome in outcomes) == \
-            1_000_000 - tasks * charges
-
-    def test_pooled_typed_error_round_trips(self):
-        outcomes = ParallelExecutor(jobs=2, stealing=True).map(
-            _typed_error, [None, None])
-        for outcome in outcomes:
-            assert isinstance(outcome.error, ResourceExhausted)
-            assert outcome.error.budget_name == "inner"
-
-    def test_fault_plan_rearmed_per_stolen_task(self):
-        # Three tasks over two workers: one worker necessarily steals
-        # two.  If the fault schedule were per *process*, the second
-        # stolen task would observe call index 1 and dodge the at={0}
-        # fault; re-arming per task (the second PR 9 satellite) makes
-        # every task's first solver call crash, independent of which
-        # worker stole it.
-        with inject(FaultPlan(at={0: FAULT_CRASH})):
-            outcomes = ParallelExecutor(jobs=2, stealing=True).map(
-                _solver_probe, [None, None, None])
-        assert len(outcomes) == 3
-        for outcome in outcomes:
-            assert isinstance(outcome.error, EngineFailure)
-            assert "injected crash" in str(outcome.error)
-
-    def test_obs_prefix_is_task_label_not_worker(self):
-        # Telemetry lands under parallel/<pool>/<label> regardless of
-        # which worker ran the task.
-        with obs.scoped(obs.Registry("parent")) as reg:
-            ParallelExecutor(jobs=2, name="pool", stealing=True).map(
-                _instrumented, ["a", "b", "c"], labels=["a", "b", "c"])
-            snap = reg.snapshot()
-        for label in ("a", "b", "c"):
-            assert snap["counters"][
-                f"parallel/pool/{label}/sat.conflicts"] == 7
 
 
 class TestMergeSnapshot:
