@@ -141,8 +141,10 @@ def prove(
     1. run the strategy portfolio; keep the best back-translated bound;
     2. if the bound fits ``max_complete_depth``, discharge completely
        with BMC (Theorem 1-4 soundness makes this a decision);
-    3. otherwise search for shallow counterexamples, then attempt
-       k-induction, then localization refinement;
+    3. otherwise search for shallow counterexamples with quick BMC,
+       then attempt k-induction, which starts past quick BMC's refuted
+       (and, when armed, certified) window instead of solving its
+       base case again, then localization refinement;
     4. report ``unknown`` with the best bound when everything passes.
 
     ``budget`` governs the whole call: the portfolio runs on a 40%
@@ -271,7 +273,7 @@ def prove(
                 induct = _run_certified(
                     reg, budget, "k-induction",
                     lambda: k_induction(net, target, max_k=induction_k,
-                                        budget=budget))
+                                        budget=budget, base=quick))
         except CertificationFailure as exc:
             return degraded(bound, strategy, "certification", str(exc))
         except EngineFailure as exc:
@@ -305,19 +307,13 @@ def prove(
                                    bound=bound, log=log,
                                    seconds=watch.elapsed)
             if cegar.status == "falsified":
-                with reg.span("localization"):
-                    concrete = bmc(
-                        net, target,
-                        max_depth=(cegar.counterexample_depth or 0) + 1,
-                        budget=budget)
-                if concrete.status == BMCFALSIFIED:
-                    reg.counter("prove.falsified.localization")
-                    return ProofResult(
-                        FALSIFIED, "localization", target, bound=bound,
-                        counterexample=concrete.counterexample,
-                        log=log, seconds=watch.elapsed)
+                reg.counter("prove.falsified.localization")
+                return ProofResult(
+                    FALSIFIED, "localization", target, bound=bound,
+                    counterexample=cegar.counterexample,
+                    log=log, seconds=watch.elapsed)
         except CertificationFailure as exc:
-            # Localization re-runs concrete BMC internally; its
+            # Localization runs concrete BMC internally; its
             # certification failures degrade without a retry
             # (the refinement loop is not idempotent enough to
             # replay wholesale).

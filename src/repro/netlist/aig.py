@@ -232,6 +232,10 @@ def netlist_to_aig(net: Netlist) -> Tuple[AIG, Dict[int, int]]:
     AIGER way: the register initializes to 0 and a fresh input muxed at
     time 0 — here approximated by rejecting non-constant init cones
     that cannot be evaluated to a constant.
+
+    Targets become AIGER 1.9 bad-state properties unless they are
+    exactly the outputs; that case keeps the pre-1.9 form, in which
+    :func:`aig_to_netlist` reads the outputs as the targets.
     """
     from .traversal import topological_order
     from ..sim.ternary import X, ternary_initial_state
@@ -286,6 +290,9 @@ def netlist_to_aig(net: Netlist) -> Tuple[AIG, Dict[int, int]]:
         aig.set_next(lit_of[vid], lit_of[net.gate(vid).fanins[0]])
     for out in net.outputs:
         aig.add_output(lit_of[out], net.gate(out).name)
+    if net.targets != net.outputs:
+        for target in net.targets:
+            aig.add_bad(lit_of[target], net.gate(target).name)
     return aig, lit_of
 
 

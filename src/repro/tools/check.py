@@ -25,9 +25,10 @@ from typing import Optional, Sequence
 from .. import obs
 from ..cert import use_certification
 from ..core import TBVEngine
+from ..netlist import Netlist
 from ..resilience import CertificationFailure
 from ..transform.localize_cegar import localization_refinement
-from ..unroll import bmc, k_induction
+from ..unroll import BMCResult, bmc, k_induction
 from .io import load_netlist
 from .vcd import counterexample_to_vcd
 
@@ -41,6 +42,29 @@ def _cert_summary() -> str:
     trimmed = reg.counter_value("cert.lemmas_trimmed")
     return (f"certification: {checked} check(s), {failed} failure(s), "
             f"{lemmas} lemma(s) verified, {trimmed} trimmed")
+
+
+def _print_verdict(label: str, net: Netlist, check: BMCResult,
+                   vcd: Optional[str], detail: str = "") -> bool:
+    """Print one BMC or k-induction verdict line.
+
+    A falsified target reports the depth of its hit instead of
+    ``detail`` and, when ``vcd`` names a file, dumps its waveform
+    there.  A certified verdict carries ``[certified]``.  Returns
+    True when the waveform was written.
+    """
+    waveform = ""
+    if check.status == "falsified":
+        detail = f" at depth {check.counterexample.depth}"
+        if vcd:
+            with open(vcd, "w") as handle:
+                handle.write(counterexample_to_vcd(
+                    net, check.target, check.counterexample))
+            waveform = f" (waveform: {vcd})"
+    if check.certified:
+        detail += " [certified]"
+    print(f"  {label:<20} {check.status.upper()}{detail}{waveform}")
+    return bool(waveform)
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
@@ -69,7 +93,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         print(f"  lint: {issue.severity}[{issue.code}] {issue.message}")
     failures = 0
     cert_failures = 0
-    vcd_written = False
+    vcd = args.vcd  # cleared once the first counterexample is dumped
     scope = use_certification(True) if args.certify else nullcontext()
     with scope:
         if args.method == "bmc":
@@ -89,25 +113,14 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
                     print(f"  {label:<20} CERTIFICATION FAILED "
                           f"({exc})")
                     continue
-                verdict = check.status.upper()
                 detail = ""
-                if check.status == "falsified":
-                    failures += 1
-                    detail = f" at depth {check.counterexample.depth}"
-                    if args.vcd and not vcd_written:
-                        with open(args.vcd, "w") as handle:
-                            handle.write(counterexample_to_vcd(
-                                net, report.target,
-                                check.counterexample))
-                        vcd_written = True
-                        detail += f" (waveform: {args.vcd})"
-                elif check.status == "bounded":
+                if check.status == "bounded":
                     detail = (f" (bound {report.bound} exceeds depth "
                               f"budget {args.max_depth})")
-                if args.certify and check.status in (
-                        "falsified", "proven", "bounded"):
-                    detail += " [certified]"
-                print(f"  {label:<20} {verdict}{detail}")
+                if check.status == "falsified":
+                    failures += 1
+                if _print_verdict(label, net, check, vcd, detail):
+                    vcd = None
         elif args.method == "induction":
             for target in net.targets:
                 label = net.gate(target).name or f"t{target}"
@@ -119,10 +132,16 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
                     print(f"  {label:<20} CERTIFICATION FAILED "
                           f"({exc})")
                     continue
+                detail = ""
+                if check.status == "proven":
+                    detail = f" (k = {check.depth_checked})"
+                elif check.status == "bounded":
+                    detail = (f" (not inductive up to k = "
+                              f"{check.depth_checked})")
                 if check.status == "falsified":
                     failures += 1
-                print(f"  {label:<20} {check.status.upper()} "
-                      f"(k = {check.depth_checked})")
+                if _print_verdict(label, net, check, vcd, detail):
+                    vcd = None
         else:
             for target in net.targets:
                 label = net.gate(target).name or f"t{target}"

@@ -17,7 +17,8 @@ with the rest of the system into the classic CEGAR loop:
    one widens the radius and repeats.
 
 The loop terminates: the radius eventually restores every register,
-at which point the "abstraction" is exact.
+at which point the "abstraction" is exact and its BMC runs on the
+original netlist, so a hit there needs no concretization.
 """
 
 from __future__ import annotations
@@ -28,7 +29,7 @@ from typing import List, Optional
 from ..diameter.structural import StructuralAnalysis
 from ..netlist import Netlist
 from ..resilience import Budget, Cancelled
-from ..unroll import ABORTED, FALSIFIED, PROVEN, bmc
+from ..unroll import ABORTED, FALSIFIED, PROVEN, Counterexample, bmc
 from .approx import localize_by_distance
 
 #: Loop outcomes.
@@ -37,7 +38,12 @@ REFINED_OUT = "exhausted"  # gave up (depth budget) without an answer
 
 @dataclass
 class LocalizationResult:
-    """Outcome of the localization-refinement loop."""
+    """Outcome of the localization-refinement loop.
+
+    A ``falsified`` result carries a ``counterexample`` on the
+    original netlist (not on the abstraction), found by a concrete
+    BMC run that hit.
+    """
 
     status: str  # 'proven' | 'falsified' | 'exhausted'
     iterations: int
@@ -45,7 +51,7 @@ class LocalizationResult:
     abstraction: Optional[Netlist] = None
     abstraction_registers: int = 0
     history: List[str] = field(default_factory=list)
-    counterexample_depth: Optional[int] = None
+    counterexample: Optional[Counterexample] = None
     exhaustion_reason: Optional[str] = None
 
 
@@ -94,7 +100,11 @@ def localization_refinement(
         bound = StructuralAnalysis(abstraction, budget=budget) \
             .bound(abs_target)
         window = min(bound, max_depth)
-        check = bmc(abstraction, abs_target, max_depth=window,
+        # An abstraction that keeps every register behaves as ``net``
+        # does, so its window is checked on ``net`` itself and a hit
+        # is already concrete.
+        check = bmc(net if exact else abstraction,
+                    target if exact else abs_target, max_depth=window,
                     complete_bound=bound if bound <= max_depth else None,
                     conflict_budget=conflict_budget, budget=budget)
         if check.status == ABORTED:
@@ -116,17 +126,13 @@ def localization_refinement(
                 history=history)
         if check.status == FALSIFIED:
             depth = check.counterexample.depth
-            if exact:
-                return LocalizationResult(
-                    status="falsified", iterations=iterations,
-                    final_radius=radius, abstraction=abstraction,
-                    abstraction_registers=len(abstraction.state_elements),
-                    history=history, counterexample_depth=depth)
-            # Concretization check: exact bounded query on the
-            # original netlist at the abstract counterexample depth.
-            concrete = bmc(net, target, max_depth=depth + 1,
-                           conflict_budget=conflict_budget,
-                           budget=budget)
+            concrete = check
+            if not exact:
+                # Concretization check: exact bounded query on the
+                # original netlist at the abstract counterexample depth.
+                concrete = bmc(net, target, max_depth=depth + 1,
+                               conflict_budget=conflict_budget,
+                               budget=budget)
             if concrete.status == ABORTED:
                 return LocalizationResult(
                     status=REFINED_OUT, iterations=iterations,
@@ -140,17 +146,10 @@ def localization_refinement(
                     final_radius=radius, abstraction=abstraction,
                     abstraction_registers=len(abstraction.state_elements),
                     history=history,
-                    counterexample_depth=concrete.counterexample.depth)
+                    counterexample=concrete.counterexample)
             history.append(f"  spurious at depth {depth}; refining")
-        else:
-            # Window exhausted inconclusively on this abstraction.
-            if exact:
-                return LocalizationResult(
-                    status=REFINED_OUT, iterations=iterations,
-                    final_radius=radius, abstraction=abstraction,
-                    abstraction_registers=len(abstraction.state_elements),
-                    history=history)
         if exact:
+            # The window closed inconclusively on the netlist itself.
             return LocalizationResult(
                 status=REFINED_OUT, iterations=iterations,
                 final_radius=radius, abstraction=abstraction,

@@ -64,6 +64,12 @@ class BMCResult:
     * :data:`PROVEN` — all refuted and ``depth_checked >=
       complete_bound``, so the window covers the full diameter.
 
+    ``certified`` is True when the engine that returned the verdict
+    ran its certificate checks on it: the DRAT check of every refuted
+    frame and, for :data:`FALSIFIED`, the witness replay.  It stays
+    False when certification was off and on every :data:`ABORTED`
+    result.
+
     Keep these conventions in sync with :func:`bmc`, :func:`bmc_multi`
     and ``k_induction`` (whose PROVEN reuses the field for the
     inductive ``k`` — documented there).
@@ -74,6 +80,7 @@ class BMCResult:
     depth_checked: int
     counterexample: Optional[Counterexample] = None
     exhaustion_reason: Optional[str] = None
+    certified: bool = False
 
     @property
     def is_complete(self) -> bool:
@@ -125,7 +132,8 @@ def bmc(
     DRAT-style proof log, refuted windows are checked by the
     :mod:`repro.cert.drat` checker on exit, and counterexamples are
     replayed through the bit-parallel simulator before FALSIFIED is
-    returned.  A verdict that fails its check raises
+    returned.  A verdict that passes carries ``certified=True``; one
+    that fails its check raises
     :class:`repro.resilience.CertificationFailure` instead of
     returning.  ABORTED results are never certified (no verdict
     stands).
@@ -173,7 +181,8 @@ def bmc(
                                     unroll=unroll, engine="bmc")
                     if refuted:
                         certify_unsat(unroll.solver, "bmc")
-                return BMCResult(FALSIFIED, target, t + 1, cex)
+                return BMCResult(FALSIFIED, target, t + 1, cex,
+                                 certified=do_cert)
             if result == UNKNOWN:
                 return BMCResult(
                     ABORTED, target, t,
@@ -181,9 +190,10 @@ def bmc(
             refuted += 1
     if do_cert and refuted:
         certify_unsat(unroll.solver, "bmc")
+    status = BOUNDED
     if complete_bound is not None and depth >= complete_bound:
-        return BMCResult(PROVEN, target, depth)
-    return BMCResult(BOUNDED, target, depth)
+        status = PROVEN
+    return BMCResult(status, target, depth, certified=do_cert)
 
 
 def bmc_multi(
@@ -209,7 +219,8 @@ def bmc_multi(
     replayed at discovery time; the shared solver's proof log —
     which covers every refuted (target, frame) query — is checked
     once after the sweep, so one check certifies every UNSAT-backed
-    verdict in the returned map.
+    verdict in the returned map (each non-ABORTED entry then carries
+    ``certified=True``).
     """
     if targets is None:
         targets = list(dict.fromkeys(net.targets))
@@ -273,6 +284,9 @@ def bmc_multi(
             results[target] = BMCResult(PROVEN, target, max_depth)
         else:
             results[target] = BMCResult(BOUNDED, target, max_depth)
+    if do_cert:
+        for result in results.values():
+            result.certified = result.status != ABORTED
     return results
 
 

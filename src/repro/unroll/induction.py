@@ -45,6 +45,7 @@ def k_induction(
     conflict_budget: Optional[int] = None,
     budget: Optional[Budget] = None,
     certify: Optional[bool] = None,
+    base: Optional[BMCResult] = None,
 ) -> BMCResult:
     """Prove or falsify a target by k-induction up to ``max_k``.
 
@@ -72,21 +73,37 @@ def k_induction(
     :func:`~repro.unroll.bmc.bmc`'s own certification, and the step
     refutation by DRAT-checking the step solver's proof log before
     PROVEN is returned.  Failure raises
-    :class:`repro.resilience.CertificationFailure`.
+    :class:`repro.resilience.CertificationFailure`.  Every verdict
+    this call certifies carries ``certified=True``.
+
+    ``base`` hands in a base case that is already discharged: a
+    :func:`~repro.unroll.bmc.bmc` result for the same netlist and
+    target, checked from the initial states.  It replaces this call's
+    own base-case BMC only if it is BOUNDED for ``target``, covers at
+    least ``max_k + 1`` frames, and is ``certified`` whenever this
+    call certifies; any other ``base`` is ignored and the base window
+    is solved here.  A PROVEN verdict on a reused base is certified
+    by the base's DRAT check, which the call that produced it ran,
+    together with this call's step check.
     """
     if target is None:
         if not net.targets:
             raise ValueError("netlist has no targets")
         target = net.targets[0]
     do_cert = certification_enabled() if certify is None else certify
-    # Base cases are discharged incrementally by plain BMC.  Base and
-    # step share one compiled frame template (the template cache is
-    # keyed by netlist structure, not by unrolling).
-    base = bmc(net, target, max_depth=max_k + 1,
-               conflict_budget=conflict_budget, budget=budget,
-               certify=do_cert)
-    if base.status in (FALSIFIED, ABORTED):
-        return base
+    reusable = (base is not None and base.status == BOUNDED
+                and base.target == target
+                and base.depth_checked >= max_k + 1
+                and (base.certified or not do_cert))
+    if not reusable:
+        # Base cases are discharged incrementally by plain BMC.  Base
+        # and step share one compiled frame template (the template
+        # cache is keyed by netlist structure, not by unrolling).
+        base = bmc(net, target, max_depth=max_k + 1,
+                   conflict_budget=conflict_budget, budget=budget,
+                   certify=do_cert)
+        if base.status in (FALSIFIED, ABORTED):
+            return base
 
     # Step: an unconstrained simple path of k+1 states with the target
     # false at 0..k-1 and true at k must be UNSAT for inductiveness.
@@ -118,9 +135,9 @@ def k_induction(
             reg.counter("induction.step_vars", solver.num_vars)
             if do_cert:
                 certify_unsat(solver, "k-induction")
-            return BMCResult(PROVEN, target, k)
+            return BMCResult(PROVEN, target, k, certified=do_cert)
         if result == UNKNOWN:
             return BMCResult(ABORTED, target, k,
                              exhaustion_reason=solver.last_exhaustion)
     reg.counter("induction.step_vars", solver.num_vars)
-    return BMCResult(BOUNDED, target, max_k)
+    return BMCResult(BOUNDED, target, max_k, certified=do_cert)

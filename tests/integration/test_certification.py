@@ -75,6 +75,7 @@ class TestVerdictIdentity:
         certified = bmc(net, max_depth=12, certify=True)
         assert certified.status == plain.status
         assert certified.depth_checked == plain.depth_checked
+        assert certified.certified and not plain.certified
         if plain.counterexample is None:
             assert certified.counterexample is None
         else:
@@ -92,6 +93,7 @@ class TestVerdictIdentity:
             snap = reg.snapshot()
         assert result.status == FALSIFIED
         assert result.counterexample.depth == 5
+        assert result.certified
         # Witness replay ran and the refuted frames 0..4 were
         # proof-checked: two checks, zero failures.
         assert snap["counters"]["cert.checked"] == 2
@@ -104,6 +106,7 @@ class TestVerdictIdentity:
                          certify=True)
             snap = reg.snapshot()
         assert result.status == PROVEN
+        assert result.certified
         assert snap["counters"]["cert.checked"] == 1
 
     def test_bmc_multi_certified(self):
@@ -113,6 +116,7 @@ class TestVerdictIdentity:
             snap = reg.snapshot()
         assert results[hit].status == FALSIFIED
         assert results[never].status == BOUNDED
+        assert results[hit].certified and results[never].certified
         # One witness replay for ``hit``, plus one check of the shared
         # proof log covering every refuted (target, frame) query.
         assert snap["counters"]["cert.checked"] == 2
@@ -124,8 +128,9 @@ class TestVerdictIdentity:
             result = k_induction(net, t, max_k=4, certify=True)
             snap = reg.snapshot()
         assert result.status == PROVEN
-        # Base-case BMC frames plus the inductive step each conclude.
-        assert snap["counters"]["cert.checked"] >= 1
+        assert result.certified
+        # One check of the base window's proof log, one of the step's.
+        assert snap["counters"]["cert.checked"] == 2
         assert "cert.failed" not in snap["counters"]
 
 

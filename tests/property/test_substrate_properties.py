@@ -10,6 +10,7 @@ from repro.netlist import aig_to_netlist, netlist_to_aig, parse_aiger, \
     write_aiger
 from repro.sim import BitParallelSimulator
 from repro.transform.localize_cegar import localization_refinement
+from repro.unroll import replay_counterexample
 
 from .strategies import named_stimulus, small_netlists
 
@@ -42,6 +43,9 @@ def test_aiger_text_round_trip(net):
     again = parse_aiger(write_aiger(aig))
     assert len(again.inputs) == len(aig.inputs)
     assert len(again.latches) == len(aig.latches)
+    # Targets that are not the outputs travel as bad-state literals.
+    assert len(again.bad) == len(aig.bad) == \
+        (0 if net.targets == net.outputs else len(net.targets))
     # Behavioural agreement over a few cycles of a fixed stimulus.
     state_a = state_b = None
     for cycle in range(5):
@@ -49,7 +53,8 @@ def test_aiger_text_round_trip(net):
         ins_b = {n: (cycle + i) % 2 for i, n in enumerate(again.inputs)}
         va, state_a = aig.evaluate(ins_a, state_a)
         vb, state_b = again.evaluate(ins_b, state_b)
-        for out_a, out_b in zip(aig.outputs, again.outputs):
+        for out_a, out_b in zip(aig.outputs + aig.bad,
+                                again.outputs + again.bad):
             assert aig.lit_value(va, out_a) == again.lit_value(vb, out_b)
 
 
@@ -104,4 +109,5 @@ def test_localization_refinement_verdicts_sound(net):
         assert hit is None
     elif result.status == "falsified":
         assert hit is not None
-        assert result.counterexample_depth == hit
+        assert result.counterexample.depth == hit
+        assert replay_counterexample(net, target, result.counterexample)

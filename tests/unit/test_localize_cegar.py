@@ -6,6 +6,7 @@ from repro.transform.localize_cegar import (
     REFINED_OUT,
     localization_refinement,
 )
+from repro.unroll import replay_counterexample
 
 
 def guarded_counter(width=3, guard_depth=2):
@@ -48,7 +49,9 @@ class TestLocalizationRefinement:
         net, t = hittable_design()
         result = localization_refinement(net, t, initial_radius=1)
         assert result.status == "falsified"
-        assert result.counterexample_depth == first_hit_time(net, t)
+        assert result.counterexample.depth == first_hit_time(net, t)
+        # The hit is a trace of the original netlist.
+        assert replay_counterexample(net, t, result.counterexample)
 
     def test_spurious_counterexamples_refined_away(self):
         # Target compares two synchronized pipelines: localizing either

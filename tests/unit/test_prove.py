@@ -2,9 +2,12 @@
 
 import pytest
 
+from repro import obs
+from repro.cert import use_certification
 from repro.core import FALSIFIED, PROVEN, UNKNOWN, prove
 from repro.core.prove import ProofResult
 from repro.diameter import first_hit_time
+from repro.gen.protocols import round_robin_arbiter
 from repro.netlist import NetlistBuilder
 from repro.transform import SweepConfig
 from repro.unroll import replay_counterexample
@@ -94,3 +97,63 @@ class TestProve:
         assert isinstance(result, ProofResult)
         assert any("portfolio" in line for line in result.log)
         assert result.seconds >= 0
+
+
+def traced_prove(net, target, **kwargs):
+    """``prove`` under a fresh registry; returns (result, snapshot)."""
+    with obs.scoped(obs.Registry("prove")) as reg:
+        result = prove(net, target, **kwargs)
+        return result, reg.snapshot()
+
+
+class TestPhaseHandoffs:
+    """Later phases start from what earlier ones already solved."""
+
+    ARBITER = dict(max_complete_depth=8, refine_gc_limit=3)
+
+    def test_k_induction_starts_past_quick_bmc(self):
+        # Bound 16 > 8 sends arbiter4 through quick BMC (10 frames)
+        # to k-induction with max_k 8, whose 9-frame base case quick
+        # BMC has already refuted.
+        result, snap = traced_prove(*round_robin_arbiter(4),
+                                    **self.ARBITER)
+        assert (result.status, result.method, result.bound) == \
+            (PROVEN, "k-induction", 16)
+        assert snap["timers"]["prove/quick-bmc/bmc"]["count"] == 1
+        assert "prove/k-induction/bmc" not in snap["timers"]
+        assert "prove/k-induction/induction/step" in snap["timers"]
+
+    def test_certified_k_induction_checks_each_window_once(self):
+        with use_certification(True):
+            result, snap = traced_prove(*round_robin_arbiter(4),
+                                        **self.ARBITER)
+        assert (result.status, result.method) == (PROVEN, "k-induction")
+        # Quick BMC's proof log and the step's; the base is not
+        # checked a second time.
+        assert snap["counters"]["cert.checked"] == 2
+        assert "cert.failed" not in snap["counters"]
+
+    @pytest.mark.parametrize("unrelated, bmc_runs", [(False, 1),
+                                                      (True, 2)])
+    def test_localization_counterexample_is_not_solved_again(
+            self, unrelated, bmc_runs):
+        # A 7-bit counter hits 12: bound 128 gets it past quick BMC and
+        # k-induction to localization.  With every register kept the
+        # abstraction is exact and CEGAR's one BMC runs on the netlist;
+        # an unrelated register makes CEGAR concretize the abstract hit
+        # itself.  prove() runs no BMC of its own on top.
+        b = NetlistBuilder("count12")
+        regs = b.registers(7, prefix="c")
+        b.connect_word(regs, b.increment(regs))
+        t = b.buf(b.word_eq(regs, b.word_const(12, 7)), name="t")
+        b.net.add_target(t)
+        if unrelated:
+            u = b.register(name="u")
+            b.connect(u, b.not_(u))
+        result, snap = traced_prove(b.net, t)
+        assert (result.status, result.method) == (FALSIFIED, "localization")
+        assert result.counterexample.depth == 12
+        assert replay_counterexample(b.net, t, result.counterexample)
+        assert snap["timers"]["prove/localization/bmc"]["count"] == \
+            bmc_runs
+        assert snap["timers"]["prove/localization"]["count"] == 1

@@ -9,7 +9,7 @@ from repro.tools.bound import main as bound_main
 from repro.tools.check import main as check_main
 from repro.tools.convert import main as convert_main
 from repro.tools.vcd import counterexample_to_vcd
-from repro.unroll import bmc
+from repro.unroll import BOUNDED, FALSIFIED, bmc
 
 
 @pytest.fixture
@@ -35,6 +35,28 @@ class TestFileIO:
         again = load_netlist(str(out))
         assert again.num_registers() == 3
         assert len(again.inputs) == 4
+
+    def test_aiger_keeps_targets_that_are_not_outputs(self, tmp_path,
+                                                      s27_bench):
+        # Output o = r toggles; target ``never`` = r AND NOT r does not.
+        b = NetlistBuilder("toggle")
+        r = b.register(name="r")
+        b.connect(r, b.not_(r))
+        b.net.add_output(b.buf(r, name="o"))
+        b.net.add_target(b.buf(b.and_(r, b.not_(r)), name="never"))
+        path = tmp_path / "toggle.aag"
+        save_netlist(b.net, str(path))
+        again = load_netlist(str(path))
+        assert len(again.targets) == len(again.outputs) == 1
+        assert bmc(again, again.targets[0], max_depth=4).status == BOUNDED
+        assert bmc(again, again.outputs[0], max_depth=4).status == \
+            FALSIFIED
+        # Targets that are the outputs keep the five-count header.
+        net = load_netlist(s27_bench)
+        assert net.targets == net.outputs
+        out = tmp_path / "s27.aag"
+        save_netlist(net, str(out))
+        assert len(out.read_text().splitlines()[0].split()) == 6
 
     def test_binary_aiger_load(self, tmp_path):
         # Toggle latch with an AIGER 1.9 bad-state property, in the
@@ -150,6 +172,16 @@ class TestCLIs:
         rc = check_main([str(path), "--method", "induction"])
         assert rc == 0
         assert "PROVEN" in capsys.readouterr().out
+
+    def test_check_cli_induction_reports_like_bmc(self, capsys,
+                                                  s27_bench, tmp_path):
+        vcd_path = tmp_path / "cex.vcd"
+        rc = check_main([s27_bench, "--method", "induction",
+                         "--certify", "--vcd", str(vcd_path)])
+        assert rc == 1
+        assert "G17                  FALSIFIED at depth 0 [certified]" \
+            in capsys.readouterr().out
+        assert vcd_path.read_text().startswith("$date")
 
     def test_check_cli_cegar(self, capsys, tmp_path):
         b = NetlistBuilder("stuck2")

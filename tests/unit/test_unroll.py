@@ -9,6 +9,7 @@ from repro.unroll import (
     BOUNDED,
     FALSIFIED,
     PROVEN,
+    BMCResult,
     Unrolling,
     bmc,
     bmc_multi,
@@ -213,6 +214,92 @@ class TestKInduction:
         assert counters["induction.diff_clauses"] == \
             bits * (bits + 1) // 2
         assert counters["induction.step_vars"] > 0
+
+    # A caller's base window (prove()'s quick BMC) replaces the base
+    # case only when it is BOUNDED for the same target, covers
+    # max_k + 1 frames, and is certified whenever the call certifies.
+
+    @staticmethod
+    def _with_base(net, t, max_k, base, **kwargs):
+        """k_induction with ``base``; returns (result, registry
+        snapshot)."""
+        with obs.scoped(obs.Registry("t")) as reg:
+            result = k_induction(net, t, max_k=max_k, base=base, **kwargs)
+            return result, reg.snapshot()
+
+    def test_covering_base_replaces_base_case(self):
+        net, t = unreachable_target()
+        base = bmc(net, t, max_depth=5)
+        result, snap = self._with_base(net, t, 4, base)
+        assert result.status == PROVEN
+        assert not result.certified
+        assert "bmc" not in snap["timers"]
+
+    def test_base_for_another_target_is_not_reused(self):
+        # ``never`` is clean everywhere, ``hit`` is hit at t = 1 (and
+        # no step proof exists for it): reusing ``never``'s window
+        # would leave ``hit`` BOUNDED.
+        b = NetlistBuilder("toggle")
+        r = b.register(name="r")
+        b.connect(r, b.not_(r))
+        hit = b.buf(r, name="hit")
+        never = b.buf(b.and_(r, b.not_(r)), name="never")
+        b.net.add_target(hit)
+        b.net.add_target(never)
+        base = bmc(b.net, never, max_depth=4)
+        assert base.status == BOUNDED
+        result, snap = self._with_base(b.net, hit, 3, base)
+        plain = k_induction(b.net, hit, max_k=3)
+        assert result.status == plain.status == FALSIFIED
+        assert result.counterexample.depth == plain.counterexample.depth
+        assert snap["timers"]["bmc"]["count"] == 1
+
+    def test_aborted_base_is_not_reused(self):
+        # Frames 0..8 of a 3-bit counter admit no 9-state simple path,
+        # so a reused window would turn the hit at t = 7 into PROVEN.
+        net, t = counter_target(3, 7)
+        base = BMCResult(ABORTED, t, 9, exhaustion_reason="deadline")
+        result, snap = self._with_base(net, t, 8, base)
+        plain = k_induction(net, t, max_k=8)
+        assert result.status == plain.status == FALSIFIED
+        assert result.depth_checked == plain.depth_checked == 8
+        assert snap["timers"]["bmc"]["count"] == 1
+
+    def test_short_base_is_not_reused(self):
+        # Frames 0..6 are clean; the hit at t = 7 lies one frame
+        # past the window, so reusing it would end BOUNDED.
+        net, t = counter_target(3, 7)
+        base = bmc(net, t, max_depth=7)
+        assert (base.status, base.depth_checked) == (BOUNDED, 7)
+        result, snap = self._with_base(net, t, 7, base)
+        plain = k_induction(net, t, max_k=7)
+        assert result.status == plain.status == FALSIFIED
+        assert result.counterexample.depth == 7
+        assert snap["timers"]["bmc"]["count"] == 1
+
+    def test_certified_call_solves_uncertified_base_again(self):
+        net, t = unreachable_target()
+        base = bmc(net, t, max_depth=5, certify=False)
+        assert base.status == BOUNDED and not base.certified
+        result, snap = self._with_base(net, t, 4, base, certify=True)
+        plain = k_induction(net, t, max_k=4, certify=True)
+        assert result.status == plain.status == PROVEN
+        assert result.certified
+        # Its own base window and the step are each checked.
+        assert snap["counters"]["cert.checked"] == 2
+        assert snap["timers"]["bmc"]["count"] == 1
+
+    def test_certified_call_reuses_certified_base(self):
+        net, t = unreachable_target()
+        base = bmc(net, t, max_depth=5, certify=True)
+        assert base.certified
+        result, snap = self._with_base(net, t, 4, base, certify=True)
+        assert result.status == PROVEN
+        assert result.certified
+        # Only the step is checked here; the base was checked by the
+        # bmc call that produced it.
+        assert snap["counters"]["cert.checked"] == 1
+        assert "bmc" not in snap["timers"]
 
 
 def contradiction_target():
