@@ -56,26 +56,6 @@ def test_enlargement_plus_bounding(benchmark):
     assert hit < window
 
 
-def test_enlargement_sat_vs_bdd(benchmark):
-    """[24]-style SAT enumeration vs BDD preimages: same frontier,
-    different substrate; both must shift the first hit by k."""
-    from repro.transform import enlarge_target_sat
-
-    net, t = counter_target(4, 11)
-
-    def both():
-        bdd_res = enlarge_target(net, t, k=2)
-        sat_res = enlarge_target_sat(net, t, k=2)
-        return bdd_res, sat_res
-
-    bdd_res, sat_res = benchmark.pedantic(both, rounds=1, iterations=1)
-    hit_bdd = first_hit_time(bdd_res.netlist,
-                             bdd_res.step.target_map[t])
-    hit_sat = first_hit_time(sat_res.netlist,
-                             sat_res.step.target_map[t])
-    assert hit_bdd == hit_sat == 9
-
-
 def test_enlargement_empties_unreachable_target(benchmark):
     b = NetlistBuilder("stuck")
     r = b.register(name="r")

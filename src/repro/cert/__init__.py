@@ -6,11 +6,10 @@ than the solver that produced it (the trace-automata BMC-certification
 shape):
 
 * **UNSAT** — the solver's DRAT-style proof log
-  (:mod:`repro.cert.proof`, emitted by both CDCL cores under the
-  ``REPRO_SAT_PROOF`` / :func:`repro.sat.use_proofs` toggle) is
-  replayed by the stdlib RUP checker of :mod:`repro.cert.drat`
-  (backward checking, core trimming) — unit propagation is the only
-  trusted inference.
+  (:mod:`repro.cert.proof`, kept by a solver built as
+  ``Solver(proof=True)``) is replayed by the stdlib RUP checker of
+  :mod:`repro.cert.drat` (backward checking, core trimming) — unit
+  propagation is the only trusted inference.
 * **SAT** — the counterexample is re-executed concretely through the
   bit-parallel simulator (:mod:`repro.cert.witness`), asserting the
   target literal and every latch-transition constraint frame by frame.
@@ -20,11 +19,12 @@ A failed check raises :class:`~repro.resilience.CertificationFailure`
 existing degradation path already handles it); ``prove()`` reacts by
 retrying the engine call once on the same solver (a transient fault
 recovers, a genuine solver bug fails again) and, on a second failure,
-degrading to the sound structural bound.  Certification
-is scoped by the ``REPRO_CERT`` env toggle / :func:`use_certification`
-(engines also accept an explicit ``certify=`` override) and publishes
-``cert.checked`` / ``cert.failed`` counters plus ``cert.*`` trace
-instants through :mod:`repro.obs`.
+degrading to the sound structural bound.  Certification is scoped
+by :func:`use_certification` (off by default; engines also accept an
+explicit ``certify=`` override), and a certifying engine builds its
+solvers with ``proof=True``.  It publishes ``cert.checked`` /
+``cert.failed`` counters plus ``cert.*`` trace instants through
+:mod:`repro.obs`.
 
 Import discipline: :mod:`repro.sat.solver` imports
 :mod:`repro.cert.proof` through this ``__init__``, so nothing here may
@@ -35,9 +35,8 @@ inside :func:`certify_witness`.
 
 from __future__ import annotations
 
-import os
 from contextlib import contextmanager
-from typing import Iterator, List, Optional
+from typing import Iterator, Optional
 
 from .. import obs
 from ..resilience.errors import CertificationFailure
@@ -53,16 +52,13 @@ __all__ = [
     "certify_unsat",
     "certify_witness",
     "check_events",
-    "set_certification_enabled",
     "use_certification",
 ]
 
 # ----------------------------------------------------------------------
-# Certification toggle
+# Certification scope
 # ----------------------------------------------------------------------
-_CERT_ENV = "REPRO_CERT"
-_cert_enabled = os.environ.get(_CERT_ENV, "0").strip().lower() \
-    not in ("0", "false", "off", "no", "")
+_cert_enabled = False
 
 
 def certification_enabled() -> bool:
@@ -70,22 +66,16 @@ def certification_enabled() -> bool:
     return _cert_enabled
 
 
-def set_certification_enabled(enabled: bool) -> bool:
-    """Set the global certification toggle; returns the previous value."""
+@contextmanager
+def use_certification(enabled: bool) -> Iterator[None]:
+    """Scoped override of the certification default (``--certify``)."""
     global _cert_enabled
     previous = _cert_enabled
     _cert_enabled = bool(enabled)
-    return previous
-
-
-@contextmanager
-def use_certification(enabled: bool) -> Iterator[None]:
-    """Scoped override of the certification toggle (``--certify``)."""
-    previous = set_certification_enabled(enabled)
     try:
         yield
     finally:
-        set_certification_enabled(previous)
+        _cert_enabled = previous
 
 
 # ----------------------------------------------------------------------

@@ -25,10 +25,7 @@ performs, in order, as immutable events:
   for an unconditional refutation).  Unit propagation over the active
   clauses plus the assumptions must yield a conflict.
 
-The log is always held in memory; when ``stream_path`` is given every
-event is additionally appended to a text file in an extended
-DIMACS/DRAT line format (``i``/``d``/``u`` prefixes, 1-based signed
-literals, ``0`` terminator) for offline inspection.
+The log lives in memory, one per solver built with ``proof=True``.
 
 This module imports nothing from ``repro`` — :mod:`repro.sat.solver`
 must be able to import it without cycles, exactly like the resilience
@@ -37,7 +34,7 @@ error taxonomy.
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, List, Optional, Tuple
+from typing import Dict, Iterable, List, Tuple
 
 __all__ = ["EVENT_KINDS", "ProofLog", "clause_key"]
 
@@ -63,16 +60,8 @@ def clause_key(lits: Iterable[int]) -> Tuple[int, ...]:
     return tuple(sorted(set(lits)))
 
 
-def _dimacs(lits: Tuple[int, ...]) -> str:
-    """Render 0-based solver literals as a signed 1-based DIMACS line."""
-    return " ".join(
-        str(-(lit // 2 + 1) if lit & 1 else lit // 2 + 1)
-        for lit in lits
-    ) + " 0"
-
-
 class ProofLog:
-    """An in-memory (optionally disk-streamed) clausal proof log.
+    """An in-memory clausal proof log.
 
     Events are ``(kind, lits)`` tuples with ``kind`` in
     :data:`EVENT_KINDS` and ``lits`` an immutable tuple of 0-based
@@ -82,27 +71,16 @@ class ProofLog:
     unaffected.
     """
 
-    __slots__ = ("events", "stream_path", "_stream")
+    __slots__ = ("events",)
 
-    def __init__(self, stream_path: Optional[str] = None) -> None:
+    def __init__(self) -> None:
         self.events: List[Tuple[str, Tuple[int, ...]]] = []
-        self.stream_path = stream_path
-        self._stream = None
-        if stream_path:
-            # Append mode: several solvers (or incremental sessions)
-            # may share one debugging stream; the in-memory log stays
-            # per-solver regardless.
-            self._stream = open(stream_path, "a", encoding="ascii")
 
     # ------------------------------------------------------------------
     # Logging (called from the solver hot paths; each is one append)
     # ------------------------------------------------------------------
     def _log(self, kind: str, lits: Iterable[int]) -> None:
-        event = (kind, tuple(lits))
-        self.events.append(event)
-        if self._stream is not None:
-            prefix = "" if kind == "a" else kind + " "
-            self._stream.write(prefix + _dimacs(event[1]) + "\n")
+        self.events.append((kind, tuple(lits)))
 
     def input(self, lits: Iterable[int]) -> None:
         """Log an original problem clause (the checker's axiom set)."""
@@ -120,8 +98,6 @@ class ProofLog:
     def conclude_unsat(self, assumptions: Iterable[int] = ()) -> None:
         """Log an UNSAT verdict under ``assumptions`` (may be empty)."""
         self._log("u", assumptions)
-        if self._stream is not None:
-            self._stream.flush()
 
     # ------------------------------------------------------------------
     # Introspection
@@ -135,15 +111,3 @@ class ProofLog:
 
     def __len__(self) -> int:
         return len(self.events)
-
-    def close(self) -> None:
-        """Close the optional disk stream (in-memory events remain)."""
-        if self._stream is not None:
-            self._stream.close()
-            self._stream = None
-
-    def __del__(self):  # pragma: no cover - interpreter-shutdown path
-        try:
-            self.close()
-        except Exception:
-            pass

@@ -155,13 +155,15 @@ def prove(
     :class:`Cancelled` propagates.
 
     Certification arbitration: when verdict certification is armed
-    (:func:`repro.cert.use_certification` or ``REPRO_CERT``), a
-    :class:`repro.resilience.CertificationFailure` from BMC or
-    k-induction triggers ONE retry of that engine call under the
-    surviving budget (``cert.retried`` /
-    ``cert.recovered`` counters); a second failure degrades to the
-    structural bound with ``exhaustion_reason="certification"`` —
-    the same never-lie posture as an engine crash.
+    (:func:`repro.cert.use_certification`, which ``repro-check
+    --certify`` enters), BMC and k-induction build their solvers with
+    ``Solver(proof=True)``, and a
+    :class:`repro.resilience.CertificationFailure` from either
+    triggers ONE retry of that engine call under the surviving budget
+    (``cert.retried`` / ``cert.recovered`` counters); a second
+    failure degrades to the structural bound with
+    ``exhaustion_reason="certification"`` — the same never-lie
+    posture as an engine crash.
     """
     if target is None:
         if not net.targets:

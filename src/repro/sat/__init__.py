@@ -17,10 +17,7 @@ from .solver import (
     LegacySolver,
     Solver,
     debug_checks_enabled,
-    proofs_enabled,
     set_debug_checks,
-    set_proofs_enabled,
-    use_proofs,
 )
 from .flat import FlatSolver
 from .qbf import QBFResult, solve_exists_forall, solve_forall_exists
@@ -54,10 +51,7 @@ __all__ = [
     "UNKNOWN",
     "UNSAT",
     "debug_checks_enabled",
-    "proofs_enabled",
     "set_debug_checks",
-    "set_proofs_enabled",
-    "use_proofs",
     "clear_template_cache",
     "compile_template",
     "get_template",

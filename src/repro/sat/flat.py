@@ -46,8 +46,8 @@ _HDR = 2
 class FlatSolver(Solver):
     """The arena-backed CDCL core (see the module docstring)."""
 
-    def __init__(self) -> None:
-        super().__init__()
+    def __init__(self, proof: bool = False) -> None:
+        super().__init__(proof)
         #: Clause arena; pad so cref 0 is never valid (reason table
         #: uses -1 as "no reason", watcher code may treat 0 as falsy).
         self._arena: List[int] = [0, 0]
@@ -571,10 +571,17 @@ class FlatSolver(Solver):
         if self._garbage * 2 > len(self._arena):
             self._compact()
 
-    def _simp_clear_reasons(self) -> None:
+    def _simp_clear_reasons(self, start: int = 0) -> Dict[int, int]:
+        """Drop the reasons of the literals on ``trail[start:]``;
+        returns them as ``{clause ref: the literal it implied}``."""
         reason = self._reason
-        for lit in self._trail:
-            reason[lit >> 1] = -1
+        cleared = {}
+        for lit in self._trail[start:]:
+            cref = reason[lit >> 1]
+            if cref >= 0:
+                cleared[cref] = lit
+                reason[lit >> 1] = -1
+        return cleared
 
     def _debug_check_watches(self) -> None:
         """Assert every watcher entry is consistent: the watched

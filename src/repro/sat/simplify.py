@@ -17,7 +17,10 @@ fixpoint) and performs, in order:
 1. **Level-0 cleanup** — clauses satisfied at level 0 are deleted;
    level-0-false literals are stripped (the stripped clause is a
    one-step RUP lemma: the dropped literals' negations are derivable
-   units).
+   units).  A clause that is the reason of a level-0 literal is
+   removed without a ``d`` line, since the checker needs it to derive
+   that literal; a reason the round keeps gets its literal logged as
+   a unit lemma instead, before the round drops the reason.
 2. **Backward subsumption / self-subsuming resolution** — via
    variable-indexed occurrence lists and 64-bit clause signatures.
    For each clause ``C`` the occurrence list of its rarest variable is
@@ -164,7 +167,11 @@ def _run(solver) -> Tuple[bool, int, int, int]:
     # level-0 variables), but a stale reason pointing at a clause this
     # round deletes would dangle — and the flat core's compaction
     # remaps every live reason reference.  Drop them all up front.
-    solver._simp_clear_reasons()
+    # The proof checker, though, re-derives every level-0 fact by unit
+    # propagation, so the dropped reasons stay *locked* for the round
+    # (clause ref -> the literal it implied): the solver still removes
+    # a locked clause, but its deletion is never logged.
+    locked = solver._simp_clear_reasons()
 
     elim = solver._elim
     if len(elim) < solver.num_vars:
@@ -183,16 +190,20 @@ def _run(solver) -> Tuple[bool, int, int, int]:
 
     def remove(ref) -> None:
         dead.add(ref)
-        if proof is not None:
+        if proof is not None and ref not in locked:
             proof.delete(recs[ref][0])
         solver._simp_remove(ref)
 
     def assert_unit(lit) -> bool:
         # The literal is unassigned at level 0 (normalization strips
         # assigned ones), so the enqueue cannot fail — only the
-        # follow-up propagation can, by refuting the formula.
+        # follow-up propagation can, by refuting the formula.  The
+        # reasons that propagation assigns are locked like the others.
+        start = len(solver._trail)
         solver._enqueue(lit)
-        return solver._propagate() is None
+        ok = solver._propagate() is None
+        locked.update(solver._simp_clear_reasons(start))
+        return ok
 
     for ref in solver._clauses:
         lits = solver._simp_lits(ref)
@@ -407,8 +418,13 @@ def _run(solver) -> Tuple[bool, int, int, int]:
     if learnt_dead:
         solver._learnts = [r for r in solver._learnts
                            if r not in learnt_dead]
-    # Propagation during the round assigned fresh level-0 reasons that
-    # may reference deleted clauses; clear them again before GC.
-    solver._simp_clear_reasons()
+    if proof is not None:
+        # A locked clause the round keeps is a reason no longer, so a
+        # later round or learnt-DB reduction may delete it (and log
+        # that).  Its literal becomes a unit lemma first — RUP, since
+        # the clause is still live.
+        for ref, lit in locked.items():
+            if ref not in dead:
+                proof.learnt((lit,))
     solver._simp_gc()
     return True, subsumed, strengthened, eliminated

@@ -32,9 +32,7 @@ from __future__ import annotations
 
 import heapq
 import os
-from contextlib import contextmanager
-from typing import Dict, Iterable, Iterator, List, Optional, Sequence, \
-    Tuple
+from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 from .. import obs
 from ..cert.proof import ProofLog
@@ -71,59 +69,6 @@ def set_debug_checks(enabled: bool) -> bool:
     return previous
 
 
-# ----------------------------------------------------------------------
-# Proof-logging toggle (the certification layer, repro.cert)
-# ----------------------------------------------------------------------
-_PROOF_ENV = "REPRO_SAT_PROOF"
-
-
-def _parse_proof_env(value: str) -> Tuple[bool, Optional[str]]:
-    """``REPRO_SAT_PROOF``: off / in-memory ("1") / also stream to a
-    path (any other value is taken as a file name)."""
-    text = value.strip()
-    lowered = text.lower()
-    if lowered in ("", "0", "false", "off", "no"):
-        return False, None
-    if lowered in ("1", "true", "on", "yes"):
-        return True, None
-    return True, text
-
-
-_proof_enabled, _proof_stream_path = \
-    _parse_proof_env(os.environ.get(_PROOF_ENV, ""))
-
-
-def proofs_enabled() -> bool:
-    """Whether new solvers log DRAT-style proof events.
-
-    The toggle is read at construction time only: a solver either
-    carries a :class:`~repro.cert.proof.ProofLog` for its whole life
-    or never pays a single hot-path branch.
-    """
-    return _proof_enabled
-
-
-def set_proofs_enabled(enabled: bool) -> bool:
-    """Set the proof-logging toggle; returns the previous value.
-
-    Only affects solvers constructed afterwards.
-    """
-    global _proof_enabled
-    previous = _proof_enabled
-    _proof_enabled = bool(enabled)
-    return previous
-
-
-@contextmanager
-def use_proofs(enabled: bool) -> Iterator[None]:
-    """Scoped override of the proof-logging toggle (certified runs)."""
-    previous = set_proofs_enabled(enabled)
-    try:
-        yield
-    finally:
-        set_proofs_enabled(previous)
-
-
 class _Clause:
     """A clause of the legacy object core."""
 
@@ -144,6 +89,11 @@ class Solver:
     statistics, and the normalising slow-path clause loader — while
     the cores implement the data-layout primitives (propagation,
     analysis, attach/detach, VSIDS tables).
+
+    ``Solver(proof=True)`` keeps a DRAT-style proof log
+    (:attr:`proof`) for its whole life; it is the only way a solver
+    gets one.  Logging only observes, so the search is identical
+    with and without it.
     """
 
     def __new__(cls, *args, **kwargs):
@@ -152,7 +102,7 @@ class Solver:
             cls = FlatSolver
         return object.__new__(cls)
 
-    def __init__(self) -> None:
+    def __init__(self, proof: bool = False) -> None:
         self.num_vars = 0
         #: Shared across cores: activity table, lazy-deletion binary
         #: heap of ``(-activity, var)`` entries, trail of literals,
@@ -189,12 +139,10 @@ class Solver:
         #: the call was conclusive (or inconclusive for a non-resource
         #: reason, e.g. an injected spurious unknown).
         self.last_exhaustion: Optional[str] = None
-        #: DRAT-style proof event log (repro.cert), or None when proof
-        #: logging was off at construction — the hot paths then guard
-        #: on a single ``is not None`` per batch/conflict/solve.
-        self._proof: Optional[ProofLog] = \
-            ProofLog(stream_path=_proof_stream_path) \
-            if _proof_enabled else None
+        #: DRAT-style proof event log (repro.cert), or None unless the
+        #: solver was built with ``proof=True`` — the hot paths then
+        #: guard on a single ``is not None`` per batch/conflict/solve.
+        self._proof: Optional[ProofLog] = ProofLog() if proof else None
         #: Inprocessing (repro.sat.simplify).  The schedule is
         #: conflict-driven: a round runs at the first restart whose
         #: lifetime conflict count reaches ``_simp_next``, then the
@@ -810,8 +758,8 @@ class Solver:
 
     @property
     def proof(self) -> Optional[ProofLog]:
-        """The DRAT-style proof event log, or None when proof logging
-        was off at construction (see :func:`use_proofs`)."""
+        """The DRAT-style proof event log, or None unless the solver
+        was constructed with ``proof=True``."""
         return self._proof
 
     def trail_lits(self) -> List[int]:
@@ -840,8 +788,8 @@ class LegacySolver(Solver):
     construct it directly.
     """
 
-    def __init__(self) -> None:
-        super().__init__()
+    def __init__(self, proof: bool = False) -> None:
+        super().__init__(proof)
         self._clauses: List[_Clause] = []
         self._learnts: List[_Clause] = []
         #: Watcher lists, indexed by falsified literal; entries are
@@ -1244,10 +1192,18 @@ class LegacySolver(Solver):
     def _simp_gc(self) -> None:
         pass  # no arena: removed _Clause objects are plain garbage
 
-    def _simp_clear_reasons(self) -> None:
+    def _simp_clear_reasons(self, start: int = 0) \
+            -> Dict[_Clause, int]:
+        """Drop the reasons of the literals on ``trail[start:]``;
+        returns them as ``{clause ref: the literal it implied}``."""
         reason = self._reason
-        for lit in self._trail:
-            reason[lit >> 1] = None
+        cleared = {}
+        for lit in self._trail[start:]:
+            clause = reason[lit >> 1]
+            if clause is not None:
+                cleared[clause] = lit
+                reason[lit >> 1] = None
+        return cleared
 
     def _debug_check_watches(self) -> None:
         """Assert every watcher entry is consistent: the watched

@@ -243,14 +243,13 @@ class FrameTemplate:
         backend.  Returns ``(lits, next_state)``: the vertex-to-literal
         map of the frame and (when ``with_next``) the literals of the
         successor state; ``with_next=False`` stops at the core
-        boundary (no latch hold-muxes — the COM frame-1 / enlargement
-        S_0 shape).
+        boundary (no latch hold-muxes — the COM frame-1 shape).
 
         Certification note: stamping goes through the backend's public
         ``add_clause`` / ``add_clauses_bulk`` entry points, never a
-        private fast path — so when the solver's DRAT-style proof log
-        is armed (:func:`repro.sat.use_proofs`), every stamped clause
-        is recorded as an input event.
+        private fast path — so when the solver keeps a DRAT-style
+        proof log (``Solver(proof=True)``), every stamped clause is
+        recorded as an input event.
         """
         nslots = len(self.slots)
         tab = [0] * (2 * nslots + 2)

@@ -6,7 +6,6 @@ from .retime import RetimingGraph, min_register_lags, retime
 from .phase import infer_latch_colors, phase_abstract
 from .cslow import cslow_abstract, infer_cslow_coloring, max_cslow_factor
 from .enlarge import enlarge_target, enlargement_frontiers, synthesize_bdd
-from .enlarge_sat import enlarge_target_sat
 from .approx import case_split, localize, localize_by_distance
 from .localize_cegar import LocalizationResult, localization_refinement
 from .parametric import cut_is_surjective, parametric_reencode
@@ -31,7 +30,6 @@ __all__ = [
     "cslow_abstract",
     "cut_is_surjective",
     "enlarge_target",
-    "enlarge_target_sat",
     "enlargement_frontiers",
     "infer_cslow_coloring",
     "infer_latch_colors",

@@ -11,7 +11,6 @@ ensure completeness of BMC".
 
 from __future__ import annotations
 
-from contextlib import nullcontext as _nullcontext
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional
 
@@ -19,7 +18,7 @@ from .. import obs
 from ..cert import certification_enabled, certify_unsat, certify_witness
 from ..netlist import Netlist
 from ..resilience import Budget, Cancelled
-from ..sat import SAT, UNKNOWN, use_proofs
+from ..sat import SAT, UNKNOWN, Solver
 from .unroller import Unrolling
 
 #: Verification statuses.
@@ -127,9 +126,9 @@ def bmc(
     :data:`ABORTED` with a structured ``exhaustion_reason``,
     cancellation raises.
 
-    ``certify`` (None = the :func:`repro.cert.certification_enabled`
-    toggle) arms verdict certification: the unrolling solver keeps a
-    DRAT-style proof log, refuted windows are checked by the
+    ``certify`` (None = the :func:`repro.cert.use_certification`
+    default) arms verdict certification: the unrolling is built on a
+    ``Solver(proof=True)``, refuted windows are checked by the
     :mod:`repro.cert.drat` checker on exit, and counterexamples are
     replayed through the bit-parallel simulator before FALSIFIED is
     returned.  A verdict that passes carries ``certified=True``; one
@@ -143,8 +142,7 @@ def bmc(
             raise ValueError("netlist has no targets")
         target = net.targets[0]
     do_cert = certification_enabled() if certify is None else certify
-    with use_proofs(True) if do_cert else _nullcontext():
-        unroll = Unrolling(net, constrain_init=True)
+    unroll = Unrolling(net, Solver(proof=do_cert), constrain_init=True)
     refuted = 0
     depth = max_depth
     if complete_bound is not None:
@@ -226,8 +224,7 @@ def bmc_multi(
         targets = list(dict.fromkeys(net.targets))
     complete_bounds = complete_bounds or {}
     do_cert = certification_enabled() if certify is None else certify
-    with use_proofs(True) if do_cert else _nullcontext():
-        unroll = Unrolling(net, constrain_init=True)
+    unroll = Unrolling(net, Solver(proof=do_cert), constrain_init=True)
     refuted = 0
     results: Dict[int, BMCResult] = {}
     open_targets = list(dict.fromkeys(targets))

@@ -11,15 +11,14 @@ computation.
 
 from __future__ import annotations
 
-from contextlib import nullcontext as _nullcontext
 from typing import Dict, Optional
 
 from .. import obs
 from ..cert import certification_enabled, certify_unsat
 from ..netlist import Netlist
 from ..resilience import Budget
-from ..sat import UNKNOWN, UNSAT, CnfSink, encode_xor2, lit_not, pos, \
-    use_proofs
+from ..sat import UNKNOWN, UNSAT, CnfSink, Solver, encode_xor2, lit_not, \
+    pos
 from .bmc import BMCResult, FALSIFIED, PROVEN, BOUNDED, ABORTED, \
     _budget_abort, _budget_remaining, bmc
 from .unroller import Unrolling
@@ -68,11 +67,11 @@ def k_induction(
     counters expose the encoding size so the reduction is visible in
     the registry snapshot.
 
-    ``certify`` (None = the global certification toggle) certifies
-    both halves of a PROVEN verdict: the base window through
-    :func:`~repro.unroll.bmc.bmc`'s own certification, and the step
-    refutation by DRAT-checking the step solver's proof log before
-    PROVEN is returned.  Failure raises
+    ``certify`` (None = the :func:`repro.cert.use_certification`
+    default) certifies both halves of a PROVEN verdict: the base
+    window through :func:`~repro.unroll.bmc.bmc`'s own certification,
+    and the step refutation by DRAT-checking the step solver's proof
+    log before PROVEN is returned.  Failure raises
     :class:`repro.resilience.CertificationFailure`.  Every verdict
     this call certifies carries ``certified=True``.
 
@@ -108,8 +107,7 @@ def k_induction(
     # Step: an unconstrained simple path of k+1 states with the target
     # false at 0..k-1 and true at k must be UNSAT for inductiveness.
     reg = obs.get_registry()
-    with use_proofs(True) if do_cert else _nullcontext():
-        step = Unrolling(net, constrain_init=False)
+    step = Unrolling(net, Solver(proof=do_cert), constrain_init=False)
     solver = step.solver
     for k in range(1, max_k + 1):
         reason = _budget_abort(budget)

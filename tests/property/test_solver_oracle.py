@@ -26,7 +26,6 @@ from repro.sat import (
     UNSAT,
     FlatSolver,
     LegacySolver,
-    use_proofs,
 )
 from repro.sat.simplify import simplify_round
 
@@ -319,8 +318,7 @@ class TestSimplifyEquivalence:
         # Natural restarts fire rounds mid-search; the emitted proof
         # must check, identically from both cores.
         def php(core):
-            with use_proofs(True):
-                s = core()
+            s = core(proof=True)
             pigeons, holes = 5, 4
             var = {(p, h): s.new_var() for p in range(pigeons)
                    for h in range(holes)}

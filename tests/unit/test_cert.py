@@ -16,13 +16,12 @@ from repro.cert import (
     certify_unsat,
     certify_witness,
     check_events,
-    set_certification_enabled,
     use_certification,
 )
 from repro.cert.drat import check_proof
 from repro.cert.witness import replay_witness
 from repro.netlist import NetlistBuilder
-from repro.sat import Solver, UNSAT, use_proofs
+from repro.sat import Solver, UNSAT
 from repro.unroll import bmc
 
 
@@ -74,22 +73,6 @@ class TestProofLog:
         assert counts["i"] == 2
         assert counts["a"] == 1
         assert counts["u"] == 1
-
-    def test_stream_path_writes_dimacs_lines(self, tmp_path):
-        path = tmp_path / "proof.drat"
-        log = ProofLog(stream_path=str(path))
-        log.input([X, NY])
-        log.learnt([Y])
-        log.delete([Y])
-        log.conclude_unsat((X,))
-        log.close()
-        lines = path.read_text().strip().splitlines()
-        # 0-based lit 0 -> DIMACS 1, lit 2 -> 2, lit 3 -> -2; learnt
-        # lines carry no prefix (plain DRAT additions).
-        assert lines[0].split() == ["i", "1", "-2", "0"]
-        assert lines[1].split() == ["2", "0"]
-        assert lines[2].split() == ["d", "2", "0"]
-        assert lines[3].split() == ["u", "1", "0"]
 
 
 class TestChecker:
@@ -337,8 +320,7 @@ class TestChecker:
 
 class TestSolverProofIntegration:
     def test_solver_unsat_proof_checks(self):
-        with use_proofs(True):
-            solver = Solver()
+        solver = Solver(proof=True)
         # Pigeonhole PHP(3,2): 3 pigeons, 2 holes.
         holes = {(p, h): 2 * (p * 2 + h)
                  for p in range(3) for h in range(2)}
@@ -397,11 +379,12 @@ class TestCertifyEntryPoints:
                 assert not certification_enabled()
             assert certification_enabled()
         assert not certification_enabled()
-        set_certification_enabled(True)
-        try:
-            assert certification_enabled()
-        finally:
-            set_certification_enabled(False)
+
+    def test_scope_restores_on_error(self):
+        with pytest.raises(RuntimeError):
+            with use_certification(True):
+                raise RuntimeError("boom")
+        assert not certification_enabled()
 
     def test_certify_unsat_requires_proof_log(self):
         solver = Solver()  # proofs off: nothing to check

@@ -1,8 +1,7 @@
 """Unit tests for the CDCL SAT solver and CNF utilities.
 
-``Solver`` below is the facade (whichever core is enabled — flat by
-default); layout-sensitive tests parametrize over both cores
-explicitly.
+``Solver`` below is the facade, which always builds the flat core;
+layout-sensitive tests parametrize over both cores explicitly.
 """
 
 import heapq

@@ -16,7 +16,6 @@ from repro.sat import (
     FlatSolver,
     LegacySolver,
     set_debug_checks,
-    use_proofs,
 )
 from repro.sat.simplify import (
     BVE_MAX_OCC,
@@ -221,8 +220,7 @@ class TestVariableElimination:
 @pytest.mark.parametrize("core", CORES)
 class TestCertifiedSimplification:
     def test_unsat_after_explicit_round_proof_checks(self, core):
-        with use_proofs(True):
-            s = core()
+        s = core(proof=True)
         php_clauses(s, 3, 2)
         # Fodder over fresh variables so the round exercises
         # subsumption, strengthening, and elimination before search.
@@ -242,14 +240,81 @@ class TestCertifiedSimplification:
         # Large enough to restart and fire rounds naturally inside
         # solve(); the checker must accept the interleaved
         # subsumption/strengthening/elimination proof lines.
-        with use_proofs(True):
-            s = core()
+        s = core(proof=True)
         php_clauses(s, 6, 5)
         assert s.solve() == UNSAT
         assert s.stats().get("simplify_rounds", 0) >= 1
         result = check_proof(s.proof)
         assert result.ok, result.errors[:3]
         assert result.deletions > 0
+
+
+@pytest.mark.parametrize("core", CORES)
+class TestLevel0ReasonsStayDerivable:
+    """A round never makes a level-0 fact underivable for the checker.
+
+    The solver keeps level-0 literals on its trail and deletes the
+    clauses they satisfy, reasons included; the checker re-derives
+    those literals by unit propagation from the logged clauses alone.
+    """
+
+    def test_reason_deleted_as_satisfied(self, core):
+        s = core(proof=True)
+        for _ in range(7):
+            s.new_var()
+        s.add_clause([N(4), N(1)])   # the reason of the level-0 ~v1
+        s.add_clause([P(4)])
+        s.add_clause([P(6), P(1)])   # v6 follows from ~v1
+        # The solve-entry round deletes (~v4 | ~v1): satisfied at
+        # level 0.
+        assert s.solve() == SAT
+        s.add_clause([N(6)])
+        assert s.solve() == UNSAT
+        result = check_proof(s.proof)
+        assert result.ok, result.errors[:3]
+
+    def test_reason_created_by_round_deleted_next_round(self, core):
+        s = core(proof=True)
+        x, a, y = s.new_var(), s.new_var(), s.new_var()
+        for var in (x, a, y):
+            s.freeze(var)
+        s.add_clause([N(x), P(y)])   # becomes the reason of y
+        s.add_clause([P(x), P(a)])
+        s.add_clause([P(x), N(a)])   # strengthened to the unit x
+        assert simplify_round(s)
+        assert s.trail_lits() == [P(x), P(y)]
+        # The next round deletes (~x | y), satisfied at level 0.
+        assert simplify_round(s)
+        s.add_clause([N(y)])
+        assert s.solve() == UNSAT
+        result = check_proof(s.proof)
+        assert result.ok, result.errors[:3]
+
+    def test_learnt_reason_unlocked_by_round_then_reduced(self, core):
+        s = core(proof=True)
+        x, a, b, z, p, c, d, e = (s.new_var() for _ in range(8))
+        for var in range(8):
+            s.freeze(var)
+        # Under a and b, deciding ~x conflicts: learnt (x | ~a | ~b).
+        s.add_clause([N(a), P(x), P(z)])
+        s.add_clause([N(b), P(x), N(z)])
+        # The same gadget again gives a second, more active learnt.
+        s.add_clause([N(c), P(p), P(e)])
+        s.add_clause([N(d), P(p), N(e)])
+        assert s.solve([P(a), P(b)]) == SAT
+        assert s.solve([P(c), P(d)]) == SAT
+        reason = sorted([P(x), N(a), N(b)])
+        assert reason in [sorted(c) for c in s.learnt_lits()]
+        s.add_clause([P(a)])
+        s.add_clause([P(b)])         # x now holds through the learnt
+        assert P(x) in s.trail_lits()
+        assert simplify_round(s)     # drops every level-0 reason
+        s._reduce_db()
+        assert reason not in [sorted(c) for c in s.learnt_lits()]
+        s.add_clause([N(x)])
+        assert s.solve() == UNSAT
+        result = check_proof(s.proof)
+        assert result.ok, result.errors[:3]
 
 
 @pytest.mark.parametrize("core", CORES)
