@@ -1,7 +1,7 @@
 """Microbenchmarks for the substrate engines.
 
 Not tied to a specific paper table; they track the throughput of the
-pieces every experiment depends on (SAT, BDD, sweeping, retiming LP,
+pieces every experiment depends on (SAT, BDD, sweeping, retiming flow,
 structural analysis) so regressions in the substrates are visible
 independently of the end-to-end numbers.
 """

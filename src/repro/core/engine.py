@@ -12,11 +12,11 @@ techniques to yield exponentially tighter diameter bounds."
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, List, Optional
+from typing import Callable, Dict, List, Optional, Tuple
 
 from ..netlist import GateType, Netlist
 from ..resilience import Budget
-from .record import TransformChain
+from .record import TransformChain, TransformResult
 from .theory import back_translate
 
 if False:  # pragma: no cover - import-cycle-free type hints only
@@ -81,6 +81,65 @@ def _is_constant(net: Netlist, vid: int) -> Optional[int]:
     return None
 
 
+def _com(engine: "TBVEngine", net: Netlist, arg: str,
+         budget: Optional[Budget]) -> TransformResult:
+    from ..transform.redundancy import redundancy_removal
+    return redundancy_removal(net, config=engine.sweep_config,
+                              budget=budget)
+
+
+def _strash(engine: "TBVEngine", net: Netlist, arg: str,
+            budget: Optional[Budget]) -> TransformResult:
+    from ..transform.strash import strash
+    return strash(net)
+
+
+def _ret(engine: "TBVEngine", net: Netlist, arg: str,
+         budget: Optional[Budget]) -> TransformResult:
+    from ..transform.retime import retime
+    return retime(net)
+
+
+def _coi(engine: "TBVEngine", net: Netlist, arg: str,
+         budget: Optional[Budget]) -> TransformResult:
+    from ..transform.coi import coi_reduction
+    return coi_reduction(net)
+
+
+def _phase(engine: "TBVEngine", net: Netlist, arg: str,
+           budget: Optional[Budget]) -> TransformResult:
+    from ..transform.phase import phase_abstract
+    return phase_abstract(net)
+
+
+def _cslow(engine: "TBVEngine", net: Netlist, arg: str,
+           budget: Optional[Budget]) -> TransformResult:
+    from ..transform.cslow import cslow_abstract
+    return cslow_abstract(net, c=int(arg) if arg else None)
+
+
+#: Strategy tokens and the transform each applies.  The transforms
+#: are imported on first use: ``repro.transform`` imports this package.
+#: Only ``CSLOW`` takes an argument (``CSLOW:<c>``).
+_TRANSFORMS: Dict[str, Callable[..., TransformResult]] = {
+    "COM": _com,
+    "STRASH": _strash,
+    "RET": _ret,
+    "COI": _coi,
+    "PHASE": _phase,
+    "CSLOW": _cslow,
+}
+
+
+def _split_token(token: str) -> Tuple[str, str]:
+    """``(name, argument)`` of a strategy token; ValueError if unknown."""
+    name, colon, arg = token.partition(":")
+    if name not in _TRANSFORMS or \
+            (colon and (name != "CSLOW" or not arg.isdigit())):
+        raise ValueError(f"unknown strategy token {token!r}")
+    return name, arg
+
+
 class TBVEngine:
     """Applies a transformation strategy and bounds target diameters.
 
@@ -104,6 +163,8 @@ class TBVEngine:
     ) -> None:
         self.strategy = [tok.strip().upper()
                          for tok in strategy.split(",") if tok.strip()]
+        for token in self.strategy:
+            _split_token(token)
         self.bounder = bounder
         self.sweep_config = sweep_config
         self.refine_gc_limit = refine_gc_limit
@@ -118,35 +179,12 @@ class TBVEngine:
         budget-aware transforms; an exhausted COM degrades to fewer
         merges rather than failing.
         """
-        from ..transform.coi import coi_reduction
-        from ..transform.cslow import cslow_abstract
-        from ..transform.phase import phase_abstract
-        from ..transform.redundancy import redundancy_removal
-        from ..transform.retime import retime
-        from ..transform.strash import strash
-
         chain = TransformChain.identity(net)
         for token in self.strategy:
             if budget is not None:
                 budget.check()
-            if token == "COM":
-                result = redundancy_removal(chain.netlist,
-                                            config=self.sweep_config,
-                                            budget=budget)
-            elif token == "STRASH":
-                result = strash(chain.netlist)
-            elif token == "RET":
-                result = retime(chain.netlist)
-            elif token == "COI":
-                result = coi_reduction(chain.netlist)
-            elif token == "PHASE":
-                result = phase_abstract(chain.netlist)
-            elif token.startswith("CSLOW"):
-                _, _, arg = token.partition(":")
-                result = cslow_abstract(chain.netlist,
-                                        c=int(arg) if arg else None)
-            else:
-                raise ValueError(f"unknown strategy token {token!r}")
+            name, arg = _split_token(token)
+            result = _TRANSFORMS[name](self, chain.netlist, arg, budget)
             chain = chain.extend(result)
         return chain
 

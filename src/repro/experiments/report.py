@@ -20,7 +20,7 @@ from .. import obs
 from ..gen import gp, iscas89
 from ..resilience import Budget
 from .compare import compare_useful_fractions, format_comparison
-from .runner import RowResult, cumulative, format_table
+from .runner import RowResult, cumulative, format_table, parse_designs
 from .table1 import run as run_table1
 from .table2 import run as run_table2
 
@@ -137,11 +137,13 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
                         help="report live engine progress on stderr")
     args = parser.parse_args(argv)
     obs.trace.setup_cli(progress_flag=args.progress)
+    designs_t1 = parse_designs(parser, args.designs_t1, iscas89.profiles())
+    designs_t2 = parse_designs(parser, args.designs_t2, gp.profiles())
     report = generate_report(
         scale=args.scale,
         max_registers=args.max_registers or None,
-        designs_t1=args.designs_t1.split(",") if args.designs_t1 else None,
-        designs_t2=args.designs_t2.split(",") if args.designs_t2 else None,
+        designs_t1=designs_t1,
+        designs_t2=designs_t2,
         budget=Budget(wall_seconds=args.timeout, name="report")
         if args.timeout else None,
         jobs=args.jobs,

@@ -23,6 +23,7 @@ aborts a run.
 
 from __future__ import annotations
 
+import argparse
 from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
@@ -170,6 +171,25 @@ def evaluate_design(net: Netlist,
                     exhaustion_reason=reason,
                     seconds=column_span.seconds if column_span else 0.0)
     return row
+
+
+def parse_designs(parser: argparse.ArgumentParser, value: Optional[str],
+                  profiles: Sequence[DesignProfile]
+                  ) -> Optional[List[str]]:
+    """Split a comma-separated ``--designs`` value (None when empty).
+
+    Names match profile names case-insensitively; a name no profile
+    has ends in ``parser.error`` instead of an empty table.
+    """
+    if not value:
+        return None
+    names = [name.strip() for name in value.split(",") if name.strip()]
+    known = {p.name.upper() for p in profiles}
+    unknown = [name for name in names if name.upper() not in known]
+    if unknown:
+        parser.error(f"unknown design(s) {', '.join(unknown)}; choose "
+                     f"from {', '.join(p.name for p in profiles)}")
+    return names
 
 
 def run_table(generate: Callable[..., Netlist],

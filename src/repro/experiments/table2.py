@@ -21,7 +21,8 @@ from ..gen import gp
 from ..resilience import Budget
 from ..transform import SweepConfig
 from .compare import compare_useful_fractions, format_comparison
-from .runner import EXPERIMENT_SWEEP, RowResult, format_table, run_table
+from .runner import EXPERIMENT_SWEEP, RowResult, format_table, \
+    parse_designs, run_table
 
 
 def run(scale: float = 1.0,
@@ -88,7 +89,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
                         help="report live engine progress on stderr")
     args = parser.parse_args(argv)
     obs.trace.setup_cli(progress_flag=args.progress)
-    designs = args.designs.split(",") if args.designs else None
+    designs = parse_designs(parser, args.designs, gp.profiles())
     budget = Budget(wall_seconds=args.timeout, name="table2") \
         if args.timeout else None
     rows = run(scale=args.scale, designs=designs,

@@ -24,8 +24,9 @@ from typing import Optional, Sequence
 from .. import obs
 from ..core import TBVEngine, compare_strategies
 from ..diameter import recurrence_diameter
+from ..netlist import NetlistError
 from ..resilience import Budget, ResourceExhausted
-from .io import load_netlist
+from .io import load_or_exit
 
 
 def _recurrence_bounder(net, target):
@@ -96,8 +97,15 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
                         help="report live engine progress on stderr")
     args = parser.parse_args(argv)
     obs.trace.setup_cli(progress_flag=args.progress)
+    bounder = _recurrence_bounder if args.bounder == "recurrence" else None
+    try:
+        engines = [TBVEngine(strategy, bounder=bounder,
+                             refine_gc_limit=args.refine_gc)
+                   for strategy in args.strategy.split("/")]
+    except ValueError as exc:
+        parser.error(str(exc))
 
-    net = load_netlist(args.netlist)
+    net = load_or_exit(parser, args.netlist)
     print(f"loaded {net}")
     from ..netlist import validate as validate_netlist
 
@@ -105,13 +113,12 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         print(f"  lint: {issue.severity}[{issue.code}] {issue.message}")
     budget = Budget(wall_seconds=args.timeout, name="bound") \
         if args.timeout else None
-    if "/" in args.strategy:
+    if len(engines) > 1:
         return _portfolio_main(net, args, budget)
-    bounder = _recurrence_bounder if args.bounder == "recurrence" else None
-    engine = TBVEngine(args.strategy, bounder=bounder,
-                       refine_gc_limit=args.refine_gc)
     try:
-        result = engine.run(net, budget=budget)
+        result = engines[0].run(net, budget=budget)
+    except NetlistError as exc:  # e.g. CSLOW on a netlist not c-slow
+        parser.error(str(exc))
     except ResourceExhausted as exc:
         # Sound degradation: bound the untransformed netlist instead
         # (the structural bounder always terminates).

@@ -25,11 +25,11 @@ from typing import Optional, Sequence
 from .. import obs
 from ..cert import use_certification
 from ..core import TBVEngine
-from ..netlist import Netlist
+from ..netlist import Netlist, NetlistError
 from ..resilience import CertificationFailure
 from ..transform.localize_cegar import localization_refinement
 from ..unroll import BMCResult, bmc, k_induction
-from .io import load_netlist
+from .io import load_or_exit
 from .vcd import counterexample_to_vcd
 
 
@@ -84,8 +84,12 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
                              "counterexample witnesses; certification "
                              "failures exit nonzero")
     args = parser.parse_args(argv)
+    try:
+        engine = TBVEngine(args.strategy)
+    except ValueError as exc:
+        parser.error(str(exc))
 
-    net = load_netlist(args.netlist)
+    net = load_or_exit(parser, args.netlist)
     print(f"loaded {net}")
     from ..netlist import validate as validate_netlist
 
@@ -97,8 +101,10 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     scope = use_certification(True) if args.certify else nullcontext()
     with scope:
         if args.method == "bmc":
-            engine = TBVEngine(args.strategy)
-            result = engine.run(net)
+            try:
+                result = engine.run(net)
+            except NetlistError as exc:
+                parser.error(str(exc))
             for report in result.reports:
                 label = report.name or f"t{report.target}"
                 if report.status == "proven":

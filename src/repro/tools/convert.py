@@ -14,7 +14,8 @@ import argparse
 from typing import Optional, Sequence
 
 from ..core import TBVEngine
-from .io import load_netlist, save_netlist
+from ..netlist import NetlistError
+from .io import load_or_exit, save_netlist
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
@@ -25,14 +26,20 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     parser.add_argument("--transform", default="",
                         help="optional strategy to apply first")
     args = parser.parse_args(argv)
+    try:
+        engine = TBVEngine(args.transform)
+    except ValueError as exc:
+        parser.error(str(exc))
 
-    net = load_netlist(args.source)
+    net = load_or_exit(parser, args.source)
     print(f"loaded {net}")
-    if args.transform:
-        chain = TBVEngine(args.transform).transform(net)
-        net = chain.netlist
-        print(f"after {args.transform}: {net}")
-    save_netlist(net, args.destination)
+    try:
+        if args.transform:
+            net = engine.transform(net).netlist
+            print(f"after {args.transform}: {net}")
+        save_netlist(net, args.destination)
+    except (OSError, NetlistError) as exc:
+        parser.error(str(exc))
     print(f"wrote {args.destination}")
     return 0
 

@@ -6,8 +6,8 @@ Formats are selected by extension: ``.bench`` (ISCAS89), ``.aag``
 
 from __future__ import annotations
 
+import argparse
 import os
-from typing import Tuple
 
 from ..netlist import (
     Netlist,
@@ -45,6 +45,16 @@ def load_netlist(path: str) -> Netlist:
         return parse_blif(text, name=name)
     raise NetlistError(f"unsupported netlist format: {path!r} "
                        f"(expected .bench, .blif, .aag or .aig)")
+
+
+def load_or_exit(parser: argparse.ArgumentParser, path: str) -> Netlist:
+    """:func:`load_netlist` for a CLI: a missing, unreadable or
+    malformed file ends in ``parser.error`` (exit 2, one ``error:``
+    line) instead of a traceback."""
+    try:
+        return load_netlist(path)
+    except (OSError, NetlistError) as exc:
+        parser.error(str(exc))
 
 
 def save_netlist(net: Netlist, path: str) -> None:

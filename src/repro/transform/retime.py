@@ -6,10 +6,10 @@ and Baumgartner [9] used as the paper's RET engine (Section 3.2):
 * the netlist is abstracted into a *retiming graph* whose nodes are the
   non-register vertices (plus one breaker per register-only cycle) and
   whose edge weights count the registers between them;
-* a minimum-register retiming ``r: V -> Z`` is obtained by solving the
-  Leiserson-Saxe LP (the constraint matrix is totally unimodular, so
-  the LP optimum is integral) and *normalized* so that
-  ``max_v r(v) = 0`` (Definition 5);
+* a minimum-register retiming ``r: V -> Z`` is obtained from the
+  Leiserson-Saxe LP with register sharing, solved exactly in integers
+  as its dual min-cost flow (the optimal node potentials are the lags),
+  and *normalized* so that ``max_v r(v) = 0`` (Definition 5);
 * the retimed netlist is rebuilt with ``w'(u, v) = w(u, v) + r(v) -
   r(u)`` registers per edge.  Initial values come from the *retiming
   stump*: gate ``u`` with lag ``r(u) = -k`` skips its first ``k``
@@ -26,11 +26,9 @@ bound ``d + i`` on the original target.
 
 from __future__ import annotations
 
+import heapq
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, List, Optional, Tuple
-
-import numpy as np
-from scipy.optimize import linprog
+from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 from .. import obs
 from ..core.record import StepKind, TransformResult, TransformStep
@@ -129,23 +127,32 @@ class RetimingGraph:
 def min_register_lags(graph: RetimingGraph,
                       fixed: Optional[Iterable[int]] = None
                       ) -> Dict[int, int]:
-    """Solve the min-register retiming LP with register sharing.
+    """Solve min-register retiming with register sharing.
 
     Registers on the fanout of a node are physically shared, so the
     objective counts ``max_e w'(e)`` per *tail*, not the per-edge sum —
     the Leiserson-Saxe sharing formulation.  With auxiliary variables
-    ``s_u = r(u) + max_{e out of u} w'(e)`` this stays a pure
-    difference-constraint LP (totally unimodular, hence the HiGHS
-    optimum is integral):
+    ``s_u = r(u) + max_{e out of u} w'(e)`` this is a pure
+    difference-constraint LP:
 
         minimize    sum_u (s_u - r(u))
         subject to  r(tail) - r(head) <= w(e)          (w'(e) >= 0)
                     s(tail) - r(head) >= w(e)          (s covers max)
 
+    It is solved exactly as the dual of an uncapacitated min-cost flow
+    (:func:`_min_cost_flow`): one node per ``r(v)`` and per ``s(u)``,
+    supply +1 at ``s(u)`` and -1 at ``r(u)`` for every tail ``u``, and
+    per edge an arc ``s(tail) -> r(head)`` of cost ``-w`` plus, off
+    self-loops, an arc ``r(head) -> r(tail)`` of cost ``w``.  The
+    optimal node potentials are the integral LP optimum.
+
     Lags are then normalized per weakly-connected component, with a
     no-gain reset (see below).  ``fixed`` vertices (classic I/O-timing
     retiming constrains the host boundary this way [18]) are pinned to
-    lag 0 relative to their component's normalization.
+    lag 0 relative to their component's normalization: a root ``z``
+    with zero-cost arcs ``z -> r(v)`` for every node and ``r(p) -> z``
+    for every pinned ``p`` holds every ``r(v) <= z = r(p)``, and lags
+    are read relative to ``z``.
     """
     n = len(graph.nodes)
     if n == 0:
@@ -156,55 +163,32 @@ def min_register_lags(graph: RetimingGraph,
         raise NetlistError(
             f"fixed vertices {sorted(unknown)} are not retiming-graph "
             f"nodes (registers cannot be pinned)")
+    index = graph.node_index
     tails = sorted({e.tail for e in graph.edges})
     s_index = {vid: n + i for i, vid in enumerate(tails)}
-    num_vars = n + len(tails)
-    c = np.zeros(num_vars)
+    supply = [0] * (n + len(tails))
     for vid in tails:
-        c[s_index[vid]] += 1.0
-        c[graph.node_index[vid]] -= 1.0
-    rows = []
-    rhs = []
+        supply[s_index[vid]] = 1
+        supply[index[vid]] = -1
+    # Start from the un-retimed solution (r = 0, s(u) = max w): every
+    # reduced cost is then non-negative.
+    potential = [0] * len(supply)
+    arcs: List[Tuple[int, int, int]] = []
     for e in graph.edges:
+        s = s_index[e.tail]
+        potential[s] = max(potential[s], e.weight)
+        arcs.append((s, index[e.head], -e.weight))
         if e.head != e.tail:
-            # r(tail) - r(head) <= w
-            row = np.zeros(num_vars)
-            row[graph.node_index[e.tail]] = 1.0
-            row[graph.node_index[e.head]] = -1.0
-            rows.append(row)
-            rhs.append(float(e.weight))
-        # -(s(tail) - r(head)) <= -w
-        row = np.zeros(num_vars)
-        row[s_index[e.tail]] = -1.0
-        if e.head != e.tail:
-            row[graph.node_index[e.head]] = 1.0
-            rhs.append(-float(e.weight))
-        else:
-            # Self-edge: s(u) - r(u) >= w.
-            row[graph.node_index[e.head]] = 1.0
-            rhs.append(-float(e.weight))
-        rows.append(row)
-    bound = float(len(graph.net.registers) + len(graph.nodes) + 1)
+            arcs.append((index[e.head], index[e.tail], e.weight))
+    z = len(supply)
     if fixed_set:
-        # Pinned nodes sit at lag 0 and dominate their component: all
-        # lags stay non-positive so no normalization shift is needed.
-        var_bounds = [(-bound, 0.0)] * n + [(-bound, 2 * bound)] * \
-            (num_vars - n)
-        for vid in fixed_set:
-            var_bounds[graph.node_index[vid]] = (0.0, 0.0)
-    else:
-        var_bounds = [(-bound, 2 * bound)] * num_vars
-    result = linprog(
-        c,
-        A_ub=np.array(rows) if rows else None,
-        b_ub=np.array(rhs) if rhs else None,
-        bounds=var_bounds,
-        method="highs",
-    )
-    if not result.success:  # pragma: no cover - LP is always feasible
-        raise RuntimeError(f"retiming LP failed: {result.message}")
-    lags = {vid: int(round(result.x[i]))
-            for i, vid in enumerate(graph.nodes)}
+        supply.append(0)
+        potential.append(0)
+        arcs.extend((z, i, 0) for i in range(n))
+        arcs.extend((index[vid], z, 0) for vid in fixed_set)
+    potential, _ = _min_cost_flow(supply, arcs, potential)
+    shift = potential[z] if fixed_set else 0
+    lags = {vid: potential[i] - shift for i, vid in enumerate(graph.nodes)}
     # Normalize (Definition 5) per weakly-connected component: shifting
     # a whole component leaves every w' unchanged, and per-component
     # shifts keep disconnected debris (e.g. init cones) at lag 0 so it
@@ -242,10 +226,145 @@ def min_register_lags(graph: RetimingGraph,
         root = find(vid)
         max_of[root] = max(max_of.get(root, lag), lag)
     # Components holding a pinned node keep their absolute reference
-    # (all lags there are already <= 0 by the variable bounds).
+    # (all lags there are already <= 0 by the root's arcs).
     for vid in fixed_set:
         max_of[find(vid)] = 0
     return {vid: lag - max_of[find(vid)] for vid, lag in lags.items()}
+
+
+def _min_cost_flow(supply: List[int],
+                   arcs: Sequence[Tuple[int, int, int]],
+                   potential: List[int]) -> Tuple[List[int], int]:
+    """Exact uncapacitated min-cost flow by successive shortest paths.
+
+    ``supply[v]`` is node ``v``'s net outflow (the supplies sum to 0),
+    ``arcs`` are ``(tail, head, cost)`` triples with integer costs, and
+    ``potential`` must give every arc a non-negative reduced cost
+    ``cost + potential[tail] - potential[head]``.  Each phase runs a
+    multi-source Dijkstra on reduced costs from the nodes with excess,
+    raises every potential by ``min(dist, D)`` with ``D`` the distance
+    to the nearest deficit, augments along Dijkstra's path, then pushes
+    a blocking flow over zero-reduced-cost arcs.
+
+    Returns the final potentials and the flow's cost.  The potentials
+    are an optimal dual solution: every arc keeps a non-negative
+    reduced cost and every arc carrying flow a zero one, so strong
+    duality ``sum(supply * potential) == -cost`` must hold; a mismatch
+    (or an unroutable supply) raises :class:`RuntimeError`.
+    """
+    size = len(supply)
+    # Residual arcs in pairs: 2k is arc k, 2k + 1 its reverse, whose
+    # capacity is arc k's flow.  No arc can carry more than the whole
+    # supply, so that bound stands in for an infinite capacity.
+    units = sum(x for x in supply if x > 0)
+    head: List[int] = []
+    cost: List[int] = []
+    cap: List[int] = []
+    out: List[List[int]] = [[] for _ in range(size)]
+    for tail, hd, c in arcs:
+        out[tail].append(len(head))
+        head.append(hd)
+        cost.append(c)
+        cap.append(units)
+        out[hd].append(len(head))
+        head.append(tail)
+        cost.append(-c)
+        cap.append(0)
+    excess = list(supply)
+    remaining = units
+    while remaining:
+        dist: List[Optional[int]] = [None] * size
+        parent = [-1] * size
+        done = [False] * size
+        heap = [(0, v) for v in range(size) if excess[v] > 0]
+        for _, v in heap:
+            dist[v] = 0
+        sink = -1
+        while heap:
+            d, v = heapq.heappop(heap)
+            if done[v]:
+                continue
+            done[v] = True
+            if excess[v] < 0:
+                sink = v
+                break
+            base = d + potential[v]
+            for a in out[v]:
+                if cap[a]:
+                    w = head[a]
+                    nd = base + cost[a] - potential[w]
+                    if dist[w] is None or nd < dist[w]:
+                        dist[w] = nd
+                        parent[w] = a
+                        heapq.heappush(heap, (nd, w))
+        if sink < 0:
+            raise RuntimeError("min-cost flow: supply cannot be routed")
+        reach = dist[sink]
+        for v in range(size):
+            potential[v] += dist[v] if done[v] else reach
+        path = []
+        v = sink
+        while parent[v] >= 0:
+            path.append(parent[v])
+            v = head[parent[v] ^ 1]
+        remaining -= _push(path, v, sink, excess, head, cap)
+        # Blocking flow over zero-reduced-cost arcs.  An arc carrying
+        # flow and its reverse form a zero-cost 2-cycle, hence the
+        # on-path guard; current-arc pointers keep the phase linear.
+        current = [0] * size
+        on_path = [False] * size
+        for source in range(size):
+            while excess[source] > 0:
+                path = []
+                v = source
+                on_path[v] = True
+                while excess[v] >= 0:
+                    arcs_v = out[v]
+                    i = current[v]
+                    while i < len(arcs_v):
+                        a = arcs_v[i]
+                        w = head[a]
+                        if cap[a] and not on_path[w] and \
+                                cost[a] + potential[v] == potential[w]:
+                            break
+                        i += 1
+                    current[v] = i
+                    if i < len(arcs_v):
+                        path.append(a)
+                        v = w
+                        on_path[v] = True
+                    elif path:
+                        on_path[v] = False
+                        v = head[path.pop() ^ 1]
+                        current[v] += 1
+                    else:
+                        break
+                on_path[source] = False
+                for a in path:
+                    on_path[head[a]] = False
+                if excess[v] >= 0:
+                    break
+                remaining -= _push(path, source, v, excess, head, cap)
+    flow_cost = sum(cost[a] * cap[a + 1] for a in range(0, len(cap), 2))
+    dual = sum(b * p for b, p in zip(supply, potential))
+    if dual != -flow_cost:
+        raise RuntimeError(
+            f"min-cost flow: duality violated (dual {dual}, flow cost "
+            f"{flow_cost})")
+    return potential, flow_cost
+
+
+def _push(path: List[int], source: int, sink: int, excess: List[int],
+          head: List[int], cap: List[int]) -> int:
+    """Push the bottleneck amount along ``path`` (residual arcs from
+    ``source`` to ``sink``) and return it."""
+    amount = min([excess[source], -excess[sink]] + [cap[a] for a in path])
+    for a in path:
+        cap[a] -= amount
+        cap[a ^ 1] += amount
+    excess[source] -= amount
+    excess[sink] += amount
+    return amount
 
 
 class _StumpBuilder:

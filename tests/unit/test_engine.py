@@ -35,6 +35,16 @@ class TestTBVEngine:
         with pytest.raises(ValueError):
             TBVEngine("COM,FROB").transform(NetlistBuilder().net)
 
+    @pytest.mark.parametrize("strategy", ["COM,FROB", "COM:2", "CSLOW:x",
+                                          "CSLOWX"])
+    def test_unknown_token_rejected_at_construction(self, strategy):
+        with pytest.raises(ValueError, match="unknown strategy token"):
+            TBVEngine(strategy)
+
+    def test_tokens_case_insensitive_with_cslow_factor(self):
+        assert TBVEngine("com, cslow:2,RET").strategy == \
+            ["COM", "CSLOW:2", "RET"]
+
     def test_empty_strategy_is_identity(self):
         net, t = pipeline_with_junk(2)
         result = TBVEngine("", sweep_config=FAST).run(net)

@@ -207,3 +207,46 @@ class TestCLIs:
         assert convert_main([s27_bench, str(dest),
                              "--transform", "COM"]) == 0
         assert load_netlist(str(dest)).num_registers() <= 3
+
+
+#: (CLI, argv) pairs that are bad input; ``{...}`` names a path made by
+#: the test: a missing file, a file that is not a netlist, s27, and
+#: output files with a supported and an unsupported extension.
+BAD_INPUT = {
+    "bound-missing": (bound_main, ["{missing}"]),
+    "bound-not-a-netlist": (bound_main, ["{junk}"]),
+    "bound-strategy": (bound_main, ["{s27}", "--strategy", "BOGUS"]),
+    "bound-alternative": (bound_main, ["{s27}", "--strategy", "COM/BOGUS"]),
+    "bound-not-2-slow": (bound_main, ["{s27}", "--strategy", "CSLOW:2"]),
+    "check-missing": (check_main, ["{missing}"]),
+    "check-not-a-netlist": (check_main, ["{junk}"]),
+    "check-strategy": (check_main, ["{s27}", "--strategy", "BOGUS"]),
+    "check-induction-strategy": (check_main, [
+        "{s27}", "--method", "induction", "--strategy", "BOGUS"]),
+    "convert-missing": (convert_main, ["{missing}", "{out}"]),
+    "convert-not-a-netlist": (convert_main, ["{junk}", "{out}"]),
+    "convert-transform": (convert_main, [
+        "{s27}", "{out}", "--transform", "BOGUS"]),
+    "convert-destination": (convert_main, ["{s27}", "{bad_out}"]),
+}
+
+
+class TestCLIBadInput:
+    """Bad input is a usage error: exit 2 with one ``error:`` line."""
+
+    @pytest.mark.parametrize("case", sorted(BAD_INPUT))
+    def test_exit_2_without_traceback(self, case, capsys, tmp_path,
+                                      s27_bench):
+        junk = tmp_path / "junk.aag"
+        junk.write_text("hello world\n")
+        paths = {"missing": str(tmp_path / "missing.aag"),
+                 "junk": str(junk), "s27": s27_bench,
+                 "out": str(tmp_path / "out.aag"),
+                 "bad_out": str(tmp_path / "out.xyz")}
+        main, argv = BAD_INPUT[case]
+        with pytest.raises(SystemExit) as exc:
+            main([arg.format(**paths) for arg in argv])
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert "error:" in err
+        assert "Traceback" not in err
