@@ -12,7 +12,7 @@ so their minimum is sound.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 from .. import obs
 from ..netlist import Netlist, NetlistError
@@ -100,6 +100,32 @@ class PortfolioResult:
         return "\n".join(lines)
 
 
+def run_strategy(payload: Dict[str, Any],
+                 budget: Optional[Budget]) -> StrategyOutcome:
+    """One portfolio strategy over a netlist: the task both
+    :func:`compare_strategies` paths run, in its loop or on the pool.
+
+    Payload keys: ``net``, ``strategy``, ``sweep_config``,
+    ``refine_gc_limit``.  Engine errors become the outcome's ``error``
+    field; :class:`Cancelled` propagates.
+    """
+    strategy = payload["strategy"]
+    reg = obs.get_registry()
+    try:
+        with reg.span(strategy or "(none)") as strategy_span:
+            result = TBVEngine(
+                strategy, sweep_config=payload["sweep_config"],
+                refine_gc_limit=payload["refine_gc_limit"]).run(
+                    payload["net"], budget=budget)
+        return StrategyOutcome(strategy=strategy, result=result,
+                               seconds=strategy_span.seconds)
+    except (NetlistError, ValueError, EngineFailure,
+            ResourceExhausted) as exc:
+        reg.counter("portfolio.failures")
+        return StrategyOutcome(strategy=strategy, error=str(exc),
+                               seconds=strategy_span.seconds)
+
+
 def compare_strategies(
     net: Netlist,
     strategies: Sequence[str] = DEFAULT_STRATEGIES,
@@ -119,29 +145,31 @@ def compare_strategies(
     own duration (monotonic).
 
     ``budget`` governs the whole portfolio: each strategy runs on an
-    equal :meth:`~repro.resilience.Budget.slice` of whatever remains,
-    strategies are skipped outright (with a recorded outcome and a
-    ``portfolio.budget_skips`` counter) once the shared pool is dry,
-    and cancellation raises :class:`Cancelled` immediately.
+    equal :meth:`~repro.resilience.Budget.slice` of whatever time
+    remains, strategies are skipped outright (with a recorded outcome
+    and a ``portfolio.budget_skips`` counter) once the deadline has
+    passed, and cancellation raises :class:`Cancelled` immediately.
 
     ``jobs > 1`` fans the strategies across the work-stealing pool
     (:mod:`repro.parallel`): outcomes come back in strategy order, so
     without a budget the per-target minima are identical at any
-    ``jobs`` value.  The strategies share ``budget`` as one pool under
-    one deadline, as table rows do, instead of taking equal slices; a
-    strategy whose worker crashes becomes a failed outcome (never an
-    aborted portfolio), and worker telemetry lands under
+    ``jobs`` value.  The strategies share ``budget``'s deadline, as
+    table rows do, instead of taking equal slices; a strategy whose
+    worker crashes becomes a failed outcome (never an aborted
+    portfolio), and worker telemetry lands under
     ``parallel/portfolio/<strategy>``.
     """
-    if jobs > 1:
-        return _compare_strategies_parallel(
-            net, strategies, sweep_config, refine_gc_limit, budget,
-            jobs)
     portfolio = PortfolioResult(net=net)
     reg = obs.get_registry()
+    payloads = [{"net": net, "strategy": strategy,
+                 "sweep_config": sweep_config,
+                 "refine_gc_limit": refine_gc_limit}
+                for strategy in strategies]
     with reg.span("portfolio"):
+        if jobs > 1:
+            portfolio.outcomes = _run_pooled(payloads, budget, jobs)
+            return portfolio
         for i, strategy in enumerate(strategies):
-            label = strategy or "(none)"
             sub: Optional[Budget] = None
             if budget is not None:
                 if budget.cancelled:
@@ -153,60 +181,36 @@ def compare_strategies(
                         strategy=strategy,
                         error=f"skipped: budget exhausted ({reason})"))
                     continue
-                # Equal share of the remaining pool per pending
+                # Equal share of the remaining time per pending
                 # strategy, so an expensive early pipeline cannot
                 # starve the rest of the portfolio.
+                label = strategy or "(none)"
                 sub = budget.slice(1.0 / (len(strategies) - i),
                                    name=f"portfolio[{label}]")
-            try:
-                with reg.span(label) as strategy_span:
-                    result = TBVEngine(
-                        strategy, sweep_config=sweep_config,
-                        refine_gc_limit=refine_gc_limit).run(
-                            net, budget=sub)
-                portfolio.outcomes.append(StrategyOutcome(
-                    strategy=strategy, result=result,
-                    seconds=strategy_span.seconds))
-            except (NetlistError, ValueError, EngineFailure,
-                    ResourceExhausted) as exc:
-                reg.counter("portfolio.failures")
-                portfolio.outcomes.append(StrategyOutcome(
-                    strategy=strategy, error=str(exc),
-                    seconds=strategy_span.seconds))
+            portfolio.outcomes.append(run_strategy(payloads[i], sub))
     return portfolio
 
 
-def _compare_strategies_parallel(
-    net: Netlist,
-    strategies: Sequence[str],
-    sweep_config,
-    refine_gc_limit: int,
-    budget: Optional[Budget],
-    jobs: int,
-) -> PortfolioResult:
+def _run_pooled(payloads: List[Dict[str, Any]],
+                budget: Optional[Budget],
+                jobs: int) -> List[StrategyOutcome]:
     """The ``jobs > 1`` fan-out of :func:`compare_strategies`."""
     from ..parallel import ParallelExecutor
-    from ..parallel.workers import run_strategy
 
-    portfolio = PortfolioResult(net=net)
     reg = obs.get_registry()
-    payloads = [{"net": net, "strategy": strategy,
-                 "sweep_config": sweep_config,
-                 "refine_gc_limit": refine_gc_limit}
-                for strategy in strategies]
-    labels = [strategy or "(none)" for strategy in strategies]
-    with reg.span("portfolio"):
-        executor = ParallelExecutor(jobs=jobs, name="portfolio")
-        outcomes = executor.map(run_strategy, payloads, budget=budget,
-                                labels=labels)
-        for strategy, outcome in zip(strategies, outcomes):
-            if outcome.ok:
-                portfolio.outcomes.append(outcome.value)
-            else:
-                # Worker crash or typed error: the same failed-outcome
-                # shape the sequential loop records.
-                reg.counter("portfolio.failures")
-                portfolio.outcomes.append(StrategyOutcome(
-                    strategy=strategy, error=str(outcome.error),
-                    seconds=outcome.seconds))
-    return portfolio
+    executor = ParallelExecutor(jobs=jobs, name="portfolio")
+    outcomes = executor.map(
+        run_strategy, payloads, budget=budget,
+        labels=[payload["strategy"] or "(none)" for payload in payloads])
+    results: List[StrategyOutcome] = []
+    for payload, outcome in zip(payloads, outcomes):
+        if outcome.ok:
+            results.append(outcome.value)
+        else:
+            # Worker crash or typed error: the same failed-outcome
+            # shape the sequential loop records.
+            reg.counter("portfolio.failures")
+            results.append(StrategyOutcome(
+                strategy=payload["strategy"], error=str(outcome.error),
+                seconds=outcome.seconds))
+    return results

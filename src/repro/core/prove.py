@@ -148,8 +148,8 @@ def prove(
     4. report ``unknown`` with the best bound when everything passes.
 
     ``budget`` governs the whole call: the portfolio runs on a 40%
-    slice (so the fallback phases always have resources left), every
-    later phase checks the remaining pool before starting, and any
+    slice (so the fallback phases always have time left), every later
+    phase checks the deadline before starting, and any
     exhaustion or :class:`EngineFailure` degrades to the structural
     bound (see the module docstring) instead of raising.  Only
     :class:`Cancelled` propagates.

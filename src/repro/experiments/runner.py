@@ -25,7 +25,8 @@ from __future__ import annotations
 
 import argparse
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Any, Callable, Dict, List, Optional, Sequence, \
+    Tuple
 
 from .. import obs
 from ..core import TBVEngine
@@ -192,6 +193,31 @@ def parse_designs(parser: argparse.ArgumentParser, value: Optional[str],
     return names
 
 
+def run_design(payload: Dict[str, Any],
+               budget: Optional[Budget]) -> RowResult:
+    """One table row — generate the design, run the pipelines: the task
+    both :func:`run_table` paths run, in its loop or on the pool.
+
+    Payload keys: ``generate`` (a module-level generator function,
+    e.g. ``repro.gen.iscas89.generate``), ``name``, ``scale`` and
+    ``sweep_config``.  A design whose generation or evaluation fails
+    becomes an error row; :class:`Cancelled` propagates.
+    """
+    reg = obs.get_registry()
+    try:
+        net = payload["generate"](payload["name"], scale=payload["scale"])
+        return evaluate_design(net, sweep_config=payload["sweep_config"],
+                               budget=budget)
+    except Cancelled:
+        raise
+    except Exception as exc:
+        reg.counter("runner.design_errors")
+        reg.event("runner.design_error", design=payload["name"],
+                  error=str(exc))
+        return RowResult(payload["name"],
+                         error=str(exc) or type(exc).__name__)
+
+
 def run_table(generate: Callable[..., Netlist],
               profiles: Sequence[DesignProfile],
               scale: float = 1.0,
@@ -204,67 +230,17 @@ def run_table(generate: Callable[..., Netlist],
 
     Every selected profile produces a row: a design whose generation
     or evaluation fails contributes an error row instead of aborting
-    the table, and once ``budget`` is exhausted the remaining designs
-    are emitted as error rows immediately.  :class:`Cancelled` is the
-    only exception that escapes.
+    the table, and once ``budget``'s deadline has passed the remaining
+    designs are emitted as error rows immediately.  Each design runs
+    on whatever time remains, not on a share of it.
+    :class:`Cancelled` is the only exception that escapes.
 
     ``jobs > 1`` evaluates the designs across the work-stealing pool
     (:mod:`repro.parallel`): rows come back in profile order — the
     rendered table is byte-identical at any ``jobs`` value — the
-    designs share ``budget`` as one pool under one deadline, and a
-    crashed worker becomes an error row, never an aborted table.
+    designs share ``budget``'s deadline, and a crashed worker becomes
+    an error row, never an aborted table.
     """
-    if jobs > 1:
-        return _run_table_parallel(generate, profiles, scale,
-                                   sweep_config, designs,
-                                   max_registers, budget, jobs)
-    rows = []
-    reg = obs.get_registry()
-    wanted = {d.upper() for d in designs} if designs else None
-    for profile in profiles:
-        if wanted is not None and profile.name.upper() not in wanted:
-            continue
-        if budget is not None:
-            if budget.cancelled:
-                raise Cancelled(budget_name=budget.name)
-            reason = budget.exhausted()
-            if reason is not None:
-                reg.counter("runner.design_errors")
-                rows.append(RowResult(
-                    profile.name,
-                    error=f"budget exhausted ({reason})"))
-                continue
-        effective_scale = scale
-        if max_registers and profile.registers * scale > max_registers:
-            effective_scale = max_registers / profile.registers
-        try:
-            net = generate(profile.name, scale=effective_scale)
-            rows.append(evaluate_design(net, sweep_config=sweep_config,
-                                        budget=budget))
-        except Cancelled:
-            raise
-        except Exception as exc:
-            reg.counter("runner.design_errors")
-            reg.event("runner.design_error", design=profile.name,
-                      error=str(exc))
-            rows.append(RowResult(profile.name,
-                                  error=str(exc) or type(exc).__name__))
-    return rows
-
-
-def _run_table_parallel(generate: Callable[..., Netlist],
-                        profiles: Sequence[DesignProfile],
-                        scale: float,
-                        sweep_config: Optional[SweepConfig],
-                        designs: Optional[Sequence[str]],
-                        max_registers: Optional[int],
-                        budget: Optional[Budget],
-                        jobs: int) -> List[RowResult]:
-    """The ``jobs > 1`` fan-out of :func:`run_table`."""
-    from ..parallel import ParallelExecutor
-    from ..parallel.workers import run_design
-
-    reg = obs.get_registry()
     wanted = {d.upper() for d in designs} if designs else None
     payloads = []
     for profile in profiles:
@@ -275,21 +251,48 @@ def _run_table_parallel(generate: Callable[..., Netlist],
             effective_scale = max_registers / profile.registers
         payloads.append({"generate": generate, "name": profile.name,
                          "scale": effective_scale,
-                         "sweep_config": sweep_config
-                         or EXPERIMENT_SWEEP})
-    if budget is not None:
-        if budget.cancelled:
-            raise Cancelled(budget_name=budget.name)
-        reason = budget.exhausted()
-        if reason is not None:
-            reg.counter("runner.design_errors", len(payloads))
-            return [RowResult(payload["name"],
-                              error=f"budget exhausted ({reason})")
-                    for payload in payloads]
+                         "sweep_config": sweep_config})
+    if jobs > 1:
+        return _run_pooled(payloads, budget, jobs)
+    rows = []
+    for payload in payloads:
+        row = _budget_error_row(payload["name"], budget)
+        rows.append(row if row is not None
+                    else run_design(payload, budget))
+    return rows
+
+
+def _budget_error_row(name: str,
+                      budget: Optional[Budget]) -> Optional[RowResult]:
+    """The error row of a design whose turn comes after ``budget``'s
+    deadline (None while time remains); raises on cancellation."""
+    if budget is None:
+        return None
+    if budget.cancelled:
+        raise Cancelled(budget_name=budget.name)
+    reason = budget.exhausted()
+    if reason is None:
+        return None
+    obs.get_registry().counter("runner.design_errors")
+    return RowResult(name, error=f"budget exhausted ({reason})")
+
+
+def _run_pooled(payloads: List[Dict[str, Any]],
+                budget: Optional[Budget],
+                jobs: int) -> List[RowResult]:
+    """The ``jobs > 1`` fan-out of :func:`run_table`."""
+    from ..parallel import ParallelExecutor
+
+    if budget is not None and budget.exhausted() is not None:
+        # The deadline passed before the fan-out: every design gets the
+        # sequential loop's error row.
+        return [_budget_error_row(payload["name"], budget)
+                for payload in payloads]
     # Rows are heterogeneous (one big design can dwarf the rest), so
     # idle workers steal the next design; outcomes still merge in
     # submission order, keeping the rendered table byte-identical at
     # any jobs.
+    reg = obs.get_registry()
     executor = ParallelExecutor(jobs=jobs, name="table")
     outcomes = executor.map(run_design, payloads, budget=budget,
                             labels=[p["name"] for p in payloads])

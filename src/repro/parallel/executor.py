@@ -13,14 +13,12 @@ tables are byte-identical at any ``--jobs`` value.
 
 Protocol invariants (see ``docs/architecture.md``, Layer 0.7):
 
-* **One shared budget.**  The parent freezes the budget's remains once
-  as a :class:`BudgetSpec`: the wall deadline travels as an absolute
+* **One deadline.**  The parent freezes the budget once as a
+  :class:`BudgetSpec`: the wall deadline travels as an absolute
   ``time.time()`` epoch (``time.perf_counter`` values are meaningless
-  in another process), the conflict/query pools as the integers that
-  seed the pool's shared counters.  Every task charges those same
-  pools; without a budget every task gets ``None``.  After the join,
-  the parent charges itself with each task's reported solver effort so
-  hierarchical accounting stays truthful.
+  in another process), and every task restores it as its own budget,
+  so all tasks stop at the same instant.  Without a budget every task
+  gets ``None``.
 * **Typed errors are values.**  Tasks catch the
   :mod:`repro.resilience` taxonomy (plus the engine-level
   ``NetlistError``/``ValueError``) and return the exception object —
@@ -46,9 +44,9 @@ Protocol invariants (see ``docs/architecture.md``, Layer 0.7):
   ``parallel.watchdog`` exhaustion.
 
 With ``jobs=1`` (or a single task) no process starts: the tasks run
-in-process through the same per-task shim, charging one restored
-budget.  The call sites keep their own sequential loops for
-``jobs=1``.
+in-process through the same per-task shim, each on a subbudget of the
+caller's budget.  The call sites keep their own sequential loops for
+``jobs=1``; both call the same module-level task function.
 """
 
 from __future__ import annotations
@@ -82,15 +80,10 @@ class BudgetSpec:
     ``deadline_epoch`` is an absolute ``time.time()`` instant (None =
     unlimited): monotonic ``perf_counter`` readings cannot cross a
     process boundary, so the deadline travels as wall-clock epoch and
-    is re-anchored to the worker's own monotonic clock.  The
-    conflict/query pools are plain integers: they seed the pool's
-    shared counters, or the one budget :meth:`restore` rebuilds for an
-    in-process map.
+    :meth:`restore` re-anchors it to the worker's own monotonic clock.
     """
 
     deadline_epoch: Optional[float] = None
-    conflicts: Optional[int] = None
-    queries: Optional[int] = None
     name: str = "worker"
     #: ``time.time()`` at capture; with ``deadline_epoch`` this
     #: preserves the original wall allowance, which the parent-side
@@ -101,7 +94,7 @@ class BudgetSpec:
     @classmethod
     def capture(cls, budget: Optional[Budget],
                 name: Optional[str] = None) -> Optional["BudgetSpec"]:
-        """Freeze ``budget``'s current remains (None passes through)."""
+        """Freeze ``budget``'s deadline (None passes through)."""
         if budget is None:
             return None
         now = time.time()
@@ -109,8 +102,6 @@ class BudgetSpec:
         return cls(
             deadline_epoch=None if seconds is None
             else now + seconds,
-            conflicts=budget.remaining_conflicts(),
-            queries=budget.remaining_queries(),
             name=name or budget.name,
             captured_epoch=now,
         )
@@ -127,13 +118,13 @@ class BudgetSpec:
         grace = allowance * (_WATCHDOG_GRACE - 1.0) + _WATCHDOG_FLOOR
         return max(0.0, self.deadline_epoch + grace - time.time())
 
-    def restore(self) -> Budget:
-        """Rebuild a live budget in the current process."""
+    def restore(self, name: Optional[str] = None) -> Budget:
+        """Rebuild a live budget with the same deadline in the current
+        process, named ``name`` (default: the spec's name)."""
         seconds = None
         if self.deadline_epoch is not None:
             seconds = max(0.0, self.deadline_epoch - time.time())
-        return Budget(seconds, self.conflicts, self.queries,
-                      name=self.name)
+        return Budget(seconds, name=name or self.name)
 
 
 @dataclass
@@ -185,10 +176,10 @@ class ParallelExecutor:
         """Run ``fn(payload, budget)`` for every payload.
 
         ``fn`` must be a module-level function (the pool pickles it by
-        reference).  The tasks share ``budget``: each gets a view named
-        ``<name>[<label>]`` that charges one conflict/query pool under
-        one wall deadline, so budget flows to the tasks that need it;
-        without a budget each task gets ``None``.  Idle workers steal
+        reference).  The tasks share ``budget``'s deadline: each gets a
+        budget named ``<name>[<label>]`` that expires when ``budget``
+        does, instead of a ``1/n`` slice of it; without a budget each
+        task gets ``None``.  Idle workers steal
         the next task, but the result list is ordered by input index.
         A cancelled budget raises :class:`Cancelled` at submission and
         a worker-side :class:`Cancelled` at the join; every other
@@ -203,23 +194,23 @@ class ParallelExecutor:
             raise ValueError("labels/payloads length mismatch")
         if budget is not None and budget.cancelled:
             raise Cancelled(budget_name=budget.name)
-        spec = BudgetSpec.capture(budget, name=self.name)
         if self.jobs == 1 or len(payloads) == 1:
-            outcomes = self._in_process(fn, payloads, labels, spec)
+            outcomes = self._in_process(fn, payloads, labels, budget)
         else:
-            outcomes = self._in_workers(fn, payloads, labels, spec)
-        self._merge(outcomes, budget)
+            outcomes = self._in_workers(
+                fn, payloads, labels,
+                BudgetSpec.capture(budget, name=self.name))
+        self._merge(outcomes)
         return outcomes
 
     # ------------------------------------------------------------------
     def _in_process(self, fn, payloads, labels,
-                    spec) -> List[WorkerOutcome]:
-        """The in-process drain: the tasks charge one restored budget
-        through per-task subbudget views, with no processes."""
-        shared = spec.restore() if spec is not None else None
+                    budget) -> List[WorkerOutcome]:
+        """The in-process drain: each task runs on a subbudget of
+        ``budget``, with no processes."""
         outcomes: List[WorkerOutcome] = []
         for i, payload in enumerate(payloads):
-            child = None if shared is None else shared.subbudget(
+            child = None if budget is None else budget.subbudget(
                 name=f"{self.name}[{labels[i]}]")
             raw = _stealing._run_stolen_task(fn, payload, child, None)
             outcomes.append(self._decode(i, labels[i], raw))
@@ -270,10 +261,8 @@ class ParallelExecutor:
         return WorkerOutcome(index=index, label=label, error=value,
                              seconds=seconds, snapshot=snapshot)
 
-    def _merge(self, outcomes: List[WorkerOutcome],
-               budget: Optional[Budget]) -> None:
-        """Fold worker telemetry into the parent registry and charge
-        the parent budget with the reported solver effort; re-raise a
+    def _merge(self, outcomes: List[WorkerOutcome]) -> None:
+        """Fold worker telemetry into the parent registry; re-raise a
         worker-side :class:`Cancelled` (cooperative cancellation always
         propagates)."""
         reg = obs.get_registry()
@@ -283,14 +272,6 @@ class ParallelExecutor:
                 reg.merge_snapshot(
                     outcome.snapshot,
                     prefix=f"parallel/{self.name}/{outcome.label}")
-                if budget is not None:
-                    counters = outcome.snapshot.get("counters", {})
-                    conflicts = counters.get("sat.conflicts", 0)
-                    queries = counters.get("sat.solve_calls", 0)
-                    if conflicts:
-                        budget.charge_conflicts(conflicts)
-                    if queries:
-                        budget.charge_query(queries)
             if isinstance(outcome.error, Cancelled):
                 raise outcome.error
             if isinstance(outcome.error, EngineFailure) and \

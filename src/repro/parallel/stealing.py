@@ -7,18 +7,12 @@ them in **submission order** — execution is dynamic, the join is not,
 and tables stay byte-identical at any ``--jobs``.  No worker idles
 behind a static split while one long task runs elsewhere.
 
-Two pieces of shared state ride along (plain ``multiprocessing``
-primitives, shipped at process-spawn time):
-
-* a **shared conflict pool** and a **shared query pool** — one
-  cross-process counter each that every task charges, so budget flows
-  to whichever tasks actually need it (the wall deadline is naturally
-  shared already: it is one absolute epoch).  Budgets a task derives
-  from its :class:`SharedBudget` (``subbudget``/``slice``) see and
-  drain the same pools through the parent chain.  A map without a
-  budget ships no pools, and its tasks get ``None``;
-* the **task queue** itself, FIFO with one sentinel per worker
-  enqueued after the real work.
+Workers share no mutable state but the two queues: the **task
+queue**, FIFO with one sentinel per worker enqueued after the real
+work, and the result queue.  The deadline needs no sharing: it travels
+as one absolute epoch (:class:`~repro.parallel.BudgetSpec`), and each
+stolen task restores it as its own budget, so every task stops at the
+same instant.  A map without a budget hands its tasks ``None``.
 
 Per-task hygiene: every *stolen task* — not every worker process —
 re-arms the fault schedule from call index 0 and opens a fresh scoped
@@ -52,7 +46,7 @@ from ..resilience import Budget, Cancelled, EngineFailure, \
     ResourceExhausted
 from ..resilience import faults as _faults
 
-__all__ = ["SharedBudget", "execute"]
+__all__ = ["execute"]
 
 #: Error types tasks return as values (everything else is a crash).
 _TYPED_ERRORS = (ResourceExhausted, EngineFailure, Cancelled,
@@ -62,51 +56,6 @@ _TYPED_ERRORS = (ResourceExhausted, EngineFailure, Cancelled,
 #: enough to notice dead workers and an expired watchdog promptly,
 #: long enough to stay invisible next to any real solve.
 _POLL_SECONDS = 0.1
-
-
-class SharedBudget(Budget):
-    """A worker-side budget view over the pool's shared state.
-
-    Wall clock: a private re-anchored deadline (the epoch is absolute,
-    so every worker's deadline is the same instant).  Conflict/query
-    pools: cross-process shared counters charged under their locks —
-    siblings drain one pool, exactly like sequential siblings sharing
-    a parent budget in-process.  Only the per-node pool accessors are
-    overridden, so every budget derived from this view reads and
-    charges the shared pools through the ordinary parent-chain walk.
-    """
-
-    __slots__ = ("_shared_conflicts", "_shared_queries")
-
-    def __init__(self, deadline_epoch: Optional[float],
-                 conflicts: Optional[Any],
-                 queries: Optional[Any],
-                 name: str = "worker") -> None:
-        seconds = None if deadline_epoch is None \
-            else max(0.0, deadline_epoch - time.time())
-        super().__init__(seconds, None, None, name=name)
-        self._shared_conflicts = conflicts
-        self._shared_queries = queries
-
-    def _own_conflicts(self) -> Optional[int]:
-        shared = self._shared_conflicts
-        return None if shared is None else shared.value
-
-    def _own_queries(self) -> Optional[int]:
-        shared = self._shared_queries
-        return None if shared is None else shared.value
-
-    def _spend_conflicts(self, n: int) -> None:
-        shared = self._shared_conflicts
-        if shared is not None:
-            with shared.get_lock():
-                shared.value -= n
-
-    def _spend_queries(self, n: int) -> None:
-        shared = self._shared_queries
-        if shared is not None:
-            with shared.get_lock():
-                shared.value -= n
 
 
 def _run_stolen_task(fn: Callable[[Any, Optional[Budget]], Any],
@@ -162,9 +111,7 @@ def _drain_worker(fn: Callable[[Any, Optional[Budget]], Any],
                   spec: Optional[Any],
                   fault_config: Optional[dict],
                   task_q: Any,
-                  result_q: Any,
-                  conflicts: Optional[Any],
-                  queries: Optional[Any]) -> None:
+                  result_q: Any) -> None:
     """Worker-process drain loop: steal, run, report, repeat."""
     obs.trace.open_worker_sink()
     obs.trace.progress_from_env()
@@ -174,8 +121,7 @@ def _drain_worker(fn: Callable[[Any, Optional[Budget]], Any],
         if index is None:
             break
         result_q.put(pickle.dumps(("start", index, pid)))
-        budget = None if spec is None else SharedBudget(
-            spec.deadline_epoch, conflicts, queries,
+        budget = None if spec is None else spec.restore(
             name=f"{pool_name}[{labels[index]}]")
         raw = _run_stolen_task(fn, payloads[index], budget,
                                fault_config)
@@ -210,12 +156,6 @@ def execute(fn: Callable[[Any, Optional[Budget]], Any],
     ctx = multiprocessing.get_context()
     task_q: Any = ctx.Queue()
     result_q: Any = ctx.Queue()
-    conflicts = queries = None
-    if spec is not None:
-        if spec.conflicts is not None:
-            conflicts = ctx.Value("q", spec.conflicts)
-        if spec.queries is not None:
-            queries = ctx.Value("q", spec.queries)
     for index in range(n):
         task_q.put(index)
     for _ in range(jobs):
@@ -224,7 +164,7 @@ def execute(fn: Callable[[Any, Optional[Budget]], Any],
         ctx.Process(
             target=_drain_worker,
             args=(fn, list(payloads), list(labels), pool_name, spec,
-                  fault_config, task_q, result_q, conflicts, queries),
+                  fault_config, task_q, result_q),
             daemon=True)
         for _ in range(jobs)
     ]

@@ -5,8 +5,8 @@ PR 1 made every engine *observable*; this package makes them
 *governable*.  Exact diameter computation is PSPACE-complete and every
 solver-backed engine can blow up on an adversarial design, so every
 solve in the library answers to a :class:`Budget` — a hierarchical,
-cooperative bound on wall-clock (monotonic deadline), SAT conflicts,
-and query count — and every failure surfaces through a typed taxonomy
+cooperative, cancellable wall-clock deadline (monotonic clock) — and
+every failure surfaces through a typed taxonomy
 (:class:`ResourceExhausted` / :class:`EngineFailure` /
 :class:`Cancelled`) instead of ad-hoc strings.
 
@@ -14,7 +14,7 @@ Typical use::
 
     from repro.resilience import Budget
 
-    budget = Budget(wall_seconds=30.0, conflicts=200_000)
+    budget = Budget(wall_seconds=30.0)
     result = prove(net, budget=budget)       # never runs away
     if result.degraded:                      # an engine fell over;
         print(result.exhaustion_reason)      # the bound is still the
@@ -43,7 +43,6 @@ from .errors import (
     EngineFailure,
     EXHAUSTED_CONFLICTS,
     EXHAUSTED_DEADLINE,
-    EXHAUSTED_QUERIES,
     EXHAUSTION_REASONS,
     ResilienceError,
     ResourceExhausted,
@@ -67,7 +66,6 @@ __all__ = [
     "EngineFailure",
     "EXHAUSTED_CONFLICTS",
     "EXHAUSTED_DEADLINE",
-    "EXHAUSTED_QUERIES",
     "EXHAUSTION_REASONS",
     "FAULT_ACTIONS",
     "FAULT_CORRUPT_MODEL",

@@ -7,8 +7,8 @@ finish:
 
 * :class:`ResourceExhausted` — a budget ran dry.  Carries a
   structured ``reason`` (one of the ``EXHAUSTED_*`` constants below)
-  so callers can distinguish a wall-clock deadline from a conflict or
-  query cap without string matching.
+  so callers can tell a passed wall-clock deadline from a solver
+  call's spent conflict cap without string matching.
 * :class:`EngineFailure` — an engine crashed or produced an answer it
   cannot stand behind.  Carries the engine name and the original
   cause; the cure is falling back to a *sound* weaker engine (the
@@ -40,19 +40,18 @@ __all__ = [
     "EngineFailure",
     "EXHAUSTED_CONFLICTS",
     "EXHAUSTED_DEADLINE",
-    "EXHAUSTED_QUERIES",
     "EXHAUSTION_REASONS",
     "ResilienceError",
     "ResourceExhausted",
 ]
 
 #: Structured exhaustion reasons (``ResourceExhausted.reason`` and the
-#: ``exhaustion_reason`` fields on engine results).
+#: ``exhaustion_reason`` fields on engine results): a
+#: :class:`~repro.resilience.Budget`'s deadline passed, or one
+#: ``Solver.solve`` call spent its ``conflict_budget``.
 EXHAUSTED_DEADLINE = "deadline"
 EXHAUSTED_CONFLICTS = "conflicts"
-EXHAUSTED_QUERIES = "queries"
-EXHAUSTION_REASONS = (EXHAUSTED_DEADLINE, EXHAUSTED_CONFLICTS,
-                      EXHAUSTED_QUERIES)
+EXHAUSTION_REASONS = (EXHAUSTED_DEADLINE, EXHAUSTED_CONFLICTS)
 
 
 class ResilienceError(Exception):

@@ -319,11 +319,10 @@ class Solver:
           "unlimited", which callers confused with ``0``).
 
         ``budget`` is a cooperative :class:`repro.resilience.Budget`
-        checked at call entry and then once per conflict (and
-        periodically per decision, for conflict-free instances): on a
-        wall-clock deadline or pool exhaustion the call returns
-        ``unknown`` with the structured reason in
-        :attr:`last_exhaustion`; a cancelled budget raises
+        deadline checked at call entry and then once per conflict (and
+        every 256 decisions, for conflict-free instances): once it has
+        passed the call returns ``unknown`` with the structured reason
+        in :attr:`last_exhaustion`; a cancelled budget raises
         :class:`~repro.resilience.Cancelled`.  On ``sat``,
         :attr:`model` holds a satisfying assignment indexed by
         variable; on any other result it is cleared to the empty list
@@ -389,7 +388,6 @@ class Solver:
             if reason is not None:
                 self.last_exhaustion = reason
                 return UNKNOWN
-            budget.charge_query()
         result = self._search(assumptions, conflict_budget, budget)
         if fault == _faults.FAULT_CORRUPT_MODEL and result == SAT \
                 and self.model:
@@ -501,10 +499,9 @@ class Solver:
                     obs.progress("sat", conflicts=self.conflicts,
                                  decisions=self.decisions,
                                  learnts=len(self._learnts))
-                if budget is not None:
-                    budget.charge_conflicts()
-                    if self._budget_stop(budget) is not None:
-                        return UNKNOWN
+                if budget is not None and \
+                        self._budget_stop(budget) is not None:
+                    return UNKNOWN
                 if conflict_budget is not None and \
                         self.conflicts - budget_start >= conflict_budget:
                     self._cancel_until(0)

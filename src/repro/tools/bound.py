@@ -13,7 +13,9 @@ tables).
 ``--strategy`` accepts ``/``-separated alternatives (e.g.
 ``"COM/RET/COM,RET,COM"``): they run as a portfolio — in parallel when
 ``--jobs N`` is given — and each target reports the best sound bound
-any alternative produced, with the winning strategy named.
+any alternative produced, with the winning strategy named.  The
+portfolio bounds structurally, so alternatives do not combine with
+``--bounder recurrence``.
 """
 
 from __future__ import annotations
@@ -42,7 +44,7 @@ def _portfolio_main(net, args, budget) -> int:
     best sound bound.  Failed alternatives are reported, not fatal —
     each bound is independently sound, so the minimum survives any
     subset of failures.  Uses the structural bounder (the portfolio
-    engine's default)."""
+    engine's default); ``main`` refuses ``--bounder recurrence`` here."""
     strategies = args.strategy.split("/")
     portfolio = compare_strategies(net, strategies=strategies,
                                    refine_gc_limit=args.refine_gc,
@@ -96,6 +98,10 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     parser.add_argument("--progress", action="store_true",
                         help="report live engine progress on stderr")
     args = parser.parse_args(argv)
+    if "/" in args.strategy and args.bounder == "recurrence":
+        parser.error("--bounder recurrence does not apply to "
+                     "/-separated strategy alternatives (the portfolio "
+                     "bounds structurally)")
     obs.trace.setup_cli(progress_flag=args.progress)
     bounder = _recurrence_bounder if args.bounder == "recurrence" else None
     try:

@@ -20,14 +20,15 @@ from __future__ import annotations
 
 import argparse
 from contextlib import nullcontext
-from typing import Optional, Sequence
+from typing import Optional, Sequence, Union
 
 from .. import obs
 from ..cert import use_certification
 from ..core import TBVEngine
 from ..netlist import Netlist, NetlistError
 from ..resilience import CertificationFailure
-from ..transform.localize_cegar import localization_refinement
+from ..transform.localize_cegar import LocalizationResult, \
+    localization_refinement
 from ..unroll import BMCResult, bmc, k_induction
 from .io import load_or_exit
 from .vcd import counterexample_to_vcd
@@ -44,9 +45,10 @@ def _cert_summary() -> str:
             f"{lemmas} lemma(s) verified, {trimmed} trimmed")
 
 
-def _print_verdict(label: str, net: Netlist, check: BMCResult,
+def _print_verdict(label: str, net: Netlist, target: int,
+                   check: Union[BMCResult, LocalizationResult],
                    vcd: Optional[str], detail: str = "") -> bool:
-    """Print one BMC or k-induction verdict line.
+    """Print one verdict line of any ``--method``.
 
     A falsified target reports the depth of its hit instead of
     ``detail`` and, when ``vcd`` names a file, dumps its waveform
@@ -59,7 +61,7 @@ def _print_verdict(label: str, net: Netlist, check: BMCResult,
         if vcd:
             with open(vcd, "w") as handle:
                 handle.write(counterexample_to_vcd(
-                    net, check.target, check.counterexample))
+                    net, target, check.counterexample))
             waveform = f" (waveform: {vcd})"
     if check.certified:
         detail += " [certified]"
@@ -125,7 +127,8 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
                               f"budget {args.max_depth})")
                 if check.status == "falsified":
                     failures += 1
-                if _print_verdict(label, net, check, vcd, detail):
+                if _print_verdict(label, net, report.target, check, vcd,
+                                  detail):
                     vcd = None
         elif args.method == "induction":
             for target in net.targets:
@@ -146,7 +149,8 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
                               f"{check.depth_checked})")
                 if check.status == "falsified":
                     failures += 1
-                if _print_verdict(label, net, check, vcd, detail):
+                if _print_verdict(label, net, target, check, vcd,
+                                  detail):
                     vcd = None
         else:
             for target in net.targets:
@@ -161,10 +165,12 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
                     continue
                 if result.status == "falsified":
                     failures += 1
-                print(f"  {label:<20} {result.status.upper()} "
-                      f"({result.iterations} refinement(s), "
-                      f"{result.abstraction_registers} register(s) "
-                      "kept)")
+                detail = (f" ({result.iterations} refinement(s), "
+                          f"{result.abstraction_registers} register(s) "
+                          "kept)")
+                if _print_verdict(label, net, target, result, vcd,
+                                  detail):
+                    vcd = None
     if args.certify:
         print(f"  {_cert_summary()}")
     if cert_failures:

@@ -285,18 +285,28 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
                         help="output path (default: "
                              "report_<rev>.html)")
     args = parser.parse_args(argv)
-    with open(args.results) as handle:
-        results = json.load(handle)
+    try:
+        with open(args.results) as handle:
+            results = json.load(handle)
+    except OSError as exc:
+        parser.error(f"cannot read {args.results}: {exc.strerror}")
+    except ValueError as exc:
+        parser.error(f"{args.results} is not a JSON file: {exc}")
     schema = results.get("schema") if isinstance(results, dict) else None
     if schema != SCHEMA:
         print(f"repro-report: {args.results} has schema {schema!r}; "
               f"expected {SCHEMA!r} (a perf/run.py --out file)",
               file=sys.stderr)
         return 2
+    if args.trace and not _trace.discover_trace_files(args.trace):
+        parser.error(f"no trace files at {args.trace}")
     document = build_report(results, trace_base=args.trace)
     out = args.out or f"report_{results['rev']}.html"
-    with open(out, "w") as handle:
-        handle.write(document)
+    try:
+        with open(out, "w") as handle:
+            handle.write(document)
+    except OSError as exc:
+        parser.error(f"cannot write {out}: {exc.strerror}")
     print(f"wrote {out} ({len(document)} bytes, self-contained)")
     return 0
 

@@ -42,7 +42,8 @@ class LocalizationResult:
 
     A ``falsified`` result carries a ``counterexample`` on the
     original netlist (not on the abstraction), found by a concrete
-    BMC run that hit.
+    BMC run that hit, and that run's ``certified`` flag (see
+    :class:`~repro.unroll.BMCResult`).
     """
 
     status: str  # 'proven' | 'falsified' | 'exhausted'
@@ -53,6 +54,7 @@ class LocalizationResult:
     history: List[str] = field(default_factory=list)
     counterexample: Optional[Counterexample] = None
     exhaustion_reason: Optional[str] = None
+    certified: bool = False
 
 
 def localization_refinement(
@@ -146,7 +148,8 @@ def localization_refinement(
                     final_radius=radius, abstraction=abstraction,
                     abstraction_registers=len(abstraction.state_elements),
                     history=history,
-                    counterexample=concrete.counterexample)
+                    counterexample=concrete.counterexample,
+                    certified=concrete.certified)
             history.append(f"  spurious at depth {depth}; refining")
         if exact:
             # The window closed inconclusively on the netlist itself.

@@ -78,11 +78,13 @@ class TestBMCAbortMidFrame:
         assert check.exhaustion_reason is None
 
     def test_query_budget_aborts_mid_frame(self):
+        # A deadline that passes after three solver queries.
         net, t = mod_counter_target(3, 8, 5)
-        check = bmc(net, t, max_depth=8, budget=Budget(queries=3))
+        with inject(FaultPlan(after=3, action=FAULT_TIMEOUT)):
+            check = bmc(net, t, max_depth=8)
         assert check.status == ABORTED
         assert check.depth_checked == 3
-        assert check.exhaustion_reason == "queries"
+        assert check.exhaustion_reason == "deadline"
 
     def test_unfaulted_run_still_falsifies(self):
         net, t = mod_counter_target(3, 8, 5)
@@ -173,7 +175,7 @@ class TestProveDegradation:
         net, t = mod_counter_target(3, 6, 7)
         with obs.scoped(obs.Registry("test")) as reg:
             result = prove(net, sweep_config=FAST,
-                           budget=Budget(conflicts=0, name="starved"))
+                           budget=Budget(wall_seconds=0, name="starved"))
         assert result.degraded
         assert result.method == "structural-fallback"
         assert result.exhaustion_reason is not None
@@ -242,11 +244,11 @@ class TestRunnerErrorCells:
     def test_exhausted_budget_marks_cells_with_reason(self):
         net, t = mod_counter_target(3, 6, 7)
         row = evaluate_design(net, sweep_config=FAST,
-                              budget=Budget(queries=0, name="dry"))
+                              budget=Budget(wall_seconds=0, name="dry"))
         assert set(row.columns) == {"original", "com", "crc"}
         for col in row.columns.values():
             assert not col.ok
-            assert col.exhaustion_reason == "queries"
+            assert col.exhaustion_reason == "deadline"
 
     def test_failing_design_becomes_error_row(self):
         def bad_generate(name, scale=1.0):

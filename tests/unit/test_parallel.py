@@ -1,6 +1,5 @@
 """Unit tests for the work-stealing fan-out layer (repro.parallel)."""
 
-import multiprocessing
 import os
 import pickle
 import time
@@ -11,11 +10,8 @@ from repro import obs
 from repro.core import TBVEngine
 from repro.core.portfolio import StrategyOutcome
 from repro.netlist import NetlistError, s27
-from repro.parallel import BudgetSpec, ParallelExecutor, SharedBudget, \
-    WorkerOutcome
+from repro.parallel import BudgetSpec, ParallelExecutor, WorkerOutcome
 from repro.resilience import (
-    EXHAUSTED_CONFLICTS,
-    EXHAUSTED_QUERIES,
     FAULT_CRASH,
     Budget,
     Cancelled,
@@ -39,8 +35,7 @@ def _record_budget(payload, budget):
         return None
     return {
         "name": budget.name,
-        "conflicts": budget.remaining_conflicts(),
-        "queries": budget.remaining_queries(),
+        "deadline_epoch": time.time() + budget.remaining_seconds(),
     }
 
 
@@ -85,29 +80,6 @@ def _stall(payload, budget):
     return "done"
 
 
-def _charge_through_slice(payload, budget):
-    # Charge the shared pool through a derived slice, then read it
-    # directly and through a fresh subbudget.  The sibling task may
-    # charge between two reads; the pool only shrinks, so equal direct
-    # readings on both sides pin the subbudget's reading to the same
-    # pool state.
-    budget.slice(0.5).charge_conflicts(payload)
-    while True:
-        pool = budget.remaining_conflicts()
-        through_child = budget.subbudget().remaining_conflicts()
-        if budget.remaining_conflicts() == pool:
-            return {"pool": pool, "child": through_child}
-
-
-def _charge_one_at_a_time(payload, budget):
-    # Single-conflict charges through a derived slice, many enough that
-    # sibling workers' read-modify-writes on the shared pool overlap.
-    child = budget.slice(0.5)
-    for _ in range(payload):
-        child.charge_conflicts(1)
-    return budget.remaining_conflicts()
-
-
 def _solver_probe(payload, budget):
     from repro.sat import Solver
     from repro.sat.cnf import pos
@@ -121,15 +93,6 @@ class TestBudgetSpec:
     def test_none_budget_passes_through(self):
         assert BudgetSpec.capture(None) is None
 
-    def test_capture_and_restore_pools(self):
-        spec = BudgetSpec.capture(Budget(conflicts=100, queries=10,
-                                         name="b"))
-        restored = spec.restore()
-        assert restored.remaining_conflicts() == 100
-        assert restored.remaining_queries() == 10
-        assert restored.name == "b"
-        assert restored.remaining_seconds() is None
-
     def test_deadline_travels_as_epoch(self):
         spec = BudgetSpec.capture(Budget(wall_seconds=60.0))
         assert spec.deadline_epoch == pytest.approx(time.time() + 60.0,
@@ -142,9 +105,10 @@ class TestBudgetSpec:
         assert spec.restore().exhausted() == "deadline"
 
     def test_spec_is_picklable(self):
-        spec = BudgetSpec.capture(Budget(conflicts=5, name="x"))
+        spec = BudgetSpec.capture(Budget(wall_seconds=5.0, name="x"))
         clone = pickle.loads(pickle.dumps(spec))
         assert clone == spec
+        assert clone.restore().name == "x"
 
 
 class TestExecutorInProcess:
@@ -162,14 +126,16 @@ class TestExecutorInProcess:
         assert all(o.ok for o in outcomes)
 
     def test_budget_shared_not_pre_split(self):
-        budget = Budget(conflicts=100, queries=10, name="parent")
+        budget = Budget(wall_seconds=60.0, name="parent")
+        deadline = time.time() + budget.remaining_seconds()
         outcomes = ParallelExecutor(jobs=1, name="pool").map(
             _record_budget, ["a", "b"], budget=budget,
             labels=["a", "b"])
-        # The tasks share one pool instead of taking 1/n slices, so
-        # every task sees the full remains.
-        assert outcomes[0].value["conflicts"] == 100
-        assert outcomes[1].value["queries"] == 10
+        # The tasks share the parent's deadline instead of taking 1/n
+        # slices of it.
+        for outcome in outcomes:
+            assert outcome.value["deadline_epoch"] == \
+                pytest.approx(deadline, abs=1.0)
         assert outcomes[0].value["name"] == "pool[a]"
 
     def test_cancelled_budget_raises_at_submit(self):
@@ -200,13 +166,6 @@ class TestExecutorInProcess:
         assert snap["counters"]["parallel/pool/t/sat.conflicts"] == 7
         assert "parallel/pool/t/work" in snap["timers"]
         assert snap["counters"]["parallel.tasks"] == 1
-
-    def test_parent_budget_charged_with_worker_effort(self):
-        budget = Budget(conflicts=100, queries=10, name="parent")
-        ParallelExecutor(jobs=1).map(_instrumented, ["x"],
-                                     budget=budget)
-        assert budget.remaining_conflicts() == 100 - 7
-        assert budget.remaining_queries() == 10 - 3
 
 
 @pytest.mark.parallel
@@ -286,39 +245,17 @@ class TestExecutorPooled:
             assert [o.value for o in outcomes] == [None, None]
 
     def test_pooled_budget_shared_not_pre_split(self):
-        budget = Budget(conflicts=100, queries=10, name="parent")
+        budget = Budget(wall_seconds=60.0, name="parent")
+        deadline = time.time() + budget.remaining_seconds()
         outcomes = ParallelExecutor(jobs=2, name="pool").map(
             _record_budget, ["a", "b"], budget=budget,
             labels=["a", "b"])
+        # Each worker re-anchors the parent's deadline on its own
+        # clock; every task still ends at the same instant.
         for outcome in outcomes:
-            assert outcome.value["conflicts"] == 100
-            assert outcome.value["queries"] == 10
+            assert outcome.value["deadline_epoch"] == \
+                pytest.approx(deadline, abs=1.0)
         assert outcomes[1].value["name"] == "pool[b]"
-
-    def test_pooled_slices_drain_the_shared_pool(self):
-        # Each task charges 30 conflicts through budget.slice(0.5), as
-        # the table runner slices a worker's budget per pipeline.  The
-        # charges must reach the one shared pool, and a subbudget must
-        # read that pool, whichever worker ran which task.
-        budget = Budget(conflicts=100, name="parent")
-        outcomes = ParallelExecutor(jobs=2, name="pool").map(
-            _charge_through_slice, [30, 30], budget=budget,
-            labels=["a", "b"])
-        readings = [outcome.value for outcome in outcomes]
-        for reading in readings:
-            assert reading["child"] == reading["pool"]
-        assert min(reading["pool"] for reading in readings) == 40
-
-    def test_pooled_concurrent_charges_are_never_lost(self):
-        # More workers than cores charging one shared pool: the task
-        # that charges last reads the final pool, so a lost update
-        # would leave every reading above the exact remainder.
-        tasks, charges = 8, 20_000
-        budget = Budget(conflicts=1_000_000, name="parent")
-        outcomes = ParallelExecutor(jobs=4).map(
-            _charge_one_at_a_time, [charges] * tasks, budget=budget)
-        assert min(outcome.value for outcome in outcomes) == \
-            1_000_000 - tasks * charges
 
     def test_fault_plan_rearmed_per_stolen_task(self):
         # Three tasks over two workers: one worker necessarily steals
@@ -358,8 +295,9 @@ class TestWatchdog:
         assert 2.0 < timeout <= 4.6
 
     def test_no_wall_deadline_means_no_watchdog(self):
-        spec = BudgetSpec.capture(Budget(conflicts=100), name="x")
+        spec = BudgetSpec.capture(Budget(), name="x")
         assert spec.watchdog_timeout() is None
+        assert spec.restore().remaining_seconds() is None
 
     def test_watchdog_cancels_stalled_worker(self):
         budget = Budget(wall_seconds=0.4, name="wd")
@@ -453,48 +391,6 @@ class TestDataPickles:
         assert clone.strategy == "COM"
         assert clone.error == "boom"
         assert clone.seconds == 1.5
-
-
-class TestSharedBudget:
-    """Budgets derived from a worker's :class:`SharedBudget` read and
-    charge the cross-process pools (built here without processes)."""
-
-    @staticmethod
-    def _shared(conflicts=100, queries=10):
-        ctx = multiprocessing.get_context()
-        return SharedBudget(None, ctx.Value("q", conflicts),
-                            ctx.Value("q", queries), name="worker")
-
-    def test_subbudget_and_slice_see_the_pool(self):
-        shared = self._shared()
-        child = shared.subbudget()
-        assert child.remaining_conflicts() == 100
-        assert child.remaining_queries() == 10
-        half = shared.slice(0.5)
-        assert half.remaining_conflicts() == 50
-        assert half.remaining_queries() == 5
-
-    def test_charges_through_children_drain_the_pool(self):
-        shared = self._shared()
-        shared.subbudget().charge_conflicts(30)
-        assert shared.remaining_conflicts() == 70
-        half = shared.slice(0.5)
-        half.charge_conflicts(30)
-        half.charge_query(4)
-        assert shared.remaining_conflicts() == 40
-        assert shared.remaining_queries() == 6
-        assert half.remaining_conflicts() == 5  # its own cap of 35
-
-    def test_drained_pool_exhausts_the_child(self):
-        shared = self._shared()
-        child = shared.subbudget()
-        assert child.exhausted() is None
-        shared.charge_conflicts(100)
-        assert child.exhausted() == EXHAUSTED_CONFLICTS
-        queries_only = self._shared(conflicts=1000)
-        child = queries_only.slice(0.5)
-        queries_only.charge_query(10)
-        assert child.exhausted() == EXHAUSTED_QUERIES
 
 
 class TestMergeSnapshot:

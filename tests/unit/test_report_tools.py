@@ -280,3 +280,35 @@ class TestReportHTML:
         results_path.write_text(json.dumps(_results(rev="zz")))
         assert report_main([str(results_path)]) == 0
         assert (tmp_path / "report_zz.html").exists()
+
+
+#: repro-report bad input; ``{...}`` names a path made by the test.
+REPORT_BAD_INPUT = {
+    "missing-results": ["{missing}"],
+    "results-not-json": ["{junk}"],
+    "out-dir-missing": ["{results}", "--out", "{tmp}/no/such/dir/r.html"],
+    "trace-matches-nothing": ["{results}", "--trace", "{tmp}/none.trace",
+                              "--out", "{tmp}/r.html"],
+}
+
+
+class TestReportBadInput:
+    """Bad input is a usage error: exit 2 with one ``error:`` line."""
+
+    @pytest.mark.parametrize("case", sorted(REPORT_BAD_INPUT))
+    def test_exit_2_without_traceback(self, case, tmp_path, capsys):
+        results_path = tmp_path / "run.json"
+        results_path.write_text(json.dumps(_results()))
+        junk = tmp_path / "junk.json"
+        junk.write_text("not json {")
+        paths = {"missing": str(tmp_path / "missing.json"),
+                 "junk": str(junk), "results": str(results_path),
+                 "tmp": str(tmp_path)}
+        argv = [arg.format(**paths) for arg in REPORT_BAD_INPUT[case]]
+        with pytest.raises(SystemExit) as exc:
+            report_main(argv)
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert err.count("error:") == 1
+        assert "Traceback" not in err
+        assert not (tmp_path / "r.html").exists()

@@ -10,7 +10,6 @@ from repro.resilience import (
     EngineFailure,
     EXHAUSTED_CONFLICTS,
     EXHAUSTED_DEADLINE,
-    EXHAUSTED_QUERIES,
     EXHAUSTION_REASONS,
     FAULT_CRASH,
     FAULT_TIMEOUT,
@@ -29,47 +28,21 @@ class TestBudgetBasics:
         b = Budget()
         assert b.exhausted() is None
         assert b.remaining_seconds() is None
-        assert b.remaining_conflicts() is None
-        assert b.remaining_queries() is None
         b.check()  # no-op
 
     def test_negative_limits_rejected(self):
         with pytest.raises(ValueError):
             Budget(wall_seconds=-1)
-        with pytest.raises(ValueError):
-            Budget(conflicts=-1)
-        with pytest.raises(ValueError):
-            Budget(queries=-1)
 
     def test_zero_deadline_exhausts_as_deadline(self):
         b = Budget(wall_seconds=0.0)
         assert b.exhausted() == EXHAUSTED_DEADLINE
 
-    def test_zero_conflicts_exhausts_as_conflicts(self):
-        assert Budget(conflicts=0).exhausted() == EXHAUSTED_CONFLICTS
-
-    def test_zero_queries_exhausts_as_queries(self):
-        assert Budget(queries=0).exhausted() == EXHAUSTED_QUERIES
-
-    def test_deadline_reported_before_pools(self):
-        b = Budget(wall_seconds=0.0, conflicts=0, queries=0)
-        assert b.exhausted() == EXHAUSTED_DEADLINE
-
-    def test_charges_deplete_pools(self):
-        b = Budget(conflicts=3, queries=2)
-        b.charge_conflicts(2)
-        assert b.remaining_conflicts() == 1
-        b.charge_conflicts()
-        assert b.exhausted() == EXHAUSTED_CONFLICTS
-        b2 = Budget(queries=1)
-        b2.charge_query()
-        assert b2.exhausted() == EXHAUSTED_QUERIES
-
     def test_check_raises_typed_errors(self):
-        b = Budget(conflicts=0, name="outer")
+        b = Budget(wall_seconds=0.0, name="outer")
         with pytest.raises(ResourceExhausted) as err:
             b.check()
-        assert err.value.reason == EXHAUSTED_CONFLICTS
+        assert err.value.reason == EXHAUSTED_DEADLINE
         assert err.value.budget_name == "outer"
         b2 = Budget()
         b2.cancel()
@@ -77,32 +50,17 @@ class TestBudgetBasics:
             b2.check()
 
     def test_cancellation_wins_over_exhaustion(self):
-        b = Budget(conflicts=0)
+        b = Budget(wall_seconds=0.0)
         b.cancel()
         with pytest.raises(Cancelled):
             b.check()
 
     def test_exhaustion_reasons_are_closed_set(self):
         assert set(EXHAUSTION_REASONS) == {
-            EXHAUSTED_DEADLINE, EXHAUSTED_CONFLICTS, EXHAUSTED_QUERIES}
+            EXHAUSTED_DEADLINE, EXHAUSTED_CONFLICTS}
 
 
 class TestBudgetHierarchy:
-    def test_charges_propagate_to_ancestors(self):
-        parent = Budget(conflicts=10)
-        child = parent.subbudget(conflicts=8)
-        child.charge_conflicts(6)
-        assert parent.remaining_conflicts() == 4
-        # Child pool depleted independently of the parent's.
-        assert child.remaining_conflicts() == 2
-
-    def test_child_sees_tightest_pool_in_chain(self):
-        parent = Budget(conflicts=2)
-        child = parent.subbudget(conflicts=100)
-        assert child.remaining_conflicts() == 2
-        parent.charge_conflicts(2)
-        assert child.exhausted() == EXHAUSTED_CONFLICTS
-
     def test_child_deadline_capped_by_parent(self):
         parent = Budget(wall_seconds=0.0)
         child = parent.subbudget(wall_seconds=100.0)
@@ -123,25 +81,17 @@ class TestBudgetHierarchy:
         assert child.cancelled and not parent.cancelled
 
     def test_slice_takes_fraction_of_remaining(self):
-        parent = Budget(conflicts=100, queries=10)
+        parent = Budget(wall_seconds=100.0)
         half = parent.slice(0.5)
-        assert half.remaining_conflicts() == 50
-        assert half.remaining_queries() == 5
+        assert 45.0 < half.remaining_seconds() <= 50.0
         # Full slice of an unlimited budget stays unlimited.
-        assert Budget().slice(1.0).remaining_conflicts() is None
+        assert Budget().slice(1.0).remaining_seconds() is None
 
     def test_slice_fraction_validated(self):
         b = Budget()
         for bad in (0.0, -0.5, 1.5):
             with pytest.raises(ValueError):
                 b.slice(bad)
-
-    def test_conflict_slice_combines_default_and_pool(self):
-        assert Budget().conflict_slice(500) == 500
-        assert Budget(conflicts=100).conflict_slice(500) == 100
-        assert Budget(conflicts=100).conflict_slice(50) == 50
-        assert Budget(conflicts=100).conflict_slice(None) == 100
-        assert Budget().conflict_slice(None) is None
 
 
 class TestErrorTaxonomy:
@@ -215,21 +165,6 @@ def _unsat_solver():
     return solver
 
 
-def _pigeonhole_solver(pigeons=4, holes=3):
-    """PHP(4,3): UNSAT and resolution-hard — needs many conflicts."""
-    solver = Solver()
-    var = [[solver.new_var() for _ in range(holes)]
-           for _ in range(pigeons)]
-    for i in range(pigeons):
-        solver.add_clause([pos(var[i][j]) for j in range(holes)])
-    for j in range(holes):
-        for i in range(pigeons):
-            for k in range(i + 1, pigeons):
-                solver.add_clause([lit_not(pos(var[i][j])),
-                                   lit_not(pos(var[k][j]))])
-    return solver
-
-
 class TestSolverGovernance:
     def test_conflict_budget_contract(self):
         # None = unlimited.
@@ -254,29 +189,6 @@ class TestSolverGovernance:
         assert result == UNKNOWN
         assert solver.last_exhaustion == EXHAUSTED_DEADLINE
 
-    def test_budget_queries_deplete_per_solve(self):
-        solver = Solver()
-        x = pos(solver.new_var())
-        solver.add_clause([x])
-        budget = Budget(queries=2)
-        assert solver.solve(budget=budget) == SAT
-        assert solver.solve(budget=budget) == SAT
-        assert solver.solve(budget=budget) == UNKNOWN
-        assert solver.last_exhaustion == EXHAUSTED_QUERIES
-
-    def test_budget_conflict_pool_shared_across_solves(self):
-        # PHP(4,3) needs far more than 2 conflicts, so the pool runs
-        # dry mid-search and the drained budget carries over.
-        budget = Budget(conflicts=2)
-        first = _pigeonhole_solver()
-        assert first.solve(budget=budget) == UNKNOWN
-        assert first.last_exhaustion == EXHAUSTED_CONFLICTS
-        assert budget.exhausted() == EXHAUSTED_CONFLICTS
-        # The same (shared) budget refuses further conflicted work.
-        second = _unsat_solver()
-        assert second.solve(budget=budget) == UNKNOWN
-        assert second.last_exhaustion == EXHAUSTED_CONFLICTS
-
     def test_cancelled_budget_raises(self):
         solver = _unsat_solver()
         budget = Budget()
@@ -287,9 +199,10 @@ class TestSolverGovernance:
     def test_solver_result_still_sound_after_exhaustion(self):
         # A governed UNKNOWN must never flip a definitive answer: the
         # same instance solved fresh without a budget stays UNSAT.
-        budget = Budget(conflicts=1)
+        budget = Budget(wall_seconds=0.0)
         governed = _unsat_solver()
         assert governed.solve(budget=budget) in (UNSAT, UNKNOWN)
+        assert governed.solve() == UNSAT
         assert _unsat_solver().solve() == UNSAT
 
 

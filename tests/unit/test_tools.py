@@ -19,6 +19,21 @@ def s27_bench(tmp_path):
     return str(path)
 
 
+@pytest.fixture
+def counter_aag(tmp_path):
+    """A free-running 3-bit counter whose target ``c == 5`` is first
+    hit at depth 5."""
+    b = NetlistBuilder("count5")
+    regs = b.registers(3, prefix="c")
+    b.connect_word(regs, b.increment(regs))
+    target = b.buf(b.word_eq(regs, b.word_const(5, 3)), name="t")
+    b.net.add_target(target)
+    b.net.add_output(target)
+    path = tmp_path / "count5.aag"
+    save_netlist(b.net, str(path))
+    return str(path)
+
+
 class TestFileIO:
     def test_bench_round_trip(self, tmp_path, s27_bench):
         net = load_netlist(s27_bench)
@@ -154,6 +169,12 @@ class TestCLIs:
         assert "jobs=2" in out
         assert "|T'|/|T| = 1/1" in out
 
+    def test_bound_cli_alternatives_structural_bounder(self, capsys,
+                                                        s27_bench):
+        assert bound_main([s27_bench, "--strategy", "COM/RET",
+                           "--bounder", "structural"]) == 0
+        assert "|T'|/|T| = 1/1" in capsys.readouterr().out
+
     def test_check_cli_bmc_finds_hit(self, capsys, s27_bench, tmp_path):
         vcd_path = tmp_path / "cex.vcd"
         rc = check_main([s27_bench, "--vcd", str(vcd_path)])
@@ -195,6 +216,19 @@ class TestCLIs:
         assert rc == 0
         assert "PROVEN" in capsys.readouterr().out
 
+    @pytest.mark.parametrize("method", ["bmc", "induction", "cegar"])
+    def test_check_cli_falsified_reports_alike(self, method, capsys,
+                                               counter_aag, tmp_path):
+        # Every method reports a hit with its depth, waveform and
+        # certification, through the same verdict line.
+        vcd_path = tmp_path / "w.vcd"
+        rc = check_main([counter_aag, "--method", method, "--certify",
+                         "--vcd", str(vcd_path)])
+        assert rc == 1
+        assert (f"FALSIFIED at depth 5 [certified] (waveform: "
+                f"{vcd_path})") in capsys.readouterr().out
+        assert vcd_path.read_text().startswith("$date")
+
     def test_convert_cli(self, capsys, s27_bench, tmp_path):
         dest = tmp_path / "out.aag"
         assert convert_main([s27_bench, str(dest)]) == 0
@@ -218,6 +252,8 @@ BAD_INPUT = {
     "bound-strategy": (bound_main, ["{s27}", "--strategy", "BOGUS"]),
     "bound-alternative": (bound_main, ["{s27}", "--strategy", "COM/BOGUS"]),
     "bound-not-2-slow": (bound_main, ["{s27}", "--strategy", "CSLOW:2"]),
+    "bound-recurrence-alternatives": (bound_main, [
+        "{s27}", "--strategy", "COM/RET", "--bounder", "recurrence"]),
     "check-missing": (check_main, ["{missing}"]),
     "check-not-a-netlist": (check_main, ["{junk}"]),
     "check-strategy": (check_main, ["{s27}", "--strategy", "BOGUS"]),

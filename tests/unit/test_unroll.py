@@ -389,14 +389,15 @@ class TestBMCDepthCheckedInvariant:
         assert results[t].depth_checked == 4
 
     def test_multi_mixed_complete_bounds_under_query_budget(self):
-        # Two unreachable targets, windows 2 and 10, and exactly the
-        # query pool for frames 0-1 (two targets x two frames).  At
-        # frame 2 the first target's window closes (PROVEN, no query
-        # spent) while the second hits the dry pool: ABORTED at the
-        # same frame with the structured reason.  This pins the
-        # BMCResult contract: PROVEN depth_checked is the closed
-        # window, ABORTED depth_checked is the first unverified frame.
-        from repro.resilience import Budget
+        # Two unreachable targets, windows 2 and 10, and a deadline
+        # that passes after exactly the queries for frames 0-1 (two
+        # targets x two frames).  At frame 2 the first target's window
+        # closes (PROVEN, no query spent) while the second hits the
+        # deadline: ABORTED at the same frame with the structured
+        # reason.  This pins the BMCResult contract: PROVEN
+        # depth_checked is the closed window, ABORTED depth_checked is
+        # the first unverified frame.
+        from repro.resilience import FAULT_TIMEOUT, FaultPlan, inject
 
         b = NetlistBuilder("mixed")
         r0 = b.register(name="r0")
@@ -407,15 +408,15 @@ class TestBMCDepthCheckedInvariant:
         c = b.buf(r1, name="c")
         b.net.add_target(a)
         b.net.add_target(c)
-        results = bmc_multi(b.net, [a, c], max_depth=8,
-                            complete_bounds={a: 2, c: 10},
-                            budget=Budget(queries=4, name="mixed"))
+        with inject(FaultPlan(after=4, action=FAULT_TIMEOUT)):
+            results = bmc_multi(b.net, [a, c], max_depth=8,
+                                complete_bounds={a: 2, c: 10})
         assert results[a].status == PROVEN
         assert results[a].depth_checked == 2
         assert results[a].exhaustion_reason is None
         assert results[c].status == ABORTED
         assert results[c].depth_checked == 2
-        assert results[c].exhaustion_reason == "queries"
+        assert results[c].exhaustion_reason == "deadline"
 
     def test_multi_falsified_and_bounded_mix(self):
         b = NetlistBuilder("mix")
