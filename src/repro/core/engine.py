@@ -20,7 +20,13 @@ from .record import TransformChain, TransformResult
 from .theory import back_translate
 
 if False:  # pragma: no cover - import-cycle-free type hints only
+    from ..diameter.structural import StructuralAnalysis  # noqa: F401
     from ..transform.redundancy import SweepConfig  # noqa: F401
+
+#: Chains already computed on one netlist under one sweep
+#: configuration, keyed by the strategy prefix (token tuple) that
+#: produced each; see :meth:`TBVEngine.transform`.
+Prefixes = Dict[Tuple[str, ...], TransformChain]
 
 #: Trivial-target statuses.
 BOUNDED = "bounded"
@@ -42,10 +48,15 @@ class TargetReport:
 
 @dataclass
 class EngineResult:
-    """Outcome of a full TBV run over all targets."""
+    """Outcome of a full TBV run over all targets.
+
+    ``analysis`` is the structural analysis of the final netlist that
+    bounded the targets (None under a custom ``bounder``).
+    """
 
     chain: TransformChain
     reports: List[TargetReport] = field(default_factory=list)
+    analysis: Optional["StructuralAnalysis"] = None
 
     @property
     def netlist(self) -> Netlist:
@@ -170,7 +181,8 @@ class TBVEngine:
         self.refine_gc_limit = refine_gc_limit
 
     def transform(self, net: Netlist,
-                  budget: Optional[Budget] = None) -> TransformChain:
+                  budget: Optional[Budget] = None,
+                  prefixes: Optional[Prefixes] = None) -> TransformChain:
         """Apply the strategy, returning the provenance chain.
 
         ``budget`` is checked between strategy tokens (raising
@@ -178,14 +190,34 @@ class TBVEngine:
         :class:`repro.resilience.Cancelled`) and threaded into the
         budget-aware transforms; an exhausted COM degrades to fewer
         merges rather than failing.
+
+        ``prefixes`` holds the chains already computed on ``net`` under
+        this engine's sweep configuration.  The run resumes from the
+        longest stored prefix of its strategy (a chain over another
+        netlist is never reused) and stores every step it completes,
+        so ``COM,RET,COM`` after ``COM`` sweeps only once.  A step that
+        raises or ends with ``budget`` exhausted (a COM that may have
+        merged less) is not stored: the next strategy computes it
+        again.  Every transform leaves its input netlist unchanged,
+        which is what makes the stored chains safe to share.
         """
         chain = TransformChain.identity(net)
-        for token in self.strategy:
+        done = 0
+        if prefixes is not None:
+            for end in range(len(self.strategy), 0, -1):
+                stored = prefixes.get(tuple(self.strategy[:end]))
+                if stored is not None and stored.original is net:
+                    chain, done = stored, end
+                    break
+        for index in range(done, len(self.strategy)):
             if budget is not None:
                 budget.check()
-            name, arg = _split_token(token)
+            name, arg = _split_token(self.strategy[index])
             result = _TRANSFORMS[name](self, chain.netlist, arg, budget)
             chain = chain.extend(result)
+            if prefixes is not None and \
+                    (budget is None or budget.exhausted() is None):
+                prefixes[tuple(self.strategy[:index + 1])] = chain
         return chain
 
     def _skew_free(self, chain: TransformChain, target: int) -> bool:
@@ -214,24 +246,25 @@ class TBVEngine:
         return True
 
     def run(self, net: Netlist,
-            budget: Optional[Budget] = None) -> EngineResult:
+            budget: Optional[Budget] = None,
+            prefixes: Optional[Prefixes] = None) -> EngineResult:
         """Transform, bound every target, and back-translate.
 
         The bounding stage itself is never aborted by ``budget`` (the
         default structural bounder always terminates); the budget
         governs the transformation pipeline and the optional GC
-        refinement only.
+        refinement only.  ``prefixes`` is :meth:`transform`'s.
         """
         from ..diameter.structural import StructuralAnalysis
 
-        chain = self.transform(net, budget=budget)
+        chain = self.transform(net, budget=budget, prefixes=prefixes)
         final = chain.netlist
         analysis: Optional[StructuralAnalysis] = None
         if self.bounder is None:
             analysis = StructuralAnalysis(
                 final, refine_gc_limit=self.refine_gc_limit,
                 budget=budget)
-        result = EngineResult(chain=chain)
+        result = EngineResult(chain=chain, analysis=analysis)
         for target in net.targets:
             name = net.gate(target).name
             mapped = chain.resolve_target(target)

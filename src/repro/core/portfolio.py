@@ -18,7 +18,7 @@ from .. import obs
 from ..netlist import Netlist, NetlistError
 from ..resilience import Budget, Cancelled, EngineFailure, \
     ResourceExhausted
-from .engine import EngineResult, PROVEN, TBVEngine
+from .engine import EngineResult, PROVEN, Prefixes, TBVEngine
 
 #: A sensible default portfolio (cheap to expensive).
 DEFAULT_STRATEGIES = ("", "STRASH", "COM", "RET", "COM,RET,COM")
@@ -26,7 +26,12 @@ DEFAULT_STRATEGIES = ("", "STRASH", "COM", "RET", "COM,RET,COM")
 
 @dataclass
 class StrategyOutcome:
-    """One strategy's run: its result or the error that stopped it."""
+    """One strategy's run: its result or the error that stopped it.
+
+    ``seconds`` is the strategy's own time: a transform prefix it
+    resumed from an earlier strategy of the same portfolio is counted
+    in that strategy only.
+    """
 
     strategy: str
     result: Optional[EngineResult] = None
@@ -101,13 +106,15 @@ class PortfolioResult:
 
 
 def run_strategy(payload: Dict[str, Any],
-                 budget: Optional[Budget]) -> StrategyOutcome:
+                 budget: Optional[Budget],
+                 prefixes: Optional[Prefixes] = None) -> StrategyOutcome:
     """One portfolio strategy over a netlist: the task both
     :func:`compare_strategies` paths run, in its loop or on the pool.
 
     Payload keys: ``net``, ``strategy``, ``sweep_config``,
-    ``refine_gc_limit``.  Engine errors become the outcome's ``error``
-    field; :class:`Cancelled` propagates.
+    ``refine_gc_limit``.  ``prefixes`` (the loop's, never the pool's)
+    is :meth:`TBVEngine.transform`'s.  Engine errors become the
+    outcome's ``error`` field; :class:`Cancelled` propagates.
     """
     strategy = payload["strategy"]
     reg = obs.get_registry()
@@ -116,7 +123,7 @@ def run_strategy(payload: Dict[str, Any],
             result = TBVEngine(
                 strategy, sweep_config=payload["sweep_config"],
                 refine_gc_limit=payload["refine_gc_limit"]).run(
-                    payload["net"], budget=budget)
+                    payload["net"], budget=budget, prefixes=prefixes)
         return StrategyOutcome(strategy=strategy, result=result,
                                seconds=strategy_span.seconds)
     except (NetlistError, ValueError, EngineFailure,
@@ -142,7 +149,9 @@ def compare_strategies(
     Each strategy runs under the obs span ``portfolio/<strategy>``, so
     per-strategy wall-time and the solver effort spent inside it land
     in the active registry; ``StrategyOutcome.seconds`` is the span's
-    own duration (monotonic).
+    own duration (monotonic).  The strategies share their transform
+    prefixes: ``COM,RET,COM`` resumes from the ``COM`` strategy's
+    chain instead of sweeping again (see :meth:`TBVEngine.transform`).
 
     ``budget`` governs the whole portfolio: each strategy runs on an
     equal :meth:`~repro.resilience.Budget.slice` of whatever time
@@ -151,13 +160,13 @@ def compare_strategies(
     passed, and cancellation raises :class:`Cancelled` immediately.
 
     ``jobs > 1`` fans the strategies across the work-stealing pool
-    (:mod:`repro.parallel`): outcomes come back in strategy order, so
-    without a budget the per-target minima are identical at any
-    ``jobs`` value.  The strategies share ``budget``'s deadline, as
-    table rows do, instead of taking equal slices; a strategy whose
-    worker crashes becomes a failed outcome (never an aborted
-    portfolio), and worker telemetry lands under
-    ``parallel/portfolio/<strategy>``.
+    (:mod:`repro.parallel`): one task per strategy, sharing no prefix,
+    and outcomes come back in strategy order, so without a budget the
+    per-target minima are identical at any ``jobs`` value.  The
+    strategies share ``budget``'s deadline, as table rows do, instead
+    of taking equal slices; a strategy whose worker crashes becomes a
+    failed outcome (never an aborted portfolio), and worker telemetry
+    lands under ``parallel/portfolio/<strategy>``.
     """
     portfolio = PortfolioResult(net=net)
     reg = obs.get_registry()
@@ -169,6 +178,7 @@ def compare_strategies(
         if jobs > 1:
             portfolio.outcomes = _run_pooled(payloads, budget, jobs)
             return portfolio
+        prefixes: Prefixes = {}
         for i, strategy in enumerate(strategies):
             sub: Optional[Budget] = None
             if budget is not None:
@@ -187,7 +197,8 @@ def compare_strategies(
                 label = strategy or "(none)"
                 sub = budget.slice(1.0 / (len(strategies) - i),
                                    name=f"portfolio[{label}]")
-            portfolio.outcomes.append(run_strategy(payloads[i], sub))
+            portfolio.outcomes.append(
+                run_strategy(payloads[i], sub, prefixes))
     return portfolio
 
 

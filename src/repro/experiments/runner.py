@@ -30,6 +30,7 @@ from typing import Any, Callable, Dict, List, Optional, Sequence, \
 
 from .. import obs
 from ..core import TBVEngine
+from ..core.engine import Prefixes
 from ..diameter.structural import StructuralAnalysis
 from ..gen.profiles import USEFUL_THRESHOLD, DesignProfile
 from ..netlist import Netlist
@@ -62,6 +63,9 @@ class ColumnResult:
     out of budget; the numeric fields are then zeros/placeholders and
     the column is excluded from the Σ row.  ``exhaustion_reason`` is
     set when the error was a structured resource exhaustion.
+    ``seconds`` is the pipeline's own time: a transform prefix it
+    resumed from an earlier column (``COM,RET,COM``'s first ``COM``)
+    is counted in that column only.
     """
 
     profile: Tuple[int, int, int, int]  # (CC, AC, MC+QC, GC)
@@ -117,15 +121,19 @@ def evaluate_design(net: Netlist,
 
     ``strategy_map`` overrides the column-to-strategy mapping (e.g.
     :data:`LATCHED_STRATEGY` for latch-based designs needing the PHASE
-    front-end).  ``budget`` is split equally across the pending
-    pipelines; a pipeline that fails or exhausts its share yields an
-    error cell (``runner.error_cells`` counter) and the row carries
-    on.  :class:`Cancelled` propagates.
+    front-end).  The pipelines share their transform prefixes: each
+    distinct prefix (``COM`` for ``COM`` and ``COM,RET,COM``) is
+    computed once per call (see :meth:`TBVEngine.transform`).
+    ``budget`` is split equally across the pending pipelines; a
+    pipeline that fails or exhausts its share yields an error cell
+    (``runner.error_cells`` counter) and the row carries on.
+    :class:`Cancelled` propagates.
     """
     sweep_config = sweep_config or EXPERIMENT_SWEEP
     strategies = strategy_map or _STRATEGY
     row = RowResult(net.name)
     reg = obs.get_registry()
+    prefixes: Prefixes = {}
     with reg.span(f"experiment/{net.name}"):
         for i, pipeline in enumerate(pipelines):
             sub: Optional[Budget] = None
@@ -150,11 +158,11 @@ def evaluate_design(net: Netlist,
                 with reg.span(pipeline) as column_span:
                     engine = TBVEngine(strategies[pipeline],
                                        sweep_config=sweep_config)
-                    result = engine.run(net, budget=sub)
-                    analysis = StructuralAnalysis(result.netlist)
+                    result = engine.run(net, budget=sub,
+                                        prefixes=prefixes)
                     useful = result.useful(threshold)
                 row.columns[pipeline] = ColumnResult(
-                    profile=_profile_tuple(analysis),
+                    profile=_profile_tuple(result.analysis),
                     useful=len(useful),
                     targets=len(net.targets),
                     average=result.average_bound(threshold),

@@ -55,7 +55,9 @@ def parse_bench(text: str, name: str = "bench") -> Netlist:
     """Parse BENCH ``text`` into a netlist.
 
     Every primary output is also registered as a verification target,
-    matching the experimental setup of Section 4.
+    matching the experimental setup of Section 4.  Text that declares
+    no input, output or gate (an empty or comment-only file) is not a
+    netlist and raises :class:`NetlistError`.
     """
     inputs: List[str] = []
     outputs: List[str] = []
@@ -74,6 +76,8 @@ def parse_bench(text: str, name: str = "bench") -> Netlist:
         lhs, op, args = m.group(1), m.group(2).upper(), m.group(3)
         fanins = [a.strip() for a in args.split(",") if a.strip()]
         defs.append((lhs, op, fanins))
+    if not (inputs or outputs or defs):
+        raise NetlistError("no INPUT, OUTPUT or gate line in BENCH text")
 
     net = Netlist(name)
     vid_by_signal: Dict[str, int] = {}

@@ -13,7 +13,7 @@ import pytest
 
 from repro import obs
 from repro.cert import CertificationFailure, use_certification
-from repro.core import prove
+from repro.core import compare_strategies, prove
 from repro.gen import iscas89
 from repro.netlist import NetlistBuilder
 from repro.resilience import FAULT_CORRUPT_MODEL, FaultPlan, inject
@@ -63,6 +63,18 @@ def s1269():
     learns clauses (pure counters solve by propagation alone, so the
     ``corrupt_learnt`` fault would never fire on them)."""
     return iscas89.generate("s1269")
+
+
+def portfolio_learnts(net):
+    """How many clauses prove()'s portfolio learns on ``net``'s first
+    target: the learnt index the first certified run starts at.
+    prove() runs the portfolio on a copy scoped to the target."""
+    scoped = net.copy()
+    scoped.targets = net.targets[:1]
+    with use_certification(True):
+        with inject(FaultPlan()) as plan:
+            compare_strategies(scoped)
+    return plan.learnts
 
 
 class TestVerdictIdentity:
@@ -182,13 +194,15 @@ class TestProveArbitration:
     the sound structural bound."""
 
     def test_transient_corruption_recovers_via_same_core_retry(self):
-        # Corruption limited to the first few learnt clauses: the
-        # first run's proof check fails, the retry (fault indices
-        # already consumed) certifies cleanly.
+        # Corruption limited to the first learnt clause after the
+        # portfolio: the first certified run's proof check fails, the
+        # retry (fault index already consumed) certifies cleanly.
         net = s1269()
+        first = portfolio_learnts(net)
         with obs.scoped(obs.Registry("cert-int")) as reg:
             with use_certification(True):
-                with inject(FaultPlan(corrupt_learnt=range(3))):
+                with inject(FaultPlan(
+                        corrupt_learnt=range(first, first + 1))):
                     result = prove(net)
             snap = reg.snapshot()
         assert not result.degraded

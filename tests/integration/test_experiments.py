@@ -1,7 +1,12 @@
 """Integration tests for the Table 1 / Table 2 experiment harness."""
 
+import importlib
+from functools import partial
+
 import pytest
 
+from repro.core import TBVEngine
+from repro.diameter import StructuralAnalysis
 from repro.experiments import (
     compare_useful_fractions,
     cumulative,
@@ -10,9 +15,12 @@ from repro.experiments import (
     format_table,
     shape_holds,
 )
+from repro.experiments.runner import LATCHED_STRATEGY, PIPELINES, \
+    _STRATEGY, _profile_tuple
 from repro.experiments.table1 import run as run_table1
 from repro.experiments.table2 import run as run_table2
 from repro.gen import gp, iscas89
+from repro.gen.profiles import USEFUL_THRESHOLD
 from repro.transform import SweepConfig
 
 FAST = SweepConfig(sim_cycles=8, sim_width=32, conflict_budget=300)
@@ -124,3 +132,67 @@ class TestEvaluateDesign:
                          sweep_config=FAST)
         cc, ac, mcqc, gc = rows[0].columns["original"].profile
         assert cc + ac + mcqc + gc <= 90  # cap plus motif slack
+
+
+def independent_columns(net, strategies):
+    """Each column from its own engine run and its own analysis: what
+    evaluate_design computed before pipelines shared prefixes."""
+    columns = {}
+    for pipeline in PIPELINES:
+        result = TBVEngine(strategies[pipeline],
+                           sweep_config=FAST).run(net)
+        columns[pipeline] = (
+            _profile_tuple(StructuralAnalysis(result.netlist)),
+            len(result.useful(USEFUL_THRESHOLD)), len(net.targets),
+            result.average_bound(USEFUL_THRESHOLD))
+    return columns
+
+
+class TestSharedPrefixes:
+    """evaluate_design computes each transform prefix once per design
+    and reads the profile from the engine's own analysis; every column
+    stays what an independent run gives."""
+
+    @pytest.mark.parametrize("make, strategies", [
+        pytest.param(partial(iscas89.generate, name), _STRATEGY, id=name)
+        for name in ("S27", "S298", "S953")
+    ] + [
+        pytest.param(partial(gp.generate, name, scale=0.5), _STRATEGY,
+                     id=name)
+        for name in ("L_SLB", "W_SFA")
+    ] + [
+        pytest.param(partial(gp.generate_latched, "L_SLB", scale=0.05),
+                     LATCHED_STRATEGY, id="L_SLB-latched"),
+    ])
+    def test_columns_match_independent_runs(self, make, strategies):
+        net = make()
+        row = evaluate_design(net, sweep_config=FAST,
+                              strategy_map=strategies)
+        shared = {pipeline: (col.profile, col.useful, col.targets,
+                             col.average)
+                  for pipeline, col in row.columns.items()}
+        assert shared == independent_columns(net, strategies)
+
+    def test_com_sweeps_the_original_and_the_retimed_netlist_once(
+            self, monkeypatch):
+        redundancy = importlib.import_module("repro.transform.redundancy")
+        retime = importlib.import_module("repro.transform.retime")
+        swept, retimed = [], []
+        real_com, real_ret = redundancy.redundancy_removal, retime.retime
+
+        def com(net, *args, **kwargs):
+            swept.append(net)
+            return real_com(net, *args, **kwargs)
+
+        def ret(net, *args, **kwargs):
+            result = real_ret(net, *args, **kwargs)
+            retimed.append(result.netlist)
+            return result
+
+        monkeypatch.setattr(redundancy, "redundancy_removal", com)
+        monkeypatch.setattr(retime, "retime", ret)
+        net = iscas89.generate("S298")
+        evaluate_design(net, sweep_config=FAST)
+        assert len(retimed) == 1
+        assert len(swept) == 2
+        assert swept[0] is net and swept[1] is retimed[0]

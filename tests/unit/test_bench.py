@@ -70,6 +70,11 @@ class TestParseBench:
         with pytest.raises(NetlistError):
             parse_bench("this is not bench\n")
 
+    @pytest.mark.parametrize("text", ["", "# only a comment\n\n"])
+    def test_text_without_declarations_raises(self, text):
+        with pytest.raises(NetlistError, match="no INPUT, OUTPUT or gate"):
+            parse_bench(text)
+
 
 class TestWriteBench:
     def test_round_trip_s27(self):

@@ -1,11 +1,18 @@
 """Unit tests for the TBV engine (strategy pipelines + back-translation)."""
 
+import time
+
 import pytest
 
 from repro.core import BOUNDED, PROVEN, TBVEngine, TRIVIAL_HIT
+from repro.core import engine as engine_module
 from repro.diameter import first_hit_time
-from repro.netlist import NetlistBuilder
+from repro.gen import gp
+from repro.netlist import NetlistBuilder, NetlistError, s27
+from repro.resilience import Budget
 from repro.transform import SweepConfig
+
+from .test_fold import cslow_ring
 
 FAST = SweepConfig(sim_cycles=4, sim_width=32, conflict_budget=500,
                    max_rounds=3)
@@ -137,3 +144,94 @@ class TestTBVEngine:
         assert result.netlist.latches == []
         report = result.reports[0]
         assert report.bound == 2 * report.transformed_bound
+
+
+#: An input netlist each strategy token accepts.
+TOKEN_INPUTS = {
+    "COM": s27,
+    "STRASH": s27,
+    "RET": s27,
+    "COI": s27,
+    "PHASE": lambda: gp.generate_latched("L_SLB", scale=0.05),
+    "CSLOW": lambda: cslow_ring(c=2)[0],
+}
+
+
+def snapshot(net):
+    """Everything a transform could mutate: gates (type, fanins and
+    name per vertex), targets and outputs."""
+    return (net.name, list(net.gates()), list(net.targets),
+            list(net.outputs))
+
+
+class TestPrefixReuse:
+    """``prefixes`` lets pipelines over one netlist share the chains of
+    their common strategy prefixes."""
+
+    @pytest.mark.parametrize("token", sorted(engine_module._TRANSFORMS))
+    def test_transform_leaves_its_input_unchanged(self, token):
+        # A stored chain's netlist is the next step's input in every
+        # later pipeline, so no transform may mutate its input.
+        assert set(TOKEN_INPUTS) == set(engine_module._TRANSFORMS)
+        net = TOKEN_INPUTS[token]()
+        before = snapshot(net)
+        chain = TBVEngine(token, sweep_config=FAST).transform(net)
+        assert chain.netlist is not net
+        assert snapshot(net) == before
+
+    def test_resumes_from_longest_prefix_and_stores_each_step(self):
+        net = s27()
+        prefixes = {}
+        com = TBVEngine("COM", sweep_config=FAST).transform(
+            net, prefixes=prefixes)
+        assert prefixes == {("COM",): com}
+        crc = TBVEngine("COM,RET,COM", sweep_config=FAST).transform(
+            net, prefixes=prefixes)
+        assert set(prefixes) == {("COM",), ("COM", "RET"),
+                                 ("COM", "RET", "COM")}
+        assert prefixes[("COM", "RET", "COM")] is crc
+        assert crc.steps[0] is com.steps[0]
+        assert prefixes[("COM", "RET")].netlist is not com.netlist
+        again = TBVEngine("COM,RET,COM", sweep_config=FAST).transform(
+            net, prefixes=prefixes)
+        assert again is crc
+
+    def test_failed_step_is_not_stored(self):
+        net = s27()
+        prefixes = {}
+        with pytest.raises(NetlistError, match="not 2-slow"):
+            TBVEngine("COM,CSLOW:2", sweep_config=FAST).transform(
+                net, prefixes=prefixes)
+        assert set(prefixes) == {("COM",)}
+
+    def test_chain_over_another_netlist_is_not_reused(self):
+        net = s27()
+        prefixes = {}
+        TBVEngine("COM", sweep_config=FAST).transform(
+            net, prefixes=prefixes)
+        other = net.copy()
+        chain = TBVEngine("COM", sweep_config=FAST).transform(
+            other, prefixes=prefixes)
+        assert chain.original is other
+
+    def test_step_that_ends_past_the_deadline_is_not_stored(
+            self, monkeypatch):
+        # A COM cut short by its budget may have merged less, so the
+        # next pipeline must sweep again under its own budget.  COI
+        # stands in for it: it always finishes, then waits out the
+        # deadline.
+        real = engine_module._TRANSFORMS["COI"]
+
+        def coi_until_deadline(engine, net, arg, budget):
+            result = real(engine, net, arg, budget)
+            while budget.exhausted() is None:
+                time.sleep(0.01)
+            return result
+
+        monkeypatch.setitem(engine_module._TRANSFORMS, "COI",
+                            coi_until_deadline)
+        prefixes = {}
+        chain = TBVEngine("COI", sweep_config=FAST).transform(
+            s27(), budget=Budget(wall_seconds=0.2), prefixes=prefixes)
+        assert len(chain.steps) == 1
+        assert prefixes == {}

@@ -1,14 +1,18 @@
 """Unit tests for strategy portfolios, fixed retiming, and bounded-COI
 recurrence diameters."""
 
+import importlib
+
 import pytest
 
 from repro.core import DEFAULT_STRATEGIES, compare_strategies
+from repro.core.portfolio import run_strategy
 from repro.diameter import (
     first_hit_time,
     recurrence_diameter,
     recurrence_diameter_for_target,
 )
+from repro.gen.protocols import fifo_with_flags
 from repro.netlist import NetlistBuilder, NetlistError
 from repro.transform import SweepConfig, retime
 
@@ -69,6 +73,34 @@ class TestPortfolio:
         singles = [len(o.result.useful()) for o in portfolio.outcomes
                    if o.ok]
         assert portfolio.useful() >= max(singles)
+
+    def test_shared_prefixes_match_independent_strategies(
+            self, monkeypatch):
+        # One of prove()'s benchmark properties, scoped as prove()
+        # scopes it: COM,RET,COM resumes from the COM strategy's chain,
+        # and every outcome is what the strategy gives on its own.
+        net, t = fifo_with_flags(3, 2)
+        scoped = net.copy()
+        scoped.targets = [t]
+        redundancy = importlib.import_module("repro.transform.redundancy")
+        real_com = redundancy.redundancy_removal
+        swept = []
+
+        def com(net, *args, **kwargs):
+            swept.append(net)
+            return real_com(net, *args, **kwargs)
+
+        monkeypatch.setattr(redundancy, "redundancy_removal", com)
+        portfolio = compare_strategies(scoped, refine_gc_limit=6)
+        assert len(swept) == 2  # COM, then COM,RET,COM's last COM
+        for outcome in portfolio.outcomes:
+            alone = run_strategy({"net": scoped,
+                                  "strategy": outcome.strategy,
+                                  "sweep_config": None,
+                                  "refine_gc_limit": 6}, None)
+            assert outcome.ok and alone.ok
+            assert outcome.result.reports == alone.result.reports
+        assert portfolio.best(t)[0] == 0
 
     def test_summary_renders(self):
         net, t = pipeline_plus_counter()

@@ -244,11 +244,13 @@ class TestCLIs:
 
 
 #: (CLI, argv) pairs that are bad input; ``{...}`` names a path made by
-#: the test: a missing file, a file that is not a netlist, s27, and
-#: output files with a supported and an unsupported extension.
+#: the test: a missing file, a file that is not a netlist, an empty
+#: ``.bench``, s27, and output files with a supported and an
+#: unsupported extension.
 BAD_INPUT = {
     "bound-missing": (bound_main, ["{missing}"]),
     "bound-not-a-netlist": (bound_main, ["{junk}"]),
+    "bound-empty-bench": (bound_main, ["{empty}"]),
     "bound-strategy": (bound_main, ["{s27}", "--strategy", "BOGUS"]),
     "bound-alternative": (bound_main, ["{s27}", "--strategy", "COM/BOGUS"]),
     "bound-not-2-slow": (bound_main, ["{s27}", "--strategy", "CSLOW:2"]),
@@ -256,11 +258,13 @@ BAD_INPUT = {
         "{s27}", "--strategy", "COM/RET", "--bounder", "recurrence"]),
     "check-missing": (check_main, ["{missing}"]),
     "check-not-a-netlist": (check_main, ["{junk}"]),
+    "check-empty-bench": (check_main, ["{empty}"]),
     "check-strategy": (check_main, ["{s27}", "--strategy", "BOGUS"]),
     "check-induction-strategy": (check_main, [
         "{s27}", "--method", "induction", "--strategy", "BOGUS"]),
     "convert-missing": (convert_main, ["{missing}", "{out}"]),
     "convert-not-a-netlist": (convert_main, ["{junk}", "{out}"]),
+    "convert-empty-bench": (convert_main, ["{empty}", "{out}"]),
     "convert-transform": (convert_main, [
         "{s27}", "{out}", "--transform", "BOGUS"]),
     "convert-destination": (convert_main, ["{s27}", "{bad_out}"]),
@@ -275,8 +279,10 @@ class TestCLIBadInput:
                                       s27_bench):
         junk = tmp_path / "junk.aag"
         junk.write_text("hello world\n")
+        empty = tmp_path / "empty.bench"
+        empty.write_text("")
         paths = {"missing": str(tmp_path / "missing.aag"),
-                 "junk": str(junk), "s27": s27_bench,
+                 "junk": str(junk), "empty": str(empty), "s27": s27_bench,
                  "out": str(tmp_path / "out.aag"),
                  "bad_out": str(tmp_path / "out.xyz")}
         main, argv = BAD_INPUT[case]
@@ -285,4 +291,17 @@ class TestCLIBadInput:
         assert exc.value.code == 2
         err = capsys.readouterr().err
         assert "error:" in err
+        assert "Traceback" not in err
+
+    @pytest.mark.parametrize("method", ["bmc", "induction", "cegar"])
+    def test_check_without_targets(self, method, capsys, tmp_path):
+        # A .bench without OUTPUT lines parses to a netlist with no
+        # targets: nothing to check is a usage error, not a pass.
+        path = tmp_path / "no_outputs.bench"
+        path.write_text("INPUT(a)\nb = NOT(a)\n")
+        with pytest.raises(SystemExit) as exc:
+            check_main([str(path), "--method", method])
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert "error: no targets to check" in err
         assert "Traceback" not in err
