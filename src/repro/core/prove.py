@@ -141,10 +141,12 @@ def prove(
     1. run the strategy portfolio; keep the best back-translated bound;
     2. if the bound fits ``max_complete_depth``, discharge completely
        with BMC (Theorem 1-4 soundness makes this a decision);
-    3. otherwise search for shallow counterexamples with quick BMC,
-       then attempt k-induction, which starts past quick BMC's refuted
-       (and, when armed, certified) window instead of solving its
-       base case again, then localization refinement;
+    3. otherwise run k-induction, whose base case is the quick
+       search for shallow counterexamples: base and step run in
+       lockstep, and when the step stays inconclusive the base window
+       continues to ``quick_bmc_depth`` frames (at least
+       ``induction_k + 1``).  A base hit is reported with method
+       ``"bmc"``.  Then localization refinement;
     4. report ``unknown`` with the best bound when everything passes.
 
     ``budget`` governs the whole call: the portfolio runs on a 40%
@@ -247,26 +249,6 @@ def prove(
                                    counterexample=check.counterexample,
                                    log=log, seconds=watch.elapsed)
 
-        stop = gate(bound, strategy, "quick BMC")
-        if stop is not None:
-            return stop
-        try:
-            with reg.span("quick-bmc"):
-                quick = _run_certified(
-                    reg, budget, "quick-bmc",
-                    lambda: bmc(net, target, max_depth=quick_bmc_depth,
-                                budget=budget))
-        except CertificationFailure as exc:
-            return degraded(bound, strategy, "certification", str(exc))
-        except EngineFailure as exc:
-            return degraded(bound, strategy, "failure", str(exc))
-        log.append(f"quick BMC to {quick_bmc_depth}: {quick.status}")
-        if quick.status == BMCFALSIFIED:
-            reg.counter("prove.falsified.bmc")
-            return ProofResult(FALSIFIED, "bmc", target, bound=bound,
-                               counterexample=quick.counterexample,
-                               log=log, seconds=watch.elapsed)
-
         stop = gate(bound, strategy, "k-induction")
         if stop is not None:
             return stop
@@ -275,7 +257,8 @@ def prove(
                 induct = _run_certified(
                     reg, budget, "k-induction",
                     lambda: k_induction(net, target, max_k=induction_k,
-                                        budget=budget, base=quick))
+                                        base_depth=quick_bmc_depth,
+                                        budget=budget))
         except CertificationFailure as exc:
             return degraded(bound, strategy, "certification", str(exc))
         except EngineFailure as exc:
@@ -287,9 +270,8 @@ def prove(
                                bound=bound, log=log,
                                seconds=watch.elapsed)
         if induct.status == BMCFALSIFIED:
-            reg.counter("prove.falsified.k-induction")
-            return ProofResult(FALSIFIED, "k-induction", target,
-                               bound=bound,
+            reg.counter("prove.falsified.bmc")
+            return ProofResult(FALSIFIED, "bmc", target, bound=bound,
                                counterexample=induct.counterexample,
                                log=log, seconds=watch.elapsed)
 

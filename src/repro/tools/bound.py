@@ -112,6 +112,8 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         parser.error(str(exc))
 
     net = load_or_exit(parser, args.netlist)
+    if not net.targets:
+        parser.error("no targets to bound")
     print(f"loaded {net}")
     from ..netlist import validate as validate_netlist
 

@@ -116,12 +116,13 @@ def check_equivalence(
     """Decide sequential equivalence of the paired signals.
 
     Strategy: COM on the miter (cross-netlist sweeping usually proves
-    all disagreement targets constant 0), then k-induction, then plain
-    BMC for counterexamples; UNDECIDED when budgets run out.
+    all disagreement targets constant 0), then k-induction up to
+    ``induction_k``, whose base window searches ``max_depth`` frames
+    (at least ``induction_k + 1``) for counterexamples; UNDECIDED when
+    both run out.
     """
     from ..core.engine import PROVEN, TRIVIAL_HIT, TBVEngine
-    from ..unroll import FALSIFIED, PROVEN as BMC_PROVEN, bmc, \
-        k_induction
+    from ..unroll import FALSIFIED, PROVEN as BMC_PROVEN, k_induction
 
     miter, targets = build_miter(net_a, net_b, pairs)
     reports = TBVEngine("COM", sweep_config=sweep_config).run(miter)\
@@ -138,20 +139,14 @@ def check_equivalence(
             worst = DIFFERENT
             depth = 0
             continue
-        induct = k_induction(miter, target, max_k=induction_k)
+        induct = k_induction(miter, target, max_k=induction_k,
+                             base_depth=max_depth)
         if induct.status == BMC_PROVEN:
             per_pair.append(EQUIVALENT)
-            continue
-        if induct.status == FALSIFIED:
+        elif induct.status == FALSIFIED:
             per_pair.append(DIFFERENT)
             worst = DIFFERENT
             depth = induct.counterexample.depth
-            continue
-        check = bmc(miter, target, max_depth=max_depth)
-        if check.status == FALSIFIED:
-            per_pair.append(DIFFERENT)
-            worst = DIFFERENT
-            depth = check.counterexample.depth
         else:
             per_pair.append(UNDECIDED)
             if worst == EQUIVALENT:

@@ -143,55 +143,77 @@ def bmc(
         target = net.targets[0]
     do_cert = certification_enabled() if certify is None else certify
     unroll = Unrolling(net, Solver(proof=do_cert), constrain_init=True)
-    refuted = 0
     depth = max_depth
     if complete_bound is not None:
         depth = min(max_depth, complete_bound)
-    reg = obs.get_registry()
-    with reg.span("bmc"):
+    with obs.get_registry().span("bmc"):
         for t in range(depth):
-            reason = _budget_abort(budget)
-            if reason is not None:
-                reg.counter("bmc.budget_aborts")
-                return BMCResult(ABORTED, target, t,
-                                 exhaustion_reason=reason)
-            lit = unroll.literal(target, t)
-            with reg.span("frame") as frame_span:
-                result = unroll.solver.solve(
-                    [lit], conflict_budget=conflict_budget,
-                    budget=budget)
-            reg.event("bmc.frame", t=t, result=result,
-                      seconds=frame_span.seconds)
-            obs.progress(
-                "bmc", frame=t, of=depth, result=result,
-                seconds=round(frame_span.seconds, 6),
-                budget_s=_budget_remaining(budget))
-            if result == SAT:
-                model = unroll.solver.model
-                cex = Counterexample(
-                    depth=t,
-                    inputs=[unroll.input_values(model, i)
-                            for i in range(t + 1)],
-                    initial_state=unroll.state_values(model, 0),
-                )
-                if do_cert:
-                    certify_witness(net, target, cex, model=model,
-                                    unroll=unroll, engine="bmc")
-                    if refuted:
-                        certify_unsat(unroll.solver, "bmc")
-                return BMCResult(FALSIFIED, target, t + 1, cex,
-                                 certified=do_cert)
-            if result == UNKNOWN:
-                return BMCResult(
-                    ABORTED, target, t,
-                    exhaustion_reason=unroll.solver.last_exhaustion)
-            refuted += 1
-    if do_cert and refuted:
+            stop = _solve_frame(unroll, target, t, depth,
+                                conflict_budget, budget, do_cert, "bmc")
+            if stop is not None:
+                return stop
+    if do_cert and depth > 0:
         certify_unsat(unroll.solver, "bmc")
     status = BOUNDED
     if complete_bound is not None and depth >= complete_bound:
         status = PROVEN
     return BMCResult(status, target, depth, certified=do_cert)
+
+
+def _solve_frame(
+    unroll: Unrolling,
+    target: int,
+    t: int,
+    of: int,
+    conflict_budget: Optional[int],
+    budget: Optional[Budget],
+    certify: bool,
+    engine: str,
+) -> Optional[BMCResult]:
+    """Solve frame ``t`` of one BMC window, the frame loop's body.
+
+    ``unroll`` is constrained to the initial states and frames ``0 ..
+    t - 1`` of ``target`` are already refuted on its solver; ``of`` is
+    the window size (for progress records).  Returns None when frame
+    ``t`` is refuted too.  Otherwise returns the verdict that ends the
+    window: :data:`ABORTED` when ``budget`` is exhausted before the
+    solve or the solver gives up (frame ``t`` unresolved), or
+    :data:`FALSIFIED` with the decoded counterexample.  Under
+    ``certify`` the counterexample is replayed and the refuted frames
+    are DRAT-checked before FALSIFIED is returned; a window that ends
+    refuted is the caller's to check.  ``engine`` names the caller in
+    certificate records and failures.
+    """
+    reg = obs.get_registry()
+    reason = _budget_abort(budget)
+    if reason is not None:
+        reg.counter("bmc.budget_aborts")
+        return BMCResult(ABORTED, target, t, exhaustion_reason=reason)
+    lit = unroll.literal(target, t)
+    with reg.span("frame") as frame_span:
+        result = unroll.solver.solve([lit], conflict_budget=conflict_budget,
+                                     budget=budget)
+    reg.event("bmc.frame", t=t, result=result, seconds=frame_span.seconds)
+    obs.progress("bmc", frame=t, of=of, result=result,
+                 seconds=round(frame_span.seconds, 6),
+                 budget_s=_budget_remaining(budget))
+    if result == SAT:
+        model = unroll.solver.model
+        cex = Counterexample(
+            depth=t,
+            inputs=[unroll.input_values(model, i) for i in range(t + 1)],
+            initial_state=unroll.state_values(model, 0),
+        )
+        if certify:
+            certify_witness(unroll.net, target, cex, model=model,
+                            unroll=unroll, engine=engine)
+            if t:
+                certify_unsat(unroll.solver, engine)
+        return BMCResult(FALSIFIED, target, t + 1, cex, certified=certify)
+    if result == UNKNOWN:
+        return BMCResult(ABORTED, target, t,
+                         exhaustion_reason=unroll.solver.last_exhaustion)
+    return None
 
 
 def bmc_multi(

@@ -19,8 +19,8 @@ from ..netlist import Netlist
 from ..resilience import Budget
 from ..sat import UNKNOWN, UNSAT, CnfSink, Solver, encode_xor2, lit_not, \
     pos
-from .bmc import BMCResult, FALSIFIED, PROVEN, BOUNDED, ABORTED, \
-    _budget_abort, _budget_remaining, bmc
+from .bmc import BMCResult, PROVEN, BOUNDED, ABORTED, _budget_abort, \
+    _budget_remaining, _solve_frame
 from .unroller import Unrolling
 
 
@@ -44,15 +44,27 @@ def k_induction(
     conflict_budget: Optional[int] = None,
     budget: Optional[Budget] = None,
     certify: Optional[bool] = None,
-    base: Optional[BMCResult] = None,
+    base_depth: Optional[int] = None,
 ) -> BMCResult:
     """Prove or falsify a target by k-induction up to ``max_k``.
 
-    Returns :data:`PROVEN` (with ``depth_checked`` = the inductive k),
-    :data:`FALSIFIED` (with a counterexample from the base case), or
-    :data:`BOUNDED` if ``max_k`` is exhausted inconclusively.
-    ``budget`` is checked per step query (:data:`ABORTED` with a
-    structured ``exhaustion_reason`` on exhaustion).
+    Base and step run in lockstep on two incremental solvers (Een and
+    Sorensson, "Temporal Induction by Incremental SAT Solving"): round
+    ``k`` first refutes base frame ``k - 1`` from the initial states,
+    then tries step ``k``.  An UNSAT step returns :data:`PROVEN` with
+    ``depth_checked`` = the inductive ``k``: frames ``0 .. k - 1`` are
+    clean and no simple path of ``k + 1`` states reaches the target.
+    A base hit returns :data:`FALSIFIED` with its counterexample, under
+    :func:`~repro.unroll.bmc.bmc`'s conventions.  Every step before a
+    reachable target's first hit is SAT (the suffix of a shortest path
+    to the hit is a simple path), so the base finds the same first hit
+    as a full window solved up front would, on the same solver with
+    the same frame order.  After ``max_k`` inconclusive rounds the base
+    window continues to ``base_depth`` frames (None = ``max_k + 1``;
+    never fewer) and the call returns :data:`BOUNDED` with
+    ``depth_checked = max_k``.  ``budget`` is checked before every base
+    frame and every step (:data:`ABORTED` with a structured
+    ``exhaustion_reason`` on exhaustion).
 
     The step cases share ONE persistent unrolling across all rounds:
     round ``k`` encodes only the new frame and the ``k`` new
@@ -61,55 +73,35 @@ def k_induction(
     frames ``0..k-1`` through solve-time *assumptions* rather than
     permanent unit clauses — so the clause set stays exactly the
     simple-path encoding and learned clauses carry across rounds.  The
-    previous implementation rebuilt a fresh unrolling with all O(k²)
-    pairwise difference clauses every round (O(k³) clauses total over
-    a run); the ``induction.diff_clauses`` / ``induction.step_vars``
-    counters expose the encoding size so the reduction is visible in
-    the registry snapshot.
+    ``induction.diff_clauses`` / ``induction.step_vars`` counters
+    expose the encoding size in the registry snapshot.
 
     ``certify`` (None = the :func:`repro.cert.use_certification`
-    default) certifies both halves of a PROVEN verdict: the base
-    window through :func:`~repro.unroll.bmc.bmc`'s own certification,
-    and the step refutation by DRAT-checking the step solver's proof
-    log before PROVEN is returned.  Failure raises
+    default) builds both solvers with ``Solver(proof=True)``.  PROVEN
+    DRAT-checks the base solver's refuted frames and the step solver's
+    refutation; FALSIFIED replays the witness (and checks the frames
+    refuted before it); BOUNDED checks its base window; ABORTED
+    certifies nothing.  Failure raises
     :class:`repro.resilience.CertificationFailure`.  Every verdict
     this call certifies carries ``certified=True``.
-
-    ``base`` hands in a base case that is already discharged: a
-    :func:`~repro.unroll.bmc.bmc` result for the same netlist and
-    target, checked from the initial states.  It replaces this call's
-    own base-case BMC only if it is BOUNDED for ``target``, covers at
-    least ``max_k + 1`` frames, and is ``certified`` whenever this
-    call certifies; any other ``base`` is ignored and the base window
-    is solved here.  A PROVEN verdict on a reused base is certified
-    by the base's DRAT check, which the call that produced it ran,
-    together with this call's step check.
     """
     if target is None:
         if not net.targets:
             raise ValueError("netlist has no targets")
         target = net.targets[0]
     do_cert = certification_enabled() if certify is None else certify
-    reusable = (base is not None and base.status == BOUNDED
-                and base.target == target
-                and base.depth_checked >= max_k + 1
-                and (base.certified or not do_cert))
-    if not reusable:
-        # Base cases are discharged incrementally by plain BMC.  Base
-        # and step share one compiled frame template (the template
-        # cache is keyed by netlist structure, not by unrolling).
-        base = bmc(net, target, max_depth=max_k + 1,
-                   conflict_budget=conflict_budget, budget=budget,
-                   certify=do_cert)
-        if base.status in (FALSIFIED, ABORTED):
-            return base
-
+    depth = max(max_k + 1, base_depth or 0)
+    base = Unrolling(net, Solver(proof=do_cert), constrain_init=True)
     # Step: an unconstrained simple path of k+1 states with the target
     # false at 0..k-1 and true at k must be UNSAT for inductiveness.
     reg = obs.get_registry()
     step = Unrolling(net, Solver(proof=do_cert), constrain_init=False)
     solver = step.solver
     for k in range(1, max_k + 1):
+        stop = _solve_frame(base, target, k - 1, depth, conflict_budget,
+                            budget, do_cert, "k-induction")
+        if stop is not None:
+            return stop
         reason = _budget_abort(budget)
         if reason is not None:
             return BMCResult(ABORTED, target, k,
@@ -132,10 +124,18 @@ def k_induction(
         if result == UNSAT:
             reg.counter("induction.step_vars", solver.num_vars)
             if do_cert:
+                certify_unsat(base.solver, "k-induction")
                 certify_unsat(solver, "k-induction")
             return BMCResult(PROVEN, target, k, certified=do_cert)
         if result == UNKNOWN:
             return BMCResult(ABORTED, target, k,
                              exhaustion_reason=solver.last_exhaustion)
     reg.counter("induction.step_vars", solver.num_vars)
+    for t in range(max_k, depth):
+        stop = _solve_frame(base, target, t, depth, conflict_budget,
+                            budget, do_cert, "k-induction")
+        if stop is not None:
+            return stop
+    if do_cert:
+        certify_unsat(base.solver, "k-induction")
     return BMCResult(BOUNDED, target, max_k, certified=do_cert)

@@ -305,3 +305,18 @@ class TestCLIBadInput:
         err = capsys.readouterr().err
         assert "error: no targets to check" in err
         assert "Traceback" not in err
+
+    @pytest.mark.parametrize("strategy", ["COM,RET,COM",
+                                          "COM/COM,RET,COM"])
+    def test_bound_without_targets(self, strategy, capsys, tmp_path):
+        # One strategy and /-separated alternatives alike: no targets
+        # means nothing was bounded, not |T'|/|T| = 0/0.
+        path = tmp_path / "no_outputs.bench"
+        path.write_text("INPUT(a)\nb = NOT(a)\n")
+        with pytest.raises(SystemExit) as exc:
+            bound_main([str(path), "--strategy", strategy])
+        assert exc.value.code == 2
+        captured = capsys.readouterr()
+        assert "error: no targets to bound" in captured.err
+        assert "Traceback" not in captured.err
+        assert "|T'|/|T|" not in captured.out

@@ -1,15 +1,18 @@
 """Unit tests for unrolling, BMC and k-induction."""
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from repro import obs
+from repro.diameter import first_hit_time
+from repro.gen.protocols import round_robin_arbiter
 from repro.netlist import GateType, Netlist, NetlistBuilder, s27
 from repro.unroll import (
     ABORTED,
     BOUNDED,
     FALSIFIED,
     PROVEN,
-    BMCResult,
     Unrolling,
     bmc,
     bmc_multi,
@@ -17,6 +20,8 @@ from repro.unroll import (
     replay_counterexample,
 )
 from repro.sat import SAT, UNSAT
+
+from ..property.strategies import small_netlists
 
 
 def counter_target(width, hit_value):
@@ -215,91 +220,64 @@ class TestKInduction:
             bits * (bits + 1) // 2
         assert counters["induction.step_vars"] > 0
 
-    # A caller's base window (prove()'s quick BMC) replaces the base
-    # case only when it is BOUNDED for the same target, covers
-    # max_k + 1 frames, and is certified whenever the call certifies.
+    @settings(max_examples=40, deadline=None,
+              suppress_health_check=[HealthCheck.too_slow,
+                                     HealthCheck.data_too_large])
+    @given(net=small_netlists(max_registers=3),
+           max_k=st.integers(0, 4),
+           base_depth=st.one_of(st.none(), st.integers(0, 9)))
+    def test_verdicts_agree_with_first_hit_time(self, net, max_k,
+                                                base_depth):
+        t = net.targets[0]
+        hit = first_hit_time(net, t)
+        result = k_induction(net, t, max_k=max_k, base_depth=base_depth)
+        if result.status == PROVEN:
+            assert hit is None
+        elif result.status == FALSIFIED:
+            assert result.counterexample.depth == hit
+            assert replay_counterexample(net, t, result.counterexample)
+        else:
+            assert result.status == BOUNDED
+            window = max(max_k + 1, base_depth or 0)
+            assert hit is None or hit >= window
 
-    @staticmethod
-    def _with_base(net, t, max_k, base, **kwargs):
-        """k_induction with ``base``; returns (result, registry
-        snapshot)."""
+    def test_time_zero_hit_is_falsified_not_proven(self):
+        # r is 1 at time 0 and 0 from then on, so step 1 is UNSAT: only
+        # refuting base frame 0 before step 1 keeps the verdict sound.
+        b = NetlistBuilder("pulse")
+        r = b.register(b.const0, init=b.const1, name="r")
+        t = b.buf(r, name="t")
+        b.net.add_target(t)
+        result = k_induction(b.net, t, max_k=4)
+        assert result.status == FALSIFIED
+        assert result.counterexample.depth == 0
+        assert replay_counterexample(b.net, t, result.counterexample)
+
+    @pytest.mark.parametrize("certify", [False, True])
+    def test_arbiter_proven_after_one_base_frame(self, certify):
+        # The step is UNSAT at k = 1, so base and step in lockstep
+        # solve base frame 0 alone, not a max_k + 1 = 31 frame window.
+        net, t = round_robin_arbiter(5)
         with obs.scoped(obs.Registry("t")) as reg:
-            result = k_induction(net, t, max_k=max_k, base=base, **kwargs)
-            return result, reg.snapshot()
+            result = k_induction(net, t, max_k=30, certify=certify)
+            snap = reg.snapshot()
+        assert (result.status, result.depth_checked) == (PROVEN, 1)
+        assert result.certified == certify
+        frames = [e["t"] for e in snap["events"]
+                  if e["name"] == "bmc.frame"]
+        assert frames == [0]
+        if certify:
+            # The base solver's refuted frame and the step refutation.
+            assert snap["counters"]["cert.checked"] == 2
 
-    def test_covering_base_replaces_base_case(self):
-        net, t = unreachable_target()
-        base = bmc(net, t, max_depth=5)
-        result, snap = self._with_base(net, t, 4, base)
-        assert result.status == PROVEN
-        assert not result.certified
-        assert "bmc" not in snap["timers"]
-
-    def test_base_for_another_target_is_not_reused(self):
-        # ``never`` is clean everywhere, ``hit`` is hit at t = 1 (and
-        # no step proof exists for it): reusing ``never``'s window
-        # would leave ``hit`` BOUNDED.
-        b = NetlistBuilder("toggle")
-        r = b.register(name="r")
-        b.connect(r, b.not_(r))
-        hit = b.buf(r, name="hit")
-        never = b.buf(b.and_(r, b.not_(r)), name="never")
-        b.net.add_target(hit)
-        b.net.add_target(never)
-        base = bmc(b.net, never, max_depth=4)
-        assert base.status == BOUNDED
-        result, snap = self._with_base(b.net, hit, 3, base)
-        plain = k_induction(b.net, hit, max_k=3)
-        assert result.status == plain.status == FALSIFIED
-        assert result.counterexample.depth == plain.counterexample.depth
-        assert snap["timers"]["bmc"]["count"] == 1
-
-    def test_aborted_base_is_not_reused(self):
-        # Frames 0..8 of a 3-bit counter admit no 9-state simple path,
-        # so a reused window would turn the hit at t = 7 into PROVEN.
+    def test_base_depth_extends_the_base_window(self):
+        # Value 7 is first hit at t = 7: the default window of
+        # max_k + 1 = 3 frames misses it, an 8-frame window finds it.
         net, t = counter_target(3, 7)
-        base = BMCResult(ABORTED, t, 9, exhaustion_reason="deadline")
-        result, snap = self._with_base(net, t, 8, base)
-        plain = k_induction(net, t, max_k=8)
-        assert result.status == plain.status == FALSIFIED
-        assert result.depth_checked == plain.depth_checked == 8
-        assert snap["timers"]["bmc"]["count"] == 1
-
-    def test_short_base_is_not_reused(self):
-        # Frames 0..6 are clean; the hit at t = 7 lies one frame
-        # past the window, so reusing it would end BOUNDED.
-        net, t = counter_target(3, 7)
-        base = bmc(net, t, max_depth=7)
-        assert (base.status, base.depth_checked) == (BOUNDED, 7)
-        result, snap = self._with_base(net, t, 7, base)
-        plain = k_induction(net, t, max_k=7)
-        assert result.status == plain.status == FALSIFIED
+        assert k_induction(net, t, max_k=2).status == BOUNDED
+        result = k_induction(net, t, max_k=2, base_depth=8)
+        assert result.status == FALSIFIED
         assert result.counterexample.depth == 7
-        assert snap["timers"]["bmc"]["count"] == 1
-
-    def test_certified_call_solves_uncertified_base_again(self):
-        net, t = unreachable_target()
-        base = bmc(net, t, max_depth=5, certify=False)
-        assert base.status == BOUNDED and not base.certified
-        result, snap = self._with_base(net, t, 4, base, certify=True)
-        plain = k_induction(net, t, max_k=4, certify=True)
-        assert result.status == plain.status == PROVEN
-        assert result.certified
-        # Its own base window and the step are each checked.
-        assert snap["counters"]["cert.checked"] == 2
-        assert snap["timers"]["bmc"]["count"] == 1
-
-    def test_certified_call_reuses_certified_base(self):
-        net, t = unreachable_target()
-        base = bmc(net, t, max_depth=5, certify=True)
-        assert base.certified
-        result, snap = self._with_base(net, t, 4, base, certify=True)
-        assert result.status == PROVEN
-        assert result.certified
-        # Only the step is checked here; the base was checked by the
-        # bmc call that produced it.
-        assert snap["counters"]["cert.checked"] == 1
-        assert "bmc" not in snap["timers"]
 
 
 def contradiction_target():
