@@ -19,6 +19,7 @@ from typing import List, Optional, Sequence
 from .. import obs
 from ..gen import gp, iscas89
 from ..resilience import Budget
+from ..tools.io import above, at_least
 from .compare import compare_useful_fractions, format_comparison
 from .runner import RowResult, cumulative, format_table, parse_designs
 from .table1 import run as run_table1
@@ -123,14 +124,15 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--out", default=None,
                         help="output file (default: stdout)")
-    parser.add_argument("--scale", type=float, default=0.35)
-    parser.add_argument("--max-registers", type=int, default=300)
+    parser.add_argument("--scale", type=above(float, 0), default=0.35)
+    parser.add_argument("--max-registers", type=at_least(int, 0),
+                        default=300)
     parser.add_argument("--designs-t1", type=str, default=None)
     parser.add_argument("--designs-t2", type=str, default=None)
-    parser.add_argument("--timeout", type=float, default=0,
+    parser.add_argument("--timeout", type=at_least(float, 0), default=0,
                         help="wall-clock budget in seconds for the "
                              "whole report (0 = unlimited)")
-    parser.add_argument("--jobs", type=int, default=1,
+    parser.add_argument("--jobs", type=at_least(int, 1), default=1,
                         help="worker processes for per-design fan-out "
                              "(default 1 = sequential)")
     parser.add_argument("--progress", action="store_true",

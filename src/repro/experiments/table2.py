@@ -19,6 +19,7 @@ from typing import List, Optional, Sequence
 from .. import obs
 from ..gen import gp
 from ..resilience import Budget
+from ..tools.io import above, at_least
 from ..transform import SweepConfig
 from .compare import compare_useful_fractions, format_comparison
 from .runner import EXPERIMENT_SWEEP, RowResult, format_table, \
@@ -72,17 +73,18 @@ def run_latched(scale: float = 0.05,
 def main(argv: Optional[Sequence[str]] = None) -> int:
     """CLI entry point; returns a process exit code."""
     parser = argparse.ArgumentParser(description=__doc__)
-    parser.add_argument("--scale", type=float, default=0.25,
+    parser.add_argument("--scale", type=above(float, 0), default=0.25,
                         help="profile scale factor (default 0.25)")
     parser.add_argument("--designs", type=str, default=None,
                         help="comma-separated design subset")
-    parser.add_argument("--max-registers", type=int, default=400,
+    parser.add_argument("--max-registers", type=at_least(int, 0),
+                        default=400,
                         help="per-design register cap (0 = none)")
-    parser.add_argument("--timeout", type=float, default=0,
+    parser.add_argument("--timeout", type=at_least(float, 0), default=0,
                         help="wall-clock budget in seconds for the "
                              "whole table (0 = unlimited); exhausted "
                              "designs become error rows")
-    parser.add_argument("--jobs", type=int, default=1,
+    parser.add_argument("--jobs", type=at_least(int, 1), default=1,
                         help="worker processes for per-design fan-out "
                              "(default 1 = sequential)")
     parser.add_argument("--progress", action="store_true",

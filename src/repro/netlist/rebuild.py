@@ -20,12 +20,7 @@ from __future__ import annotations
 from typing import Dict, Iterable, List, Optional, Tuple
 
 from .netlist import Netlist
-from .types import Gate, GateType
-
-_COMMUTATIVE = frozenset(
-    {GateType.AND, GateType.OR, GateType.NAND, GateType.NOR,
-     GateType.XOR, GateType.XNOR}
-)
+from .types import COMMUTATIVE_TYPES, Gate, GateType
 
 
 class _Rebuilder:
@@ -113,8 +108,8 @@ class _Rebuilder:
         vid = self._simplify(gate.type, fanins)
         if vid is not None:
             return vid
-        key_fanins = tuple(sorted(fanins)) if gate.type in _COMMUTATIVE \
-            else fanins
+        key_fanins = tuple(sorted(fanins)) \
+            if gate.type in COMMUTATIVE_TYPES else fanins
         key = (gate.type, key_fanins)
         if key in self.hash_cons:
             return self.hash_cons[key]

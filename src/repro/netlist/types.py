@@ -81,6 +81,13 @@ COMBINATIONAL_TYPES = frozenset(
 #: Gate types with no fanins.
 SOURCE_TYPES = frozenset({GateType.CONST0, GateType.INPUT})
 
+#: Gate types whose function does not depend on the order of their
+#: fanins (structural hashing sorts them).
+COMMUTATIVE_TYPES = frozenset(
+    {GateType.AND, GateType.OR, GateType.NAND, GateType.NOR,
+     GateType.XOR, GateType.XNOR}
+)
+
 
 @dataclass(frozen=True, **_DATACLASS_KW)
 class Gate:

@@ -63,6 +63,9 @@ class FlatSolver(Solver):
         self._level: List[int] = []
         self._reason: List[int] = []
         self._polarity: List[int] = []
+        #: Per-variable flag: 1 while the variable has its one live
+        #: decision-heap entry (see :meth:`_pick_branch`).
+        self._heaped: List[int] = []
         #: Dead arena words left behind by removed learnt clauses.
         self._garbage = 0
 
@@ -80,6 +83,7 @@ class FlatSolver(Solver):
         self._reason.append(-1)
         self._polarity.append(0)
         self._activity.append(0.0)
+        self._heaped.append(1)
         heapq.heappush(self._heap, (0.0, var))
         return var
 
@@ -99,6 +103,7 @@ class FlatSolver(Solver):
         self._reason.extend([-1] * n)
         self._polarity.extend([0] * n)
         self._activity.extend([0.0] * n)
+        self._heaped.extend([1] * n)
         heap = self._heap
         for var in range(base, base + n):
             heapq.heappush(heap, (0.0, var))
@@ -427,29 +432,63 @@ class FlatSolver(Solver):
         assign = self._assign
         reason = self._reason
         act = self._activity
+        heaped = self._heaped
         heap = self._heap
         push = heapq.heappush
         for i in range(len(trail) - 1, bound - 1, -1):
             var = trail[i] >> 1
             assign[var] = -1
             reason[var] = -1
-            push(heap, (-act[var], var))
+            if not heaped[var]:
+                heaped[var] = 1
+                push(heap, (-act[var], var))
         del trail[bound:]
         del self._trail_lim[level:]
         self._qhead = bound
 
     def _pick_branch(self) -> Optional[int]:
+        # One live entry per variable, keyed by its current activity:
+        # an entry with any other key was superseded by a bump and is
+        # skipped.  Every unassigned variable keeps its live entry, so
+        # the first live unassigned pop is the highest activity (lowest
+        # index on ties), the legacy core's pick.
         heap = self._heap
+        act = self._activity
+        heaped = self._heaped
         assign = self._assign
         polarity = self._polarity
+        pop = heapq.heappop
         while heap:
-            _, var = heapq.heappop(heap)
+            key, var = pop(heap)
+            if key != -act[var]:
+                continue
+            heaped[var] = 0
             if assign[var] < 0:
                 return (var << 1) | (polarity[var] ^ 1)
         for var in range(self.num_vars):
             if assign[var] < 0:
                 return (var << 1) | (polarity[var] ^ 1)
         return None
+
+    def _bump_var(self, var: int) -> None:
+        act = self._activity
+        act[var] += self._var_inc
+        if act[var] > 1e100:
+            self._rescale_activities()
+            # Every key changed: rebuild the heap from the live
+            # entries' variables, which keys ``var`` afresh too.
+            heaped = self._heaped
+            heap = [(-act[v], v) for v in range(self.num_vars)
+                    if heaped[v]]
+            heapq.heapify(heap)
+            self._heap = heap
+        elif self._assign[var] >= 0:
+            # Conflict analysis bumps assigned variables: the old entry
+            # goes stale, and _cancel_until pushes the new key once the
+            # variable is unassigned.
+            self._heaped[var] = 0
+        elif self._heaped[var]:
+            heapq.heappush(self._heap, (-act[var], var))
 
     def _reduce_db(self) -> None:
         # Lock detection matches the legacy core: a learnt clause must

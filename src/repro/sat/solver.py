@@ -104,9 +104,13 @@ class Solver:
 
     def __init__(self, proof: bool = False) -> None:
         self.num_vars = 0
-        #: Shared across cores: activity table, lazy-deletion binary
-        #: heap of ``(-activity, var)`` entries, trail of literals,
-        #: decision-level marks.
+        #: Shared across cores: activity table, binary heap of
+        #: ``(-activity, var)`` entries, trail of literals,
+        #: decision-level marks.  The cores pick the same variable
+        #: from different heaps: :class:`LegacySolver`'s lazy-deletion
+        #: heap takes an entry on every unassign and every bump, while
+        #: :class:`FlatSolver` keeps one live entry per variable
+        #: (MiniSat's discipline) and skips the stale keys bumps leave.
         self._activity: List[float] = []
         self._heap: List[tuple] = []
         self._trail: List[int] = []
@@ -702,23 +706,13 @@ class Solver:
     def _decision_level(self) -> int:
         return len(self._trail_lim)
 
-    def _bump_var(self, var: int) -> None:
+    def _rescale_activities(self) -> None:
+        """Scale every activity and the bump increment by 1e-100 once
+        an activity passes 1e100; the core then rebuilds its heap."""
         act = self._activity
-        act[var] += self._var_inc
-        if act[var] > 1e100:
-            for v in range(self.num_vars):
-                act[v] *= 1e-100
-            self._var_inc *= 1e-100
-            # Rescaling invalidates every key already sitting in the
-            # lazy-deletion heap (they carry the un-rescaled
-            # magnitudes, so _pick_branch would pop in stale priority
-            # order for the rest of the run).  Rebuild the heap from
-            # the *current* activities of its member variables.
-            heap = [(-act[v], v)
-                    for v in sorted({v for _, v in self._heap})]
-            heapq.heapify(heap)
-            self._heap = heap
-        heapq.heappush(self._heap, (-act[var], var))
+        for v in range(self.num_vars):
+            act[v] *= 1e-100
+        self._var_inc *= 1e-100
 
     def _decay_activities(self) -> None:
         self._var_inc /= self._var_decay
@@ -1117,6 +1111,22 @@ class LegacySolver(Solver):
             if self._assign[var] is None:
                 return (var << 1) | (0 if self._polarity[var] else 1)
         return None
+
+    def _bump_var(self, var: int) -> None:
+        act = self._activity
+        act[var] += self._var_inc
+        if act[var] > 1e100:
+            self._rescale_activities()
+            # Rescaling invalidates every key already sitting in the
+            # lazy-deletion heap (they carry the un-rescaled
+            # magnitudes, so _pick_branch would pop in stale priority
+            # order for the rest of the run).  Rebuild the heap from
+            # the *current* activities of its member variables.
+            heap = [(-act[v], v)
+                    for v in sorted({v for _, v in self._heap})]
+            heapq.heapify(heap)
+            self._heap = heap
+        heapq.heappush(self._heap, (-act[var], var))
 
     def _bump_clause(self, clause: _Clause) -> None:
         if clause.learnt:

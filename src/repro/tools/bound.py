@@ -28,7 +28,7 @@ from ..core import TBVEngine, compare_strategies
 from ..diameter import recurrence_diameter
 from ..netlist import NetlistError
 from ..resilience import Budget, ResourceExhausted
-from .io import load_or_exit
+from .io import at_least, load_or_exit
 
 
 def _recurrence_bounder(net, target):
@@ -87,11 +87,11 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     parser.add_argument("--refine-gc", type=int, default=0,
                         help="reachable-state refinement for GCs up to "
                              "this many registers (structural bounder)")
-    parser.add_argument("--timeout", type=float, default=0,
+    parser.add_argument("--timeout", type=at_least(float, 0), default=0,
                         help="wall-clock budget in seconds (0 = "
                              "unlimited); an exhausted COM degrades "
                              "to fewer merges, bounds stay sound")
-    parser.add_argument("--jobs", type=int, default=1,
+    parser.add_argument("--jobs", type=at_least(int, 1), default=1,
                         help="worker processes for /-separated "
                              "strategy alternatives (default 1 = "
                              "sequential)")

@@ -30,7 +30,7 @@ from ..resilience import CertificationFailure
 from ..transform.localize_cegar import LocalizationResult, \
     localization_refinement
 from ..unroll import BMCResult, bmc, k_induction
-from .io import load_or_exit
+from .io import at_least, load_or_exit
 from .vcd import counterexample_to_vcd
 
 
@@ -75,7 +75,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("netlist", help=".bench or .aag file")
     parser.add_argument("--strategy", default="COM,RET,COM")
-    parser.add_argument("--max-depth", type=int, default=100)
+    parser.add_argument("--max-depth", type=at_least(int, 0), default=100)
     parser.add_argument("--method",
                         choices=["bmc", "induction", "cegar"],
                         default="bmc")

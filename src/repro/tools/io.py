@@ -1,4 +1,5 @@
-"""Shared netlist-file loading/saving for the command-line tools.
+"""Shared netlist-file loading/saving and argument checks for the
+command-line tools.
 
 Formats are selected by extension: ``.bench`` (ISCAS89), ``.aag``
 (ASCII AIGER), ``.aig`` (binary AIGER) and ``.blif``.
@@ -8,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import os
+from typing import Callable
 
 from ..netlist import (
     Netlist,
@@ -71,3 +73,26 @@ def save_netlist(net: Netlist, path: str) -> None:
         raise NetlistError(f"unsupported netlist format: {path!r}")
     with open(path, "w") as handle:
         handle.write(text)
+
+
+def _checked(kind: Callable, ok: Callable, rule: str) -> Callable:
+    def parse(text: str):
+        value = kind(text)
+        if not ok(value):
+            raise argparse.ArgumentTypeError(
+                f"must be {rule}, got {text}")
+        return value
+    # argparse names the type in "invalid <name> value" messages.
+    parse.__name__ = kind.__name__
+    return parse
+
+
+def at_least(kind: Callable, low) -> Callable:
+    """An argparse ``type=`` for a ``kind`` number ``>= low``: anything
+    else (NaN too) is a usage error (exit 2, one ``error:`` line)."""
+    return _checked(kind, lambda value: value >= low, f">= {low}")
+
+
+def above(kind: Callable, low) -> Callable:
+    """:func:`at_least` for a ``kind`` number ``> low``."""
+    return _checked(kind, lambda value: value > low, f"> {low}")

@@ -41,6 +41,25 @@ representative's is refuted without a SAT call (``com.model_refuted``),
 and the refuted members of a class are regrouped by signature.  The
 base phase splits by its models the same way.
 
+Many step pairs need no SAT call at all, because the round's own
+frame-0 equalities imply them by structure (the waste FRAIG-style
+sweeping avoids by merging before it calls SAT).  Each step round first
+numbers the vertices, one hashing pass per frame
+(:class:`_StepNumbering`).  On frame 0, inputs, latches and registers
+get fresh numbers, a gate gets the number of its type and its fanins'
+numbers (sorted where the fanins commute), and each class member takes
+the number of its class's first member in topological order.  On frame
+1, a register is numbered by its next-state fanin's frame-0 number,
+inputs and latches are fresh, and gates hash as before; frame 1 assumes
+no class.  By induction over the order, equal frame-0 numbers
+mean equal frame-0 values in every assignment that satisfies the
+round's equalities, so equal frame-1 numbers mean equal frame-1 values
+there too.  The query ``[act, diff]`` assumes exactly those equalities,
+so a member whose frame-1 number equals its representative's is UNSAT
+by construction: it is kept without a query (``com.implied``), and no
+SAT model can separate it either.  The base phase keeps its queries,
+which cost about a tenth of a millisecond each.
+
 Why the result does not depend on the query order: a model of one
 partition's equalities also satisfies the equalities of every finer
 partition, which assume less.  So a pair that a model separates is
@@ -49,7 +68,7 @@ coarsest inductive refinement of the base partition intact; the loop
 ends exactly there.  That needs every query to be conclusive.  An
 inconclusive query drops its pair and a corrupted model can only
 over-split; both are sound, since the loop stops only at a round in
-which every pair was proven (UNSAT).
+which every pair was proven (UNSAT, by a query or by structure).
 
 Redundancy removal preserves the semantics of every retained vertex,
 so by Theorem 1 diameter bounds carry over unchanged.
@@ -69,6 +88,7 @@ from ..netlist import (
     rebuild,
     topological_order,
 )
+from ..netlist.types import COMMUTATIVE_TYPES
 from ..resilience import Budget, Cancelled
 from ..sat import SAT, UNSAT, CnfSink, Solver, encode_init_state, \
     lit_not, pos
@@ -102,6 +122,80 @@ class SweepConfig:
     max_class_size: int = 64
 
 
+#: Plan codes of the vertices the numbering treats as sources: inputs
+#: and latches get a fresh number on both frames, registers a fresh one
+#: on frame 0 and one keyed by their next-state fanin's frame-0 number
+#: on frame 1.  Gates use their type's index in ``GateType``.
+_FRESH = -1
+_REGISTER = -2
+_CODES = {gtype: code for code, gtype in enumerate(GateType)}
+
+
+class _StepNumbering:
+    """Structural numbers of the step's two frames under one round's
+    classes: equal frame-1 numbers mean equal frame-1 values wherever
+    every class holds on frame 0 (see the module docstring)."""
+
+    def __init__(self, net: Netlist) -> None:
+        # The netlist does not change during a sweep, so the walk is
+        # planned once: per vertex in topological order, its code and
+        # fanins (a register's next-state fanin), and whether the
+        # fanins commute.
+        self.plan: List[Tuple[int, int, object, bool]] = []
+        for vid in topological_order(net):
+            gate = net.gate(vid)
+            gtype = gate.type
+            if gtype is GateType.REGISTER:
+                self.plan.append((vid, _REGISTER, gate.fanins[0], False))
+            elif gtype is GateType.INPUT or gtype is GateType.LATCH:
+                self.plan.append((vid, _FRESH, None, False))
+            else:
+                self.plan.append((vid, _CODES[gtype], gate.fanins,
+                                  gtype in COMMUTATIVE_TYPES))
+        self.size = max(net, default=-1) + 1
+
+    def frame1(self, classes: List[List[int]]) -> List[int]:
+        """Frame-1 numbers, indexed by vid, while ``classes`` hold on
+        frame 0."""
+        class_of = {v: index for index, cls in enumerate(classes)
+                    for v in cls}
+        fixed: Dict[int, int] = {}
+        n0 = [0] * self.size
+        table: Dict[Tuple[int, ...], int] = {}
+        for vid, code, fanins, commutes in self.plan:
+            index = class_of.get(vid)
+            if index is not None and index in fixed:
+                n0[vid] = fixed[index]
+                continue
+            if code < 0:
+                num = ~vid
+            else:
+                key = [n0[f] for f in fanins]
+                if commutes:
+                    key.sort()
+                key.append(code)
+                num = table.setdefault(tuple(key), len(table))
+            n0[vid] = num
+            if index is not None:
+                # The first member reached numbers its whole class.
+                fixed[index] = num
+        n1 = [0] * self.size
+        table = {}
+        for vid, code, fanins, commutes in self.plan:
+            if code == _FRESH:
+                n1[vid] = ~vid
+                continue
+            if code == _REGISTER:
+                key = [n0[fanins]]
+            else:
+                key = [n1[f] for f in fanins]
+                if commutes:
+                    key.sort()
+            key.append(code)
+            n1[vid] = table.setdefault(tuple(key), len(table))
+        return n1
+
+
 def _levels(net: Netlist) -> Dict[int, int]:
     levels: Dict[int, int] = {}
     for vid in topological_order(net):
@@ -119,6 +213,7 @@ class _InductiveChecker:
                  budget: Optional[Budget] = None) -> None:
         self.config = config
         self.budget = budget
+        self.numbering = _StepNumbering(net)
         # One "frame" template serves all three encodes below: frame 0
         # with its next-state tail (a full stamp), and the tail-less
         # frame 1 / base frame (``with_next=False`` stops at the core
@@ -168,14 +263,16 @@ class _InductiveChecker:
                 # act -> (a <-> b)
                 sink.add_clause([lit_not(act), lit_not(a), b])
                 sink.add_clause([lit_not(act), a, lit_not(b)])
-        split = self._split(solver, self.frame1, classes, [act])
+        split = self._split(solver, self.frame1, classes, [act],
+                            self.numbering.frame1(classes))
         # Retire the round: one level-0 unit satisfies all of its guard
         # clauses for good and takes ``act`` off the decision heap.
         solver.add_clause([lit_not(act)])
         return split
 
     def _split(self, solver: Solver, lits: Dict[int, int],
-               classes: List[List[int]], assumptions: List[int]
+               classes: List[List[int]], assumptions: List[int],
+               numbers: Optional[List[int]] = None
                ) -> Tuple[List[List[int]], List[List[int]]]:
         """Check every class member against its representative
         (``cls[0]``) under ``assumptions``.
@@ -186,8 +283,11 @@ class _InductiveChecker:
         pass: the member's value in the model, read for every member of
         ``classes``.  Every model satisfies ``assumptions``, so a member
         whose signature already differs from its representative's is
-        refuted without a SAT call.  An inconclusive query drops its
-        pair.  Classes stay sorted by vid; singletons are dropped.
+        refuted without a SAT call.  A member whose structural number
+        (``numbers``, the step round's :meth:`_StepNumbering.frame1`)
+        equals its representative's is kept without one.  An
+        inconclusive query drops its pair.  Classes stay sorted by vid;
+        singletons are dropped.
         """
         members = [(v, lits[v] >> 1, lits[v] & 1)
                    for cls in classes for v in cls]
@@ -203,6 +303,10 @@ class _InductiveChecker:
                 if sig[other] != sig[rep]:
                     obs.counter("com.model_refuted")
                     refuted.append(other)
+                    continue
+                if numbers is not None and numbers[other] == numbers[rep]:
+                    obs.counter("com.implied")
+                    kept.append(other)
                     continue
                 result = self._differ(solver, lits[rep], lits[other],
                                       assumptions)
@@ -347,7 +451,8 @@ def redundancy_removal(
     set is unchanged.  Instrumented under the ``transform.com`` span
     with ``com.rounds`` / ``com.sat_queries`` / ``com.model_refuted``
     (pairs refuted by a stored model, without a query) /
-    ``com.merges`` counters.
+    ``com.implied`` (step pairs the round's frame-0 merges imply by
+    structure, kept without a query) / ``com.merges`` counters.
 
     ``budget`` makes the sweep cooperative: cancellation raises
     :class:`Cancelled`; exhaustion, in the base case or the step

@@ -135,8 +135,10 @@ def bmc(
     that fails its check raises
     :class:`repro.resilience.CertificationFailure` instead of
     returning.  ABORTED results are never certified (no verdict
-    stands).
+    stands).  A negative ``max_depth`` raises :class:`ValueError`.
     """
+    if max_depth < 0:
+        raise ValueError(f"max_depth must be non-negative, got {max_depth}")
     if target is None:
         if not net.targets:
             raise ValueError("netlist has no targets")
@@ -240,8 +242,11 @@ def bmc_multi(
     which covers every refuted (target, frame) query — is checked
     once after the sweep, so one check certifies every UNSAT-backed
     verdict in the returned map (each non-ABORTED entry then carries
-    ``certified=True``).
+    ``certified=True``).  A negative ``max_depth`` raises
+    :class:`ValueError`.
     """
+    if max_depth < 0:
+        raise ValueError(f"max_depth must be non-negative, got {max_depth}")
     if targets is None:
         targets = list(dict.fromkeys(net.targets))
     complete_bounds = complete_bounds or {}

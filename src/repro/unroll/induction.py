@@ -83,8 +83,11 @@ def k_induction(
     refuted before it); BOUNDED checks its base window; ABORTED
     certifies nothing.  Failure raises
     :class:`repro.resilience.CertificationFailure`.  Every verdict
-    this call certifies carries ``certified=True``.
+    this call certifies carries ``certified=True``.  A negative
+    ``max_k`` raises :class:`ValueError`.
     """
+    if max_k < 0:
+        raise ValueError(f"max_k must be non-negative, got {max_k}")
     if target is None:
         if not net.targets:
             raise ValueError("netlist has no targets")

@@ -13,7 +13,7 @@ from repro.diameter import first_hit_time
 from repro.sim import BitParallelSimulator
 from repro.transform import SweepConfig, redundancy_removal, retime
 from repro.transform.redundancy import _candidate_classes, \
-    inductive_classes
+    _StepNumbering, inductive_classes
 
 from .strategies import named_stimulus, small_netlists
 
@@ -37,14 +37,15 @@ def test_com_preserves_target_traces(net):
     assert tr_a[target] == tr_b[mapped]
 
 
-def _reference_classes(net, classes):
-    """The coarsest refinement of ``classes`` that holds in every
-    initial state and is inductive, by explicit-state enumeration.
+def _enumerate_step(net):
+    """Every case COM's SAT queries range over, as one bit-parallel
+    simulation.
 
-    Bit ``k`` of one bit-parallel simulation of width 2**(R + 2I)
-    picks a frame-0 state (the low R bits of ``k``) and the frame-0
-    and frame-1 inputs (the next 2I bits), so that simulation covers
-    every case the SAT queries range over.
+    Bit ``k`` of a simulation of width 2**(R + 2I) picks a frame-0
+    state (the low R bits of ``k``) and the frame-0 and frame-1 inputs
+    (the next 2I bits).  Returns the simulator, the frame-0 and
+    frame-1 values of every vertex, and the mask of the cases whose
+    frame-0 state is initial.
     """
     regs, ins = net.state_elements, net.inputs
     nregs, nins = len(regs), len(ins)
@@ -68,6 +69,23 @@ def _reference_classes(net, classes):
     initial = {state_at(init, k) for k in range(width)}
     base = sum(1 << k for k in range(width)
                if state_at(state0, k) in initial)
+    return sim, frame0, frame1, base
+
+
+def _holds(sim, frame0, classes):
+    """The cases in which every class holds on frame 0."""
+    holds = sim.mask
+    for cls in classes:
+        for v in cls[1:]:
+            holds &= ~(frame0[cls[0]] ^ frame0[v])
+    return holds
+
+
+def _reference_classes(net, classes):
+    """The coarsest refinement of ``classes`` that holds in every
+    initial state and is inductive, by explicit-state enumeration
+    (:func:`_enumerate_step`)."""
+    sim, frame0, frame1, base = _enumerate_step(net)
 
     def split(partition, values, mask):
         out = []
@@ -80,11 +98,7 @@ def _reference_classes(net, classes):
 
     partition = split(classes, frame0, base)
     while True:
-        holds = sim.mask  # the cases where every class holds on frame 0
-        for cls in partition:
-            for v in cls[1:]:
-                holds &= ~(frame0[cls[0]] ^ frame0[v])
-        refined = split(partition, frame1, holds)
+        refined = split(partition, frame1, _holds(sim, frame0, partition))
         if refined == partition:
             return partition
         partition = refined
@@ -102,6 +116,37 @@ def test_sweep_refinement_matches_explicit_state_reference(
     got = inductive_classes(net, candidates, config)
     assert all(cls == sorted(cls) for cls in got)
     assert sorted(got) == _reference_classes(net, candidates)
+
+
+@SETTINGS
+@given(small_netlists(), st.data())
+def test_step_numbering_implies_frame1_equality(net, data):
+    # COM keeps a step pair without a query when both vertices get one
+    # frame-1 number.  Any two vertices that do must be equal on frame 1
+    # in every case where each class holds on frame 0, whether the
+    # classes come from simulation or are drawn at random.
+    vids = sorted(net)
+    if data.draw(st.booleans(), label="simulation classes"):
+        config = SweepConfig(
+            sim_cycles=data.draw(st.integers(1, 4), label="cycles"),
+            sim_width=data.draw(st.sampled_from([1, 2, 8]), label="width"))
+        classes = _candidate_classes(net, config)
+    else:
+        classes, used = [], set()
+        for _ in range(data.draw(st.integers(0, 3), label="classes")):
+            drawn = data.draw(st.lists(st.sampled_from(vids), min_size=2,
+                                       max_size=3, unique=True))
+            cls = sorted(set(drawn) - used)
+            used.update(cls)
+            if len(cls) > 1:
+                classes.append(cls)
+    numbers = _StepNumbering(net).frame1(classes)
+    sim, frame0, frame1, _ = _enumerate_step(net)
+    holds = _holds(sim, frame0, classes)
+    first = {}
+    for vid in vids:
+        rep = first.setdefault(numbers[vid], vid)
+        assert (frame1[rep] ^ frame1[vid]) & holds == 0, (rep, vid)
 
 
 @SETTINGS

@@ -1,9 +1,11 @@
 """Unit tests for the COM (redundancy removal) engine."""
 
+from repro import obs
 from repro.core import StepKind, prove
 from repro.netlist import GateType, NetlistBuilder, s27
 from repro.sim import BitParallelSimulator
 from repro.transform import SweepConfig, redundancy_removal
+from repro.transform.redundancy import _StepNumbering
 
 
 def same_behaviour(net_a, net_b, target_a, target_b, cycles=8):
@@ -133,6 +135,61 @@ class TestRedundancyRemoval:
         assert ones_trace(b.net, t) == [0, 1, 0, 1, 0, 1]
         assert ones_trace(result.netlist, mapped) == ones_trace(b.net, t)
         assert prove(b.net, t).status == "falsified"
+
+    def test_merge_refuted_by_base_case_stays_apart(self):
+        # Simulation never sees u = 1, so u and v share a class, and so
+        # do p and q.  The base case splits u from v.  Numbered under
+        # the pre-base class, p' = XOR(AND(u, x), y) and q' =
+        # XOR(AND(v, x), y) would hash alike and skip their step query;
+        # yet from u = 1 with x = 1, p and q differ at cycle 1.
+        b = NetlistBuilder("implytrap")
+        ins = [b.input(f"i{k}") for k in range(20)]
+        x, y = b.input("x"), b.input("y")
+        u = b.register(None, init=b.and_(*ins), name="u")
+        b.connect(u, u)
+        v = b.register(name="v")
+        b.connect(v, v)
+        p = b.register(b.xor(b.and_(u, x), y), name="p")
+        q = b.register(b.xor(b.and_(v, x), y), name="q")
+        b.net.add_target(p)
+        b.net.add_target(q)
+        result = redundancy_removal(b.net)
+        target_map = result.step.target_map
+        assert target_map[p] != target_map[q]
+        assert same_behaviour(b.net, result.netlist, p, target_map[p])
+        assert same_behaviour(b.net, result.netlist, q, target_map[q])
+
+    def test_implied_step_pairs_skip_the_solver(self):
+        # With the twin registers a and b assumed equal on frame 0, the
+        # step round's three pairs ({a, b}, {c, d} and their AND gates)
+        # hash to equal frame-1 numbers: only the base case queries.
+        b = NetlistBuilder("twins")
+        x, y = b.input("x"), b.input("y")
+        a = b.register(x, name="a")
+        a2 = b.register(x, name="b")
+        c = b.register(b.and_(a, y), name="c")
+        d = b.register(b.and_(a2, y), name="d")
+        b.net.add_target(c)
+        b.net.add_target(d)
+        with obs.scoped(obs.Registry("twins")) as reg:
+            result = redundancy_removal(b.net)
+        counters = reg.snapshot()["counters"]
+        assert counters["com.implied"] == 3
+        assert counters["com.sat_queries"] == 3
+        assert counters["com.merges"] == 3
+        target_map = result.step.target_map
+        assert target_map[c] == target_map[d]
+
+    def test_numbering_sorts_only_commutative_fanins(self):
+        b = NetlistBuilder("order")
+        s, x, y = b.input("s"), b.input("x"), b.input("y")
+        and_xy = b.net.add_gate(GateType.AND, (x, y))
+        and_yx = b.net.add_gate(GateType.AND, (y, x))
+        mux_xy = b.net.add_gate(GateType.MUX, (s, x, y))
+        mux_yx = b.net.add_gate(GateType.MUX, (s, y, x))
+        numbers = _StepNumbering(b.net).frame1([])
+        assert numbers[and_xy] == numbers[and_yx]
+        assert numbers[mux_xy] != numbers[mux_yx]
 
     def test_semantics_preserved_on_s27(self):
         net = s27()

@@ -432,6 +432,49 @@ class TestVsidsRescale:
         assert all(key == -act[var] for key, var in s._heap)
 
 
+class TestDecisionHeap:
+    """The flat core keeps one live heap entry per variable: its key is
+    the variable's current activity, and older keys are stale."""
+
+    @staticmethod
+    def live_entries(solver):
+        act = solver._activity
+        live = [0] * solver.num_vars
+        for key, var in solver._heap:
+            if key == -act[var]:
+                live[var] += 1
+        return live
+
+    def check(self, solver):
+        live = self.live_entries(solver)
+        for var in range(solver.num_vars):
+            assert live[var] == solver._heaped[var] <= 1
+            if solver._assign[var] < 0:
+                assert live[var] == 1
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_one_live_entry_per_unassigned_variable(self, seed):
+        rng = random.Random(seed)
+        s = FlatSolver()
+        n = 40
+        s.new_vars(n)
+        for _ in range(170):
+            s.add_clause([2 * v + rng.randint(0, 1)
+                          for v in rng.sample(range(n), 3)])
+        self.check(s)
+        for step in range(25):
+            if step == 12:
+                s._var_inc = 1e99  # the next bumps rescale
+            if rng.random() < 0.3:
+                s.add_clause([2 * v + rng.randint(0, 1)
+                              for v in rng.sample(range(n), 3)])
+            assumptions = [2 * v + rng.randint(0, 1)
+                           for v in rng.sample(range(n), 3)]
+            s.solve(assumptions)
+            self.check(s)
+        assert s.conflicts > 0
+
+
 class TestDetachIntegrity:
     """A clause missing from a watcher list during detach is real
     corruption: the flat core always raises; the legacy core keeps

@@ -2,6 +2,9 @@
 
 import pytest
 
+from repro.experiments.report import main as report_main
+from repro.experiments.table1 import main as table1_main
+from repro.experiments.table2 import main as table2_main
 from repro.netlist import NetlistBuilder, NetlistError, s27, write_bench
 from repro.sim import BitParallelSimulator
 from repro.tools import load_netlist, save_netlist, trace_to_vcd
@@ -268,6 +271,21 @@ BAD_INPUT = {
     "convert-transform": (convert_main, [
         "{s27}", "{out}", "--transform", "BOGUS"]),
     "convert-destination": (convert_main, ["{s27}", "{bad_out}"]),
+    "bound-timeout": (bound_main, ["{s27}", "--timeout", "-1"]),
+    "bound-jobs": (bound_main, ["{s27}", "--jobs", "0"]),
+    **{f"check-{method}-max-depth": (check_main, [
+        "{s27}", "--method", method, "--max-depth", "-1"])
+       for method in ("bmc", "induction", "cegar")},
+    # Out-of-range numbers on the experiment CLIs: a negative deadline,
+    # a scale that is not positive, a negative register cap and fewer
+    # than one worker.
+    **{f"{name}-{flag}": (main, [f"--{flag}", value])
+       for name, main in (("table1", table1_main),
+                          ("table2", table2_main),
+                          ("report", report_main))
+       for flag, value in (("timeout", "-1"), ("scale", "-1"),
+                           ("max-registers", "-5"), ("jobs", "-2"))},
+    "table1-scale-zero": (table1_main, ["--scale", "0"]),
 }
 
 

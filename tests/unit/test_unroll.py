@@ -297,6 +297,17 @@ def contradiction_target():
 class TestBMCDepthCheckedInvariant:
     """frames 0 .. depth_checked - 1 are definitively resolved."""
 
+    @pytest.mark.parametrize("check", [
+        lambda net, t: bmc(net, t, max_depth=-1),
+        lambda net, t: bmc_multi(net, [t], max_depth=-1),
+        lambda net, t: k_induction(net, t, max_k=-1),
+    ], ids=["bmc", "bmc_multi", "k_induction"])
+    def test_negative_depth_is_rejected(self, check):
+        # A window of -1 frames has no depth_checked to report.
+        net, t = unreachable_target()
+        with pytest.raises(ValueError, match="must be non-negative"):
+            check(net, t)
+
     def test_falsified_depth_checked_is_hit_plus_one(self):
         net, t = counter_target(3, 5)
         result = bmc(net, t, max_depth=10)
