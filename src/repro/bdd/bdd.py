@@ -60,10 +60,6 @@ class BDD:
         """The function of the single variable at ``level``."""
         return self.node(level, self.zero, self.one)
 
-    def nvar(self, level: int) -> BDDNode:
-        """The negation of the variable at ``level``."""
-        return self.node(level, self.one, self.zero)
-
     # ------------------------------------------------------------------
     # Core operation: if-then-else
     # ------------------------------------------------------------------

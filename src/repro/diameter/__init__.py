@@ -7,7 +7,6 @@ from .exact import (
     initial_depth,
     state_diameter,
 )
-from .estimate import DiameterEstimate, estimate_diameter
 from .recurrence import (
     RecurrenceResult,
     recurrence_diameter,
@@ -19,11 +18,6 @@ from .symbolic import (
     symbolic_initial_depth,
     symbolic_reachability,
     transition_image,
-)
-from .qbf import (
-    QBFDiameterResult,
-    qbf_initial_diameter,
-    qbf_initial_diameter_check,
 )
 from .structural import (
     AC,
@@ -41,25 +35,20 @@ __all__ = [
     "AC",
     "CC",
     "Component",
-    "DiameterEstimate",
     "ExplicitStateSpace",
     "GC",
     "MAX_EXPLICIT_BITS",
     "MC",
     "QC",
-    "QBFDiameterResult",
     "ReachabilityResult",
     "RecurrenceResult",
     "StructuralAnalysis",
     "detect_cell",
-    "estimate_diameter",
     "first_hit_time",
     "initial_depth",
     "recurrence_diameter",
     "recurrence_diameter_for_target",
     "state_diameter",
-    "qbf_initial_diameter",
-    "qbf_initial_diameter_check",
     "structural_diameter_bound",
     "symbolic_first_hit",
     "symbolic_initial_depth",

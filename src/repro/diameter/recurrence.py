@@ -52,7 +52,6 @@ def recurrence_diameter(
     net: Netlist,
     from_init: bool = False,
     max_k: int = 64,
-    conflict_budget: Optional[int] = None,
     budget: Optional[Budget] = None,
 ) -> RecurrenceResult:
     """Compute the recurrence diameter by a series of SAT problems.
@@ -82,8 +81,7 @@ def recurrence_diameter(
                 add_state_difference(unroll.sink, unroll.state_lits[i],
                                      unroll.state_lits[k])
             with reg.span("step") as step_span:
-                result = unroll.solver.solve(
-                    conflict_budget=conflict_budget, budget=budget)
+                result = unroll.solver.solve(budget=budget)
             reg.event("recurrence.step", k=k, result=result,
                       seconds=step_span.seconds)
             obs.progress("recurrence", k=k, of=max_k, result=result,
@@ -106,7 +104,6 @@ def recurrence_diameter_for_target(
     target: int,
     from_init: bool = True,
     max_k: int = 64,
-    conflict_budget: Optional[int] = None,
     budget: Optional[Budget] = None,
 ) -> RecurrenceResult:
     """Recurrence bound restricted to the target's cone of influence.
@@ -123,6 +120,4 @@ def recurrence_diameter_for_target(
 
     reduced = coi_reduction(net, roots=[target])
     return recurrence_diameter(reduced.netlist, from_init=from_init,
-                               max_k=max_k,
-                               conflict_budget=conflict_budget,
-                               budget=budget)
+                               max_k=max_k, budget=budget)

@@ -29,17 +29,6 @@ def add_pipeline(b: NetlistBuilder, source: Sequence[int], depth: int,
     return word
 
 
-def add_redundant_pipeline(b: NetlistBuilder, source: Sequence[int],
-                           depth: int, prefix: str) -> List[int]:
-    """Two structurally distinct but equivalent pipelines, XNOR-merged.
-
-    COM fodder: the duplicate halves merge, halving the AC count.
-    """
-    a = add_pipeline(b, source, depth, prefix + "a")
-    c = add_pipeline(b, source, depth, prefix + "b")
-    return [b.and_(x, b.xnor(x, y)) for x, y in zip(a, c)]
-
-
 def add_constant_registers(b: NetlistBuilder, count: int,
                            prefix: str) -> List[int]:
     """CC block: self-holding registers stuck at their initial values."""

@@ -2,7 +2,7 @@
 
 from .types import Gate, GateType, NetlistError
 from .netlist import Netlist
-from .builder import NetlistBuilder, all_outputs_as_targets
+from .builder import NetlistBuilder
 from .rebuild import rebuild
 from .bench import parse_bench, write_bench, s27, S27_BENCH
 from .aig import (
@@ -22,7 +22,6 @@ from .traversal import (
     cone_of_influence,
     combinational_depth,
     combinational_fanins,
-    combinational_support,
     condensation_order,
     register_graph,
     state_support,
@@ -54,10 +53,8 @@ __all__ = [
     "NetlistBuilder",
     "NetlistError",
     "S27_BENCH",
-    "all_outputs_as_targets",
     "combinational_depth",
     "combinational_fanins",
-    "combinational_support",
     "condensation_order",
     "cone_of_influence",
     "parse_bench",

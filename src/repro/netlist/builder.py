@@ -232,12 +232,3 @@ class NetlistBuilder:
                 self.and_(line, bit) for line in lines
             ]
         return lines
-
-
-def all_outputs_as_targets(net: Netlist) -> None:
-    """Adopt every primary output as a verification target.
-
-    Mirrors the paper's Section 4 setup: *"using each primary output as
-    a target for lack of any more meaningful available targets."*
-    """
-    net.targets = list(net.outputs)

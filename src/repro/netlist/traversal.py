@@ -86,27 +86,6 @@ def cone_of_influence(net: Netlist, roots: Iterable[int]) -> Set[int]:
     return seen
 
 
-def combinational_support(net: Netlist, vid: int) -> Set[int]:
-    """State elements, inputs and constants in ``vid``'s current-cycle cone."""
-    support: Set[int] = set()
-    seen: Set[int] = set()
-    stack = [vid]
-    while stack:
-        v = stack.pop()
-        if v in seen:
-            continue
-        seen.add(v)
-        gate = net.gate(v)
-        if v != vid and (gate.is_state or gate.is_source):
-            support.add(v)
-            continue
-        if gate.is_state or gate.is_source:
-            support.add(v)
-            continue
-        stack.extend(gate.fanins)
-    return support
-
-
 def state_support(net: Netlist, vid: int) -> Set[int]:
     """State elements (registers/latches) in ``vid``'s combinational cone."""
     support: Set[int] = set()

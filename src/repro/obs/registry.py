@@ -209,11 +209,6 @@ class Registry:
     # ------------------------------------------------------------------
     # Reading
     # ------------------------------------------------------------------
-    def timer_seconds(self, path: str) -> float:
-        """Total seconds accumulated under span ``path`` (0 if unused)."""
-        stat = self._timers.get(path)
-        return stat[0] if stat else 0.0
-
     def counter_value(self, name: str) -> int:
         """Current value of counter ``name`` (0 if never touched)."""
         return self._counters.get(name, 0)

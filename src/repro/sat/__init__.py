@@ -20,7 +20,6 @@ from .solver import (
     set_debug_checks,
 )
 from .flat import FlatSolver
-from .qbf import QBFResult, solve_exists_forall, solve_forall_exists
 from .template import (
     FrameTemplate,
     clear_template_cache,
@@ -45,7 +44,6 @@ __all__ = [
     "FlatSolver",
     "FrameTemplate",
     "LegacySolver",
-    "QBFResult",
     "SAT",
     "Solver",
     "UNKNOWN",
@@ -69,7 +67,5 @@ __all__ = [
     "lit_var",
     "neg",
     "pos",
-    "solve_exists_forall",
-    "solve_forall_exists",
     "to_dimacs_lit",
 ]

@@ -311,9 +311,9 @@ class Solver:
     ) -> str:
         """Solve under ``assumptions``; returns ``sat``/``unsat``/``unknown``.
 
-        ``conflict_budget`` contract (shared verbatim by every caller
-        that forwards the knob — BMC, k-induction, the recurrence and
-        QBF engines, and ``SweepConfig.conflict_budget``):
+        ``conflict_budget`` contract (COM's sweep forwards
+        ``SweepConfig.conflict_budget`` here; the engines that solve to
+        a verdict pass none):
 
         * ``None`` — unlimited: search until conclusive;
         * ``n >= 0`` — explore at most ``n`` conflicts, then give up

@@ -1,17 +1,17 @@
 """Compiled frame templates: encode the transition relation once,
 stamp it per time frame by offset arithmetic.
 
-Every engine in the stack (BMC, k-induction, the recurrence and QBF
-diameter engines, COM's inductive sweep, SAT target enlargement)
-instantiates the *same* combinational frame once per time step.
-Re-walking the netlist through :func:`repro.sat.tseitin.encode_frame`
-for every frame costs a full topological traversal plus dict-based
-Tseitin dispatch.  Following the BMC folklore of Eén & Sörensson
-(temporal induction: encode the transition relation once, instantiate
-by variable renaming), this module compiles a netlist into a flat,
-immutable :class:`FrameTemplate` — an integer clause array plus
-literal slot maps — and stamps frame ``t`` with pure integer
-arithmetic, feeding the solver through the
+Every engine in the stack (BMC, k-induction, the recurrence diameter
+engine, COM's inductive sweep) instantiates the *same* combinational
+frame once per time step.  Re-walking the netlist through
+:func:`repro.sat.tseitin.encode_frame` for every frame costs a full
+topological traversal plus dict-based Tseitin dispatch.  Following
+the BMC folklore of Eén & Sörensson (temporal induction: encode the
+transition relation once, instantiate by variable renaming), this
+module compiles a netlist into a flat, immutable
+:class:`FrameTemplate` — an integer clause array plus literal slot
+maps — and stamps frame ``t`` with pure integer arithmetic, feeding
+the solver through the
 :meth:`repro.sat.solver.Solver.add_clauses_bulk` fast path.  Stamping
 is the only frame encoder: every engine above encodes its frames
 through :func:`get_template`.
@@ -25,9 +25,9 @@ A compiled clause stores two kinds of literals:
   ``2 * var + sign`` packing.  Stamping shifts them by ``2 * base``
   where ``base`` is the first solver variable allocated for the frame.
 * **slot** literals (``lit >= SLOT_BASE``): per-frame parameters
-  (state elements, and for the ``io``/``init`` modes the primary
-  inputs), packed as ``SLOT_BASE + 2 * slot + sign``.  Stamping looks
-  them up in a flat table built from the caller's slot values.
+  (the state elements; primary inputs are fresh locals), packed as
+  ``SLOT_BASE + 2 * slot + sign``.  Stamping looks them up in a flat
+  table built from the caller's slot values.
   ``SLOT_BASE`` is even, so ``lit ^ 1`` negates both kinds uniformly
   (``encode_frame`` negates leaf literals for NOT gates).
 
@@ -47,14 +47,13 @@ loading (the loader re-checks level-0 assignments per clause);
 anything else goes through the normalising
 :meth:`~repro.sat.solver.Solver.add_clause` exactly as the walk
 would.  ``tests/unit/test_template.py`` pins the contract at the
-encoder level for all three modes; identical solver state means
-identical CDCL search, so verdicts, bounds and counterexample models
-follow.
+encoder level; identical solver state means identical CDCL search, so
+verdicts, bounds and counterexample models follow.
 
 Cache
 -----
-:func:`get_template` keeps a process-wide LRU keyed by
-``(netlist structural signature, mode)`` (see
+:func:`get_template` keeps a process-wide LRU keyed by the netlist's
+structural signature (see
 :meth:`repro.netlist.netlist.Netlist.signature`), so every strategy,
 engine, and experiment row — including each worker process of
 :mod:`repro.parallel` — reuses one compilation per distinct netlist.
@@ -64,7 +63,7 @@ from __future__ import annotations
 
 import threading
 from collections import OrderedDict
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Tuple
 
 from .. import obs
 from ..netlist import GateType, Netlist
@@ -75,17 +74,6 @@ from .tseitin import CnfSink, encode_frame, encode_mux
 #: First slot literal.  Even (so ``lit ^ 1`` negates slots too) and far
 #: above any realistic local-variable literal.
 SLOT_BASE = 1 << 40
-
-#: Template flavours (the cache key's second component):
-#:
-#: * ``"frame"`` — slots are the state elements; inputs are fresh
-#:   locals; the tail appends the latch hold-muxes (``Unrolling``, the
-#:   COM checker, SAT enlargement).
-#: * ``"io"`` — slots are state elements *and* primary inputs (the QBF
-#:   engine supplies input literals from a pre-allocated block).
-#: * ``"init"`` — slots are the primary inputs; only the register
-#:   initial-value cones are compiled (the QBF init-cone encode).
-MODES = ("frame", "io", "init")
 
 
 def netlist_has_const0(net: Netlist) -> bool:
@@ -186,19 +174,18 @@ class FrameTemplate:
     array ready for per-frame stamping.  Immutable; shared freely
     across solvers and threads."""
 
-    __slots__ = ("mode", "slots", "num_locals", "core_locals",
+    __slots__ = ("slots", "num_locals", "core_locals",
                  "clauses", "bulk_safe", "core_clauses", "lit_map",
                  "next_state", "uses_true", "has_const0", "signature",
                  "runs_core", "runs_tail", "runs_all")
 
-    def __init__(self, mode: str, slots: Tuple[int, ...],
+    def __init__(self, slots: Tuple[int, ...],
                  num_locals: int, core_locals: int,
                  clauses: Tuple[Tuple[int, ...], ...],
                  bulk_safe: Tuple[bool, ...], core_clauses: int,
                  lit_map: Dict[int, int], next_state: Dict[int, int],
                  uses_true: bool, has_const0: bool,
                  signature: str) -> None:
-        self.mode = mode
         #: Slot vids in slot order (callers pass values keyed by vid).
         self.slots = slots
         self.num_locals = num_locals
@@ -228,7 +215,7 @@ class FrameTemplate:
         self.runs_all = self.runs_core + self.runs_tail
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return (f"<FrameTemplate {self.mode} slots={len(self.slots)} "
+        return (f"<FrameTemplate slots={len(self.slots)} "
                 f"locals={self.num_locals} clauses={len(self.clauses)}>")
 
     def stamp(
@@ -302,51 +289,35 @@ class FrameTemplate:
         return lits, nxt
 
 
-def compile_template(net: Netlist, mode: str = "frame") -> FrameTemplate:
+def compile_template(net: Netlist) -> FrameTemplate:
     """Compile ``net`` into a :class:`FrameTemplate` (uncached).
 
     The compiler *is* :func:`~repro.sat.tseitin.encode_frame`, run
-    against a recording sink with the mode's slot literals as leaves —
-    so the template clause stream is by construction the exact stream
-    the reference walk emits, just in template literal space.
+    against a recording sink with the state elements' slot literals as
+    leaves — so the template clause stream is by construction the exact
+    stream the reference walk emits, just in template literal space.
     """
-    if mode not in MODES:
-        raise ValueError(f"unknown template mode {mode!r}")
     states = net.state_elements
-    if mode == "frame":
-        slot_vids: List[int] = list(states)
-        roots: Optional[Sequence[int]] = None
-    elif mode == "io":
-        slot_vids = list(states) + list(net.inputs)
-        roots = None
-    else:  # init
-        slot_vids = list(net.inputs)
-        roots = [net.gate(r).fanins[1] for r in net.registers]
-    sink = _TemplateSink(len(slot_vids))
-    leaves = {vid: SLOT_BASE + 2 * i for i, vid in enumerate(slot_vids)}
-    if mode == "init" and not roots:
-        lit_map: Dict[int, int] = dict(leaves)
-    else:
-        lit_map = encode_frame(net, sink, leaves, roots=roots)
+    sink = _TemplateSink(len(states))
+    leaves = {vid: SLOT_BASE + 2 * i for i, vid in enumerate(states)}
+    lit_map = encode_frame(net, sink, leaves)
     core_locals = sink.num_locals
     core_clauses = len(sink.clauses)
+    # The next-state tail: register next edges, and one hold-mux per
+    # latch in state-element order.
     next_state: Dict[int, int] = {}
-    if mode != "init":
-        # The next-state tail: register next edges, and one hold-mux
-        # per latch in state-element order.
-        for vid in states:
-            gate = net.gate(vid)
-            if gate.type is GateType.REGISTER:
-                next_state[vid] = lit_map[gate.fanins[0]]
-            else:
-                data, clock = gate.fanins
-                out = pos(sink.new_var())
-                encode_mux(sink, out, lit_map[clock], lit_map[data],
-                           lit_map[vid])
-                next_state[vid] = out
+    for vid in states:
+        gate = net.gate(vid)
+        if gate.type is GateType.REGISTER:
+            next_state[vid] = lit_map[gate.fanins[0]]
+        else:
+            data, clock = gate.fanins
+            out = pos(sink.new_var())
+            encode_mux(sink, out, lit_map[clock], lit_map[data],
+                       lit_map[vid])
+            next_state[vid] = out
     return FrameTemplate(
-        mode=mode,
-        slots=tuple(slot_vids),
+        slots=tuple(states),
         num_locals=sink.num_locals,
         core_locals=core_locals,
         clauses=tuple(sink.clauses),
@@ -366,12 +337,12 @@ def compile_template(net: Netlist, mode: str = "frame") -> FrameTemplate:
 #: one-time cost per worker surfaced by the ``template.compiles``
 #: counter in merged snapshots).
 _CACHE_MAX = 64
-_cache: "OrderedDict[Tuple[str, str], FrameTemplate]" = OrderedDict()
+_cache: "OrderedDict[str, FrameTemplate]" = OrderedDict()
 _cache_lock = threading.Lock()
 
 
-def get_template(net: Netlist, mode: str = "frame") -> FrameTemplate:
-    """The compiled template for ``net``/``mode``, via the LRU cache.
+def get_template(net: Netlist) -> FrameTemplate:
+    """The compiled template for ``net``, via the LRU cache.
 
     Keyed by the netlist's memoized structural signature, so two
     structurally-identical netlists (e.g. the same design generated in
@@ -379,7 +350,7 @@ def get_template(net: Netlist, mode: str = "frame") -> FrameTemplate:
     compilation.  Publishes ``template.hits`` / ``template.compiles``
     counters and the ``encode.compile`` span.
     """
-    key = (net.signature(), mode)
+    key = net.signature()
     with _cache_lock:
         tmpl = _cache.get(key)
         if tmpl is not None:
@@ -389,7 +360,7 @@ def get_template(net: Netlist, mode: str = "frame") -> FrameTemplate:
         return tmpl
     reg = obs.get_registry()
     with reg.span("encode.compile"):
-        tmpl = compile_template(net, mode)
+        tmpl = compile_template(net)
     reg.counter("template.compiles")
     with _cache_lock:
         _cache[key] = tmpl

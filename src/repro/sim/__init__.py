@@ -4,7 +4,6 @@ from .simulator import BitParallelSimulator
 from .ternary import (
     X,
     constant_state_elements,
-    ternary_eval,
     ternary_initial_state,
 )
 from .random_sim import random_signatures, signature_classes
@@ -15,6 +14,5 @@ __all__ = [
     "constant_state_elements",
     "random_signatures",
     "signature_classes",
-    "ternary_eval",
     "ternary_initial_state",
 ]

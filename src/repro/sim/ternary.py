@@ -24,23 +24,13 @@ def _meet(a: int, b: int) -> int:
     return a if a == b else X
 
 
-def ternary_eval(net: Netlist, state: Dict[int, int],
-                 inputs: Optional[Dict[int, int]] = None) -> Dict[int, int]:
-    """Evaluate all vertices ternarily for one cycle.
-
-    ``state`` maps state elements to {0,1,X}; ``inputs`` maps primary
-    inputs to {0,1,X} (default all X).
-    """
-    return _eval_plan(_plan(net), state, inputs or {})
-
-
 #: Plan entry kinds.
 _STATE, _INPUT, _GATE = 0, 1, 2
 
 
 def _plan(net: Netlist) -> List[Tuple[int, int, Gate]]:
-    """``(vid, kind, gate)`` in topological order, built once per call
-    of the public functions."""
+    """``(vid, kind, gate)`` in topological order, built once per
+    :func:`constant_state_elements` call."""
     plan = []
     for vid in topological_order(net):
         gate = net.gate(vid)

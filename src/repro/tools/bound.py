@@ -80,11 +80,11 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     parser.add_argument("--strategy", default="COM,RET,COM",
                         help="transformation pipeline (default "
                              "COM,RET,COM; empty for none)")
-    parser.add_argument("--threshold", type=int, default=50,
+    parser.add_argument("--threshold", type=at_least(int, 1), default=50,
                         help="useful-bound threshold (default 50)")
     parser.add_argument("--bounder", choices=["structural", "recurrence"],
                         default="structural")
-    parser.add_argument("--refine-gc", type=int, default=0,
+    parser.add_argument("--refine-gc", type=at_least(int, 0), default=0,
                         help="reachable-state refinement for GCs up to "
                              "this many registers (structural bounder)")
     parser.add_argument("--timeout", type=at_least(float, 0), default=0,

@@ -35,6 +35,7 @@ import json
 from typing import Any, Collection, Dict, List, Optional, Sequence, Tuple
 
 from ..obs import trace as _trace
+from .io import at_least
 
 
 # ----------------------------------------------------------------------
@@ -272,7 +273,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         "summary", help="top spans/counters of a stitched trace")
     p_summary.add_argument("trace", help="trace file (workers at "
                                          "<trace>.<pid> auto-included)")
-    p_summary.add_argument("--top", type=int, default=15)
+    p_summary.add_argument("--top", type=at_least(int, 0), default=15)
     p_summary.set_defaults(fn=_cmd_summary)
 
     p_export = sub.add_parser(
@@ -295,7 +296,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         "diff", help="span self-time and counter deltas of two traces")
     p_diff.add_argument("trace_a")
     p_diff.add_argument("trace_b")
-    p_diff.add_argument("--top", type=int, default=20)
+    p_diff.add_argument("--top", type=at_least(int, 0), default=20)
     p_diff.set_defaults(fn=_cmd_diff)
 
     args = parser.parse_args(argv)

@@ -62,7 +62,6 @@ def localization_refinement(
     target: Optional[int] = None,
     initial_radius: int = 1,
     max_depth: int = 64,
-    conflict_budget: Optional[int] = None,
     budget: Optional[Budget] = None,
 ) -> LocalizationResult:
     """Run the CEGAR loop for one target; see the module docstring.
@@ -108,7 +107,7 @@ def localization_refinement(
         check = bmc(net if exact else abstraction,
                     target if exact else abs_target, max_depth=window,
                     complete_bound=bound if bound <= max_depth else None,
-                    conflict_budget=conflict_budget, budget=budget)
+                    budget=budget)
         if check.status == ABORTED:
             return LocalizationResult(
                 status=REFINED_OUT, iterations=iterations,
@@ -133,7 +132,6 @@ def localization_refinement(
                 # Concretization check: exact bounded query on the
                 # original netlist at the abstract counterexample depth.
                 concrete = bmc(net, target, max_depth=depth + 1,
-                               conflict_budget=conflict_budget,
                                budget=budget)
             if concrete.status == ABORTED:
                 return LocalizationResult(

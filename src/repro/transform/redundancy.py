@@ -218,7 +218,7 @@ class _InductiveChecker:
         # with its next-state tail (a full stamp), and the tail-less
         # frame 1 / base frame (``with_next=False`` stops at the core
         # boundary).
-        tmpl = get_template(net, "frame")
+        tmpl = get_template(net)
         # Step model: frame 0 with free leaves feeding frame 1.
         self.step_solver = Solver()
         sink = CnfSink(self.step_solver)

@@ -9,7 +9,6 @@ from .bmc import (
     FALSIFIED,
     PROVEN,
     bmc,
-    bmc_multi,
     replay_counterexample,
 )
 from .induction import add_state_difference, k_induction
@@ -24,7 +23,6 @@ __all__ = [
     "Unrolling",
     "add_state_difference",
     "bmc",
-    "bmc_multi",
     "k_induction",
     "replay_counterexample",
 ]

@@ -69,9 +69,9 @@ class BMCResult:
     False when certification was off and on every :data:`ABORTED`
     result.
 
-    Keep these conventions in sync with :func:`bmc`, :func:`bmc_multi`
-    and ``k_induction`` (whose PROVEN reuses the field for the
-    inductive ``k`` — documented there).
+    Keep these conventions in sync with :func:`bmc` and
+    ``k_induction`` (whose PROVEN reuses the field for the inductive
+    ``k`` — documented there).
     """
 
     status: str
@@ -111,7 +111,6 @@ def bmc(
     target: Optional[int] = None,
     max_depth: int = 20,
     complete_bound: Optional[int] = None,
-    conflict_budget: Optional[int] = None,
     budget: Optional[Budget] = None,
     certify: Optional[bool] = None,
 ) -> BMCResult:
@@ -120,8 +119,7 @@ def bmc(
     ``complete_bound`` is a diameter bound for the target: if the
     window covers ``0 .. complete_bound - 1`` with no hit, the target
     is declared :data:`PROVEN` unreachable.  Returns the first
-    counterexample otherwise.  ``conflict_budget`` follows the
-    ``Solver.solve`` contract; ``budget`` is checked before every
+    counterexample otherwise.  ``budget`` is checked before every
     frame (and cooperatively inside each solve) — exhaustion yields
     :data:`ABORTED` with a structured ``exhaustion_reason``,
     cancellation raises.
@@ -150,8 +148,8 @@ def bmc(
         depth = min(max_depth, complete_bound)
     with obs.get_registry().span("bmc"):
         for t in range(depth):
-            stop = _solve_frame(unroll, target, t, depth,
-                                conflict_budget, budget, do_cert, "bmc")
+            stop = _solve_frame(unroll, target, t, depth, budget,
+                                do_cert, "bmc")
             if stop is not None:
                 return stop
     if do_cert and depth > 0:
@@ -167,7 +165,6 @@ def _solve_frame(
     target: int,
     t: int,
     of: int,
-    conflict_budget: Optional[int],
     budget: Optional[Budget],
     certify: bool,
     engine: str,
@@ -193,8 +190,7 @@ def _solve_frame(
         return BMCResult(ABORTED, target, t, exhaustion_reason=reason)
     lit = unroll.literal(target, t)
     with reg.span("frame") as frame_span:
-        result = unroll.solver.solve([lit], conflict_budget=conflict_budget,
-                                     budget=budget)
+        result = unroll.solver.solve([lit], budget=budget)
     reg.event("bmc.frame", t=t, result=result, seconds=frame_span.seconds)
     obs.progress("bmc", frame=t, of=of, result=result,
                  seconds=round(frame_span.seconds, 6),
@@ -216,102 +212,6 @@ def _solve_frame(
         return BMCResult(ABORTED, target, t,
                          exhaustion_reason=unroll.solver.last_exhaustion)
     return None
-
-
-def bmc_multi(
-    net: Netlist,
-    targets: Optional[List[int]] = None,
-    max_depth: int = 20,
-    complete_bounds: Optional[Dict[int, int]] = None,
-    conflict_budget: Optional[int] = None,
-    budget: Optional[Budget] = None,
-    certify: Optional[bool] = None,
-) -> Dict[int, BMCResult]:
-    """Check many targets over one shared unrolling.
-
-    The Section 4 experiments check every primary output as a target;
-    sharing the time-frame expansion amortizes the Tseitin encoding
-    and lets learned clauses transfer between target queries (each
-    target is queried by assumption, so the solver state stays
-    reusable).  ``complete_bounds`` optionally maps targets to their
-    diameter bounds; a target whose window closes is PROVEN and not
-    queried further.
-
-    ``certify`` follows the :func:`bmc` contract.  Witnesses are
-    replayed at discovery time; the shared solver's proof log —
-    which covers every refuted (target, frame) query — is checked
-    once after the sweep, so one check certifies every UNSAT-backed
-    verdict in the returned map (each non-ABORTED entry then carries
-    ``certified=True``).  A negative ``max_depth`` raises
-    :class:`ValueError`.
-    """
-    if max_depth < 0:
-        raise ValueError(f"max_depth must be non-negative, got {max_depth}")
-    if targets is None:
-        targets = list(dict.fromkeys(net.targets))
-    complete_bounds = complete_bounds or {}
-    do_cert = certification_enabled() if certify is None else certify
-    unroll = Unrolling(net, Solver(proof=do_cert), constrain_init=True)
-    refuted = 0
-    results: Dict[int, BMCResult] = {}
-    open_targets = list(dict.fromkeys(targets))
-    reg = obs.get_registry()
-    for t in range(max_depth):
-        if not open_targets:
-            break
-        still_open = []
-        for target in open_targets:
-            bound = complete_bounds.get(target)
-            if bound is not None and t >= bound:
-                # Frames 0 .. t-1 all refuted (t >= bound suffices).
-                results[target] = BMCResult(PROVEN, target, t)
-                continue
-            reason = _budget_abort(budget)
-            if reason is not None:
-                reg.counter("bmc.budget_aborts")
-                results[target] = BMCResult(ABORTED, target, t,
-                                            exhaustion_reason=reason)
-                continue
-            lit = unroll.literal(target, t)
-            with reg.span("bmc.multi/frame"):
-                outcome = unroll.solver.solve(
-                    [lit], conflict_budget=conflict_budget,
-                    budget=budget)
-            if outcome == SAT:
-                model = unroll.solver.model
-                cex = Counterexample(
-                    depth=t,
-                    inputs=[unroll.input_values(model, i)
-                            for i in range(t + 1)],
-                    initial_state=unroll.state_values(model, 0),
-                )
-                if do_cert:
-                    certify_witness(net, target, cex, model=model,
-                                    unroll=unroll, engine="bmc.multi")
-                results[target] = BMCResult(FALSIFIED, target, t + 1, cex)
-            elif outcome == UNKNOWN:
-                results[target] = BMCResult(
-                    ABORTED, target, t,
-                    exhaustion_reason=unroll.solver.last_exhaustion)
-            else:
-                refuted += 1
-                still_open.append(target)
-        obs.progress("bmc.multi", frame=t, of=max_depth,
-                     open=len(still_open), resolved=len(results),
-                     budget_s=_budget_remaining(budget))
-        open_targets = still_open
-    if do_cert and refuted:
-        certify_unsat(unroll.solver, "bmc.multi")
-    for target in open_targets:
-        bound = complete_bounds.get(target)
-        if bound is not None and max_depth >= bound:
-            results[target] = BMCResult(PROVEN, target, max_depth)
-        else:
-            results[target] = BMCResult(BOUNDED, target, max_depth)
-    if do_cert:
-        for result in results.values():
-            result.certified = result.status != ABORTED
-    return results
 
 
 def replay_counterexample(net: Netlist, target: int,

@@ -41,7 +41,6 @@ def k_induction(
     net: Netlist,
     target: Optional[int] = None,
     max_k: int = 10,
-    conflict_budget: Optional[int] = None,
     budget: Optional[Budget] = None,
     certify: Optional[bool] = None,
     base_depth: Optional[int] = None,
@@ -101,8 +100,8 @@ def k_induction(
     step = Unrolling(net, Solver(proof=do_cert), constrain_init=False)
     solver = step.solver
     for k in range(1, max_k + 1):
-        stop = _solve_frame(base, target, k - 1, depth, conflict_budget,
-                            budget, do_cert, "k-induction")
+        stop = _solve_frame(base, target, k - 1, depth, budget, do_cert,
+                            "k-induction")
         if stop is not None:
             return stop
         reason = _budget_abort(budget)
@@ -118,9 +117,7 @@ def k_induction(
                        for i in range(k)]
         assumptions.append(step.literal(target, k))
         with reg.span("induction/step") as step_span:
-            result = solver.solve(assumptions,
-                                  conflict_budget=conflict_budget,
-                                  budget=budget)
+            result = solver.solve(assumptions, budget=budget)
         obs.progress("induction", k=k, of=max_k, result=result,
                      seconds=round(step_span.seconds, 6),
                      budget_s=_budget_remaining(budget))
@@ -135,8 +132,8 @@ def k_induction(
                              exhaustion_reason=solver.last_exhaustion)
     reg.counter("induction.step_vars", solver.num_vars)
     for t in range(max_k, depth):
-        stop = _solve_frame(base, target, t, depth, conflict_budget,
-                            budget, do_cert, "k-induction")
+        stop = _solve_frame(base, target, t, depth, budget, do_cert,
+                            "k-induction")
         if stop is not None:
             return stop
     if do_cert:

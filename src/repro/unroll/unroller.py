@@ -36,7 +36,7 @@ class Unrolling:
         self.solver = solver or Solver()
         self.sink = CnfSink(self.solver)
         self.constrain_init = constrain_init
-        self._template = get_template(net, "frame")
+        self._template = get_template(net)
         #: per-frame vertex -> literal maps
         self.frames: List[Dict[int, int]] = []
         #: state literals at each frame boundary (index 0 = initial)

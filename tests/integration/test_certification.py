@@ -22,7 +22,6 @@ from repro.unroll import (
     FALSIFIED,
     PROVEN,
     bmc,
-    bmc_multi,
     k_induction,
 )
 
@@ -43,19 +42,6 @@ def unreachable_target():
     b.connect(r, r)
     b.net.add_target(r)
     return b.net, r
-
-
-def falsified_and_bounded_pair():
-    """Two targets over one toggling register: ``hit`` is reached at
-    t = 1, ``never`` (r AND NOT r) at no depth."""
-    b = NetlistBuilder("mix")
-    r = b.register(name="r")
-    b.connect(r, b.not_(r))
-    hit = b.buf(r, name="hit")
-    never = b.buf(b.and_(r, b.not_(r)), name="never")
-    b.net.add_target(hit)
-    b.net.add_target(never)
-    return b.net, hit, never
 
 
 def s1269():
@@ -121,19 +107,6 @@ class TestVerdictIdentity:
         assert result.certified
         assert snap["counters"]["cert.checked"] == 1
 
-    def test_bmc_multi_certified(self):
-        net, hit, never = falsified_and_bounded_pair()
-        with obs.scoped(obs.Registry("cert-int")) as reg:
-            results = bmc_multi(net, max_depth=3, certify=True)
-            snap = reg.snapshot()
-        assert results[hit].status == FALSIFIED
-        assert results[never].status == BOUNDED
-        assert results[hit].certified and results[never].certified
-        # One witness replay for ``hit``, plus one check of the shared
-        # proof log covering every refuted (target, frame) query.
-        assert snap["counters"]["cert.checked"] == 2
-        assert "cert.failed" not in snap["counters"]
-
     def test_k_induction_proof_certified(self):
         net, t = unreachable_target()
         with obs.scoped(obs.Registry("cert-int")) as reg:
@@ -154,13 +127,6 @@ class TestAdversarialCorruption:
         with inject(FaultPlan(corrupt_learnt=range(10 ** 6))):
             with pytest.raises(CertificationFailure) as info:
                 bmc(net, max_depth=12, certify=True)
-        assert info.value.stage == "proof"
-
-    def test_bmc_multi_corrupt_learnt_caught_by_proof_check(self):
-        net = s1269()
-        with inject(FaultPlan(corrupt_learnt=range(10 ** 6))):
-            with pytest.raises(CertificationFailure) as info:
-                bmc_multi(net, max_depth=12, certify=True)
         assert info.value.stage == "proof"
 
     def test_corrupt_learnt_accepted_silently_without_certification(self):

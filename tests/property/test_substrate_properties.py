@@ -80,19 +80,6 @@ def test_blif_round_trip_preserves_behaviour(net):
 
 @SETTINGS
 @given(small_netlists(max_registers=3, max_inputs=2))
-def test_bmc_multi_agrees_with_single(net):
-    from repro.unroll import bmc, bmc_multi
-
-    target = net.targets[0]
-    single = bmc(net, target, max_depth=6)
-    multi = bmc_multi(net, [target], max_depth=6)[target]
-    assert single.status == multi.status
-    if single.status == "falsified":
-        assert single.counterexample.depth == multi.counterexample.depth
-
-
-@SETTINGS
-@given(small_netlists(max_registers=3, max_inputs=2))
 def test_symbolic_oracle_agrees_with_explicit(net):
     assert symbolic_initial_depth(net) == initial_depth(net)
     target = net.targets[0]

@@ -4,9 +4,8 @@ The load-bearing property is the parity contract: stamping a compiled
 template must leave the solver in a state *element-wise identical* to
 the reference walk defined here (:func:`walk_frame`: ``encode_frame``
 plus the latch hold-mux tail) — same variable count, same clause
-stream, same level-0 assignments — in all three template modes.
-Everything downstream (the golden equivalence suite in
-``tests/integration``) follows from it.
+stream, same level-0 assignments.  Everything downstream (the golden
+equivalence suite in ``tests/integration``) follows from it.
 """
 
 from contextlib import contextmanager, nullcontext
@@ -18,7 +17,6 @@ from repro.netlist import GateType, NetlistBuilder, s27
 from repro.sat import CNF, CnfSink, Solver, encode_frame, encode_mux, pos
 from repro.sat import template as tmpl_mod
 from repro.sat.template import (
-    MODES,
     SLOT_BASE,
     FrameTemplate,
     _group_runs,
@@ -153,29 +151,13 @@ class TestGroupRuns:
 
 
 class TestCompile:
-    def test_unknown_mode_raises(self):
-        with pytest.raises(ValueError):
-            compile_template(s27(), "banana")
-
     def test_frame_mode_slots_are_state_elements(self):
         net = s27()
-        t = compile_template(net, "frame")
-        assert t.mode == "frame"
+        t = compile_template(net)
         assert list(t.slots) == net.state_elements
         assert set(t.next_state) == set(net.state_elements)
         assert t.core_clauses <= len(t.clauses)
         assert t.signature == net.signature()
-
-    def test_io_mode_slots_include_inputs(self):
-        net = s27()
-        t = compile_template(net, "io")
-        assert list(t.slots) == net.state_elements + list(net.inputs)
-
-    def test_init_mode_has_no_next_state(self):
-        net = s27()
-        t = compile_template(net, "init")
-        assert list(t.slots) == list(net.inputs)
-        assert t.next_state == {}
 
     def test_has_const0_matches_netlist_scan(self):
         net = s27()
@@ -200,36 +182,11 @@ class TestStampParity:
         templ = unrolling_fingerprint(net, 5, constrain_init, False)
         assert walked == templ
 
-    @pytest.mark.parametrize("mode", ["io", "init"])
-    def test_qbf_modes_match_encode_frame(self, mode):
-        """The QBF shapes: ``io`` takes the inputs as leaves next to
-        the state; ``init`` encodes only the register init cones."""
-        net = latched()
-        t = compile_template(net, mode)
-
-        def build(stamp):
-            solver = Solver()
-            sink = CnfSink(solver)
-            leaves = {v: pos(sink.new_var()) for v in t.slots}
-            if netlist_has_const0(net):
-                _ = sink.true_lit
-            if stamp:
-                lits, nxt = t.stamp(sink, leaves)
-            elif mode == "io":
-                lits, nxt = walk_frame(net, sink, leaves)
-            else:
-                roots = [net.gate(r).fanins[1] for r in net.registers]
-                lits = encode_frame(net, sink, dict(leaves), roots=roots)
-                nxt = {}
-            return solver_fingerprint(solver) + (lits, nxt)
-
-        assert build(False) == build(True)
-
     def test_stamp_into_cnf_backend_matches_encode_frame(self):
         """The non-solver (plain CNF) backend takes the generic path
         but must produce the same clause stream too."""
         net = counter(3)
-        t = compile_template(net, "frame")
+        t = compile_template(net)
 
         def build(use_tmpl):
             cnf = CNF()
@@ -249,7 +206,7 @@ class TestStampParity:
     def test_with_next_false_stops_at_core(self):
         # A latch forces a real hold-mux tail after the core.
         net = latched()
-        t = compile_template(net, "frame")
+        t = compile_template(net)
         assert t.core_clauses < len(t.clauses)
         solver = Solver()
         sink = CnfSink(solver)
@@ -274,8 +231,8 @@ class TestCacheAndToggle:
         net = s27()
         compiles = reg.counter_value("template.compiles")
         hits = reg.counter_value("template.hits")
-        a = get_template(net, "frame")
-        b = get_template(net, "frame")
+        a = get_template(net)
+        b = get_template(net)
         assert a is b
         assert reg.counter_value("template.compiles") == compiles + 1
         assert reg.counter_value("template.hits") == hits + 1
@@ -284,12 +241,6 @@ class TestCacheAndToggle:
         a = get_template(counter(2))
         b = get_template(counter(2))  # fresh object, same structure
         assert a is b
-
-    def test_modes_cached_independently(self):
-        net = s27()
-        assert get_template(net, "frame") \
-            is not get_template(net, "io")
-        assert template_cache_size() == 2
 
     def test_lru_evicts_oldest(self, monkeypatch):
         monkeypatch.setattr(tmpl_mod, "_CACHE_MAX", 2)

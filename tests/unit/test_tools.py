@@ -11,6 +11,7 @@ from repro.tools import load_netlist, save_netlist, trace_to_vcd
 from repro.tools.bound import main as bound_main
 from repro.tools.check import main as check_main
 from repro.tools.convert import main as convert_main
+from repro.tools.trace import main as trace_main
 from repro.tools.vcd import counterexample_to_vcd
 from repro.unroll import BOUNDED, FALSIFIED, bmc
 
@@ -248,8 +249,8 @@ class TestCLIs:
 
 #: (CLI, argv) pairs that are bad input; ``{...}`` names a path made by
 #: the test: a missing file, a file that is not a netlist, an empty
-#: ``.bench``, s27, and output files with a supported and an
-#: unsupported extension.
+#: ``.bench``, s27, an empty trace, and output files with a supported
+#: and an unsupported extension.
 BAD_INPUT = {
     "bound-missing": (bound_main, ["{missing}"]),
     "bound-not-a-netlist": (bound_main, ["{junk}"]),
@@ -273,6 +274,11 @@ BAD_INPUT = {
     "convert-destination": (convert_main, ["{s27}", "{bad_out}"]),
     "bound-timeout": (bound_main, ["{s27}", "--timeout", "-1"]),
     "bound-jobs": (bound_main, ["{s27}", "--jobs", "0"]),
+    "bound-threshold": (bound_main, ["{s27}", "--threshold", "0"]),
+    "bound-refine-gc": (bound_main, ["{s27}", "--refine-gc", "-1"]),
+    "trace-summary-top": (trace_main, ["summary", "{trace}", "--top", "-1"]),
+    "trace-diff-top": (trace_main, [
+        "diff", "{trace}", "{trace}", "--top", "-1"]),
     **{f"check-{method}-max-depth": (check_main, [
         "{s27}", "--method", method, "--max-depth", "-1"])
        for method in ("bmc", "induction", "cegar")},
@@ -299,8 +305,11 @@ class TestCLIBadInput:
         junk.write_text("hello world\n")
         empty = tmp_path / "empty.bench"
         empty.write_text("")
+        trace = tmp_path / "run.trace"
+        trace.write_text("")
         paths = {"missing": str(tmp_path / "missing.aag"),
                  "junk": str(junk), "empty": str(empty), "s27": s27_bench,
+                 "trace": str(trace),
                  "out": str(tmp_path / "out.aag"),
                  "bad_out": str(tmp_path / "out.xyz")}
         main, argv = BAD_INPUT[case]

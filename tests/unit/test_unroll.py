@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 from repro import obs
 from repro.diameter import first_hit_time
 from repro.gen.protocols import round_robin_arbiter
-from repro.netlist import GateType, Netlist, NetlistBuilder, s27
+from repro.netlist import NetlistBuilder, s27
 from repro.unroll import (
     ABORTED,
     BOUNDED,
@@ -15,10 +15,10 @@ from repro.unroll import (
     PROVEN,
     Unrolling,
     bmc,
-    bmc_multi,
     k_induction,
     replay_counterexample,
 )
+from repro.resilience import FAULT_TIMEOUT, FaultPlan, inject
 from repro.sat import SAT, UNSAT
 
 from ..property.strategies import small_netlists
@@ -211,8 +211,7 @@ class TestKInduction:
         # add k(k+1)/2 in round k.
         net, t = counter_target(bits, 2 ** bits - 1)
         with obs.scoped(obs.Registry("t")) as reg:
-            result = k_induction(net, t, max_k=bits,
-                                 conflict_budget=20000)
+            result = k_induction(net, t, max_k=bits)
             counters = reg.snapshot()["counters"]
         assert result.status == BOUNDED
         assert result.depth_checked == bits
@@ -280,28 +279,13 @@ class TestKInduction:
         assert result.counterexample.depth == 7
 
 
-def contradiction_target():
-    """Target = AND(x, NOT x), built raw so nothing simplifies it.
-
-    The frame-0 query is UNSAT but only via search (one conflict), so a
-    zero conflict budget forces an abort on the very first frame.
-    """
-    net = Netlist("contradiction")
-    x = net.add_gate(GateType.INPUT, (), name="x")
-    nx = net.add_gate(GateType.NOT, (x,))
-    t = net.add_gate(GateType.AND, (x, nx))
-    net.add_target(t)
-    return net, t
-
-
 class TestBMCDepthCheckedInvariant:
     """frames 0 .. depth_checked - 1 are definitively resolved."""
 
     @pytest.mark.parametrize("check", [
         lambda net, t: bmc(net, t, max_depth=-1),
-        lambda net, t: bmc_multi(net, [t], max_depth=-1),
         lambda net, t: k_induction(net, t, max_k=-1),
-    ], ids=["bmc", "bmc_multi", "k_induction"])
+    ], ids=["bmc", "k_induction"])
     def test_negative_depth_is_rejected(self, check):
         # A window of -1 frames has no depth_checked to report.
         net, t = unreachable_target()
@@ -316,25 +300,21 @@ class TestBMCDepthCheckedInvariant:
         assert result.depth_checked == 6
 
     def test_aborted_at_depth_zero(self):
-        net, t = contradiction_target()
-        result = bmc(net, t, max_depth=5, conflict_budget=0)
+        # The frame-0 query times out: no frame is resolved.
+        net, t = unreachable_target()
+        with inject(FaultPlan(at={0: FAULT_TIMEOUT})):
+            result = bmc(net, t, max_depth=5)
         assert result.status == ABORTED
         assert result.depth_checked == 0
         assert result.counterexample is None
         assert not result.is_complete
 
     def test_aborted_mid_window(self):
-        # The contradiction delayed by one register: frame 0 refutes by
-        # propagation alone (init = 0), the frame-1 query needs its one
-        # conflict and exhausts the zero budget — abort with exactly
-        # one frame resolved.
-        net = Netlist("delayed")
-        x = net.add_gate(GateType.INPUT, (), name="x")
-        nx = net.add_gate(GateType.NOT, (x,))
-        a = net.add_gate(GateType.AND, (x, nx))
-        r = net.add_gate(GateType.REGISTER, (a, net.const0()))
-        net.add_target(r)
-        result = bmc(net, r, max_depth=8, conflict_budget=0)
+        # Frame 0 is refuted and the frame-1 query times out: abort
+        # with exactly one frame resolved.
+        net, t = unreachable_target()
+        with inject(FaultPlan(at={1: FAULT_TIMEOUT})):
+            result = bmc(net, t, max_depth=8)
         assert result.status == ABORTED
         assert result.depth_checked == 1
 
@@ -362,62 +342,3 @@ class TestBMCDepthCheckedInvariant:
         result = bmc(net, t, max_depth=4)
         assert result.status == BOUNDED
         assert result.depth_checked == 4
-
-    def test_multi_proven_depth_equals_bound(self):
-        net, t = unreachable_target()
-        results = bmc_multi(net, [t], max_depth=6,
-                            complete_bounds={t: 2})
-        assert results[t].status == PROVEN
-        assert results[t].depth_checked == 2
-
-    def test_multi_bound_equal_to_max_depth_proven_after_loop(self):
-        net, t = unreachable_target()
-        results = bmc_multi(net, [t], max_depth=4,
-                            complete_bounds={t: 4})
-        assert results[t].status == PROVEN
-        assert results[t].depth_checked == 4
-
-    def test_multi_mixed_complete_bounds_under_query_budget(self):
-        # Two unreachable targets, windows 2 and 10, and a deadline
-        # that passes after exactly the queries for frames 0-1 (two
-        # targets x two frames).  At frame 2 the first target's window
-        # closes (PROVEN, no query spent) while the second hits the
-        # deadline: ABORTED at the same frame with the structured
-        # reason.  This pins the BMCResult contract: PROVEN
-        # depth_checked is the closed window, ABORTED depth_checked is
-        # the first unverified frame.
-        from repro.resilience import FAULT_TIMEOUT, FaultPlan, inject
-
-        b = NetlistBuilder("mixed")
-        r0 = b.register(name="r0")
-        r1 = b.register(name="r1")
-        b.connect(r0, r0)
-        b.connect(r1, r1)
-        a = b.buf(r0, name="a")
-        c = b.buf(r1, name="c")
-        b.net.add_target(a)
-        b.net.add_target(c)
-        with inject(FaultPlan(after=4, action=FAULT_TIMEOUT)):
-            results = bmc_multi(b.net, [a, c], max_depth=8,
-                                complete_bounds={a: 2, c: 10})
-        assert results[a].status == PROVEN
-        assert results[a].depth_checked == 2
-        assert results[a].exhaustion_reason is None
-        assert results[c].status == ABORTED
-        assert results[c].depth_checked == 2
-        assert results[c].exhaustion_reason == "deadline"
-
-    def test_multi_falsified_and_bounded_mix(self):
-        b = NetlistBuilder("mix")
-        r = b.register(name="r")
-        b.connect(r, b.not_(r))
-        hit = b.buf(r, name="hit")  # true at t = 1
-        never = b.buf(b.and_(r, b.not_(r)), name="never")
-        b.net.add_target(hit)
-        b.net.add_target(never)
-        results = bmc_multi(b.net, max_depth=3)
-        assert results[hit].status == FALSIFIED
-        assert results[hit].depth_checked == \
-            results[hit].counterexample.depth + 1 == 2
-        assert results[never].status == BOUNDED
-        assert results[never].depth_checked == 3
