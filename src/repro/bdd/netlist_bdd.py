@@ -18,7 +18,11 @@ from .bdd import BDD, BDDNode
 
 
 class SymbolicNetlist:
-    """BDD manager bound to a netlist's state and input variables."""
+    """BDD manager bound to a netlist's state and input variables.
+
+    The netlist must not change while the view lives: the variable
+    maps and the memoized next-state functions describe it as built.
+    """
 
     def __init__(self, net: Netlist, manager: Optional[BDD] = None) -> None:
         self.net = net
@@ -32,6 +36,8 @@ class SymbolicNetlist:
         base = 2 * len(self.state_vars)
         for j, vid in enumerate(net.inputs):
             self.input_vars[vid] = base + j
+        # Next-state functions by state element, built on first use.
+        self._next_fns: Dict[int, BDDNode] = {}
 
     # ------------------------------------------------------------------
     def cone(self, root: int,
@@ -91,15 +97,22 @@ class SymbolicNetlist:
 
         For a register this is the cone of its ``next`` edge; for a
         latch (registered hold semantics) it is
-        ``clock ? data : current``.
+        ``clock ? data : current``.  Built once per state element and
+        memoized: the netlist must not change while this view of it
+        lives (every image step of a reachability run asks again).
         """
-        gate = self.net.gate(state_vid)
-        if gate.type is GateType.REGISTER:
-            return self.cone(gate.fanins[0])
-        data, clock = gate.fanins
-        return self.bdd.ite(
-            self.cone(clock), self.cone(data),
-            self.bdd.var(self.state_vars[state_vid]))
+        node = self._next_fns.get(state_vid)
+        if node is None:
+            gate = self.net.gate(state_vid)
+            if gate.type is GateType.REGISTER:
+                node = self.cone(gate.fanins[0])
+            else:
+                data, clock = gate.fanins
+                node = self.bdd.ite(
+                    self.cone(clock), self.cone(data),
+                    self.bdd.var(self.state_vars[state_vid]))
+            self._next_fns[state_vid] = node
+        return node
 
     def initial_states(self) -> BDDNode:
         """Characteristic function of the initial state set ``Z``.

@@ -10,13 +10,26 @@ the experiments of Section 4 use every primary output as a target).
 from __future__ import annotations
 
 import hashlib
-from typing import Dict, Iterable, Iterator, List, Optional, Tuple
+from typing import Callable, Dict, Hashable, Iterable, Iterator, List, \
+    Optional, Tuple
 
 from .types import Gate, GateType, NetlistError
 
 
 class Netlist:
-    """A gate-level netlist with registers, latches and targets."""
+    """A gate-level netlist with registers, latches and targets.
+
+    Views derived from the gate structure alone are computed once and
+    memoized: :meth:`signature`, :attr:`state_elements`, the per-type
+    vertex lists (:meth:`vertices_of_type`, :attr:`inputs`,
+    :attr:`registers`, :attr:`latches`) and the whole-netlist
+    :func:`~repro.netlist.traversal.topological_order`.  One rule keeps
+    them fresh: every gate mutation (:meth:`add`, :meth:`set_fanins`,
+    :meth:`replace_gate`) drops them all.  Targets, outputs and names
+    are outside every view.  A memo holds a tuple and callers receive a
+    fresh list, so no caller can corrupt it; :meth:`copy` shares the
+    memos, since the copy starts with the same gates.
+    """
 
     def __init__(self, name: str = "netlist") -> None:
         self.name = name
@@ -27,9 +40,11 @@ class Netlist:
         self.outputs: List[int] = []
         # The single shared constant-0 vertex, created lazily.
         self._const0: Optional[int] = None
-        # Memoized structural signature; None until computed, reset by
-        # every gate mutation (add / set_fanins / replace_gate).
+        # Memoized structural signature and views (see the class
+        # docstring); both reset by every gate mutation (add /
+        # set_fanins / replace_gate).
         self._sig: Optional[str] = None
+        self._views: Dict[Hashable, Tuple[int, ...]] = {}
 
     # ------------------------------------------------------------------
     # Construction
@@ -46,6 +61,7 @@ class Netlist:
         self._next_id += 1
         self._gates[vid] = gate
         self._sig = None
+        self._views.clear()
         if gate.name is not None:
             if gate.name in self._names:
                 raise NetlistError(f"duplicate gate name {gate.name!r}")
@@ -74,6 +90,7 @@ class Netlist:
                 raise NetlistError(f"fanin {f} does not exist")
         self._gates[vid] = self._gates[vid].with_fanins(fanins)
         self._sig = None
+        self._views.clear()
 
     def replace_gate(self, vid: int, gate: Gate) -> None:
         """Replace the gate at ``vid`` wholesale (type change allowed)."""
@@ -85,6 +102,7 @@ class Netlist:
             del self._names[old.name]
         self._gates[vid] = gate
         self._sig = None
+        self._views.clear()
         if gate.name is not None:
             if gate.name in self._names and self._names[gate.name] != vid:
                 raise NetlistError(f"duplicate gate name {gate.name!r}")
@@ -126,9 +144,27 @@ class Netlist:
         """Look a vertex up by its name."""
         return self._names[name]
 
+    def memoized(self, key: Hashable,
+                 compute: Callable[[], Tuple[int, ...]]) -> Tuple[int, ...]:
+        """The view ``key`` of the gate structure, computed by
+        ``compute`` on first use and kept until the next gate mutation.
+
+        ``compute`` must depend on the gates alone (not on targets,
+        outputs or names) and return a tuple.  A ``compute`` that
+        raises memoizes nothing.
+        """
+        view = self._views.get(key)
+        if view is None:
+            view = self._views[key] = compute()
+        return view
+
     def vertices_of_type(self, gtype: GateType) -> List[int]:
         """All vertex ids with the given gate type, in insertion order."""
-        return [v for v, g in self._gates.items() if g.type is gtype]
+        return list(self._of_type(gtype))
+
+    def _of_type(self, gtype: GateType) -> Tuple[int, ...]:
+        return self.memoized(gtype, lambda: tuple(
+            v for v, g in self._gates.items() if g.type is gtype))
 
     @property
     def inputs(self) -> List[int]:
@@ -147,12 +183,13 @@ class Netlist:
 
     @property
     def state_elements(self) -> List[int]:
-        """Registers and latches together."""
-        return [v for v, g in self._gates.items() if g.is_state]
+        """Registers and latches together, in insertion order."""
+        return list(self.memoized("state_elements", lambda: tuple(
+            v for v, g in self._gates.items() if g.is_state)))
 
     def num_registers(self) -> int:
         """``|R|`` — number of registers."""
-        return sum(1 for _, g in self._gates.items() if g.type is GateType.REGISTER)
+        return len(self._of_type(GateType.REGISTER))
 
     def fanout_map(self) -> Dict[int, List[int]]:
         """Map each vertex to the list of vertices reading it (all edges)."""
@@ -204,7 +241,10 @@ class Netlist:
         other.targets = list(self.targets)
         other.outputs = list(self.outputs)
         other._const0 = self._const0
-        other._sig = self._sig  # same gate structure, same signature
+        # Same gate structure, same signature and views.  The memo
+        # dict itself is not shared: each side clears its own.
+        other._sig = self._sig
+        other._views = dict(self._views)
         return other
 
     def __repr__(self) -> str:

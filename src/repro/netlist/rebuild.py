@@ -29,6 +29,9 @@ class _Rebuilder:
         self.subst = subst
         self.dst = Netlist(name)
         self.new_of_old: Dict[int, int] = {}
+        # Copied state elements as (old, new), in copy order: the
+        # sequential edges :meth:`patch_state` wires.
+        self.state_copies: List[Tuple[int, int]] = []
         self.hash_cons: Dict[Tuple, int] = {}
         self.const0 = self.dst.const0()
         self.const1 = self.dst.add_gate(GateType.NOT, (self.const0,))
@@ -36,26 +39,31 @@ class _Rebuilder:
         self.hash_cons[(GateType.NOT, (self.const0,))] = self.const1
 
     def resolve(self, vid: int) -> int:
+        subst = self.subst
+        if subst.get(vid, vid) == vid:
+            return vid
         seen = set()
-        while vid in self.subst and self.subst[vid] != vid:
+        while vid in subst and subst[vid] != vid:
             if vid in seen:
                 break
             seen.add(vid)
-            vid = self.subst[vid]
+            vid = subst[vid]
         return vid
 
     def map_vertex(self, old: int) -> int:
         """Translate ``old`` (a source vertex) into the new netlist."""
+        new_of_old = self.new_of_old
+        resolve = self.resolve
         stack = [old]
         while stack:
             vid = stack[-1]
-            rep = self.resolve(vid)
-            if vid in self.new_of_old:
+            if vid in new_of_old:
                 stack.pop()
                 continue
+            rep = resolve(vid)
             if rep != vid:
-                if rep in self.new_of_old:
-                    self.new_of_old[vid] = self.new_of_old[rep]
+                if rep in new_of_old:
+                    new_of_old[vid] = new_of_old[rep]
                     stack.pop()
                 else:
                     stack.append(rep)
@@ -66,19 +74,19 @@ class _Rebuilder:
                 # terminate, then queue fanins; edges are patched later.
                 placeholder = Gate(gate.type, (self.const0, self.const0),
                                    self._fresh_name(gate.name))
-                self.new_of_old[vid] = self.dst.add(placeholder)
+                new = new_of_old[vid] = self.dst.add(placeholder)
+                self.state_copies.append((vid, new))
                 stack.pop()
                 continue
-            missing = [f for f in map(self.resolve, gate.fanins)
-                       if f not in self.new_of_old]
+            reps = [resolve(f) for f in gate.fanins]
+            missing = [f for f in reps if f not in new_of_old]
             if missing:
                 stack.extend(missing)
                 continue
-            fanins = tuple(self.new_of_old[self.resolve(f)]
-                           for f in gate.fanins)
-            self.new_of_old[vid] = self._make(gate, fanins)
+            new_of_old[vid] = self._make(
+                gate, tuple(new_of_old[f] for f in reps))
             stack.pop()
-        return self.new_of_old[old]
+        return new_of_old[old]
 
     def _fresh_name(self, name: Optional[str]) -> Optional[str]:
         if name is None:
@@ -200,13 +208,21 @@ class _Rebuilder:
         return self._make(Gate(gtype, fanins, name), fanins)
 
     def patch_state(self) -> None:
-        """Second phase: wire the sequential edges of copied state gates."""
-        for old, new in list(self.new_of_old.items()):
-            gate = self.src.gate(old)
-            if not gate.is_state or self.resolve(old) != old:
-                continue
+        """Second phase: wire the sequential edges of copied state gates.
+
+        Each copied state element is wired once, in copy order.  Wiring
+        one may copy more state (its next-state cone can reach state
+        outside the roots' cones); the new copies join the end of
+        :attr:`state_copies` and are wired in turn, so one pass reaches
+        the fixpoint.
+        """
+        copies = self.state_copies
+        i = 0
+        while i < len(copies):
+            old, new = copies[i]
+            i += 1
             fanins = tuple(self.map_vertex(self.resolve(f))
-                           for f in gate.fanins)
+                           for f in self.src.gate(old).fanins)
             self.dst.set_fanins(new, fanins)
 
 
@@ -222,6 +238,10 @@ def rebuild(
     vertex ids (of every vertex in the retained cone) to new ids.  The
     roots default to the union of targets and outputs; targets/outputs
     are re-registered on the new netlist in order.
+
+    The work is linear in the retained cone: every source vertex is
+    translated once, and every copied state element has its sequential
+    edges wired once (:meth:`_Rebuilder.patch_state`).
     """
     if roots is None:
         roots = list(dict.fromkeys(list(net.targets) + list(net.outputs)))
@@ -230,11 +250,7 @@ def rebuild(
     rb = _Rebuilder(net, substitution or {}, name or net.name)
     for root in roots:
         rb.map_vertex(root)
-    # Patching may pull more state into the cone; iterate to fixpoint.
-    prev = -1
-    while prev != len(rb.new_of_old):
-        prev = len(rb.new_of_old)
-        rb.patch_state()
+    rb.patch_state()
     out = rb.dst
     # Substituted vertices map to wherever their representative went.
     for old in (substitution or {}):

@@ -8,7 +8,8 @@ decomposition (used by the structural diameter bound of Section 4).
 
 from __future__ import annotations
 
-from typing import Dict, FrozenSet, Iterable, List, Sequence, Set, Tuple
+from typing import Dict, FrozenSet, Iterable, List, Optional, Sequence, \
+    Set, Tuple
 
 from .netlist import Netlist
 from .types import GateType, NetlistError
@@ -33,35 +34,46 @@ def topological_order(
     """Topologically sort the combinational logic feeding ``roots``.
 
     State elements, inputs and constants appear before the gates that
-    read them.  With ``roots=None`` the whole netlist is sorted.
+    read them.  With ``roots=None`` the whole netlist is sorted, once
+    per gate structure: the order is memoized on ``net``
+    (:meth:`Netlist.memoized`) and each call returns a fresh list.
     Raises :class:`NetlistError` on a combinational cycle.
     """
     if roots is None:
-        roots = list(net)
+        return list(net.memoized(
+            "topological_order", lambda: tuple(_sort(net, list(net)))))
+    return _sort(net, roots)
+
+
+def _sort(net: Netlist, roots: Sequence[int]) -> List[int]:
     order: List[int] = []
     # 0 = unvisited, 1 = on stack (being expanded), 2 = done.
     state: Dict[int, int] = {}
     for root in roots:
         if state.get(root) == 2:
             continue
-        stack: List[Tuple[int, int]] = [(root, 0)]
+        # Entries are (vid, next fanin index, combinational fanins);
+        # the fanins are None until the vertex is entered.
+        stack: List[Tuple[int, int, Optional[Tuple[int, ...]]]] = \
+            [(root, 0, None)]
         while stack:
-            vid, idx = stack.pop()
-            if idx == 0:
-                if state.get(vid) == 2:
+            vid, idx, fanins = stack.pop()
+            if fanins is None:
+                mark = state.get(vid)
+                if mark == 2:
                     continue
-                if state.get(vid) == 1:
+                if mark == 1:
                     raise NetlistError(f"combinational cycle through {vid}")
                 state[vid] = 1
-            fanins = combinational_fanins(net, vid)
+                fanins = combinational_fanins(net, vid)
             while idx < len(fanins) and state.get(fanins[idx]) == 2:
                 idx += 1
             if idx < len(fanins):
                 child = fanins[idx]
                 if state.get(child) == 1:
                     raise NetlistError(f"combinational cycle through {child}")
-                stack.append((vid, idx + 1))
-                stack.append((child, 0))
+                stack.append((vid, idx + 1, fanins))
+                stack.append((child, 0, None))
             else:
                 state[vid] = 2
                 order.append(vid)

@@ -42,6 +42,14 @@ class GateType(enum.Enum):
     REGISTER = "register"  # fanins (next, init)
     LATCH = "latch"  # fanins (data, clock); transparent while clock == 1
 
+    # Members are singletons compared by identity, so the C-level
+    # identity hash is consistent with equality.  ``Enum.__hash__`` is
+    # a Python function, and every type test against the frozensets
+    # below (``Gate.is_state`` alone, hundreds of thousands of times a
+    # table) would call it.  No output depends on the hash: these sets
+    # and dicts are only probed, never iterated into a result.
+    __hash__ = object.__hash__
+
 
 # Number of fanins each gate type requires; ``None`` means "one or more".
 _ARITY = {

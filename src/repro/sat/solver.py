@@ -268,27 +268,42 @@ class Solver:
         return True
 
     def add_cnf(self, cnf: CNF) -> bool:
-        """Load all clauses of a :class:`~repro.sat.cnf.CNF`.
+        """Load all clauses of a :class:`~repro.sat.cnf.CNF` through
+        :meth:`add_clauses`."""
+        if cnf.num_vars:
+            self._ensure_var(cnf.num_vars - 1)
+        return self.add_clauses([list(clause) for clause in cnf.clauses])
+
+    def add_clauses(self, clauses: Iterable[List[int]]) -> bool:
+        """Add ``clauses`` in order, as one :meth:`add_clause` each would.
 
         Pre-validated clauses — at least two literals over pairwise
         distinct variables (no duplicate literals, no tautologies) —
         are routed through the :meth:`add_clauses_bulk` fast path in
-        maximal runs; anything else (units, empties, duplicates,
-        tautologies) takes the normalising :meth:`add_clause` slow
-        path at its original stream position, so the resulting solver
-        state is element-wise identical to loading every clause
-        individually.
+        maximal runs, and the solver takes ownership of their lists;
+        anything else (units, empties, duplicates, tautologies) takes
+        the normalising :meth:`add_clause` slow path at its original
+        stream position, so the resulting solver state is element-wise
+        identical to loading every clause individually.  Every variable
+        must already be allocated.
         """
-        if cnf.num_vars:
-            self._ensure_var(cnf.num_vars - 1)
+        if self._elim_count:
+            # The bulk loader restores every eliminated variable of a
+            # run before it adds the run's first clause; one-at-a-time
+            # loading restores each at the clause that mentions it, and
+            # only that keeps the restored clauses at their positions.
+            for clause in clauses:
+                if not self.add_clause(clause):
+                    return False
+            return True
         batch: List[List[int]] = []
-        for clause in cnf.clauses:
+        for clause in clauses:
             if len(clause) >= 2 and \
                     len({lit >> 1 for lit in clause}) == len(clause):
                 # Bulk-eligible; the bulk loader re-checks level-0
                 # assignments per clause, so interleaved units are
                 # still normalised correctly.
-                batch.append(list(clause))
+                batch.append(clause)
                 continue
             if batch:
                 if not self.add_clauses_bulk(batch):

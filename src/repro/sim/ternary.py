@@ -11,7 +11,8 @@ structural diameter bound, and merge fodder for the COM engine.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Tuple
+import heapq
+from typing import Dict, List, Optional
 
 from ..netlist import Gate, GateType, Netlist, topological_order
 
@@ -22,39 +23,6 @@ X = 2
 def _meet(a: int, b: int) -> int:
     """Information meet: equal values stay, conflicts go to X."""
     return a if a == b else X
-
-
-#: Plan entry kinds.
-_STATE, _INPUT, _GATE = 0, 1, 2
-
-
-def _plan(net: Netlist) -> List[Tuple[int, int, Gate]]:
-    """``(vid, kind, gate)`` in topological order, built once per
-    :func:`constant_state_elements` call."""
-    plan = []
-    for vid in topological_order(net):
-        gate = net.gate(vid)
-        if gate.is_state:
-            kind = _STATE
-        elif gate.type is GateType.INPUT:
-            kind = _INPUT
-        else:
-            kind = _GATE
-        plan.append((vid, kind, gate))
-    return plan
-
-
-def _eval_plan(plan: List[Tuple[int, int, Gate]], state: Dict[int, int],
-               inputs: Dict[int, int]) -> Dict[int, int]:
-    values: Dict[int, int] = {}
-    for vid, kind, gate in plan:
-        if kind == _GATE:
-            values[vid] = _eval(gate, values)
-        elif kind == _STATE:
-            values[vid] = state.get(vid, X)
-        else:
-            values[vid] = inputs.get(vid, X)
-    return values
 
 
 def _eval(gate, values: Dict[int, int]) -> int:
@@ -138,31 +106,80 @@ def constant_state_elements(net: Netlist,
     every state element still binary at the fixpoint.  The fixpoint is
     reached in at most ``|R| + 1`` iterations (each iteration can only
     move values down the information order).
+
+    Each iteration is synchronous: every state element's next value
+    comes from the current state.  The iterations are event-driven.
+    The first evaluates every gate and every state element.  A later
+    one re-evaluates, in topological order, only the gates downstream
+    of a state element that changed, and recomputes only the binary
+    state elements that read a changed value (a state element only
+    ever changes to X, where it stays).  Every other value would come
+    out the same, so each iteration ends in the state a full pass
+    would reach, also when ``max_iterations`` stops early.
     """
     state = ternary_initial_state(net)
     limit = max_iterations or (len(state) + 1)
-    plan = _plan(net)
-    updates = [(vid, net.gate(vid)) for vid in state]
+    order = topological_order(net)
+    # Per vertex: the topological positions of the gates reading it,
+    # and the state elements whose update reads it.
+    fanouts: Dict[int, List[int]] = {}
+    readers: Dict[int, List[int]] = {}
+    values: Dict[int, int] = {}
+    for position, vid in enumerate(order):
+        gate = net.gate(vid)
+        if gate.is_state:
+            values[vid] = state[vid]
+            edges = gate.fanins[:1] if gate.type is GateType.REGISTER \
+                else gate.fanins
+            for f in edges:
+                readers.setdefault(f, []).append(vid)
+        elif gate.type is GateType.INPUT:
+            values[vid] = X
+        else:
+            values[vid] = _eval(gate, values)
+            for f in gate.fanins:
+                fanouts.setdefault(f, []).append(position)
+    due = list(state)
     for _ in range(limit):
-        values = _eval_plan(plan, state, {})
-        nxt: Dict[int, int] = {}
-        changed = False
-        for vid, gate in updates:
-            if gate.type is GateType.REGISTER:
-                new = _meet(state[vid], values[gate.fanins[0]])
-            else:
-                data, clock = gate.fanins
-                c = values[clock]
-                if c == 0:
-                    new = state[vid]
-                elif c == 1:
-                    new = _meet(state[vid], values[data])
-                else:
-                    new = _meet(state[vid], _meet(values[data], state[vid]))
-            if new != state[vid]:
-                changed = True
-            nxt[vid] = new
-        state = nxt
+        changed = [(vid, new) for vid, new in
+                   ((vid, _next_state(net.gate(vid), state[vid], values))
+                    for vid in due)
+                   if new != state[vid]]
         if not changed:
             break
+        touched = set()
+        queue: List[int] = []
+        queued = set()
+        for vid, new in changed:
+            state[vid] = values[vid] = new
+            touched.update(readers.get(vid, ()))
+            for position in fanouts.get(vid, ()):
+                if position not in queued:
+                    queued.add(position)
+                    heapq.heappush(queue, position)
+        while queue:
+            vid = order[heapq.heappop(queue)]
+            new = _eval(net.gate(vid), values)
+            if new == values[vid]:
+                continue
+            values[vid] = new
+            touched.update(readers.get(vid, ()))
+            for position in fanouts.get(vid, ()):
+                if position not in queued:
+                    queued.add(position)
+                    heapq.heappush(queue, position)
+        due = [vid for vid in state if vid in touched and state[vid] != X]
     return {vid: val for vid, val in state.items() if val != X}
+
+
+def _next_state(gate: Gate, current: int, values: Dict[int, int]) -> int:
+    """A state element's value after one step from ``current``."""
+    if gate.type is GateType.REGISTER:
+        return _meet(current, values[gate.fanins[0]])
+    data, clock = gate.fanins
+    c = values[clock]
+    if c == 0:
+        return current
+    if c == 1:
+        return _meet(current, values[data])
+    return _meet(current, _meet(values[data], current))

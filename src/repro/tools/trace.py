@@ -38,6 +38,15 @@ from ..obs import trace as _trace
 from .io import at_least
 
 
+def _trace_files(parser: argparse.ArgumentParser, path: str) -> List[str]:
+    """The trace files at ``path``, the worker siblings included; none
+    is a usage error (exit 2, one ``error:`` line on stderr)."""
+    paths = _trace.discover_trace_files(path)
+    if not paths:
+        parser.error(f"no trace files at {path}")
+    return paths
+
+
 # ----------------------------------------------------------------------
 # summary
 # ----------------------------------------------------------------------
@@ -89,11 +98,9 @@ def _counter_totals(records: List[Dict[str, Any]]) -> Dict[str, int]:
     return totals
 
 
-def _cmd_summary(args: argparse.Namespace) -> int:
-    paths = _trace.discover_trace_files(args.trace)
-    if not paths:
-        print(f"no trace files at {args.trace}")
-        return 2
+def _cmd_summary(args: argparse.Namespace,
+                 parser: argparse.ArgumentParser) -> int:
+    paths = _trace_files(parser, args.trace)
     records = _trace.stitch_files(paths)
     by_type: Dict[str, int] = {}
     pids = set()
@@ -136,11 +143,9 @@ def _cmd_summary(args: argparse.Namespace) -> int:
 # ----------------------------------------------------------------------
 # export
 # ----------------------------------------------------------------------
-def _cmd_export(args: argparse.Namespace) -> int:
-    paths = _trace.discover_trace_files(args.trace)
-    if not paths:
-        print(f"no trace files at {args.trace}")
-        return 2
+def _cmd_export(args: argparse.Namespace,
+                parser: argparse.ArgumentParser) -> int:
+    paths = _trace_files(parser, args.trace)
     records = _trace.stitch_files(paths)
     if args.format == "chrome":
         document = _trace.to_chrome(records)
@@ -192,11 +197,9 @@ def collapsed_stacks(records: List[Dict[str, Any]]) -> List[str]:
     return lines
 
 
-def _cmd_flame(args: argparse.Namespace) -> int:
-    paths = _trace.discover_trace_files(args.trace)
-    if not paths:
-        print(f"no trace files at {args.trace}")
-        return 2
+def _cmd_flame(args: argparse.Namespace,
+               parser: argparse.ArgumentParser) -> int:
+    paths = _trace_files(parser, args.trace)
     records = _trace.stitch_files(paths)
     lines = collapsed_stacks(records)
     if not lines:
@@ -218,14 +221,11 @@ def _cmd_flame(args: argparse.Namespace) -> int:
 # ----------------------------------------------------------------------
 # diff
 # ----------------------------------------------------------------------
-def _cmd_diff(args: argparse.Namespace) -> int:
+def _cmd_diff(args: argparse.Namespace,
+              parser: argparse.ArgumentParser) -> int:
     sides = []
     for base in (args.trace_a, args.trace_b):
-        paths = _trace.discover_trace_files(base)
-        if not paths:
-            print(f"no trace files at {base}")
-            return 2
-        records = _trace.stitch_files(paths)
+        records = _trace.stitch_files(_trace_files(parser, base))
         totals, counts = _span_totals(records)
         sides.append((_self_times(totals), counts,
                       _counter_totals(records)))
@@ -300,7 +300,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     p_diff.set_defaults(fn=_cmd_diff)
 
     args = parser.parse_args(argv)
-    return args.fn(args)
+    return args.fn(args, sub.choices[args.command])
 
 
 if __name__ == "__main__":

@@ -255,14 +255,19 @@ class _InductiveChecker:
         values while every class holds on frame 0."""
         solver = self.step_solver
         act = pos(solver.new_var())
-        sink = CnfSink(solver)
+        off = lit_not(act)
+        guards: List[List[int]] = []
         for cls in classes:
             a = self.frame0[cls[0]]
             for other in cls[1:]:
                 b = self.frame0[other]
                 # act -> (a <-> b)
-                sink.add_clause([lit_not(act), lit_not(a), b])
-                sink.add_clause([lit_not(act), a, lit_not(b)])
+                guards.append([off, lit_not(a), b])
+                guards.append([off, a, lit_not(b)])
+        # One call loads them all, and the database ends up clause for
+        # clause as if each were added alone (a pair that shares a
+        # solver variable gives tautologies, which add_clause drops).
+        solver.add_clauses(guards)
         split = self._split(solver, self.frame1, classes, [act],
                             self.numbering.frame1(classes))
         # Retire the round: one level-0 unit satisfies all of its guard
@@ -335,10 +340,9 @@ class _InductiveChecker:
                 assumptions: List[int]) -> str:
         """Solve ``assumptions AND la != lb``."""
         diff = pos(solver.new_var())
-        sink = CnfSink(solver)
+        off = lit_not(diff)
         # diff -> (a xor b)  (one direction suffices for the query)
-        sink.add_clause([lit_not(diff), la, lb])
-        sink.add_clause([lit_not(diff), lit_not(la), lit_not(lb)])
+        solver.add_clauses([[off, la, lb], [off, lit_not(la), lit_not(lb)]])
         obs.counter("com.sat_queries")
         result = solver.solve(assumptions + [diff],
                               conflict_budget=self.config.conflict_budget,
@@ -350,7 +354,7 @@ class _InductiveChecker:
         # wastes decisions and propagations on the accumulated junk in
         # all later queries (hundreds per sweep).  The unit leaves
         # ``solver.model`` intact for the caller.
-        solver.add_clause([lit_not(diff)])
+        solver.add_clause([off])
         return result
 
 

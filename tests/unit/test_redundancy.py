@@ -1,11 +1,14 @@
 """Unit tests for the COM (redundancy removal) engine."""
 
+import pytest
+
 from repro import obs
 from repro.core import StepKind, prove
 from repro.netlist import GateType, NetlistBuilder, s27
+from repro.sat import FlatSolver, LegacySolver
 from repro.sim import BitParallelSimulator
-from repro.transform import SweepConfig, redundancy_removal
-from repro.transform.redundancy import _StepNumbering
+from repro.transform import SweepConfig, redundancy, redundancy_removal
+from repro.transform.redundancy import _InductiveChecker, _StepNumbering
 
 
 def same_behaviour(net_a, net_b, target_a, target_b, cycles=8):
@@ -249,3 +252,45 @@ class TestRedundancyRemoval:
         # still be behaviourally sound.
         mapped = result.step.target_map[net.targets[0]]
         assert same_behaviour(net, result.netlist, net.targets[0], mapped)
+
+
+class TestClauseLoading:
+    """A step round bulk-loads its guard and query clauses; the solver
+    must end up exactly as if each clause had been added alone."""
+
+    @staticmethod
+    def fixture():
+        b = NetlistBuilder("loading")
+        x, y = b.input("x"), b.input("y")
+        r = b.register(None, init=b.const(0), name="r")
+        s = b.register(None, init=b.const(0), name="s")
+        g = b.and_(x, r)
+        h = b.or_(y, s)
+        b.connect(r, g)
+        b.connect(s, h)
+        # A BUF shares its fanin's solver variable, a NOT shares it
+        # negated, and the constant's literal is fixed at level 0.
+        buf = b.net.add_gate(GateType.BUF, (r,))
+        inv = b.net.add_gate(GateType.NOT, (s,))
+        c0 = b.net.const0()
+        t = b.buf(b.xor(buf, inv), name="t")
+        b.net.add_target(t)
+        classes = [sorted(cls) for cls in ([c0, g], [r, buf], [s, inv, h])]
+        return b.net, classes, (r, buf, c0)
+
+    @pytest.mark.parametrize("core", [FlatSolver, LegacySolver])
+    def test_split_step_matches_clause_by_clause(self, core, monkeypatch):
+        monkeypatch.setattr(redundancy, "Solver", core)
+        net, classes, (r, buf, c0) = self.fixture()
+        bulk = _InductiveChecker(net, SweepConfig())
+        single = _InductiveChecker(net, SweepConfig())
+        solver = single.step_solver
+        monkeypatch.setattr(solver, "add_clauses", lambda clauses: all(
+            solver.add_clause(clause) for clause in clauses))
+        assert type(bulk.step_solver) is core
+        assert bulk.frame0[r] == bulk.frame0[buf]
+        assert bulk.step_solver._value(bulk.frame0[c0]) is False
+        assert bulk.split_step(classes) == single.split_step(classes)
+        assert bulk.step_solver.clause_lits() == solver.clause_lits()
+        assert bulk.step_solver.learnt_lits() == solver.learnt_lits()
+        assert bulk.step_solver.stats() == solver.stats()

@@ -112,7 +112,11 @@ class TestFlame:
         assert all(re.fullmatch(r"\S+ \d+", line) for line in content)
 
     def test_flame_cli_missing_trace_exits_2(self, capsys):
-        assert trace_main(["flame", "/nonexistent.trace"]) == 2
+        with pytest.raises(SystemExit) as exc:
+            trace_main(["flame", "/nonexistent.trace"])
+        assert exc.value.code == 2
+        assert "error: no trace files at /nonexistent.trace" \
+            in capsys.readouterr().err
 
 
 # ----------------------------------------------------------------------
@@ -179,7 +183,11 @@ class TestDiff:
 
     def test_diff_missing_file_exits_2(self, tmp_path, capsys):
         a = _traced_run(tmp_path / "a.trace", [("w", [])])
-        assert trace_main(["diff", a, "/nonexistent.trace"]) == 2
+        with pytest.raises(SystemExit) as exc:
+            trace_main(["diff", a, "/nonexistent.trace"])
+        assert exc.value.code == 2
+        assert "error: no trace files at /nonexistent.trace" \
+            in capsys.readouterr().err
 
 
 # ----------------------------------------------------------------------

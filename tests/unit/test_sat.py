@@ -27,6 +27,7 @@ from repro.sat import (
     set_debug_checks,
     to_dimacs_lit,
 )
+from repro.sat.simplify import simplify_round
 
 #: Both data-layout cores; they must behave identically.
 CORES = [LegacySolver, FlatSolver]
@@ -556,6 +557,34 @@ class TestAddCnfBulkRouting:
         assert s.add_cnf(self._mixed_cnf())
         # Maximal runs between slow-path clauses: [2], [1], [1].
         assert batches == [2, 1, 1]
+
+    def test_add_cnf_restores_eliminated_variables_in_stream_order(
+            self, core):
+        # Variables 0 and 3 are eliminated, and each clause of the
+        # batch re-introduces one of them.  Loading clause by clause
+        # restores each variable's clauses just before the clause that
+        # mentions it; the bulk loader would restore both up front.
+        def eliminated():
+            s = core()
+            s.new_vars(6)
+            for var in (1, 2, 4, 5):
+                s.freeze(var)
+            for clause in ([pos(0), pos(1)], [neg(0), pos(2)],
+                           [pos(3), pos(4)], [neg(3), pos(5)]):
+                s.add_clause(clause)
+            assert simplify_round(s)
+            assert s.stats()["simplify_eliminated_vars"] == 2
+            return s
+
+        cnf = CNF()
+        cnf.add_clause([pos(0), neg(1)])
+        cnf.add_clause([pos(3), neg(4)])
+        a, b = eliminated(), eliminated()
+        assert a.add_cnf(cnf)
+        for cl in cnf.clauses:
+            assert b.add_clause(list(cl))
+        assert a.clause_lits() == b.clause_lits()
+        assert a.stats() == b.stats()
 
     def test_add_cnf_detects_unsat(self, core):
         cnf = CNF()

@@ -1,11 +1,15 @@
 """Unit tests for symbolic (BDD) reachability against the explicit oracle."""
 
+import pytest
+
+from repro.bdd import SymbolicNetlist
 from repro.diameter import first_hit_time, initial_depth
 from repro.diameter.symbolic import (
     symbolic_first_hit,
     symbolic_initial_depth,
     symbolic_reachability,
 )
+from repro.gen.protocols import fifo_with_flags, round_robin_arbiter
 from repro.netlist import NetlistBuilder, s27
 
 
@@ -59,6 +63,30 @@ class TestSymbolicReachability:
         net, t = counter(3)
         result = symbolic_reachability(net, max_steps=2)
         assert result.depth == 2
+
+
+class TestNextStateMemo:
+    """Each image step asks for every next-state function again; the
+    view builds each one once."""
+
+    def test_second_call_builds_nothing(self, monkeypatch):
+        net, _ = round_robin_arbiter(3)
+        sym = SymbolicNetlist(net)
+        first = {vid: sym.next_state_function(vid)
+                 for vid in net.state_elements}
+        calls = []
+        monkeypatch.setattr(sym, "cone", lambda *args: calls.append(args))
+        for vid, node in first.items():
+            assert sym.next_state_function(vid) is node
+        assert calls == []
+
+    @pytest.mark.parametrize("design, states, depth", [
+        *((round_robin_arbiter(n)[0], n, 1) for n in range(3, 7)),
+        (fifo_with_flags(3, 2)[0], 256, 4),
+    ])
+    def test_reachable_counts(self, design, states, depth):
+        result = symbolic_reachability(design)
+        assert (result.count_states(), result.depth) == (states, depth)
 
 
 class TestAgreementWithExplicitOracle:

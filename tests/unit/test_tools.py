@@ -279,6 +279,11 @@ BAD_INPUT = {
     "trace-summary-top": (trace_main, ["summary", "{trace}", "--top", "-1"]),
     "trace-diff-top": (trace_main, [
         "diff", "{trace}", "{trace}", "--top", "-1"]),
+    # A trace path with no trace file behind it.
+    "trace-summary-missing": (trace_main, ["summary", "{missing}"]),
+    "trace-export-missing": (trace_main, ["export", "{missing}"]),
+    "trace-flame-missing": (trace_main, ["flame", "{missing}"]),
+    "trace-diff-missing": (trace_main, ["diff", "{trace}", "{missing}"]),
     **{f"check-{method}-max-depth": (check_main, [
         "{s27}", "--method", method, "--max-depth", "-1"])
        for method in ("bmc", "induction", "cegar")},
