@@ -13,8 +13,9 @@ replayed structurally, pairing each deletion with exactly one clause
 the solver's watched-literal swaps permute stored literal order and
 its add-time normalisation deduplicates literals after the addition
 was logged, while duplicate copies of one clause must remain distinct
-instances (deleting a copy leaves the others live).  The checker then
-walks the timeline in reverse:
+instances (deleting a copy leaves the others live).  Each instance
+becomes an integer clause id with its own literal list.  The checker
+then walks the timeline in reverse:
 
 * at a ``u`` (UNSAT conclusion) event, unit propagation over the
   clauses active *at that point* plus the recorded assumption literals
@@ -31,18 +32,37 @@ walks the timeline in reverse:
   that is what makes backward checking cheaper than forward checking,
   and the surviving marked ``i`` clauses form the unsatisfiable *core*.
 
-Every check is unit propagation on two watched literals, which the
-backward pass makes cheap to keep (see :class:`_Propagator`): a false
-literal visits only the clauses watching it, watches moved by one
-check need no repair before the next, and a clause detached at its
-addition event never returns, so it is dropped from a watch list for
-good when propagation meets it there.
+Every check is unit propagation on two watched literals with blocker
+literals (see :class:`_Propagator`): a false literal visits only the
+clauses watching it, and a clause whose blocker is true is skipped
+without reading its literals.  The *level-0* assignment — the unit
+propagation fixpoint of the active clauses alone — is kept between
+checks, so a check propagates only its roots above level 0 and undoes
+only that part.  A clause detached going backward never comes back,
+so propagation drops it from a watch list for good when it meets it
+there.
 
 Soundness: if every conclusion and every marked lemma checks, each
 ``u`` event's claimed UNSAT-under-assumptions verdict is a theorem of
-the input clauses alone.  A corrupted lemma (see the ``corrupt_learnt``
-fault of :mod:`repro.resilience.faults`) either breaks its own RUP
-check or leaves the verdict genuinely valid.
+the input clauses alone.  A check is sound because every literal it
+uses is derivable by unit propagation from the clauses active at that
+point.  For the literals above level 0 that is plain: the check
+derives them itself, from its roots, over active clauses.  For a
+level-0 literal it is an invariant of the kept assignment: each one
+was asserted by an active unit clause or propagated by an active
+clause whose other literals were already false at level 0, so by
+induction along the level-0 trail each one is derivable from its
+reasons.  Attaching a clause keeps every reason active, and detaching
+a clause that is no level-0 literal's reason does too, so the
+invariant survives both; detaching a reason discards level 0, and the
+next check rebuilds it from scratch.  Level 0 is also discarded
+whenever it might stop being the *complete* fixpoint — when a unit or
+empty clause is attached, or a clause that is unit or falsified under
+level 0 — so no check misses a conflict that propagation from scratch
+would find; and a level-0 conflict, whose cone may rest on any active
+clause, is discarded at the next detach.  A corrupted lemma (see the
+``corrupt_learnt`` fault of :mod:`repro.resilience.faults`) either
+breaks its own RUP check or leaves the verdict genuinely valid.
 
 Everything here is pure stdlib and imports only the proof-log module.
 """
@@ -83,186 +103,254 @@ class CheckResult:
     deletions: int = 0
 
 
-class _Clause:
-    """A logged clause instance (identity-hashed; never compared)."""
-
-    __slots__ = ("lits", "kind", "active", "needed")
-
-    def __init__(self, lits: Iterable[int], kind: str) -> None:
-        # Input events log pre-normalization literals, which may
-        # repeat (e.g. XOR clauses over aliased frame literals); a
-        # duplicate could fill both watch slots, so that (x | x)
-        # would never be asserted as the unit it is.  Dedupe here —
-        # order-preserving, semantics unchanged.  A list, because the
-        # propagator swaps its watched literals into positions 0 and 1.
-        self.lits = list(dict.fromkeys(lits))
-        self.kind = kind  # "i" or "a"
-        self.active = True
-        self.needed = False
-
-
 class _Propagator:
-    """Unit propagation over an activatable clause set, on two watched
-    literals.
+    """Unit propagation over an activatable set of clause ids, on two
+    watched literals, keeping the level-0 fixpoint between checks.
 
-    A clause of two or more literals is watched on ``lits[0]`` and
-    ``lits[1]``: it sits on the watch lists of exactly those two
-    literals, and only a watched literal turning false makes
-    propagation visit it.  The visit keeps the clause when its other
-    watch is true, otherwise moves the watch to a literal that is not
-    false, and failing that finds the clause unit (its other watch is
-    asserted) or falsified (the conflict).  Unit clauses are asserted
-    from ``_units`` at the start of every check, and any active empty
-    clause in ``_empty`` is a conflict by itself.
+    ``clauses[cid]`` is clause ``cid``'s literal list (duplicate-free);
+    the propagator owns it and swaps its watched literals into
+    positions 0 and 1.  A clause of two or more literals sits on the
+    watch lists of ``lits[0]`` and ``lits[1]`` as an ``[id, blocker]``
+    pair; ``_watches[lit]`` is visited when ``lit`` turns false.  The
+    visit skips the clause when its blocker is true, keeps it when its
+    other watch is true, otherwise moves the watch to a literal that is
+    not false, and failing that finds the clause unit (its other watch
+    is asserted, with the clause as its reason) or falsified (the
+    conflict).  ``_val`` holds one entry per literal: 1 true, 0 false,
+    -1 unassigned.
 
-    Why watches need no repair: every check starts and ends with an
-    empty assignment, so between checks any two literals of a clause
-    form a valid watch pair.
+    Level 0 is the fixpoint of the active unit clauses under
+    propagation, rebuilt from an empty assignment when ``_held`` is
+    False; ``_zero_cone`` is its conflict cone when it conflicts.  A
+    check asserts its roots on top of level 0 and undoes only what it
+    added.  The events that discard level 0 are exactly those that
+    could make it wrong (see the module docstring): :meth:`detach` of
+    a level-0 literal's reason or while level 0 conflicts, and
+    :meth:`attach` of a unit or empty clause or of a clause that is
+    unit or falsified under level 0.  A clause attached while level 0
+    is held gets two unassigned watches, unless level 0 satisfies it.
 
-    Why lazy dropping is sound: going backward, every clause is
-    attached at most once and detached at most once, and it never
-    comes back.  So :meth:`detach` only clears the clause's ``active``
-    flag, and propagation drops an inactive clause from a watch list
-    for good when it meets it there.  ``_units`` and ``_empty`` are
-    append-only and skip inactive entries.
+    Between checks every watch is valid for the kept level 0: a
+    clause's watched literal is false at level 0 only when level 0
+    satisfies the clause, and a check's own assignments are undone as
+    a whole.  Going backward every clause is attached at most once and
+    detached at most once, so :meth:`detach` only clears its
+    ``_active`` flag, and propagation drops an inactive clause from a
+    watch list for good when it meets it there.  ``_units`` and
+    ``_empty`` are append-only and skip inactive entries.
     """
 
-    def __init__(self, num_vars: int) -> None:
-        self._assign = [-1] * num_vars  # -1 unassigned / 0 false / 1 true
-        self._reason: List[Optional[_Clause]] = [None] * num_vars
-        self._watches: List[List[_Clause]] = [
+    def __init__(self, num_vars: int, clauses: List[List[int]]) -> None:
+        self._lits = clauses
+        self._active = [False] * len(clauses)
+        self._val = [-1] * (2 * num_vars)
+        self._reason = [-1] * num_vars
+        self._watches: List[List[int]] = [
             [] for _ in range(2 * num_vars)]
-        self._units: List[_Clause] = []
-        self._empty: List[_Clause] = []
+        self._units: List[int] = []
+        self._empty: List[int] = []
+        self._trail: List[int] = []
+        self._held = False
+        self._zero_cone: Optional[List[int]] = None
 
-    def attach(self, clause: _Clause) -> None:
-        clause.active = True
-        lits = clause.lits
-        if len(lits) >= 2:
-            self._watches[lits[0]].append(clause)
-            self._watches[lits[1]].append(clause)
-        elif lits:
-            self._units.append(clause)
-        else:
-            self._empty.append(clause)
+    def attach(self, cid: int) -> None:
+        self._active[cid] = True
+        lits = self._lits[cid]
+        if len(lits) < 2:
+            (self._units if lits else self._empty).append(cid)
+            self._held = False
+            return
+        if self._held and self._zero_cone is None:
+            val = self._val
+            if val[lits[0]] >= 0 or val[lits[1]] >= 0:
+                self._watch_under_level0(lits)
+        self._watches[lits[0]] += (cid, lits[1])
+        self._watches[lits[1]] += (cid, lits[0])
 
-    @staticmethod
-    def detach(clause: _Clause) -> None:
-        clause.active = False
+    def _watch_under_level0(self, lits: List[int]) -> None:
+        """Move two unassigned literals into the watch slots of a
+        clause attached while level 0 is held; a clause level 0
+        satisfies keeps its watches, and one that is unit or falsified
+        under level 0 discards level 0."""
+        val = self._val
+        free = []
+        for k, lit in enumerate(lits):
+            value = val[lit]
+            if value == 1:
+                return
+            if value < 0:
+                free.append(k)
+        if len(free) < 2:
+            self._held = False
+            return
+        for slot, k in enumerate(free[:2]):
+            lits[slot], lits[k] = lits[k], lits[slot]
 
-    def check(self, roots: Sequence[int]) -> Optional[List[_Clause]]:
-        """Propagate active units plus ``roots`` (asserted literals).
+    def detach(self, cid: int) -> None:
+        self._active[cid] = False
+        if not self._held:
+            return
+        if self._zero_cone is not None:
+            self._held = False
+            return
+        lits = self._lits[cid]
+        if lits and self._reason[lits[0] >> 1] == cid:
+            self._held = False
 
-        Returns the conflict cone (the clauses the derived conflict
-        depends on) when unit propagation conflicts, None when it
-        reaches a conflict-free fixpoint.  The assignment is fully
-        undone before returning, so checks are independent.
+    def check(self, roots: Sequence[int]) -> Optional[List[int]]:
+        """Propagate ``roots`` (asserted literals) on top of level 0.
+
+        Returns the conflict cone (the ids of the clauses the derived
+        conflict depends on) when unit propagation conflicts, None when
+        it reaches a conflict-free fixpoint.  Everything above level 0
+        is undone before returning, so checks are independent.
         """
-        for clause in self._empty:
-            if clause.active:
-                return [clause]
-        assign = self._assign
+        if not self._held:
+            self._rebuild()
+        if self._zero_cone is not None:
+            return self._zero_cone
+        val = self._val
+        trail = self._trail
+        mark = len(trail)
+        conflict: Optional[Tuple[int, int]] = None
+        for lit in roots:
+            value = val[lit]
+            if value == 0:
+                conflict = (-1, lit)
+                break
+            if value < 0:
+                val[lit] = 1
+                val[lit ^ 1] = 0
+                trail.append(lit)
+        if conflict is None:
+            conflict = self._propagate(mark)
+        cone = None if conflict is None else self._explain(*conflict)
+        reason = self._reason
+        for lit in trail[mark:]:
+            val[lit] = -1
+            val[lit ^ 1] = -1
+            reason[lit >> 1] = -1
+        del trail[mark:]
+        return cone
+
+    def _rebuild(self) -> None:
+        """Recompute level 0 from an empty assignment."""
+        val = self._val
+        reason = self._reason
+        trail = self._trail
+        for lit in trail:
+            val[lit] = -1
+            val[lit ^ 1] = -1
+            reason[lit >> 1] = -1
+        trail.clear()
+        self._held = True
+        self._zero_cone = None
+        active = self._active
+        conflict: Optional[Tuple[int, int]] = None
+        for cid in self._empty:
+            if active[cid]:
+                conflict = (cid, -1)
+                break
+        else:
+            lits_of = self._lits
+            for cid in self._units:
+                if not active[cid]:
+                    continue
+                lit = lits_of[cid][0]
+                value = val[lit]
+                if value == 0:
+                    conflict = (cid, lit)
+                    break
+                if value < 0:
+                    val[lit] = 1
+                    val[lit ^ 1] = 0
+                    reason[lit >> 1] = cid
+                    trail.append(lit)
+            else:
+                conflict = self._propagate(0)
+        if conflict is not None:
+            self._zero_cone = self._explain(*conflict)
+
+    def _propagate(self, head: int) -> Optional[Tuple[int, int]]:
+        """Propagate the trail from ``head``; returns ``(clause id,
+        -1)`` for the falsified clause, or None at a fixpoint."""
+        val = self._val
         reason = self._reason
         watches = self._watches
-        trail: List[int] = []
-        conflict: Optional[Tuple[Optional[_Clause], Optional[int]]] = None
-
-        def enqueue(lit: int, why: Optional[_Clause]) -> bool:
-            var = lit >> 1
-            val = (lit & 1) ^ 1
-            cur = assign[var]
-            if cur >= 0:
-                return cur == val
-            assign[var] = val
-            reason[var] = why
-            trail.append(lit)
-            return True
-
-        for clause in self._units:
-            if clause.active and not enqueue(clause.lits[0], clause):
-                conflict = (clause, clause.lits[0])
-                break
-        if conflict is None:
-            for lit in roots:
-                if not enqueue(lit, None):
-                    conflict = (None, lit)
-                    break
-        head = 0
-        while conflict is None and head < len(trail):
+        lits_of = self._lits
+        active = self._active
+        trail = self._trail
+        append = trail.append
+        while head < len(trail):
             false_lit = trail[head] ^ 1
             head += 1
-            watching = watches[false_lit]
-            size = len(watching)
-            i = j = 0
-            while i < size:
-                clause = watching[i]
-                i += 1
-                if not clause.active:
-                    continue  # detached for good: drop it
-                lits = clause.lits
+            ws = watches[false_lit]
+            i = 0
+            n = len(ws)
+            while i < n:
+                if val[ws[i + 1]] == 1:  # blocker true: satisfied
+                    i += 2
+                    continue
+                cid = ws[i]
+                if not active[cid]:  # detached for good: drop it
+                    del ws[i:i + 2]
+                    n -= 2
+                    continue
+                lits = lits_of[cid]
                 other = lits[0]
                 if other == false_lit:
                     other = lits[1]
                     lits[0] = other
                     lits[1] = false_lit
-                value = assign[other >> 1]
-                if value == (other & 1) ^ 1:  # satisfied by the other
-                    watching[j] = clause
-                    j += 1
+                value = val[other]
+                if value == 1:  # satisfied by the other watch
+                    ws[i + 1] = other
+                    i += 2
                     continue
                 for k in range(2, len(lits)):
                     lit = lits[k]
-                    if assign[lit >> 1] != lit & 1:  # not false
+                    if val[lit] != 0:  # not false: watch it instead
                         lits[1] = lit
                         lits[k] = false_lit
-                        watches[lit].append(clause)
+                        watches[lit] += (cid, other)
+                        del ws[i:i + 2]
+                        n -= 2
                         break
                 else:
-                    watching[j] = clause
-                    j += 1
-                    if value < 0:  # unit: assert the other watch
-                        var = other >> 1
-                        assign[var] = (other & 1) ^ 1
-                        reason[var] = clause
-                        trail.append(other)
-                    else:
-                        conflict = (clause, None)
-                        break
-            # [j, i) held dropped or moved entries; after a conflict
-            # the unvisited rest from i on stays watched.
-            del watching[j:i]
-        cone: Optional[List[_Clause]] = None
-        if conflict is not None:
-            cone = self._explain(conflict)
-        for lit in trail:
-            assign[lit >> 1] = -1
-            reason[lit >> 1] = None
-        return cone
+                    if value == 0:
+                        return (cid, -1)
+                    # Unit: assert the other watch.
+                    val[other] = 1
+                    val[other ^ 1] = 0
+                    reason[other >> 1] = cid
+                    append(other)
+                    ws[i + 1] = other
+                    i += 2
+        return None
 
-    def _explain(
-        self, conflict: Tuple[Optional[_Clause], Optional[int]]
-    ) -> List[_Clause]:
-        """The conflict cone: the conflicting clause plus, transitively,
-        the reason clause of every literal it rests on."""
-        clause, clash_lit = conflict
-        cone: List[_Clause] = []
-        work: List[int] = []
-        if clause is not None:
-            cone.append(clause)
-            work.extend(clause.lits)
-        if clash_lit is not None:
-            work.append(clash_lit)
-        seen = set()
+    def _explain(self, cid: int, clash: int) -> List[int]:
+        """The conflict cone: the conflicting clause ``cid`` (-1 for
+        a root that clashed) plus, transitively, the reason of every
+        literal it rests on, starting from ``clash`` (-1 for none)."""
+        lits_of = self._lits
         reason = self._reason
+        cone: List[int] = []
+        work: List[int] = []
+        if cid >= 0:
+            cone.append(cid)
+            work.extend(lits_of[cid])
+        if clash >= 0:
+            work.append(clash)
+        seen = set()
         while work:
             var = work.pop() >> 1
             if var in seen:
                 continue
             seen.add(var)
             why = reason[var]
-            if why is not None:
+            if why >= 0:
                 cone.append(why)
-                work.extend(why.lits)
+                work.extend(lits_of[why])
         return cone
 
 
@@ -286,79 +374,91 @@ def check_events(
 
     # ---- forward structural replay -----------------------------------
     timeline: List[Tuple[str, object]] = []
-    clauses: List[_Clause] = []
+    clauses: List[List[int]] = []
+    lemma: List[bool] = []
+    live: List[bool] = []
     by_key: dict = {}
-    max_var = -1
+    max_lit = -1
     for index, (kind, lits) in enumerate(events):
-        for lit in lits:
-            if lit > max_var * 2 + 1:
-                max_var = lit >> 1
+        if lits:
+            top = max(lits)
+            if top > max_lit:
+                max_lit = top
         if kind in ("i", "a"):
-            clause = _Clause(lits, kind)
-            clauses.append(clause)
+            cid = len(clauses)
+            # Input events log pre-normalization literals, which may
+            # repeat (e.g. XOR clauses over aliased frame literals); a
+            # duplicate could fill both watch slots, so that (x | x)
+            # would never be asserted as the unit it is.  Dedupe here —
+            # order-preserving, semantics unchanged.
+            clauses.append(list(dict.fromkeys(lits)))
+            lemma.append(kind == "a")
+            live.append(True)
             # Instances are stacked per canonical key (sorted literal
             # *set* — clause_key): duplicate-literal forms of the same
             # clause share one stack, while duplicate *copies* stay
             # separate instances on it, so a deletion pops exactly one
             # copy and leaves the rest live.
-            by_key.setdefault(clause_key(lits), []).append(clause)
-            timeline.append((kind, clause))
+            by_key.setdefault(clause_key(lits), []).append(cid)
+            timeline.append((kind, cid))
         elif kind == "d":
             stack = by_key.get(clause_key(lits))
             if not stack:
                 report(f"event #{index}: deletion of a clause never "
                        f"added: {tuple(lits)}")
                 continue
-            clause = stack.pop()
-            clause.active = False
+            cid = stack.pop()
+            live[cid] = False
             result.deletions += 1
-            timeline.append(("d", clause))
+            timeline.append(("d", cid))
         elif kind == "u":
             timeline.append(("u", tuple(lits)))
         else:
             report(f"event #{index}: unknown event kind {kind!r}")
-    result.inputs_total = sum(1 for c in clauses if c.kind == "i")
-    result.lemmas_total = len(clauses) - result.inputs_total
+    result.lemmas_total = sum(lemma)
+    result.inputs_total = len(clauses) - result.lemmas_total
 
     # ---- backward checking pass --------------------------------------
-    prop = _Propagator(max_var + 1)
-    for clause in clauses:
-        if clause.active:
-            prop.attach(clause)
+    prop = _Propagator((max_lit >> 1) + 1, clauses)
+    for cid, is_live in enumerate(live):
+        if is_live:
+            prop.attach(cid)
+    needed = [False] * len(clauses)
     for position in range(len(timeline) - 1, -1, -1):
         kind, payload = timeline[position]
         if kind == "u":
             assumptions = payload  # type: ignore[assignment]
-            cone = prop.check(list(assumptions))
+            cone = prop.check(assumptions)
             result.conclusions += 1
             if cone is None:
                 report(f"event #{position}: UNSAT conclusion under "
                        f"assumptions {tuple(assumptions)} is not "
                        "derivable by unit propagation")
             else:
-                for clause in cone:
-                    clause.needed = True
+                for cid in cone:
+                    needed[cid] = True
         elif kind == "d":
             prop.attach(payload)  # live again before the deletion point
         else:  # "i" / "a" addition: leaves scope going backward
-            clause = payload
-            prop.detach(clause)
-            if clause.kind != "a":
+            cid = payload
+            prop.detach(cid)
+            if kind != "a":
                 continue
-            if not clause.needed:
+            if not needed[cid]:
                 result.lemmas_trimmed += 1
                 continue
             result.lemmas_checked += 1
-            cone = prop.check([lit ^ 1 for lit in clause.lits])
+            cone = prop.check([lit ^ 1 for lit in clauses[cid]])
             if cone is None:
                 report(f"event #{position}: learned clause "
-                       f"{tuple(clause.lits)} is not RUP (unit propagation "
-                       "on its negation does not conflict)")
+                       f"{tuple(clauses[cid])} is not RUP (unit "
+                       "propagation on its negation does not conflict)")
             else:
-                for needed in cone:
-                    needed.needed = True
+                for needed_id in cone:
+                    needed[needed_id] = True
     result.core_inputs = sum(
-        1 for c in clauses if c.kind == "i" and c.needed)
+        1 for cid, is_lemma in enumerate(lemma)
+        if needed[cid] and not is_lemma)
     if require_conclusion and result.conclusions == 0:
         report("proof log contains no UNSAT conclusion to check")
     return result

@@ -244,13 +244,14 @@ def run_table(generate: Callable[..., Netlist],
     :class:`Cancelled` is the only exception that escapes.
 
     ``jobs > 1`` evaluates the designs across the work-stealing pool
-    (:mod:`repro.parallel`): rows come back in profile order — the
-    rendered table is byte-identical at any ``jobs`` value — the
-    designs share ``budget``'s deadline, and a crashed worker becomes
-    an error row, never an aborted table.
+    (:mod:`repro.parallel`), largest first: rows come back in profile
+    order — the rendered table is byte-identical at any ``jobs`` value
+    — the designs share ``budget``'s deadline, and a crashed worker
+    becomes an error row, never an aborted table.
     """
     wanted = {d.upper() for d in designs} if designs else None
     payloads = []
+    sizes = []
     for profile in profiles:
         if wanted is not None and profile.name.upper() not in wanted:
             continue
@@ -260,8 +261,9 @@ def run_table(generate: Callable[..., Netlist],
         payloads.append({"generate": generate, "name": profile.name,
                          "scale": effective_scale,
                          "sweep_config": sweep_config})
+        sizes.append(profile.registers * effective_scale)
     if jobs > 1:
-        return _run_pooled(payloads, budget, jobs)
+        return _run_pooled(payloads, sizes, budget, jobs)
     rows = []
     for payload in payloads:
         row = _budget_error_row(payload["name"], budget)
@@ -286,9 +288,11 @@ def _budget_error_row(name: str,
 
 
 def _run_pooled(payloads: List[Dict[str, Any]],
+                sizes: List[float],
                 budget: Optional[Budget],
                 jobs: int) -> List[RowResult]:
-    """The ``jobs > 1`` fan-out of :func:`run_table`."""
+    """The ``jobs > 1`` fan-out of :func:`run_table`; ``sizes`` holds
+    each design's registers times its effective scale."""
     from ..parallel import ParallelExecutor
 
     if budget is not None and budget.exhausted() is not None:
@@ -297,13 +301,19 @@ def _run_pooled(payloads: List[Dict[str, Any]],
         return [_budget_error_row(payload["name"], budget)
                 for payload in payloads]
     # Rows are heterogeneous (one big design can dwarf the rest), so
-    # idle workers steal the next design; outcomes still merge in
-    # submission order, keeping the rendered table byte-identical at
-    # any jobs.
+    # idle workers steal the next design, and the largest designs go
+    # first: a big row started last runs on while the other workers
+    # idle.  The outcomes are put back in profile order, keeping the
+    # rendered table byte-identical at any jobs.
+    order = sorted(range(len(payloads)), key=lambda i: -sizes[i])
     reg = obs.get_registry()
     executor = ParallelExecutor(jobs=jobs, name="table")
-    outcomes = executor.map(run_design, payloads, budget=budget,
-                            labels=[p["name"] for p in payloads])
+    submitted = executor.map(run_design, [payloads[i] for i in order],
+                             budget=budget,
+                             labels=[payloads[i]["name"] for i in order])
+    outcomes = [None] * len(payloads)
+    for index, outcome in zip(order, submitted):
+        outcomes[index] = outcome
     rows: List[RowResult] = []
     for payload, outcome in zip(payloads, outcomes):
         if outcome.ok:

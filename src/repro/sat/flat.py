@@ -15,11 +15,23 @@ objects:
 * **Watcher lists** — per literal, a flat interleaved integer list
   ``[cref0, blocker0, cref1, blocker1, ...]``; the blocker is a
   literal of the clause whose truth lets propagation skip the clause
-  without touching the arena at all.
-* **Assignment / reason / level** — plain integer tables:
-  ``_assign[v]`` is ``-1`` (unassigned), ``0`` (false) or ``1``
-  (true); ``_reason[v]`` is a cref or ``-1``; a literal ``p`` is true
-  iff ``_assign[p >> 1] == (p & 1) ^ 1``.
+  without touching the arena at all.  ``_watches[p]`` holds the
+  clauses that watch ``p ^ 1`` and is visited when ``p`` is assigned.
+* **Values** — one table per *literal*: ``_vals[p]`` is ``1`` when
+  literal ``p`` is true, ``0`` when it is false and ``-1`` when it is
+  unassigned, so a truth test is one load and one compare.  Assigning
+  a variable writes both of its literals' entries, and so does
+  unassigning it.
+* **Reason / level / polarity** — plain per-variable integer tables;
+  ``_reason[v]`` is a cref or ``-1``.
+
+Propagation leaves a kept watcher entry where it is: it writes only
+a blocker that changed, and deletes an entry whose watch moved to
+another literal, so the kept entries keep their order.  A binary
+clause has no replacement watch to search for, so propagation goes
+straight to its unit-or-conflict test.  Conflict analysis marks
+variables in one ``_seen`` table that it leaves all false, instead of
+allocating one per conflict.
 
 Removing a learnt clause only unlinks it from the watcher lists; the
 arena words become garbage and are reclaimed by :meth:`_compact` once
@@ -59,13 +71,17 @@ class FlatSolver(Solver):
         self._learnts: List[int] = []
         #: Per-literal interleaved [cref, blocker, ...] watcher lists.
         self._watches: List[List[int]] = []
-        self._assign: List[int] = []
+        #: Per-literal values: 1 true, 0 false, -1 unassigned.
+        self._vals: List[int] = []
         self._level: List[int] = []
         self._reason: List[int] = []
         self._polarity: List[int] = []
         #: Per-variable flag: 1 while the variable has its one live
         #: decision-heap entry (see :meth:`_pick_branch`).
         self._heaped: List[int] = []
+        #: Conflict analysis's per-variable marks, all False between
+        #: conflicts.
+        self._seen: List[bool] = []
         #: Dead arena words left behind by removed learnt clauses.
         self._garbage = 0
 
@@ -78,12 +94,14 @@ class FlatSolver(Solver):
         self.num_vars += 1
         self._watches.append([])
         self._watches.append([])
-        self._assign.append(-1)
+        self._vals.append(-1)
+        self._vals.append(-1)
         self._level.append(0)
         self._reason.append(-1)
         self._polarity.append(0)
         self._activity.append(0.0)
         self._heaped.append(1)
+        self._seen.append(False)
         heapq.heappush(self._heap, (0.0, var))
         return var
 
@@ -98,12 +116,13 @@ class FlatSolver(Solver):
             return base
         self.num_vars = base + n
         self._watches.extend([] for _ in range(2 * n))
-        self._assign.extend([-1] * n)
+        self._vals.extend([-1] * (2 * n))
         self._level.extend([0] * n)
         self._reason.extend([-1] * n)
         self._polarity.extend([0] * n)
         self._activity.extend([0.0] * n)
         self._heaped.extend([1] * n)
+        self._seen.extend([False] * n)
         heap = self._heap
         for var in range(base, base + n):
             heapq.heappush(heap, (0.0, var))
@@ -138,11 +157,12 @@ class FlatSolver(Solver):
         if not self._ok:
             return False
         if self._elim_count:
-            clauses = self._restore_for_bulk(clauses)
-            if not self._ok:
-                return False
+            for lits in clauses:
+                if not self.add_clause(lits):
+                    return False
+            return True
         self._cancel_until(0)
-        assign = self._assign
+        vals = self._vals
         arena = self._arena
         watches = self._watches
         out = self._clauses
@@ -155,7 +175,7 @@ class FlatSolver(Solver):
                 # watched-literal reordering mutates the list.
                 proof.input(lits)
             for lit in lits:
-                if assign[lit >> 1] >= 0:
+                if vals[lit] >= 0:
                     break
             else:
                 cref = len(arena)
@@ -175,10 +195,10 @@ class FlatSolver(Solver):
             kappend = keep.append
             sat = False
             for lit in lits:
-                v = assign[lit >> 1]
+                v = vals[lit]
                 if v < 0:
                     kappend(lit)
-                elif v != (lit & 1):
+                elif v:
                     sat = True
                     break
             if sat:
@@ -209,10 +229,13 @@ class FlatSolver(Solver):
     # Internals
     # ------------------------------------------------------------------
     def _value(self, lit: int) -> Optional[bool]:
-        v = self._assign[lit >> 1]
+        v = self._vals[lit]
         if v < 0:
             return None
-        return v == (lit & 1) ^ 1
+        return v == 1
+
+    def _model_values(self) -> List[bool]:
+        return [v == 1 for v in self._vals[::2]]
 
     def _attach(self, cref: int) -> None:
         arena = self._arena
@@ -226,28 +249,30 @@ class FlatSolver(Solver):
         ws.append(l0)
 
     def _enqueue(self, lit: int, reason: int = -1) -> bool:
-        var = lit >> 1
-        v = self._assign[var]
-        sign_flip = (lit & 1) ^ 1
+        vals = self._vals
+        v = vals[lit]
         if v >= 0:
-            return v == sign_flip
-        self._assign[var] = sign_flip
+            return v == 1
+        vals[lit] = 1
+        vals[lit ^ 1] = 0
+        var = lit >> 1
         self._level[var] = len(self._trail_lim)
         self._reason[var] = reason
-        self._polarity[var] = sign_flip
+        self._polarity[var] = (lit & 1) ^ 1
         self._trail.append(lit)
         return True
 
     def _propagate(self) -> Optional[int]:
         trail = self._trail
         arena = self._arena
-        assign = self._assign
+        vals = self._vals
         level = self._level
         reason = self._reason
         polarity = self._polarity
         trail_append = trail.append
         watches = self._watches
         qhead = self._qhead
+        cur_level = len(self._trail_lim)
         propagations = 0
         conflict = -1
         while qhead < len(trail):
@@ -256,20 +281,14 @@ class FlatSolver(Solver):
             propagations += 1
             ws = watches[lit]
             false_lit = lit ^ 1
-            cur_level = len(self._trail_lim)
             i = 0
-            j = 0
             n = len(ws)
             while i < n:
-                cref = ws[i]
-                blocker = ws[i + 1]
-                i += 2
                 # Blocker fast path: clause already satisfied.
-                if assign[blocker >> 1] == (blocker & 1) ^ 1:
-                    ws[j] = cref
-                    ws[j + 1] = blocker
-                    j += 2
+                if vals[ws[i + 1]] == 1:
+                    i += 2
                     continue
+                cref = ws[i]
                 base = cref + 2
                 # Ensure the falsified literal is in slot 1.
                 l0 = arena[base]
@@ -277,51 +296,45 @@ class FlatSolver(Solver):
                     l0 = arena[base + 1]
                     arena[base] = l0
                     arena[base + 1] = false_lit
-                v0 = assign[l0 >> 1]
-                if v0 == (l0 & 1) ^ 1:
-                    ws[j] = cref
-                    ws[j + 1] = l0
-                    j += 2
+                v0 = vals[l0]
+                if v0 == 1:
+                    ws[i + 1] = l0
+                    i += 2
                     continue
-                # Search for a new watch.
-                end = base + arena[cref]
-                found = False
-                for k in range(base + 2, end):
-                    lk = arena[k]
-                    if assign[lk >> 1] != lk & 1:  # not false
-                        arena[base + 1] = lk
-                        arena[k] = false_lit
-                        nws = watches[lk ^ 1]
-                        nws.append(cref)
-                        nws.append(l0)
-                        found = True
-                        break
-                if found:
-                    continue
+                size = arena[cref]
+                if size > 2:
+                    # Search for a new watch.
+                    for k in range(base + 2, base + size):
+                        lk = arena[k]
+                        if vals[lk]:  # not false
+                            arena[base + 1] = lk
+                            arena[k] = false_lit
+                            nws = watches[lk ^ 1]
+                            nws.append(cref)
+                            nws.append(l0)
+                            del ws[i:i + 2]
+                            n -= 2
+                            break
+                    else:
+                        size = 2  # no replacement: unit or conflicting
+                    if size > 2:
+                        continue
                 # Unit or conflicting.
-                ws[j] = cref
-                ws[j + 1] = l0
-                j += 2
-                if v0 >= 0:  # l0 false (not-true and assigned): conflict
-                    while i < n:
-                        ws[j] = ws[i]
-                        ws[j + 1] = ws[i + 1]
-                        i += 2
-                        j += 2
-                    del ws[j:]
-                    qhead = len(trail)
+                ws[i + 1] = l0
+                i += 2
+                if v0 == 0:
                     conflict = cref
                     break
+                vals[l0] = 1
+                vals[l0 ^ 1] = 0
                 var = l0 >> 1
-                assign[var] = (l0 & 1) ^ 1
                 level[var] = cur_level
                 reason[var] = cref
-                polarity[var] = assign[var]
+                polarity[var] = (l0 & 1) ^ 1
                 trail_append(l0)
-            else:
-                del ws[j:]
-                continue
-            break
+            if conflict >= 0:
+                qhead = len(trail)
+                break
         self._qhead = qhead
         self.propagations += propagations
         return conflict if conflict >= 0 else None
@@ -331,10 +344,13 @@ class FlatSolver(Solver):
         trail = self._trail
         level = self._level
         reasons = self._reason
+        seen = self._seen
+        act = self._activity
+        heaped = self._heaped
+        var_inc = self._var_inc
         learnt: List[int] = [0]  # slot 0 for the asserting literal
-        seen = [False] * self.num_vars
         counter = 0
-        lit = None
+        lit = -1
         reason = conflict
         idx = len(trail) - 1
         cur_level = len(self._trail_lim)
@@ -344,18 +360,29 @@ class FlatSolver(Solver):
             act_idx = arena[reason + 1]
             if act_idx >= 0:
                 cla_act[act_idx] += cla_inc
-            size = arena[reason]
-            lits = arena[reason + 2: reason + 2 + size]
-            start = 0 if lit is None else 1
-            if lit is not None and lits[0] != lit:
+            base = reason + 2
+            end = base + arena[reason]
+            if lit < 0:
+                lits = arena[base:end]
+            elif arena[base] == lit:
+                lits = arena[base + 1:end]
+            else:
                 # Reason clause stores the implied literal first; if
-                # not, locate it and skip it.
-                lits = [lit] + [x for x in lits if x != lit]
-            for q in lits[start:]:
+                # not, skip it wherever it is.
+                lits = [x for x in arena[base:end] if x != lit]
+            for q in lits:
                 var = q >> 1
                 if not seen[var] and level[var] > 0:
                     seen[var] = True
-                    self._bump_var(var)
+                    # _bump_var inlined for an assigned variable: its
+                    # heap entry goes stale unless the bump rescales.
+                    bumped = act[var] + var_inc
+                    if bumped > 1e100:
+                        self._bump_var(var)
+                        var_inc = self._var_inc
+                    else:
+                        act[var] = bumped
+                        heaped[var] = 0
                     if level[var] >= cur_level:
                         counter += 1
                     else:
@@ -429,15 +456,17 @@ class FlatSolver(Solver):
             return
         bound = self._trail_lim[level]
         trail = self._trail
-        assign = self._assign
+        vals = self._vals
         reason = self._reason
         act = self._activity
         heaped = self._heaped
         heap = self._heap
         push = heapq.heappush
         for i in range(len(trail) - 1, bound - 1, -1):
-            var = trail[i] >> 1
-            assign[var] = -1
+            lit = trail[i]
+            vals[lit] = -1
+            vals[lit ^ 1] = -1
+            var = lit >> 1
             reason[var] = -1
             if not heaped[var]:
                 heaped[var] = 1
@@ -455,7 +484,7 @@ class FlatSolver(Solver):
         heap = self._heap
         act = self._activity
         heaped = self._heaped
-        assign = self._assign
+        vals = self._vals
         polarity = self._polarity
         pop = heapq.heappop
         while heap:
@@ -463,10 +492,10 @@ class FlatSolver(Solver):
             if key != -act[var]:
                 continue
             heaped[var] = 0
-            if assign[var] < 0:
+            if vals[var << 1] < 0:
                 return (var << 1) | (polarity[var] ^ 1)
         for var in range(self.num_vars):
-            if assign[var] < 0:
+            if vals[var << 1] < 0:
                 return (var << 1) | (polarity[var] ^ 1)
         return None
 
@@ -482,7 +511,7 @@ class FlatSolver(Solver):
                     if heaped[v]]
             heapq.heapify(heap)
             self._heap = heap
-        elif self._assign[var] >= 0:
+        elif self._vals[var << 1] >= 0:
             # Conflict analysis bumps assigned variables: the old entry
             # goes stale, and _cancel_until pushes the new key once the
             # variable is unassigned.
@@ -652,4 +681,4 @@ class FlatSolver(Solver):
         return [self._lits_of(c) for c in self._learnts]
 
     def assignment(self) -> List[Optional[bool]]:
-        return [None if v < 0 else bool(v) for v in self._assign]
+        return [None if v < 0 else v == 1 for v in self._vals[::2]]

@@ -13,10 +13,11 @@ only in how the hot state is laid out:
 
 * :class:`FlatSolver` keeps clauses in a flat integer *arena* with
   inline headers, watcher lists as flat interleaved
-  ``[clause-ref, blocker, ...]`` integer arrays, and plain integer
-  assignment/reason/level tables — no per-clause Python objects on the
-  hot path (see :mod:`repro.sat.flat`).  ``Solver()`` always builds
-  this core, and ``isinstance(x, Solver)`` holds for it.
+  ``[clause-ref, blocker, ...]`` integer arrays, a per-literal value
+  table and plain integer reason/level tables — no per-clause Python
+  objects on the hot path (see :mod:`repro.sat.flat`).
+  ``Solver()`` always builds this core, and ``isinstance(x, Solver)``
+  holds for it.
 * :class:`LegacySolver` keeps the original per-clause ``_Clause``
   objects.  It is the reference implementation of the randomized
   dual-path oracle suite and is only ever constructed directly: both
@@ -287,15 +288,6 @@ class Solver:
         identical to loading every clause individually.  Every variable
         must already be allocated.
         """
-        if self._elim_count:
-            # The bulk loader restores every eliminated variable of a
-            # run before it adds the run's first clause; one-at-a-time
-            # loading restores each at the clause that mentions it, and
-            # only that keeps the restored clauses at their positions.
-            for clause in clauses:
-                if not self.add_clause(clause):
-                    return False
-            return True
         batch: List[List[int]] = []
         for clause in clauses:
             if len(clause) >= 2 and \
@@ -569,7 +561,7 @@ class Solver:
                 continue
             lit = pick_branch()
             if lit is None:
-                self.model = [bool(v) for v in self._assign]
+                self.model = self._model_values()
                 if self._elim_stack:
                     # Eliminated variables carry arbitrary search
                     # values (they occur in no clause); overwrite them
@@ -675,25 +667,6 @@ class Solver:
             if not self.add_clause(clause):
                 return
 
-    def _restore_for_bulk(self, clauses: Iterable[List[int]]) \
-            -> List[List[int]]:
-        """Bulk-path guard: materialize the clause stream and restore
-        any eliminated variable it re-introduces (template stamping
-        hits this when a new frame references eliminated state
-        literals).  Only runs when eliminations exist, so the common
-        bulk path stays zero-overhead."""
-        materialized = [list(lits) for lits in clauses]
-        elim = self._elim
-        for lits in materialized:
-            for lit in lits:
-                var = lit >> 1
-                if var < len(elim) and elim[var]:
-                    self._restore_eliminated(lits)
-                    break
-            if not self._ok:
-                break
-        return materialized
-
     def _extend_model(self) -> None:
         """Reconstruct model values for eliminated variables by
         walking the elimination stack backward (MiniSat extendModel):
@@ -716,6 +689,12 @@ class Solver:
 
     def _debug_check_watches(self) -> None:
         """Core-specific watcher-integrity sweep (debug builds)."""
+        raise NotImplementedError
+
+    def _model_values(self) -> List[bool]:
+        """The current assignment as a model, indexed by variable
+        (unassigned reads False); the core-specific half of a SAT
+        answer."""
         raise NotImplementedError
 
     def _decision_level(self) -> int:
@@ -872,15 +851,18 @@ class LegacySolver(Solver):
         duplicate/tautology cases, and the rare empty/unit outcomes
         are delegated back to :meth:`add_clause`) — this keeps the
         resulting clause database identical to adding every clause
-        individually.  Returns False if the formula became trivially
-        UNSAT.
+        individually.  While variables are eliminated, every clause
+        goes through :meth:`add_clause`, which restores an eliminated
+        variable's clauses just before the first clause that mentions
+        it.  Returns False if the formula became trivially UNSAT.
         """
         if not self._ok:
             return False
         if self._elim_count:
-            clauses = self._restore_for_bulk(clauses)
-            if not self._ok:
-                return False
+            for lits in clauses:
+                if not self.add_clause(lits):
+                    return False
+            return True
         self._cancel_until(0)
         assign = self._assign
         watches = self._watches
@@ -943,6 +925,9 @@ class LegacySolver(Solver):
         if v is None:
             return None
         return (not v) if lit_sign(lit) else v
+
+    def _model_values(self) -> List[bool]:
+        return [bool(v) for v in self._assign]
 
     def _attach(self, clause: _Clause) -> None:
         lits = clause.lits

@@ -203,8 +203,7 @@ def _cmd_flame(args: argparse.Namespace,
     records = _trace.stitch_files(paths)
     lines = collapsed_stacks(records)
     if not lines:
-        print("no span records in trace")
-        return 2
+        parser.error(f"no span records in {args.trace}")
     if args.out:
         with open(args.out, "w") as handle:
             handle.write("\n".join(lines) + "\n")

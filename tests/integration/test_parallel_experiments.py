@@ -31,6 +31,30 @@ class TestTableDeterminism:
         rows = run_table1(scale=0.1, designs=DESIGNS, jobs=2)
         assert [row.name for row in rows] == DESIGNS
 
+    def test_pool_starts_largest_designs_first(self, monkeypatch):
+        # Profile order is S1488, S27, S298; by registers S298 (14)
+        # goes first.  Rows still come back in profile order and equal
+        # the sequential rows.
+        from repro.parallel import ParallelExecutor
+
+        submitted = []
+        original = ParallelExecutor.map
+
+        def spy(executor, fn, payloads, budget=None, labels=None):
+            submitted.extend(labels)
+            return original(executor, fn, payloads, budget=budget,
+                            labels=labels)
+
+        monkeypatch.setattr(ParallelExecutor, "map", spy)
+        designs = ["S298", "S27", "S1488"]
+        pooled = run_table(iscas89.generate, iscas89.profiles(),
+                           scale=0.1, designs=designs, jobs=2)
+        assert submitted == ["S298", "S1488", "S27"]
+        assert [row.name for row in pooled] == ["S1488", "S27", "S298"]
+        sequential = run_table(iscas89.generate, iscas89.profiles(),
+                               scale=0.1, designs=designs, jobs=1)
+        assert format_table(pooled, "T") == format_table(sequential, "T")
+
     def test_rows_carry_full_columns(self):
         rows = run_table1(scale=0.1, designs=["S27"], jobs=2)
         assert rows[0].error is None

@@ -448,9 +448,10 @@ class TestDecisionHeap:
 
     def check(self, solver):
         live = self.live_entries(solver)
+        values = solver.assignment()
         for var in range(solver.num_vars):
             assert live[var] == solver._heaped[var] <= 1
-            if solver._assign[var] < 0:
+            if values[var] is None:
                 assert live[var] == 1
 
     @pytest.mark.parametrize("seed", range(4))
@@ -558,30 +559,43 @@ class TestAddCnfBulkRouting:
         # Maximal runs between slow-path clauses: [2], [1], [1].
         assert batches == [2, 1, 1]
 
+    @staticmethod
+    def _eliminated(core):
+        """A solver with variables 0 and 3 eliminated."""
+        s = core()
+        s.new_vars(6)
+        for var in (1, 2, 4, 5):
+            s.freeze(var)
+        for clause in ([pos(0), pos(1)], [neg(0), pos(2)],
+                       [pos(3), pos(4)], [neg(3), pos(5)]):
+            s.add_clause(clause)
+        assert simplify_round(s)
+        assert s.stats()["simplify_eliminated_vars"] == 2
+        return s
+
+    #: Each clause re-introduces one eliminated variable.  Loading
+    #: clause by clause restores each variable's clauses just before
+    #: the clause that mentions it, not both up front.
+    REINTRODUCING = ([pos(0), neg(1)], [pos(3), neg(4)])
+
     def test_add_cnf_restores_eliminated_variables_in_stream_order(
             self, core):
-        # Variables 0 and 3 are eliminated, and each clause of the
-        # batch re-introduces one of them.  Loading clause by clause
-        # restores each variable's clauses just before the clause that
-        # mentions it; the bulk loader would restore both up front.
-        def eliminated():
-            s = core()
-            s.new_vars(6)
-            for var in (1, 2, 4, 5):
-                s.freeze(var)
-            for clause in ([pos(0), pos(1)], [neg(0), pos(2)],
-                           [pos(3), pos(4)], [neg(3), pos(5)]):
-                s.add_clause(clause)
-            assert simplify_round(s)
-            assert s.stats()["simplify_eliminated_vars"] == 2
-            return s
-
         cnf = CNF()
-        cnf.add_clause([pos(0), neg(1)])
-        cnf.add_clause([pos(3), neg(4)])
-        a, b = eliminated(), eliminated()
+        for clause in self.REINTRODUCING:
+            cnf.add_clause(clause)
+        a, b = self._eliminated(core), self._eliminated(core)
         assert a.add_cnf(cnf)
         for cl in cnf.clauses:
+            assert b.add_clause(list(cl))
+        assert a.clause_lits() == b.clause_lits()
+        assert a.stats() == b.stats()
+
+    def test_bulk_restores_eliminated_variables_in_stream_order(
+            self, core):
+        # Template stamping calls add_clauses_bulk directly.
+        a, b = self._eliminated(core), self._eliminated(core)
+        assert a.add_clauses_bulk([list(cl) for cl in self.REINTRODUCING])
+        for cl in self.REINTRODUCING:
             assert b.add_clause(list(cl))
         assert a.clause_lits() == b.clause_lits()
         assert a.stats() == b.stats()

@@ -284,6 +284,8 @@ BAD_INPUT = {
     "trace-export-missing": (trace_main, ["export", "{missing}"]),
     "trace-flame-missing": (trace_main, ["flame", "{missing}"]),
     "trace-diff-missing": (trace_main, ["diff", "{trace}", "{missing}"]),
+    # A trace file that holds no span records.
+    "trace-flame-no-spans": (trace_main, ["flame", "{trace}"]),
     **{f"check-{method}-max-depth": (check_main, [
         "{s27}", "--method", method, "--max-depth", "-1"])
        for method in ("bmc", "induction", "cegar")},
