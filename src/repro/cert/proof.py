@@ -12,12 +12,11 @@ performs, in order, as immutable events:
   unit learnts that never enter the learnt database proper.  Every
   ``a`` event must have the RUP property with respect to the clauses
   active at that point — this is what :mod:`repro.cert.drat` checks.
-* ``("d", lits)`` — a clause *deleted* by learnt-DB reduction or by
-  the inprocessing pass (:mod:`repro.sat.simplify`: subsumption,
-  strengthening, variable elimination).  The solver's watched-literal
-  scheme permutes clause literals in place after the addition was
-  logged, so deletions are matched by the canonical
-  :func:`clause_key` (sorted literal *set*), never by literal order;
+* ``("d", lits)`` — a learnt clause *deleted* by learnt-DB
+  reduction.  The solver's watched-literal scheme permutes clause
+  literals in place after the addition was logged, so deletions are
+  matched by the canonical :func:`clause_key` (sorted literal *set*),
+  never by literal order;
   duplicate copies of a clause remain distinct instances — deleting
   one leaves the others live (see :func:`clause_key`).
 * ``("u", assumptions)`` — an UNSAT *conclusion*: the solver claimed
@@ -91,8 +90,8 @@ class ProofLog:
         self._log("a", lits)
 
     def delete(self, lits: Iterable[int]) -> None:
-        """Log a clause deletion (learnt-DB reduction or inprocessing);
-        matched against one live instance by :func:`clause_key`."""
+        """Log a clause deletion (learnt-DB reduction); matched
+        against one live instance by :func:`clause_key`."""
         self._log("d", lits)
 
     def conclude_unsat(self, assumptions: Iterable[int] = ()) -> None:

@@ -12,7 +12,7 @@ so their minimum is sound.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from .. import obs
 from ..netlist import Netlist, NetlistError
@@ -105,25 +105,21 @@ class PortfolioResult:
         return "\n".join(lines)
 
 
-def run_strategy(payload: Dict[str, Any],
-                 budget: Optional[Budget],
+def run_strategy(net: Netlist, strategy: str, sweep_config,
+                 refine_gc_limit: int, budget: Optional[Budget],
                  prefixes: Optional[Prefixes] = None) -> StrategyOutcome:
-    """One portfolio strategy over a netlist: the task both
-    :func:`compare_strategies` paths run, in its loop or on the pool.
-
-    Payload keys: ``net``, ``strategy``, ``sweep_config``,
-    ``refine_gc_limit``.  ``prefixes`` (the loop's, never the pool's)
-    is :meth:`TBVEngine.transform`'s.  Engine errors become the
-    outcome's ``error`` field; :class:`Cancelled` propagates.
+    """One portfolio strategy over ``net``, under the obs span
+    ``<strategy>``.  ``prefixes`` is :meth:`TBVEngine.transform`'s.
+    Engine errors become the outcome's ``error`` field;
+    :class:`Cancelled` propagates.
     """
-    strategy = payload["strategy"]
     reg = obs.get_registry()
     try:
         with reg.span(strategy or "(none)") as strategy_span:
             result = TBVEngine(
-                strategy, sweep_config=payload["sweep_config"],
-                refine_gc_limit=payload["refine_gc_limit"]).run(
-                    payload["net"], budget=budget, prefixes=prefixes)
+                strategy, sweep_config=sweep_config,
+                refine_gc_limit=refine_gc_limit).run(
+                    net, budget=budget, prefixes=prefixes)
         return StrategyOutcome(strategy=strategy, result=result,
                                seconds=strategy_span.seconds)
     except (NetlistError, ValueError, EngineFailure,
@@ -139,7 +135,6 @@ def compare_strategies(
     sweep_config=None,
     refine_gc_limit: int = 0,
     budget: Optional[Budget] = None,
-    jobs: int = 1,
 ) -> PortfolioResult:
     """Run every strategy; failures (e.g. CSLOW on a non-c-slow
     netlist, an engine crash, an exhausted per-strategy budget) are
@@ -158,26 +153,10 @@ def compare_strategies(
     remains, strategies are skipped outright (with a recorded outcome
     and a ``portfolio.budget_skips`` counter) once the deadline has
     passed, and cancellation raises :class:`Cancelled` immediately.
-
-    ``jobs > 1`` fans the strategies across the work-stealing pool
-    (:mod:`repro.parallel`): one task per strategy, sharing no prefix,
-    and outcomes come back in strategy order, so without a budget the
-    per-target minima are identical at any ``jobs`` value.  The
-    strategies share ``budget``'s deadline, as table rows do, instead
-    of taking equal slices; a strategy whose worker crashes becomes a
-    failed outcome (never an aborted portfolio), and worker telemetry
-    lands under ``parallel/portfolio/<strategy>``.
     """
     portfolio = PortfolioResult(net=net)
     reg = obs.get_registry()
-    payloads = [{"net": net, "strategy": strategy,
-                 "sweep_config": sweep_config,
-                 "refine_gc_limit": refine_gc_limit}
-                for strategy in strategies]
     with reg.span("portfolio"):
-        if jobs > 1:
-            portfolio.outcomes = _run_pooled(payloads, budget, jobs)
-            return portfolio
         prefixes: Prefixes = {}
         for i, strategy in enumerate(strategies):
             sub: Optional[Budget] = None
@@ -197,31 +176,7 @@ def compare_strategies(
                 label = strategy or "(none)"
                 sub = budget.slice(1.0 / (len(strategies) - i),
                                    name=f"portfolio[{label}]")
-            portfolio.outcomes.append(
-                run_strategy(payloads[i], sub, prefixes))
+            portfolio.outcomes.append(run_strategy(
+                net, strategy, sweep_config, refine_gc_limit, sub,
+                prefixes))
     return portfolio
-
-
-def _run_pooled(payloads: List[Dict[str, Any]],
-                budget: Optional[Budget],
-                jobs: int) -> List[StrategyOutcome]:
-    """The ``jobs > 1`` fan-out of :func:`compare_strategies`."""
-    from ..parallel import ParallelExecutor
-
-    reg = obs.get_registry()
-    executor = ParallelExecutor(jobs=jobs, name="portfolio")
-    outcomes = executor.map(
-        run_strategy, payloads, budget=budget,
-        labels=[payload["strategy"] or "(none)" for payload in payloads])
-    results: List[StrategyOutcome] = []
-    for payload, outcome in zip(payloads, outcomes):
-        if outcome.ok:
-            results.append(outcome.value)
-        else:
-            # Worker crash or typed error: the same failed-outcome
-            # shape the sequential loop records.
-            reg.counter("portfolio.failures")
-            results.append(StrategyOutcome(
-                strategy=payload["strategy"], error=str(outcome.error),
-                seconds=outcome.seconds))
-    return results

@@ -21,22 +21,16 @@ from ..gen import gp, iscas89
 from ..resilience import Budget
 from ..tools.io import above, at_least
 from .compare import compare_useful_fractions, format_comparison
-from .runner import RowResult, cumulative, format_table, parse_designs
+from .runner import RowResult, cumulative, format_table, parse_designs, \
+    select_profiles
 from .table1 import run as run_table1
 from .table2 import run as run_table2
 
 
 def _scaled_profiles(profiles, scale, cap, designs):
-    out = []
-    wanted = {d.upper() for d in designs} if designs else None
-    for p in profiles:
-        if wanted is not None and p.name.upper() not in wanted:
-            continue
-        effective = scale
-        if cap and p.registers * scale > cap:
-            effective = cap / p.registers
-        out.append(p.scaled(effective))
-    return out
+    return [profile.scaled(effective_scale)
+            for profile, effective_scale in select_profiles(
+                profiles, scale, designs, cap)]
 
 
 def generate_report(scale: float = 0.35,

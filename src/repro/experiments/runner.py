@@ -35,6 +35,7 @@ from ..diameter.structural import StructuralAnalysis
 from ..gen.profiles import USEFUL_THRESHOLD, DesignProfile
 from ..netlist import Netlist
 from ..resilience import Budget, Cancelled
+from ..tools.io import above, at_least
 from ..transform import SweepConfig
 
 #: Sweep configuration tuned for experiment throughput (the structural
@@ -185,20 +186,47 @@ def evaluate_design(net: Netlist,
 def parse_designs(parser: argparse.ArgumentParser, value: Optional[str],
                   profiles: Sequence[DesignProfile]
                   ) -> Optional[List[str]]:
-    """Split a comma-separated ``--designs`` value (None when empty).
+    """Split a comma-separated ``--designs`` value (None when the flag
+    is absent).
 
-    Names match profile names case-insensitively; a name no profile
-    has ends in ``parser.error`` instead of an empty table.
+    Names match profile names case-insensitively.  A value that names
+    no design, or a name no profile has, ends in ``parser.error``
+    before any design runs.
     """
-    if not value:
+    if value is None:
         return None
     names = [name.strip() for name in value.split(",") if name.strip()]
+    if not names:
+        parser.error(f"no design named in {value!r}")
     known = {p.name.upper() for p in profiles}
     unknown = [name for name in names if name.upper() not in known]
     if unknown:
         parser.error(f"unknown design(s) {', '.join(unknown)}; choose "
                      f"from {', '.join(p.name for p in profiles)}")
     return names
+
+
+def select_profiles(profiles: Sequence[DesignProfile], scale: float,
+                    designs: Optional[Sequence[str]] = None,
+                    max_registers: Optional[int] = None
+                    ) -> List[Tuple[DesignProfile, float]]:
+    """The profiles a table runs, in profile order, each with its
+    effective scale.
+
+    ``designs`` selects by name, case-insensitively (None or empty:
+    every profile).  A design whose registers at ``scale`` exceed
+    ``max_registers`` runs at the scale that meets the cap instead.
+    """
+    wanted = {d.upper() for d in designs} if designs else None
+    selected = []
+    for profile in profiles:
+        if wanted is not None and profile.name.upper() not in wanted:
+            continue
+        effective_scale = scale
+        if max_registers and profile.registers * scale > max_registers:
+            effective_scale = max_registers / profile.registers
+        selected.append((profile, effective_scale))
+    return selected
 
 
 def run_design(payload: Dict[str, Any],
@@ -249,20 +277,13 @@ def run_table(generate: Callable[..., Netlist],
     — the designs share ``budget``'s deadline, and a crashed worker
     becomes an error row, never an aborted table.
     """
-    wanted = {d.upper() for d in designs} if designs else None
-    payloads = []
-    sizes = []
-    for profile in profiles:
-        if wanted is not None and profile.name.upper() not in wanted:
-            continue
-        effective_scale = scale
-        if max_registers and profile.registers * scale > max_registers:
-            effective_scale = max_registers / profile.registers
-        payloads.append({"generate": generate, "name": profile.name,
-                         "scale": effective_scale,
-                         "sweep_config": sweep_config})
-        sizes.append(profile.registers * effective_scale)
+    selected = select_profiles(profiles, scale, designs, max_registers)
+    payloads = [{"generate": generate, "name": profile.name,
+                 "scale": effective_scale, "sweep_config": sweep_config}
+                for profile, effective_scale in selected]
     if jobs > 1:
+        sizes = [profile.registers * effective_scale
+                 for profile, effective_scale in selected]
         return _run_pooled(payloads, sizes, budget, jobs)
     rows = []
     for payload in payloads:
@@ -392,3 +413,52 @@ def format_table(rows: Sequence[RowResult], title: str) -> str:
                     f";{col.average:>5.1f} ")
         lines.append("".join(cells))
     return "\n".join(lines)
+
+
+def table_main(argv: Optional[Sequence[str]], description: str,
+               gen: Any, name: str, title: str) -> int:
+    """The command-line body that ``repro-table1`` and ``repro-table2``
+    share: run the profiles of ``gen`` (``repro.gen.iscas89`` or
+    ``repro.gen.gp``), print the table under ``title``, then the
+    paper-vs-measured comparison.  ``name`` names the budget.  Returns
+    a process exit code.
+    """
+    # compare.py imports this module, so import it at call time.
+    from .compare import compare_useful_fractions, format_comparison
+
+    parser = argparse.ArgumentParser(description=description)
+    parser.add_argument("--scale", type=above(float, 0), default=0.25,
+                        help="profile scale factor (default 0.25)")
+    parser.add_argument("--designs", type=str, default=None,
+                        help="comma-separated design subset")
+    parser.add_argument("--max-registers", type=at_least(int, 0),
+                        default=400,
+                        help="per-design register cap (0 = none)")
+    parser.add_argument("--timeout", type=at_least(float, 0), default=0,
+                        help="wall-clock budget in seconds for the "
+                             "whole table (0 = unlimited); exhausted "
+                             "designs become error rows")
+    parser.add_argument("--jobs", type=at_least(int, 1), default=1,
+                        help="worker processes for per-design fan-out "
+                             "(default 1 = sequential)")
+    parser.add_argument("--progress", action="store_true",
+                        help="report live engine progress on stderr")
+    args = parser.parse_args(argv)
+    obs.trace.setup_cli(progress_flag=args.progress)
+    profiles = gen.profiles()
+    designs = parse_designs(parser, args.designs, profiles)
+    budget = Budget(wall_seconds=args.timeout, name=name) \
+        if args.timeout else None
+    max_registers = args.max_registers or None
+    rows = run_table(gen.generate, profiles, scale=args.scale,
+                     designs=designs, max_registers=max_registers,
+                     budget=budget, jobs=args.jobs)
+    print(format_table(rows, title))
+    print()
+    scaled = [profile.scaled(effective_scale)
+              for profile, effective_scale in select_profiles(
+                  profiles, args.scale, designs, max_registers)]
+    table = title.partition(":")[0]
+    print(format_comparison(compare_useful_fractions(rows, scaled),
+                            f"Paper-vs-measured |T'| fractions ({table})"))
+    return 0

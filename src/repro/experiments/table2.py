@@ -13,17 +13,12 @@ benchmarks.
 
 from __future__ import annotations
 
-import argparse
 from typing import List, Optional, Sequence
 
-from .. import obs
 from ..gen import gp
 from ..resilience import Budget
-from ..tools.io import above, at_least
 from ..transform import SweepConfig
-from .compare import compare_useful_fractions, format_comparison
-from .runner import EXPERIMENT_SWEEP, RowResult, format_table, \
-    parse_designs, run_table
+from .runner import EXPERIMENT_SWEEP, RowResult, run_table, table_main
 
 
 def run(scale: float = 1.0,
@@ -72,44 +67,9 @@ def run_latched(scale: float = 0.05,
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
     """CLI entry point; returns a process exit code."""
-    parser = argparse.ArgumentParser(description=__doc__)
-    parser.add_argument("--scale", type=above(float, 0), default=0.25,
-                        help="profile scale factor (default 0.25)")
-    parser.add_argument("--designs", type=str, default=None,
-                        help="comma-separated design subset")
-    parser.add_argument("--max-registers", type=at_least(int, 0),
-                        default=400,
-                        help="per-design register cap (0 = none)")
-    parser.add_argument("--timeout", type=at_least(float, 0), default=0,
-                        help="wall-clock budget in seconds for the "
-                             "whole table (0 = unlimited); exhausted "
-                             "designs become error rows")
-    parser.add_argument("--jobs", type=at_least(int, 1), default=1,
-                        help="worker processes for per-design fan-out "
-                             "(default 1 = sequential)")
-    parser.add_argument("--progress", action="store_true",
-                        help="report live engine progress on stderr")
-    args = parser.parse_args(argv)
-    obs.trace.setup_cli(progress_flag=args.progress)
-    designs = parse_designs(parser, args.designs, gp.profiles())
-    budget = Budget(wall_seconds=args.timeout, name="table2") \
-        if args.timeout else None
-    rows = run(scale=args.scale, designs=designs,
-               max_registers=args.max_registers or None, budget=budget,
-               jobs=args.jobs)
-    print(format_table(rows, "Table 2: GP (profile-synthesized, "
-                             "phase-abstracted)"))
-    print()
-    profiles = [p.scaled(min(args.scale,
-                             (args.max_registers / p.registers)
-                             if args.max_registers and p.registers else 1))
-                for p in gp.profiles()
-                if designs is None or p.name in {d.upper()
-                                                 for d in designs}]
-    comparisons = compare_useful_fractions(rows, profiles)
-    print(format_comparison(comparisons,
-                            "Paper-vs-measured |T'| fractions (Table 2)"))
-    return 0
+    return table_main(argv, __doc__, gp, "table2",
+                      "Table 2: GP (profile-synthesized, "
+                      "phase-abstracted)")
 
 
 if __name__ == "__main__":

@@ -1,10 +1,8 @@
 """The process-pool fan-out engine (Layer 0.7).
 
-Motivation 2 of Section 1 frames the transformation strategies as a
-*portfolio* of independently-sound attempts whose minimum bound wins —
-an embarrassingly parallel workload, as are the per-design rows of the
-Table 1/2 sweeps.  This module provides the one fan-out mechanism both
-share: a :class:`ParallelExecutor` that runs ``fn(payload, budget)``
+The per-design rows of the Table 1/2 sweeps are an embarrassingly
+parallel workload.  This module provides their fan-out mechanism: a
+:class:`ParallelExecutor` that runs ``fn(payload, budget)``
 for every payload on the work-stealing pool of
 :mod:`repro.parallel.stealing`, collects ``(result-or-typed-error, obs
 snapshot)`` tuples back, and merges them **deterministically** —

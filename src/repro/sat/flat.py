@@ -156,11 +156,6 @@ class FlatSolver(Solver):
         """
         if not self._ok:
             return False
-        if self._elim_count:
-            for lits in clauses:
-                if not self.add_clause(lits):
-                    return False
-            return True
         self._cancel_until(0)
         vals = self._vals
         arena = self._arena
@@ -204,12 +199,6 @@ class FlatSolver(Solver):
             if sat:
                 continue
             if len(keep) >= 2:
-                if proof is not None and len(keep) < len(lits):
-                    # Stored residue differs from the logged input
-                    # (level-0-false literals stripped): log it as a
-                    # RUP lemma so a later deletion of the stored
-                    # form matches a live instance in the checker.
-                    proof.learnt(keep)
                 cref = len(arena)
                 arena.append(len(keep))
                 arena.append(-1)
@@ -608,48 +597,6 @@ class FlatSolver(Solver):
         self._arena = new
         self._cla_act = new_act
         self._garbage = 0
-
-    # ------------------------------------------------------------------
-    # Inprocessing primitives (driven by repro.sat.simplify)
-    # ------------------------------------------------------------------
-    def _simp_lits(self, cref: int) -> List[int]:
-        arena = self._arena
-        return arena[cref + 2: cref + 2 + arena[cref]]
-
-    def _simp_shrink(self, cref: int, new_lits: List[int]) -> None:
-        # Detach on the OLD watched literals before rewriting the
-        # arena words, then re-attach on the new first two — a
-        # strengthened clause's watchers are rebuilt, never inherited.
-        # The tail words between the new and old size become arena
-        # garbage (reclaimed by _compact).
-        self._detach(cref)
-        arena = self._arena
-        old_size = arena[cref]
-        size = len(new_lits)
-        arena[cref] = size
-        arena[cref + 2: cref + 2 + size] = new_lits
-        self._garbage += old_size - size
-        self._attach(cref)
-
-    def _simp_remove(self, cref: int) -> None:
-        self._detach(cref)
-        self._garbage += self._arena[cref] + _HDR
-
-    def _simp_gc(self) -> None:
-        if self._garbage * 2 > len(self._arena):
-            self._compact()
-
-    def _simp_clear_reasons(self, start: int = 0) -> Dict[int, int]:
-        """Drop the reasons of the literals on ``trail[start:]``;
-        returns them as ``{clause ref: the literal it implied}``."""
-        reason = self._reason
-        cleared = {}
-        for lit in self._trail[start:]:
-            cref = reason[lit >> 1]
-            if cref >= 0:
-                cleared[cref] = lit
-                reason[lit >> 1] = -1
-        return cleared
 
     def _debug_check_watches(self) -> None:
         """Assert every watcher entry is consistent: the watched

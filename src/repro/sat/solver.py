@@ -3,10 +3,12 @@
 Implements the standard conflict-driven clause-learning architecture —
 two-watched-literal propagation with blocker literals, first-UIP
 conflict analysis with recursive clause minimization, VSIDS decision
-heuristics with phase saving, Luby restarts, learnt-clause database
-reduction and inprocessing (:mod:`repro.sat.simplify`) — in pure
-Python.  It is the reasoning engine behind SAT sweeping (Section 3.1),
-BMC, k-induction, and the recurrence-diameter computation.
+heuristics with phase saving, Luby restarts and learnt-clause
+database reduction — in pure Python.  It is the reasoning engine
+behind SAT sweeping (Section 3.1), BMC, k-induction, and the
+recurrence-diameter computation.  It does no preprocessing or
+inprocessing of its own: problems shrink before they reach it, on the
+netlist (COM, COI, structural hashing and constant folding).
 
 Two cores share one search loop (:meth:`Solver._search`) and differ
 only in how the hot state is laid out:
@@ -41,7 +43,6 @@ from ..resilience import Budget, Cancelled, EngineFailure, \
     EXHAUSTED_CONFLICTS, EXHAUSTED_DEADLINE
 from ..resilience import faults as _faults
 from .cnf import CNF, lit_not, lit_sign, lit_var
-from .simplify import simplify_round
 
 #: Tri-state results of :meth:`Solver.solve`.
 SAT = "sat"
@@ -148,48 +149,15 @@ class Solver:
         #: solver was built with ``proof=True`` — the hot paths then
         #: guard on a single ``is not None`` per batch/conflict/solve.
         self._proof: Optional[ProofLog] = ProofLog() if proof else None
-        #: Inprocessing (repro.sat.simplify).  The schedule is
-        #: conflict-driven: a round runs at the first restart whose
-        #: lifetime conflict count reaches ``_simp_next``, then the
-        #: gap doubles.  All of this state lives in the base class so
-        #: both cores share it bit-for-bit.
-        self._simp_next = 0
-        self._simp_interval = 2000
-        #: Variables that must never be eliminated: assumption
-        #: variables (frozen automatically at every solve) and any the
-        #: caller froze explicitly via :meth:`freeze`.
-        self._frozen: set = set()
-        #: Eliminated-variable flags (lazily padded to num_vars by the
-        #: simplifier; always index-guard before reading).
-        self._elim: List[int] = []
-        self._elim_count = 0
-        #: Model-reconstruction stack of ``(var, lits)`` records, the
-        #: designated literal first; walked backward by _extend_model.
-        self._elim_stack: List[Tuple[int, Tuple[int, ...]]] = []
-        #: Removed problem clauses per eliminated variable, kept for
-        #: restoration when the variable is re-introduced.
-        self._elim_clauses: Dict[int, List[List[int]]] = {}
-        #: Lifetime simplify counters; keys appear lazily on first
-        #: use, so stats() stays four-key until a round actually runs.
-        self._simp_counters: Dict[str, int] = {}
 
     def stats(self) -> Dict[str, int]:
-        """A snapshot of the lifetime statistic totals.
-
-        Always carries the four core counters; the ``simplify_*``
-        counters join lazily once inprocessing has done any work, so
-        consumers must treat absent keys as zero (solve()'s delta
-        computation does exactly that).
-        """
-        out = {
+        """A snapshot of the four lifetime statistic totals."""
+        return {
             "conflicts": self.conflicts,
             "decisions": self.decisions,
             "propagations": self.propagations,
             "restarts": self.restarts,
         }
-        if self._simp_counters:
-            out.update(self._simp_counters)
-        return out
 
     # ------------------------------------------------------------------
     # Problem construction (core-independent slow paths)
@@ -206,15 +174,6 @@ class Solver:
         """
         if not self._ok:
             return False
-        if self._elim_count:
-            # Re-introducing an eliminated variable invalidates its
-            # elimination: restore its removed clauses (and, by
-            # cascade, those of any eliminated variable they mention)
-            # before this clause joins the database.
-            lits = list(lits)
-            self._restore_eliminated(lits)
-            if not self._ok:
-                return False
         if self._proof is not None:
             # Log the *original* clause — the checker's trust base is
             # exactly what the caller asserted, not the level-0
@@ -234,13 +193,11 @@ class Solver:
         self._cancel_until(0)
         seen: Dict[int, int] = {}
         clause: List[int] = []
-        dropped = False
         for lit in lits:
             self._ensure_var(lit_var(lit))
             if self._value(lit) is True:
                 return True  # satisfied at level 0
             if self._value(lit) is False:
-                dropped = True
                 continue  # falsified at level 0: drop literal
             if lit in seen:
                 continue
@@ -257,14 +214,6 @@ class Solver:
                 return False
             self._ok = self._propagate() is None
             return self._ok
-        if dropped and self._proof is not None:
-            # The stored residue differs from the logged input by the
-            # stripped level-0-false literals.  Log it as a lemma (it
-            # is RUP: the dropped literals' negations are derivable
-            # units) so later deletions of the *stored* form — the
-            # inprocessing pass emits those — match a live instance in
-            # the checker's bookkeeping.
-            self._proof.learnt(clause)
         self._store_problem_clause(clause)
         return True
 
@@ -355,18 +304,13 @@ class Solver:
         with reg.span("sat.solve"):
             result = self._solve_governed(assumptions, conflict_budget,
                                           budget)
-        # Delta over whatever keys exist *now*: a counter that first
-        # appeared mid-call (the lazily-created simplify_* family) has
-        # no "before" entry — its baseline is zero, not a KeyError.
-        delta = {key: total - before.get(key, 0)
+        delta = {key: total - before[key]
                  for key, total in self.stats().items()}
         self.last_call_stats = delta
         reg.counter("sat.solve_calls")
         reg.counter(f"sat.result.{result}")
         for key, value in delta.items():
-            if value and not key.startswith("simplify_"):
-                # simplify_* deltas are published by the simplifier
-                # itself under the simplify.* counter namespace.
+            if value:
                 reg.counter(f"sat.{key}", value)
         return result
 
@@ -434,18 +378,6 @@ class Solver:
         exact-equivalence contract (identical decisions, conflicts,
         models, trails) hold by construction.
         """
-        if assumptions:
-            # Assumption variables are part of the caller's interface:
-            # freeze them against elimination, and un-eliminate any
-            # that a previous call's inprocessing already removed
-            # (an assumption over a clause-free variable would pin it
-            # unsoundly).
-            assumptions = list(assumptions)
-            frozen = self._frozen
-            for lit in assumptions:
-                frozen.add(lit >> 1)
-            if self._elim_count:
-                self._restore_eliminated(assumptions)
         if not self._ok:
             self._conclude_unsat(())
             return UNSAT
@@ -458,22 +390,6 @@ class Solver:
             self._ok = False
             self._conclude_unsat(())
             return UNSAT
-        if conflict_budget is None and budget is None \
-                and self.conflicts >= self._simp_next:
-            # Solve-entry round: SatELite-style preprocessing on a
-            # solver's first call (Tseitin gate variables resolve
-            # away), periodic pickup for long-lived incremental
-            # callers.  Same preconditions as the restart-boundary
-            # round — level 0, propagation at fixpoint — and
-            # assumption variables were frozen above.  Budgeted calls
-            # skip it: a round can refute outright, and the governance
-            # contract (budget 0 + a conflicted instance = UNKNOWN,
-            # exhaustion accounted to search effort) must not depend
-            # on inprocessing.
-            if not self._run_simplify():
-                self._ok = False
-                self._conclude_unsat(())
-                return UNSAT
         assumptions = list(assumptions)
         budget_start = self.conflicts
         restart_idx = 1
@@ -524,16 +440,6 @@ class Solver:
                     limit = 128 * self._luby(restart_idx)
                     conflicts_here = 0
                     self._cancel_until(0)
-                    if self.conflicts >= self._simp_next:
-                        # Inprocessing at the restart boundary (level
-                        # 0, propagation at fixpoint) — shared by both
-                        # cores, so the dual-path oracle's equality
-                        # contract covers the simplifier too.
-                        if not self._run_simplify():
-                            self._ok = False
-                            self._conclude_unsat(())
-                            return UNSAT
-                        max_learnts = max(1000, 2 * len(self._clauses))
                 if len(self._learnts) >= max_learnts:
                     self._reduce_db()
                     max_learnts = int(max_learnts * 1.3)
@@ -562,12 +468,6 @@ class Solver:
             lit = pick_branch()
             if lit is None:
                 self.model = self._model_values()
-                if self._elim_stack:
-                    # Eliminated variables carry arbitrary search
-                    # values (they occur in no clause); overwrite them
-                    # with reconstructed ones so callers — and witness
-                    # replay — see a model of the *original* formula.
-                    self._extend_model()
                 self._cancel_until(0)
                 return SAT
             self.decisions += 1
@@ -597,95 +497,6 @@ class Solver:
         empty tuple for an unconditional one)."""
         if self._proof is not None:
             self._proof.conclude_unsat(assumptions)
-
-    # ------------------------------------------------------------------
-    # Inprocessing support (repro.sat.simplify drives the per-core
-    # _simp_* primitives; everything here is core-independent)
-    # ------------------------------------------------------------------
-    def freeze(self, var: int) -> None:
-        """Protect ``var`` from variable elimination.
-
-        Assumption variables are frozen automatically at every
-        :meth:`solve`; call this for interface variables that must
-        stay addressable (e.g. literals a later call will assume or
-        add clauses over) without paying the restore path.
-        """
-        self._frozen.add(var)
-
-    def _simp_count(self, key: str, n: int = 1) -> None:
-        counters = self._simp_counters
-        counters[key] = counters.get(key, 0) + n
-
-    def _run_simplify(self) -> bool:
-        """One scheduled inprocessing round; False means the round
-        refuted the formula.  Doubles the conflict gap to the next
-        round (cheap instances simplify once, hard ones keep going)."""
-        ok = simplify_round(self)
-        self._simp_next = self.conflicts + self._simp_interval
-        self._simp_interval = min(self._simp_interval * 2, 1 << 20)
-        if _debug_checks:
-            self._debug_check_watches()
-        return ok
-
-    def _restore_eliminated(self, lits: Iterable[int]) -> None:
-        """Un-eliminate every eliminated variable in ``lits`` and
-        re-add its removed clauses (cascading: restored clauses may
-        mention further eliminated variables, so the whole closure is
-        un-marked *before* any clause is re-added).
-
-        The restored variables' model-reconstruction records are
-        dropped — the live search values must stand for them now.
-        Re-added clauses re-enter through :meth:`add_clause`, which
-        re-logs them as inputs (sound: they were original axioms).
-        """
-        elim = self._elim
-        batch: List[int] = []
-        seen = set()
-        work = [lit >> 1 for lit in lits]
-        while work:
-            var = work.pop()
-            if var in seen or var >= len(elim) or not elim[var]:
-                continue
-            seen.add(var)
-            batch.append(var)
-            for clause in self._elim_clauses[var]:
-                for lit in clause:
-                    work.append(lit >> 1)
-        if not batch:
-            return
-        for var in batch:
-            elim[var] = 0
-        self._elim_count -= len(batch)
-        self._elim_stack = [record for record in self._elim_stack
-                            if record[0] not in seen]
-        restored: List[List[int]] = []
-        for var in batch:
-            restored.extend(self._elim_clauses.pop(var))
-        self._simp_count("simplify_restored_vars", len(batch))
-        obs.counter("simplify.restored_vars", len(batch))
-        for clause in restored:
-            if not self.add_clause(clause):
-                return
-
-    def _extend_model(self) -> None:
-        """Reconstruct model values for eliminated variables by
-        walking the elimination stack backward (MiniSat extendModel):
-        the unit marker fires first and pre-satisfies the un-stored
-        polarity side; each stored clause then sets its designated
-        literal true iff its remaining literals are all false in the
-        model.  Records of restored (no-longer-eliminated) variables
-        are skipped — their live search values stand."""
-        model = self.model
-        elim = self._elim
-        for var, lits in reversed(self._elim_stack):
-            if not elim[var]:
-                continue
-            for lit in lits[1:]:
-                if model[lit >> 1] != (lit & 1):  # literal is true
-                    break
-            else:
-                designated = lits[0]
-                model[designated >> 1] = (designated & 1) == 0
 
     def _debug_check_watches(self) -> None:
         """Core-specific watcher-integrity sweep (debug builds)."""
@@ -851,18 +662,11 @@ class LegacySolver(Solver):
         duplicate/tautology cases, and the rare empty/unit outcomes
         are delegated back to :meth:`add_clause`) — this keeps the
         resulting clause database identical to adding every clause
-        individually.  While variables are eliminated, every clause
-        goes through :meth:`add_clause`, which restores an eliminated
-        variable's clauses just before the first clause that mentions
-        it.  Returns False if the formula became trivially UNSAT.
+        individually.  Returns False if the formula became trivially
+        UNSAT.
         """
         if not self._ok:
             return False
-        if self._elim_count:
-            for lits in clauses:
-                if not self.add_clause(lits):
-                    return False
-            return True
         self._cancel_until(0)
         assign = self._assign
         watches = self._watches
@@ -903,12 +707,6 @@ class LegacySolver(Solver):
             if sat:
                 continue
             if len(keep) >= 2:
-                if proof is not None and len(keep) < len(lits):
-                    # Stored residue differs from the logged input
-                    # (level-0-false literals stripped): log it as a
-                    # RUP lemma so a later deletion of the stored form
-                    # matches a live instance (see _add_clause_raw).
-                    proof.learnt(keep)
                 clause = _Clause(keep, False)
                 append(clause)
                 watches[keep[0] ^ 1].append((clause, keep[1]))
@@ -1176,41 +974,6 @@ class LegacySolver(Solver):
                         "watcher corruption: clause "
                         f"{tuple(clause.lits)} missing from the watch "
                         f"list of literal {lit ^ 1}")
-
-    # ------------------------------------------------------------------
-    # Inprocessing primitives (driven by repro.sat.simplify)
-    # ------------------------------------------------------------------
-    def _simp_lits(self, clause: _Clause) -> List[int]:
-        return list(clause.lits)
-
-    def _simp_shrink(self, clause: _Clause, new_lits: List[int]) -> None:
-        # Detach on the OLD watched literals before mutating, then
-        # re-attach on the new first two — a strengthened clause's
-        # watchers are rebuilt, never inherited (inheriting them would
-        # leave the watch lists pointing at literals the clause no
-        # longer contains; see _debug_check_watches).
-        self._detach(clause)
-        clause.lits = list(new_lits)
-        self._attach(clause)
-
-    def _simp_remove(self, clause: _Clause) -> None:
-        self._detach(clause)
-
-    def _simp_gc(self) -> None:
-        pass  # no arena: removed _Clause objects are plain garbage
-
-    def _simp_clear_reasons(self, start: int = 0) \
-            -> Dict[_Clause, int]:
-        """Drop the reasons of the literals on ``trail[start:]``;
-        returns them as ``{clause ref: the literal it implied}``."""
-        reason = self._reason
-        cleared = {}
-        for lit in self._trail[start:]:
-            clause = reason[lit >> 1]
-            if clause is not None:
-                cleared[clause] = lit
-                reason[lit >> 1] = None
-        return cleared
 
     def _debug_check_watches(self) -> None:
         """Assert every watcher entry is consistent: the watched

@@ -11,10 +11,10 @@ prints one line per target (the per-design content of the paper's
 tables).
 
 ``--strategy`` accepts ``/``-separated alternatives (e.g.
-``"COM/RET/COM,RET,COM"``): they run as a portfolio — in parallel when
-``--jobs N`` is given — and each target reports the best sound bound
-any alternative produced, with the winning strategy named.  The
-portfolio bounds structurally, so alternatives do not combine with
+``"COM/RET/COM,RET,COM"``): they run as a portfolio, one after the
+other and sharing transform prefixes, and each target reports the best
+sound bound any alternative produced, with the winning strategy named.
+The portfolio bounds structurally, so alternatives do not combine with
 ``--bounder recurrence``.
 """
 
@@ -40,17 +40,16 @@ def _recurrence_bounder(net, target):
 
 def _portfolio_main(net, args, budget) -> int:
     """The ``/``-separated alternatives path: run every strategy (a
-    portfolio, parallel when ``--jobs > 1``) and report each target's
-    best sound bound.  Failed alternatives are reported, not fatal —
-    each bound is independently sound, so the minimum survives any
-    subset of failures.  Uses the structural bounder (the portfolio
-    engine's default); ``main`` refuses ``--bounder recurrence`` here."""
+    portfolio) and report each target's best sound bound.  Failed
+    alternatives are reported, not fatal — each bound is independently
+    sound, so the minimum survives any subset of failures.  Uses the
+    structural bounder (the portfolio engine's default); ``main``
+    refuses ``--bounder recurrence`` here."""
     strategies = args.strategy.split("/")
     portfolio = compare_strategies(net, strategies=strategies,
                                    refine_gc_limit=args.refine_gc,
-                                   budget=budget, jobs=args.jobs)
-    print(f"portfolio: {len(strategies)} alternative(s), "
-          f"jobs={args.jobs}")
+                                   budget=budget)
+    print(f"portfolio: {len(strategies)} alternative(s)")
     for outcome in portfolio.outcomes:
         label = outcome.strategy or "(none)"
         if not outcome.ok:
@@ -91,10 +90,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
                         help="wall-clock budget in seconds (0 = "
                              "unlimited); an exhausted COM degrades "
                              "to fewer merges, bounds stay sound")
-    parser.add_argument("--jobs", type=at_least(int, 1), default=1,
-                        help="worker processes for /-separated "
-                             "strategy alternatives (default 1 = "
-                             "sequential)")
     parser.add_argument("--progress", action="store_true",
                         help="report live engine progress on stderr")
     args = parser.parse_args(argv)

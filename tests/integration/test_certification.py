@@ -194,8 +194,7 @@ class TestProveArbitration:
 def pigeonhole_net(pigeons, holes):
     """PHP(pigeons, holes) as a combinational miter: the target is
     satisfiable iff the (unsatisfiable) pigeonhole formula is, so BMC
-    refutes every frame — after enough conflicts to restart and fire
-    inprocessing rounds."""
+    refutes every frame — after enough conflicts to restart."""
     b = NetlistBuilder(f"php{pigeons}x{holes}")
     x = {(p, h): b.input(f"x{p}_{h}") for p in range(pigeons)
          for h in range(holes)}
@@ -211,19 +210,17 @@ def pigeonhole_net(pigeons, holes):
     return b.net, t
 
 
-class TestInprocessingCertified:
-    """Tier-1 smoke for the inprocessing pass: a BMC run hard enough
-    to restart fires simplify rounds mid-search, and the verdict is
-    the expected one and certified."""
+class TestCertifiedRefutation:
+    """Tier-1 smoke for a certified BMC refutation hard enough to
+    restart: the verdict is the expected one, and certified."""
 
-    def test_bmc_verdict_identical_and_certified_with_simplify(self):
+    def test_bmc_refutes_pigeonhole_certified(self):
         net, t = pigeonhole_net(6, 5)
         with obs.scoped(obs.Registry("cert-int")) as reg:
             result = bmc(net, t, max_depth=1, certify=True)
             snap = reg.snapshot()
         assert (result.status, result.depth_checked) == (BOUNDED, 1)
         assert result.counterexample is None
-        # The run actually exercised the simplifier, certifiedly.
-        assert snap["counters"]["simplify.rounds"] >= 1
+        assert snap["counters"]["sat.restarts"] >= 1
         assert snap["counters"]["cert.checked"] >= 1
         assert "cert.failed" not in snap["counters"]

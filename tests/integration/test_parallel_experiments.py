@@ -1,5 +1,5 @@
 """Integration tests for the --jobs fan-out: determinism and fault
-tolerance of the table and portfolio fan-outs.
+tolerance of the table fan-out.
 
 All pooled tests carry the ``parallel`` marker; they run in tier-1 (the
 marker is informational, not excluded) and use tiny designs so the
@@ -8,12 +8,9 @@ process-pool overhead dominates the solver work.
 
 import pytest
 
-from repro import obs
-from repro.core import compare_strategies
 from repro.experiments.runner import format_table, run_table
 from repro.experiments.table1 import run as run_table1
 from repro.gen import iscas89
-from repro.netlist import s27
 from repro.resilience import FAULT_CRASH, FaultPlan, inject
 
 DESIGNS = ["S27", "S298"]
@@ -91,24 +88,3 @@ class TestTableFaultTolerance:
         rows = run_table(boom, profiles, scale=0.1, jobs=2)
         assert len(rows) == 2
         assert all(row.error is not None for row in rows)
-
-
-@pytest.mark.parallel
-class TestPortfolioAndProve:
-    def test_portfolio_jobs2_matches_sequential(self):
-        net = s27()
-        seq = compare_strategies(net, strategies=("", "COM"), jobs=1)
-        par = compare_strategies(net, strategies=("", "COM"), jobs=2)
-        target = net.targets[0]
-        assert par.best(target) == seq.best(target)
-        assert [o.strategy for o in par.outcomes] == \
-            [o.strategy for o in seq.outcomes]
-
-    def test_portfolio_telemetry_lands_under_parallel_prefix(self):
-        with obs.scoped(obs.Registry("t")) as reg:
-            compare_strategies(s27(), strategies=("", "COM"), jobs=2)
-            snap = reg.snapshot()
-        prefixed = [key for key in snap["counters"]
-                    if key.startswith("parallel/portfolio/")]
-        assert prefixed
-        assert snap["counters"]["parallel.tasks"] == 2

@@ -6,15 +6,15 @@ identical verdicts, bounds and counterexample traces — not merely
 equivalent ones.  These tests pin that end to end across the engines
 that consume unrollings, by swapping the reference walk of
 ``tests/unit/test_template.py`` into :class:`~repro.unroll.Unrolling`,
-and pin the cache economics (hits across portfolio strategies and
-across worker processes).
+and pin the cache economics (hits across portfolio strategies, and
+counters from table rows run in worker processes).
 """
 
 import pytest
 
 from repro import obs
-from repro.core import compare_strategies
 from repro.core.prove import prove
+from repro.experiments.table1 import run as run_table1
 from repro.diameter.recurrence import recurrence_diameter
 from repro.netlist import NetlistBuilder, s27
 from repro.sat.template import clear_template_cache
@@ -144,8 +144,7 @@ class TestCacheEconomics:
         ``parallel/<pool>/<label>/`` prefix."""
         reg = obs.get_registry()
         snap0 = reg.snapshot()["counters"]
-        compare_strategies(s27(), strategies=("COM", "COM,RET,COM"),
-                           jobs=2)
+        run_table1(scale=0.1, designs=["S27", "S298"], jobs=2)
         snap = reg.snapshot()["counters"]
         merged = {
             key: value - snap0.get(key, 0)

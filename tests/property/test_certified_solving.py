@@ -5,10 +5,9 @@ proof logging only observes the search; that is why the ``sat.*``
 counts of a certified run match an uncertified one.  Each answer must
 also check on its own:
 
-* every UNSAT passes the DRAT checker (:mod:`repro.cert.drat`),
-  including UNSATs reached after a solve-entry inprocessing round;
+* every UNSAT passes the DRAT checker (:mod:`repro.cert.drat`);
 * every SAT model satisfies every clause added so far and the
-  assumptions, with the values reconstructed for eliminated variables.
+  assumptions.
 
 Scripts interleave clause additions of width 1-3 with solves under
 0-4 assumptions: the incremental shape of BMC and SAT sweeping.

@@ -237,8 +237,8 @@ class TestExecutorPooled:
         assert snap["counters"]["parallel.worker_crashes"] == 1
 
     def test_no_budget_means_none_at_any_jobs(self):
-        # Any non-None budget changes solver behaviour (budget polling,
-        # no solve-entry inprocessing), so no budget must stay None.
+        # A non-None budget adds polling to every solve, so no budget
+        # must stay None.
         for jobs in (1, 2):
             outcomes = ParallelExecutor(jobs=jobs).map(
                 _record_budget, ["a", "b"])

@@ -94,10 +94,7 @@ class TestPortfolio:
         portfolio = compare_strategies(scoped, refine_gc_limit=6)
         assert len(swept) == 2  # COM, then COM,RET,COM's last COM
         for outcome in portfolio.outcomes:
-            alone = run_strategy({"net": scoped,
-                                  "strategy": outcome.strategy,
-                                  "sweep_config": None,
-                                  "refine_gc_limit": 6}, None)
+            alone = run_strategy(scoped, outcome.strategy, None, 6, None)
             assert outcome.ok and alone.ok
             assert outcome.result.reports == alone.result.reports
         assert portfolio.best(t)[0] == 0

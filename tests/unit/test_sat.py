@@ -27,7 +27,6 @@ from repro.sat import (
     set_debug_checks,
     to_dimacs_lit,
 )
-from repro.sat.simplify import simplify_round
 
 #: Both data-layout cores; they must behave identically.
 CORES = [LegacySolver, FlatSolver]
@@ -515,6 +514,30 @@ class TestDetachIntegrity:
 
 
 @pytest.mark.parametrize("core", CORES)
+class TestDebugWatchInvariant:
+    """The debug sweep that ``_reduce_db`` runs under
+    ``REPRO_SAT_DEBUG`` notices a watched literal that left its
+    clause's first two slots."""
+
+    def test_corrupted_watcher_is_detected(self, core):
+        s = core()
+        s.new_vars(3)
+        s.add_clause([pos(0), pos(1), pos(2)])
+        s._debug_check_watches()
+        if core is LegacySolver:
+            clause = s._clauses[0]
+            clause.lits = [clause.lits[2], clause.lits[1],
+                           clause.lits[0]]
+        else:
+            cref = s._clauses[0]
+            arena = s._arena
+            base = cref + 2
+            arena[base], arena[base + 2] = arena[base + 2], arena[base]
+        with pytest.raises(RuntimeError):
+            s._debug_check_watches()
+
+
+@pytest.mark.parametrize("core", CORES)
 class TestAddCnfBulkRouting:
     """add_cnf routes pre-validated clauses through the bulk fast
     path; the resulting state must stay element-wise identical to
@@ -558,47 +581,6 @@ class TestAddCnfBulkRouting:
         assert s.add_cnf(self._mixed_cnf())
         # Maximal runs between slow-path clauses: [2], [1], [1].
         assert batches == [2, 1, 1]
-
-    @staticmethod
-    def _eliminated(core):
-        """A solver with variables 0 and 3 eliminated."""
-        s = core()
-        s.new_vars(6)
-        for var in (1, 2, 4, 5):
-            s.freeze(var)
-        for clause in ([pos(0), pos(1)], [neg(0), pos(2)],
-                       [pos(3), pos(4)], [neg(3), pos(5)]):
-            s.add_clause(clause)
-        assert simplify_round(s)
-        assert s.stats()["simplify_eliminated_vars"] == 2
-        return s
-
-    #: Each clause re-introduces one eliminated variable.  Loading
-    #: clause by clause restores each variable's clauses just before
-    #: the clause that mentions it, not both up front.
-    REINTRODUCING = ([pos(0), neg(1)], [pos(3), neg(4)])
-
-    def test_add_cnf_restores_eliminated_variables_in_stream_order(
-            self, core):
-        cnf = CNF()
-        for clause in self.REINTRODUCING:
-            cnf.add_clause(clause)
-        a, b = self._eliminated(core), self._eliminated(core)
-        assert a.add_cnf(cnf)
-        for cl in cnf.clauses:
-            assert b.add_clause(list(cl))
-        assert a.clause_lits() == b.clause_lits()
-        assert a.stats() == b.stats()
-
-    def test_bulk_restores_eliminated_variables_in_stream_order(
-            self, core):
-        # Template stamping calls add_clauses_bulk directly.
-        a, b = self._eliminated(core), self._eliminated(core)
-        assert a.add_clauses_bulk([list(cl) for cl in self.REINTRODUCING])
-        for cl in self.REINTRODUCING:
-            assert b.add_clause(list(cl))
-        assert a.clause_lits() == b.clause_lits()
-        assert a.stats() == b.stats()
 
     def test_add_cnf_detects_unsat(self, core):
         cnf = CNF()

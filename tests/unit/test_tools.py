@@ -165,14 +165,6 @@ class TestCLIs:
         assert "via" in out
         assert "|T'|/|T| = 1/1" in out
 
-    @pytest.mark.parallel
-    def test_bound_cli_alternatives_jobs2(self, capsys, s27_bench):
-        assert bound_main([s27_bench, "--strategy", "COM/RET",
-                           "--jobs", "2"]) == 0
-        out = capsys.readouterr().out
-        assert "jobs=2" in out
-        assert "|T'|/|T| = 1/1" in out
-
     def test_bound_cli_alternatives_structural_bounder(self, capsys,
                                                         s27_bench):
         assert bound_main([s27_bench, "--strategy", "COM/RET",
@@ -273,7 +265,9 @@ BAD_INPUT = {
         "{s27}", "{out}", "--transform", "BOGUS"]),
     "convert-destination": (convert_main, ["{s27}", "{bad_out}"]),
     "bound-timeout": (bound_main, ["{s27}", "--timeout", "-1"]),
-    "bound-jobs": (bound_main, ["{s27}", "--jobs", "0"]),
+    # The portfolio runs its alternatives in one process: no --jobs.
+    "bound-jobs": (bound_main, ["{s27}", "--strategy", "COM/RET",
+                                "--jobs", "2"]),
     "bound-threshold": (bound_main, ["{s27}", "--threshold", "0"]),
     "bound-refine-gc": (bound_main, ["{s27}", "--refine-gc", "-1"]),
     "trace-summary-top": (trace_main, ["summary", "{trace}", "--top", "-1"]),
@@ -299,6 +293,11 @@ BAD_INPUT = {
        for flag, value in (("timeout", "-1"), ("scale", "-1"),
                            ("max-registers", "-5"), ("jobs", "-2"))},
     "table1-scale-zero": (table1_main, ["--scale", "0"]),
+    # A --designs value that names no design: an error before any
+    # design runs, not the whole table.
+    "table1-designs": (table1_main, ["--designs", ","]),
+    "table2-designs": (table2_main, ["--designs", " , "]),
+    "report-designs-t1": (report_main, ["--designs-t1", ","]),
 }
 
 
