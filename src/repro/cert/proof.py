@@ -1,4 +1,4 @@
-"""DRAT-style proof event logs emitted by the SAT solver cores.
+"""DRAT-style proof event logs emitted by the SAT solver.
 
 A :class:`ProofLog` records every clause-database mutation the solver
 performs, in order, as immutable events:

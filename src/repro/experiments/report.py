@@ -19,7 +19,7 @@ from typing import List, Optional, Sequence
 from .. import obs
 from ..gen import gp, iscas89
 from ..resilience import Budget
-from ..tools.io import above, at_least
+from ..tools.io import above, at_least, check_writable, write_or_exit
 from .compare import compare_useful_fractions, format_comparison
 from .runner import RowResult, cumulative, format_table, parse_designs, \
     select_profiles
@@ -135,6 +135,8 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     obs.trace.setup_cli(progress_flag=args.progress)
     designs_t1 = parse_designs(parser, args.designs_t1, iscas89.profiles())
     designs_t2 = parse_designs(parser, args.designs_t2, gp.profiles())
+    if args.out:
+        check_writable(parser, args.out)
     report = generate_report(
         scale=args.scale,
         max_registers=args.max_registers or None,
@@ -145,8 +147,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         jobs=args.jobs,
     )
     if args.out:
-        with open(args.out, "w") as handle:
-            handle.write(report)
+        write_or_exit(parser, args.out, report)
         print(f"wrote {args.out}")
     else:
         print(report)

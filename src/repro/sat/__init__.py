@@ -10,16 +10,7 @@ from .cnf import (
     pos,
     to_dimacs_lit,
 )
-from .solver import (
-    SAT,
-    UNKNOWN,
-    UNSAT,
-    LegacySolver,
-    Solver,
-    debug_checks_enabled,
-    set_debug_checks,
-)
-from .flat import FlatSolver
+from .solver import SAT, UNKNOWN, UNSAT, Solver
 from .template import (
     FrameTemplate,
     clear_template_cache,
@@ -41,15 +32,11 @@ from .tseitin import (
 __all__ = [
     "CNF",
     "CnfSink",
-    "FlatSolver",
     "FrameTemplate",
-    "LegacySolver",
     "SAT",
     "Solver",
     "UNKNOWN",
     "UNSAT",
-    "debug_checks_enabled",
-    "set_debug_checks",
     "clear_template_cache",
     "compile_template",
     "get_template",

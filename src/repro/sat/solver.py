@@ -1,4 +1,4 @@
-"""A CDCL SAT solver on a flat-array core, with a reference core.
+"""A CDCL SAT solver on flat integer arrays.
 
 Implements the standard conflict-driven clause-learning architecture —
 two-watched-literal propagation with blocker literals, first-UIP
@@ -10,22 +10,55 @@ recurrence-diameter computation.  It does no preprocessing or
 inprocessing of its own: problems shrink before they reach it, on the
 netlist (COM, COI, structural hashing and constant folding).
 
-Two cores share one search loop (:meth:`Solver._search`) and differ
-only in how the hot state is laid out:
+:class:`Solver` keeps its search (:meth:`Solver._search`: the control
+loop, budget governance, statistics and the normalising clause loader)
+apart from the data-layout primitives it runs on (``_propagate``,
+``_analyze``, ``_enqueue``, ``_cancel_until``, ``_pick_branch``, ...).
+The test suite's reference core (``tests/property/legacy_solver.py``)
+subclasses it and overrides every primitive with one Python object per
+clause; both run the same search, so the cross-core oracle compares
+verdicts, models, trails and statistics decision for decision.
 
-* :class:`FlatSolver` keeps clauses in a flat integer *arena* with
-  inline headers, watcher lists as flat interleaved
-  ``[clause-ref, blocker, ...]`` integer arrays, a per-literal value
-  table and plain integer reason/level tables — no per-clause Python
-  objects on the hot path (see :mod:`repro.sat.flat`).
-  ``Solver()`` always builds this core, and ``isinstance(x, Solver)``
-  holds for it.
-* :class:`LegacySolver` keeps the original per-clause ``_Clause``
-  objects.  It is the reference implementation of the randomized
-  dual-path oracle suite and is only ever constructed directly: both
-  cores execute the exact same search (decision for decision), so
-  verdicts, models, trails and statistics must match *exactly* — any
-  divergence is a bug in one of the cores.
+The hot state is laid out as contiguous flat arrays instead of
+per-clause Python objects:
+
+* **Clause arena** — one flat integer list.  A clause is a *reference*
+  (``cref``), the index of its inline header: ``arena[cref]`` is the
+  literal count, ``arena[cref + 1]`` the clause's index into the
+  learnt-activity table (``-1`` for problem clauses), and the literals
+  follow at ``arena[cref + 2:]``.  The arena starts with a two-word
+  pad so that ``0`` is never a valid reference.
+* **Watcher lists** — per literal, a flat interleaved integer list
+  ``[cref0, blocker0, cref1, blocker1, ...]``; the blocker is a
+  literal of the clause whose truth lets propagation skip the clause
+  without touching the arena at all.  ``_watches[p]`` holds the
+  clauses that watch ``p ^ 1`` and is visited when ``p`` is assigned.
+* **Values** — one table per *literal*: ``_vals[p]`` is ``1`` when
+  literal ``p`` is true, ``0`` when it is false and ``-1`` when it is
+  unassigned, so a truth test is one load and one compare.  Assigning
+  a variable writes both of its literals' entries, and so does
+  unassigning it.
+* **Reason / level / polarity** — plain per-variable integer tables;
+  ``_reason[v]`` is a cref or ``-1``.
+
+Propagation leaves a kept watcher entry where it is: it writes only
+a blocker that changed, and deletes an entry whose watch moved to
+another literal, so the kept entries keep their order.  A binary
+clause has no replacement watch to search for, so propagation goes
+straight to its unit-or-conflict test.  Conflict analysis marks
+variables in one ``_seen`` table that it leaves all false, instead of
+allocating one per conflict.
+
+Removing a learnt clause only unlinks it from the watcher lists; the
+arena words become garbage and are reclaimed by :meth:`Solver._compact`
+once they outnumber the live words.  Compaction rewrites crefs in
+place (watchers, reasons, clause indices) and is invisible to the
+search.
+
+The layout removes object allocation and attribute dispatch from the
+propagation/analysis inner loops, which profile as the solver's hot
+path (``python -m cProfile -s tottime`` ranks ``_propagate``,
+``_analyze`` and ``_pick_branch`` first).
 
 Literals use the 0-based encoding of :mod:`repro.sat.cnf` (variable
 ``v`` gives positive literal ``2*v``, negative ``2*v + 1``).
@@ -34,7 +67,6 @@ Literals use the 0-based encoding of :mod:`repro.sat.cnf` (variable
 from __future__ import annotations
 
 import heapq
-import os
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 from .. import obs
@@ -42,55 +74,24 @@ from ..cert.proof import ProofLog
 from ..resilience import Budget, Cancelled, EngineFailure, \
     EXHAUSTED_CONFLICTS, EXHAUSTED_DEADLINE
 from ..resilience import faults as _faults
-from .cnf import CNF, lit_not, lit_sign, lit_var
+from .cnf import CNF, lit_not, lit_var
 
 #: Tri-state results of :meth:`Solver.solve`.
 SAT = "sat"
 UNSAT = "unsat"
 UNKNOWN = "unknown"
 
-
-# ----------------------------------------------------------------------
-# Debug-checks toggle: watcher-integrity violations become loud
-# ----------------------------------------------------------------------
-_DEBUG_ENV = "REPRO_SAT_DEBUG"
-_debug_checks = os.environ.get(_DEBUG_ENV, "0").strip().lower() \
-    not in ("0", "false", "off", "no", "")
-
-
-def debug_checks_enabled() -> bool:
-    """Whether internal-consistency violations raise instead of pass."""
-    return _debug_checks
-
-
-def set_debug_checks(enabled: bool) -> bool:
-    """Set the debug-checks toggle; returns the previous value."""
-    global _debug_checks
-    previous = _debug_checks
-    _debug_checks = bool(enabled)
-    return previous
-
-
-class _Clause:
-    """A clause of the legacy object core."""
-
-    __slots__ = ("lits", "learnt", "activity")
-
-    def __init__(self, lits: List[int], learnt: bool) -> None:
-        self.lits = lits
-        self.learnt = learnt
-        self.activity = 0.0
+#: Words of header before a clause's literals in the arena.
+_HDR = 2
 
 
 class Solver:
     """An incremental CDCL SAT solver with assumption support.
 
-    ``Solver()`` is a facade that constructs the flat-array core
-    (:class:`FlatSolver`).  This base class carries everything
-    core-independent — the search control loop, budget governance,
-    statistics, and the normalising slow-path clause loader — while
-    the cores implement the data-layout primitives (propagation,
-    analysis, attach/detach, VSIDS tables).
+    The search control loop, budget governance, statistics and the
+    normalising slow-path clause loader run on the data-layout
+    primitives (propagation, analysis, attach/detach, VSIDS tables)
+    over the flat arrays of the module docstring.
 
     ``Solver(proof=True)`` keeps a DRAT-style proof log
     (:attr:`proof`) for its whole life; it is the only way a solver
@@ -98,21 +99,12 @@ class Solver:
     with and without it.
     """
 
-    def __new__(cls, *args, **kwargs):
-        if cls is Solver:
-            from .flat import FlatSolver
-            cls = FlatSolver
-        return object.__new__(cls)
-
     def __init__(self, proof: bool = False) -> None:
         self.num_vars = 0
-        #: Shared across cores: activity table, binary heap of
-        #: ``(-activity, var)`` entries, trail of literals,
-        #: decision-level marks.  The cores pick the same variable
-        #: from different heaps: :class:`LegacySolver`'s lazy-deletion
-        #: heap takes an entry on every unassign and every bump, while
-        #: :class:`FlatSolver` keeps one live entry per variable
-        #: (MiniSat's discipline) and skips the stale keys bumps leave.
+        #: Activity table, binary heap of ``(-activity, var)`` entries
+        #: (one live entry per variable, MiniSat's discipline: see
+        #: :meth:`_pick_branch`), trail of literals, decision-level
+        #: marks.
         self._activity: List[float] = []
         self._heap: List[tuple] = []
         self._trail: List[int] = []
@@ -122,6 +114,30 @@ class Solver:
         self._var_decay = 0.95
         self._cla_inc = 1.0
         self._ok = True
+        #: Clause arena; pad so cref 0 is never valid (reason table
+        #: uses -1 as "no reason", watcher code may treat 0 as falsy).
+        self._arena: List[int] = [0, 0]
+        #: Activities of learnt clauses, indexed by the header's
+        #: activity slot (problem clauses carry -1 there).
+        self._cla_act: List[float] = []
+        #: Problem / learnt clause references, insertion-ordered.
+        self._clauses: List[int] = []
+        self._learnts: List[int] = []
+        #: Per-literal interleaved [cref, blocker, ...] watcher lists.
+        self._watches: List[List[int]] = []
+        #: Per-literal values: 1 true, 0 false, -1 unassigned.
+        self._vals: List[int] = []
+        self._level: List[int] = []
+        self._reason: List[int] = []
+        self._polarity: List[int] = []
+        #: Per-variable flag: 1 while the variable has its one live
+        #: decision-heap entry (see :meth:`_pick_branch`).
+        self._heaped: List[int] = []
+        #: Conflict analysis's per-variable marks, all False between
+        #: conflicts.
+        self._seen: List[bool] = []
+        #: Dead arena words left behind by removed learnt clauses.
+        self._garbage = 0
         #: The satisfying assignment of the last ``solve()`` call,
         #: indexed by variable — valid ONLY when that call returned
         #: :data:`SAT`.  Cleared at the start of every ``solve()``, so
@@ -160,8 +176,48 @@ class Solver:
         }
 
     # ------------------------------------------------------------------
-    # Problem construction (core-independent slow paths)
+    # Problem construction
     # ------------------------------------------------------------------
+    def new_var(self) -> int:
+        """Allocate and return a fresh variable."""
+        var = self.num_vars
+        self.num_vars += 1
+        self._watches.append([])
+        self._watches.append([])
+        self._vals.append(-1)
+        self._vals.append(-1)
+        self._level.append(0)
+        self._reason.append(-1)
+        self._polarity.append(0)
+        self._activity.append(0.0)
+        self._heaped.append(1)
+        self._seen.append(False)
+        heapq.heappush(self._heap, (0.0, var))
+        return var
+
+    def new_vars(self, n: int) -> int:
+        """Allocate ``n`` fresh variables at once; returns the first.
+
+        State-identical to ``n`` :meth:`new_var` calls — the template
+        stamping fast path uses it to skip per-variable call overhead.
+        """
+        base = self.num_vars
+        if n <= 0:
+            return base
+        self.num_vars = base + n
+        self._watches.extend([] for _ in range(2 * n))
+        self._vals.extend([-1] * (2 * n))
+        self._level.extend([0] * n)
+        self._reason.extend([-1] * n)
+        self._polarity.extend([0] * n)
+        self._activity.extend([0.0] * n)
+        self._heaped.extend([1] * n)
+        self._seen.extend([False] * n)
+        heap = self._heap
+        for var in range(base, base + n):
+            heapq.heappush(heap, (0.0, var))
+        return base
+
     def _ensure_var(self, var: int) -> None:
         while self.num_vars <= var:
             self.new_var()
@@ -217,6 +273,24 @@ class Solver:
         self._store_problem_clause(clause)
         return True
 
+    def _alloc_clause(self, lits: List[int], learnt: bool) -> int:
+        arena = self._arena
+        cref = len(arena)
+        if learnt:
+            act_idx = len(self._cla_act)
+            self._cla_act.append(0.0)
+        else:
+            act_idx = -1
+        arena.append(len(lits))
+        arena.append(act_idx)
+        arena.extend(lits)
+        return cref
+
+    def _store_problem_clause(self, clause: List[int]) -> None:
+        cref = self._alloc_clause(clause, learnt=False)
+        self._clauses.append(cref)
+        self._attach(cref)
+
     def add_cnf(self, cnf: CNF) -> bool:
         """Load all clauses of a :class:`~repro.sat.cnf.CNF` through
         :meth:`add_clauses`."""
@@ -254,6 +328,92 @@ class Solver:
                 return False
         if batch:
             return self.add_clauses_bulk(batch)
+        return True
+
+    def add_clauses_bulk(self, clauses: Iterable[List[int]]) -> bool:
+        """Bulk-load pre-validated clauses, skipping normalisation.
+
+        The fast path behind template stamping
+        (:mod:`repro.sat.template`).  Caller contract, per clause:
+
+        * at least two literals, over already-allocated variables;
+        * pairwise-distinct variables (no duplicate literals, no
+          tautologies);
+        * the solver takes ownership of each literal list (watched-
+          literal reordering mutates it in place — never reuse one).
+
+        A clause whose variables are all unassigned at decision level
+        0 is stored and watch-attached directly; a clause touching a
+        level-0-assigned variable gets the satisfied-clause/
+        falsified-literal normalisation of :meth:`add_clause` applied
+        inline (the distinct-variables contract rules out the
+        duplicate/tautology cases, and the rare empty/unit outcomes
+        are delegated back to :meth:`add_clause`) — this keeps the
+        resulting clause database identical to adding every clause
+        individually.  Returns False if the formula became trivially
+        UNSAT.
+        """
+        if not self._ok:
+            return False
+        self._cancel_until(0)
+        vals = self._vals
+        arena = self._arena
+        watches = self._watches
+        out = self._clauses
+        append = out.append
+        slow = self._add_clause_raw
+        proof = self._proof
+        for lits in clauses:
+            if proof is not None:
+                # Original literals, before any normalisation or
+                # watched-literal reordering mutates the list.
+                proof.input(lits)
+            for lit in lits:
+                if vals[lit] >= 0:
+                    break
+            else:
+                cref = len(arena)
+                arena.append(len(lits))
+                arena.append(-1)
+                arena.extend(lits)
+                append(cref)
+                ws = watches[lits[0] ^ 1]
+                ws.append(cref)
+                ws.append(lits[1])
+                ws = watches[lits[1] ^ 1]
+                ws.append(cref)
+                ws.append(lits[0])
+                continue
+            # Level-0 normalisation, inline: keep unassigned literals,
+            # drop falsified ones, skip the clause on a satisfied one —
+            # exactly add_clause's rules minus the duplicate/tautology
+            # checks the caller contract makes unreachable.
+            keep = []
+            kappend = keep.append
+            sat = False
+            for lit in lits:
+                v = vals[lit]
+                if v < 0:
+                    kappend(lit)
+                elif v:
+                    sat = True
+                    break
+            if sat:
+                continue
+            if len(keep) >= 2:
+                cref = len(arena)
+                arena.append(len(keep))
+                arena.append(-1)
+                arena.extend(keep)
+                append(cref)
+                ws = watches[keep[0] ^ 1]
+                ws.append(cref)
+                ws.append(keep[1])
+                ws = watches[keep[1] ^ 1]
+                ws.append(cref)
+                ws.append(keep[0])
+            elif not slow(keep):  # empty or unit: rare, delegate
+                return False
         return True
 
     # ------------------------------------------------------------------
@@ -370,13 +530,13 @@ class Solver:
         conflict_budget: Optional[int],
         budget: Optional[Budget] = None,
     ) -> str:
-        """The CDCL control loop, shared verbatim by both cores.
+        """The CDCL control loop.
 
-        Only data-layout primitives (``_propagate``, ``_analyze``,
-        ``_pick_branch``, ...) are core-specific; keeping the loop
-        itself in one place is what makes the dual-path oracle's
-        exact-equivalence contract (identical decisions, conflicts,
-        models, trails) hold by construction.
+        It touches the clause database and the assignment only
+        through the data-layout primitives (``_propagate``,
+        ``_analyze``, ``_pick_branch``, ...), so a subclass that
+        overrides every primitive runs this exact search — decision
+        for decision — over its own layout.
         """
         if not self._ok:
             self._conclude_unsat(())
@@ -488,7 +648,7 @@ class Solver:
         return self.model[var]
 
     # ------------------------------------------------------------------
-    # Shared internals
+    # Search bookkeeping
     # ------------------------------------------------------------------
     def _conclude_unsat(self, assumptions: Tuple[int, ...]) -> None:
         """Close the proof on an UNSAT return (no-op when logging is
@@ -498,22 +658,12 @@ class Solver:
         if self._proof is not None:
             self._proof.conclude_unsat(assumptions)
 
-    def _debug_check_watches(self) -> None:
-        """Core-specific watcher-integrity sweep (debug builds)."""
-        raise NotImplementedError
-
-    def _model_values(self) -> List[bool]:
-        """The current assignment as a model, indexed by variable
-        (unassigned reads False); the core-specific half of a SAT
-        answer."""
-        raise NotImplementedError
-
     def _decision_level(self) -> int:
         return len(self._trail_lim)
 
     def _rescale_activities(self) -> None:
         """Scale every activity and the bump increment by 1e-100 once
-        an activity passes 1e100; the core then rebuilds its heap."""
+        an activity passes 1e100; the caller then rebuilds its heap."""
         act = self._activity
         for v in range(self.num_vars):
             act[v] *= 1e-100
@@ -544,8 +694,411 @@ class Solver:
         return 1 << seq
 
     # ------------------------------------------------------------------
-    # Introspection (stable across cores; tests and the oracle use
-    # these instead of poking core-specific internals)
+    # Data-layout primitives
+    # ------------------------------------------------------------------
+    def _value(self, lit: int) -> Optional[bool]:
+        v = self._vals[lit]
+        if v < 0:
+            return None
+        return v == 1
+
+    def _model_values(self) -> List[bool]:
+        """The current assignment as a model, indexed by variable
+        (unassigned reads False)."""
+        return [v == 1 for v in self._vals[::2]]
+
+    def _attach(self, cref: int) -> None:
+        arena = self._arena
+        l0 = arena[cref + 2]
+        l1 = arena[cref + 3]
+        ws = self._watches[l0 ^ 1]
+        ws.append(cref)
+        ws.append(l1)
+        ws = self._watches[l1 ^ 1]
+        ws.append(cref)
+        ws.append(l0)
+
+    def _enqueue(self, lit: int, reason: int = -1) -> bool:
+        vals = self._vals
+        v = vals[lit]
+        if v >= 0:
+            return v == 1
+        vals[lit] = 1
+        vals[lit ^ 1] = 0
+        var = lit >> 1
+        self._level[var] = len(self._trail_lim)
+        self._reason[var] = reason
+        self._polarity[var] = (lit & 1) ^ 1
+        self._trail.append(lit)
+        return True
+
+    def _propagate(self) -> Optional[int]:
+        trail = self._trail
+        arena = self._arena
+        vals = self._vals
+        level = self._level
+        reason = self._reason
+        polarity = self._polarity
+        trail_append = trail.append
+        watches = self._watches
+        qhead = self._qhead
+        cur_level = len(self._trail_lim)
+        propagations = 0
+        conflict = -1
+        while qhead < len(trail):
+            lit = trail[qhead]
+            qhead += 1
+            propagations += 1
+            ws = watches[lit]
+            false_lit = lit ^ 1
+            i = 0
+            n = len(ws)
+            while i < n:
+                # Blocker fast path: clause already satisfied.
+                if vals[ws[i + 1]] == 1:
+                    i += 2
+                    continue
+                cref = ws[i]
+                base = cref + 2
+                # Ensure the falsified literal is in slot 1.
+                l0 = arena[base]
+                if l0 == false_lit:
+                    l0 = arena[base + 1]
+                    arena[base] = l0
+                    arena[base + 1] = false_lit
+                v0 = vals[l0]
+                if v0 == 1:
+                    ws[i + 1] = l0
+                    i += 2
+                    continue
+                size = arena[cref]
+                if size > 2:
+                    # Search for a new watch.
+                    for k in range(base + 2, base + size):
+                        lk = arena[k]
+                        if vals[lk]:  # not false
+                            arena[base + 1] = lk
+                            arena[k] = false_lit
+                            nws = watches[lk ^ 1]
+                            nws.append(cref)
+                            nws.append(l0)
+                            del ws[i:i + 2]
+                            n -= 2
+                            break
+                    else:
+                        size = 2  # no replacement: unit or conflicting
+                    if size > 2:
+                        continue
+                # Unit or conflicting.
+                ws[i + 1] = l0
+                i += 2
+                if v0 == 0:
+                    conflict = cref
+                    break
+                vals[l0] = 1
+                vals[l0 ^ 1] = 0
+                var = l0 >> 1
+                level[var] = cur_level
+                reason[var] = cref
+                polarity[var] = (l0 & 1) ^ 1
+                trail_append(l0)
+            if conflict >= 0:
+                qhead = len(trail)
+                break
+        self._qhead = qhead
+        self.propagations += propagations
+        return conflict if conflict >= 0 else None
+
+    def _analyze(self, conflict: int) -> tuple:
+        arena = self._arena
+        trail = self._trail
+        level = self._level
+        reasons = self._reason
+        seen = self._seen
+        act = self._activity
+        heaped = self._heaped
+        var_inc = self._var_inc
+        learnt: List[int] = [0]  # slot 0 for the asserting literal
+        counter = 0
+        lit = -1
+        reason = conflict
+        idx = len(trail) - 1
+        cur_level = len(self._trail_lim)
+        cla_act = self._cla_act
+        cla_inc = self._cla_inc
+        while True:
+            act_idx = arena[reason + 1]
+            if act_idx >= 0:
+                cla_act[act_idx] += cla_inc
+            base = reason + 2
+            end = base + arena[reason]
+            if lit < 0:
+                lits = arena[base:end]
+            elif arena[base] == lit:
+                lits = arena[base + 1:end]
+            else:
+                # Reason clause stores the implied literal first; if
+                # not, skip it wherever it is.
+                lits = [x for x in arena[base:end] if x != lit]
+            for q in lits:
+                var = q >> 1
+                if not seen[var] and level[var] > 0:
+                    seen[var] = True
+                    # _bump_var inlined for an assigned variable: its
+                    # heap entry goes stale unless the bump rescales.
+                    bumped = act[var] + var_inc
+                    if bumped > 1e100:
+                        self._bump_var(var)
+                        var_inc = self._var_inc
+                    else:
+                        act[var] = bumped
+                        heaped[var] = 0
+                    if level[var] >= cur_level:
+                        counter += 1
+                    else:
+                        learnt.append(q)
+            while not seen[trail[idx] >> 1]:
+                idx -= 1
+            lit = trail[idx]
+            idx -= 1
+            var = lit >> 1
+            seen[var] = False
+            counter -= 1
+            if counter == 0:
+                break
+            reason = reasons[var]
+        learnt[0] = lit ^ 1
+        # Clause minimization: drop literals implied by the rest.
+        learnt = self._minimize(learnt, seen)
+        if len(learnt) == 1:
+            back_level = 0
+        else:
+            # Find the literal with the second-highest level.
+            max_i = 1
+            for i in range(2, len(learnt)):
+                if level[learnt[i] >> 1] > level[learnt[max_i] >> 1]:
+                    max_i = i
+            learnt[1], learnt[max_i] = learnt[max_i], learnt[1]
+            back_level = level[learnt[1] >> 1]
+        return learnt, back_level
+
+    def _minimize(self, learnt: List[int], seen: List[bool]) -> List[int]:
+        arena = self._arena
+        level = self._level
+        reasons = self._reason
+        for lit in learnt[1:]:
+            seen[lit >> 1] = True
+        out = [learnt[0]]
+        for lit in learnt[1:]:
+            reason = reasons[lit >> 1]
+            if reason < 0:
+                out.append(lit)
+                continue
+            var = lit >> 1
+            redundant = True
+            for k in range(reason + 2, reason + 2 + arena[reason]):
+                q = arena[k]
+                if (q >> 1) != var and not seen[q >> 1] \
+                        and level[q >> 1] != 0:
+                    redundant = False
+                    break
+            if not redundant:
+                out.append(lit)
+        for lit in learnt[1:]:
+            seen[lit >> 1] = False
+        return out
+
+    def _record_learnt(self, learnt: List[int]) -> None:
+        if self._proof is not None:
+            # Post-minimization literals (minimization preserves RUP);
+            # unit learnts are logged too — they never enter _learnts,
+            # only the level-0 trail.
+            self._proof.learnt(learnt)
+        if len(learnt) == 1:
+            self._enqueue(learnt[0])
+            return
+        cref = self._alloc_clause(learnt, learnt=True)
+        self._cla_act[self._arena[cref + 1]] = self._cla_inc
+        self._learnts.append(cref)
+        self._attach(cref)
+        self._enqueue(learnt[0], cref)
+
+    def _cancel_until(self, level: int) -> None:
+        if len(self._trail_lim) <= level:
+            return
+        bound = self._trail_lim[level]
+        trail = self._trail
+        vals = self._vals
+        reason = self._reason
+        act = self._activity
+        heaped = self._heaped
+        heap = self._heap
+        push = heapq.heappush
+        for i in range(len(trail) - 1, bound - 1, -1):
+            lit = trail[i]
+            vals[lit] = -1
+            vals[lit ^ 1] = -1
+            var = lit >> 1
+            reason[var] = -1
+            if not heaped[var]:
+                heaped[var] = 1
+                push(heap, (-act[var], var))
+        del trail[bound:]
+        del self._trail_lim[level:]
+        self._qhead = bound
+
+    def _pick_branch(self) -> Optional[int]:
+        # One live entry per variable, keyed by its current activity:
+        # an entry with any other key was superseded by a bump and is
+        # skipped.  Every unassigned variable keeps its live entry, so
+        # the first live unassigned pop is the highest activity (lowest
+        # index on ties).
+        heap = self._heap
+        act = self._activity
+        heaped = self._heaped
+        vals = self._vals
+        polarity = self._polarity
+        pop = heapq.heappop
+        while heap:
+            key, var = pop(heap)
+            if key != -act[var]:
+                continue
+            heaped[var] = 0
+            if vals[var << 1] < 0:
+                return (var << 1) | (polarity[var] ^ 1)
+        for var in range(self.num_vars):
+            if vals[var << 1] < 0:
+                return (var << 1) | (polarity[var] ^ 1)
+        return None
+
+    def _bump_var(self, var: int) -> None:
+        act = self._activity
+        act[var] += self._var_inc
+        if act[var] > 1e100:
+            self._rescale_activities()
+            # Every key changed: rebuild the heap from the live
+            # entries' variables, which keys ``var`` afresh too.
+            heaped = self._heaped
+            heap = [(-act[v], v) for v in range(self.num_vars)
+                    if heaped[v]]
+            heapq.heapify(heap)
+            self._heap = heap
+        elif self._vals[var << 1] >= 0:
+            # Conflict analysis bumps assigned variables: the old entry
+            # goes stale, and _cancel_until pushes the new key once the
+            # variable is unassigned.
+            self._heaped[var] = 0
+        elif self._heaped[var]:
+            heapq.heappush(self._heap, (-act[var], var))
+
+    def _reduce_db(self) -> None:
+        # A learnt clause is *locked* (must be kept) while it is the
+        # reason of its asserting literal's variable; reasons always
+        # store that literal in slot 0, so lock detection is one table
+        # probe per clause — no variable scan.
+        arena = self._arena
+        cla_act = self._cla_act
+        reason = self._reason
+        learnts = self._learnts
+        learnts.sort(key=lambda c: cla_act[arena[c + 1]])
+        keep_from = len(learnts) // 2
+        kept = []
+        garbage = self._garbage
+        proof = self._proof
+        for i, cref in enumerate(learnts):
+            size = arena[cref]
+            if i < keep_from and size > 2 \
+                    and reason[arena[cref + 2] >> 1] != cref:
+                if proof is not None:
+                    # Snapshot the (watch-permuted) literals before
+                    # the arena words become garbage.
+                    proof.delete(arena[cref + 2: cref + 2 + size])
+                self._detach(cref)
+                garbage += size + _HDR
+            else:
+                kept.append(cref)
+        self._learnts = kept
+        self._garbage = garbage
+        if garbage * 2 > len(arena):
+            self._compact()
+
+    def _detach(self, cref: int) -> None:
+        arena = self._arena
+        for lit in (arena[cref + 2], arena[cref + 3]):
+            ws = self._watches[lit ^ 1]
+            for i in range(0, len(ws), 2):
+                if ws[i] == cref:
+                    del ws[i:i + 2]
+                    break
+            else:
+                # A detach miss means the watcher lists no longer
+                # agree with the clause's watched literals — real
+                # corruption that a silent pass would mask.
+                raise RuntimeError(
+                    f"watcher corruption: clause ref {cref} missing "
+                    f"from the watch list of literal {lit ^ 1}")
+
+    def _compact(self) -> None:
+        """Reclaim garbage arena words left by removed learnt clauses.
+
+        Copies live clauses (problem first, then learnts, preserving
+        order) into a fresh arena, rewrites every stored cref
+        (clause indices, watcher lists, reason table) and rebuilds the
+        learnt-activity table densely.  Watcher order is preserved, so
+        the search is completely unaffected.
+        """
+        old = self._arena
+        old_act = self._cla_act
+        new: List[int] = [0, 0]
+        new_act: List[float] = []
+        remap: Dict[int, int] = {}
+        for group in (self._clauses, self._learnts):
+            for idx, cref in enumerate(group):
+                size = old[cref]
+                act_idx = old[cref + 1]
+                ncref = len(new)
+                remap[cref] = ncref
+                new.append(size)
+                if act_idx >= 0:
+                    new.append(len(new_act))
+                    new_act.append(old_act[act_idx])
+                else:
+                    new.append(-1)
+                new.extend(old[cref + 2: cref + 2 + size])
+                group[idx] = ncref
+        for ws in self._watches:
+            for i in range(0, len(ws), 2):
+                ws[i] = remap[ws[i]]
+        reason = self._reason
+        for var in range(self.num_vars):
+            r = reason[var]
+            if r >= 0:
+                # Reasons are always live: problem clauses are never
+                # removed and locked learnts are kept by _reduce_db.
+                reason[var] = remap[r]
+        self._arena = new
+        self._cla_act = new_act
+        self._garbage = 0
+
+    def _check_watches(self) -> None:
+        """Raise unless every watcher entry is consistent: the watched
+        literal sits in its clause's first two arena slots and the
+        blocker occurs in the clause.  A full sweep, for tests."""
+        arena = self._arena
+        for idx, ws in enumerate(self._watches):
+            lit = idx ^ 1
+            for i in range(0, len(ws), 2):
+                cref = ws[i]
+                lits = arena[cref + 2: cref + 2 + arena[cref]]
+                if lit not in lits[:2] or ws[i + 1] not in lits:
+                    raise RuntimeError(
+                        "watcher corruption: literal "
+                        f"{lit} watches clause ref {cref} "
+                        f"{tuple(lits)} (blocker {ws[i + 1]})")
+
+    # ------------------------------------------------------------------
+    # Introspection (layout-independent: tests and the oracle use these
+    # instead of poking the arrays)
     # ------------------------------------------------------------------
     @property
     def ok(self) -> bool:
@@ -562,447 +1115,18 @@ class Solver:
         """The current assignment trail, as literals in enqueue order."""
         return list(self._trail)
 
+    def _lits_of(self, cref: int) -> Tuple[int, ...]:
+        arena = self._arena
+        return tuple(arena[cref + 2: cref + 2 + arena[cref]])
+
     def clause_lits(self) -> List[Tuple[int, ...]]:
         """Problem clauses in insertion order (current literal order)."""
-        raise NotImplementedError
+        return [self._lits_of(c) for c in self._clauses]
 
     def learnt_lits(self) -> List[Tuple[int, ...]]:
         """Learnt clauses currently in the database."""
-        raise NotImplementedError
+        return [self._lits_of(c) for c in self._learnts]
 
     def assignment(self) -> List[Optional[bool]]:
         """Per-variable values (None = unassigned)."""
-        raise NotImplementedError
-
-
-class LegacySolver(Solver):
-    """The original object-based core: one ``_Clause`` per clause,
-    watcher lists of ``(clause, blocker)`` pairs.
-
-    Kept as the reference implementation behind the dual-path oracle
-    (see the module docstring); ``Solver()`` never builds it, so
-    construct it directly.
-    """
-
-    def __init__(self, proof: bool = False) -> None:
-        super().__init__(proof)
-        self._clauses: List[_Clause] = []
-        self._learnts: List[_Clause] = []
-        #: Watcher lists, indexed by falsified literal; entries are
-        #: ``(clause, blocker)`` where ``blocker`` is some literal of
-        #: the clause (usually the other watch) whose truth proves the
-        #: clause satisfied without touching it.
-        self._watches: List[List[tuple]] = []
-        self._assign: List[Optional[bool]] = []
-        self._level: List[int] = []
-        self._reason: List[Optional[_Clause]] = []
-        self._polarity: List[bool] = []
-
-    # ------------------------------------------------------------------
-    # Problem construction
-    # ------------------------------------------------------------------
-    def new_var(self) -> int:
-        """Allocate and return a fresh variable."""
-        var = self.num_vars
-        self.num_vars += 1
-        self._watches.append([])
-        self._watches.append([])
-        self._assign.append(None)
-        self._level.append(0)
-        self._reason.append(None)
-        self._polarity.append(False)
-        self._activity.append(0.0)
-        heapq.heappush(self._heap, (0.0, var))
-        return var
-
-    def new_vars(self, n: int) -> int:
-        """Allocate ``n`` fresh variables at once; returns the first.
-
-        State-identical to ``n`` :meth:`new_var` calls (same side
-        tables, same heap entries in the same order) — the template
-        stamping fast path uses it to skip per-variable call overhead.
-        """
-        base = self.num_vars
-        if n <= 0:
-            return base
-        self.num_vars = base + n
-        self._watches.extend([] for _ in range(2 * n))
-        self._assign.extend([None] * n)
-        self._level.extend([0] * n)
-        self._reason.extend([None] * n)
-        self._polarity.extend([False] * n)
-        self._activity.extend([0.0] * n)
-        heap = self._heap
-        for var in range(base, base + n):
-            heapq.heappush(heap, (0.0, var))
-        return base
-
-    def _store_problem_clause(self, clause: List[int]) -> None:
-        c = _Clause(clause, learnt=False)
-        self._clauses.append(c)
-        self._attach(c)
-
-    def add_clauses_bulk(self, clauses: Iterable[List[int]]) -> bool:
-        """Bulk-load pre-validated clauses, skipping normalisation.
-
-        The fast path behind template stamping
-        (:mod:`repro.sat.template`).  Caller contract, per clause:
-
-        * at least two literals, over already-allocated variables;
-        * pairwise-distinct variables (no duplicate literals, no
-          tautologies);
-        * the solver takes ownership of each literal list (watched-
-          literal reordering mutates it in place — never reuse one).
-
-        A clause whose variables are all unassigned at decision level
-        0 is constructed and watch-attached directly; a clause touching
-        a level-0-assigned variable gets the satisfied-clause/
-        falsified-literal normalisation of :meth:`add_clause` applied
-        inline (the distinct-variables contract rules out the
-        duplicate/tautology cases, and the rare empty/unit outcomes
-        are delegated back to :meth:`add_clause`) — this keeps the
-        resulting clause database identical to adding every clause
-        individually.  Returns False if the formula became trivially
-        UNSAT.
-        """
-        if not self._ok:
-            return False
-        self._cancel_until(0)
-        assign = self._assign
-        watches = self._watches
-        out = self._clauses
-        append = out.append
-        slow = self._add_clause_raw
-        proof = self._proof
-        for lits in clauses:
-            if proof is not None:
-                # Original literals, before any normalisation or
-                # watched-literal reordering mutates the list.
-                proof.input(lits)
-            for lit in lits:
-                if assign[lit >> 1] is not None:
-                    break
-            else:
-                clause = _Clause(lits, False)
-                append(clause)
-                watches[lits[0] ^ 1].append((clause, lits[1]))
-                watches[lits[1] ^ 1].append((clause, lits[0]))
-                continue
-            # Level-0 normalisation, inline.  ``v != (lit & 1)`` is
-            # "literal true" (bool compares equal to int): keep
-            # unassigned literals, drop falsified ones, skip the
-            # clause on a satisfied one — exactly add_clause's rules
-            # minus the duplicate/tautology checks the caller contract
-            # makes unreachable.
-            keep = []
-            kappend = keep.append
-            sat = False
-            for lit in lits:
-                v = assign[lit >> 1]
-                if v is None:
-                    kappend(lit)
-                elif v != (lit & 1):
-                    sat = True
-                    break
-            if sat:
-                continue
-            if len(keep) >= 2:
-                clause = _Clause(keep, False)
-                append(clause)
-                watches[keep[0] ^ 1].append((clause, keep[1]))
-                watches[keep[1] ^ 1].append((clause, keep[0]))
-            elif not slow(keep):  # empty or unit: rare, delegate
-                return False
-        return True
-
-    # ------------------------------------------------------------------
-    # Internals
-    # ------------------------------------------------------------------
-    def _value(self, lit: int) -> Optional[bool]:
-        v = self._assign[lit_var(lit)]
-        if v is None:
-            return None
-        return (not v) if lit_sign(lit) else v
-
-    def _model_values(self) -> List[bool]:
-        return [bool(v) for v in self._assign]
-
-    def _attach(self, clause: _Clause) -> None:
-        lits = clause.lits
-        self._watches[lits[0] ^ 1].append((clause, lits[1]))
-        self._watches[lits[1] ^ 1].append((clause, lits[0]))
-
-    def _enqueue(self, lit: int, reason: Optional[_Clause] = None) -> bool:
-        val = self._value(lit)
-        if val is not None:
-            return val
-        var = lit_var(lit)
-        self._assign[var] = not lit_sign(lit)
-        self._level[var] = self._decision_level()
-        self._reason[var] = reason
-        self._polarity[var] = self._assign[var]
-        self._trail.append(lit)
-        return True
-
-    def _propagate(self) -> Optional[_Clause]:
-        while self._qhead < len(self._trail):
-            lit = self._trail[self._qhead]
-            self._qhead += 1
-            self.propagations += 1
-            watchers = self._watches[lit]
-            assign = self._assign
-            i = 0
-            j = 0
-            n = len(watchers)
-            false_lit = lit ^ 1
-            while i < n:
-                clause, blocker = watchers[i]
-                i += 1
-                # Blocker fast path: some literal of the clause is
-                # already true, so the clause is satisfied and need
-                # not be loaded at all.  (True == 1, so the comparison
-                # is one int op; None compares unequal to both.)
-                if assign[blocker >> 1] == (blocker & 1) ^ 1:
-                    watchers[j] = (clause, blocker)
-                    j += 1
-                    continue
-                lits = clause.lits
-                # Ensure the falsified literal is in slot 1.
-                if lits[0] == false_lit:
-                    lits[0], lits[1] = lits[1], lits[0]
-                first = lits[0]
-                if self._value(first) is True:
-                    watchers[j] = (clause, first)
-                    j += 1
-                    continue
-                # Search for a new watch.
-                found = False
-                for k in range(2, len(lits)):
-                    if self._value(lits[k]) is not False:
-                        lits[1], lits[k] = lits[k], lits[1]
-                        self._watches[lits[1] ^ 1].append((clause, first))
-                        found = True
-                        break
-                if found:
-                    continue
-                # Unit or conflicting.
-                watchers[j] = (clause, first)
-                j += 1
-                if self._value(first) is False:
-                    # Conflict: keep remaining watchers, reset queue.
-                    while i < n:
-                        watchers[j] = watchers[i]
-                        j += 1
-                        i += 1
-                    del watchers[j:]
-                    self._qhead = len(self._trail)
-                    return clause
-                self._enqueue(first, clause)
-            del watchers[j:]
-        return None
-
-    def _analyze(self, conflict: _Clause) -> tuple:
-        learnt: List[int] = [0]  # slot 0 for the asserting literal
-        seen = [False] * self.num_vars
-        counter = 0
-        lit = None
-        reason: Optional[_Clause] = conflict
-        idx = len(self._trail) - 1
-        while True:
-            assert reason is not None
-            self._bump_clause(reason)
-            start = 0 if lit is None else 1
-            # After the first iteration lits[0] is the enqueued literal.
-            lits = reason.lits
-            if lit is not None and lits[0] != lit:
-                # Reason clause stores the implied literal first; if not,
-                # locate it and skip it.
-                lits = [lit] + [x for x in lits if x != lit]
-            for q in lits[start:]:
-                var = lit_var(q)
-                if not seen[var] and self._level[var] > 0:
-                    seen[var] = True
-                    self._bump_var(var)
-                    if self._level[var] >= self._decision_level():
-                        counter += 1
-                    else:
-                        learnt.append(q)
-            while not seen[lit_var(self._trail[idx])]:
-                idx -= 1
-            lit = self._trail[idx]
-            idx -= 1
-            var = lit_var(lit)
-            seen[var] = False
-            counter -= 1
-            if counter == 0:
-                break
-            reason = self._reason[var]
-        learnt[0] = lit_not(lit)
-        # Clause minimization: drop literals implied by the rest.
-        learnt = self._minimize(learnt, seen)
-        if len(learnt) == 1:
-            back_level = 0
-        else:
-            # Find the literal with the second-highest level.
-            max_i = 1
-            for i in range(2, len(learnt)):
-                if self._level[lit_var(learnt[i])] > \
-                        self._level[lit_var(learnt[max_i])]:
-                    max_i = i
-            learnt[1], learnt[max_i] = learnt[max_i], learnt[1]
-            back_level = self._level[lit_var(learnt[1])]
-        return learnt, back_level
-
-    def _minimize(self, learnt: List[int], seen: List[bool]) -> List[int]:
-        for lit in learnt[1:]:
-            seen[lit_var(lit)] = True
-        out = [learnt[0]]
-        for lit in learnt[1:]:
-            reason = self._reason[lit_var(lit)]
-            if reason is None:
-                out.append(lit)
-                continue
-            redundant = all(
-                seen[lit_var(q)] or self._level[lit_var(q)] == 0
-                for q in reason.lits if lit_var(q) != lit_var(lit)
-            )
-            if not redundant:
-                out.append(lit)
-        for lit in learnt[1:]:
-            seen[lit_var(lit)] = False
-        return out
-
-    def _record_learnt(self, learnt: List[int]) -> None:
-        if self._proof is not None:
-            # Post-minimization literals (minimization preserves RUP);
-            # unit learnts are logged too — they never enter _learnts,
-            # only the level-0 trail.
-            self._proof.learnt(learnt)
-        if len(learnt) == 1:
-            self._enqueue(learnt[0], None)
-            return
-        clause = _Clause(learnt, learnt=True)
-        clause.activity = self._cla_inc
-        self._learnts.append(clause)
-        self._attach(clause)
-        self._enqueue(learnt[0], clause)
-
-    def _cancel_until(self, level: int) -> None:
-        if self._decision_level() <= level:
-            return
-        bound = self._trail_lim[level]
-        for lit in reversed(self._trail[bound:]):
-            var = lit_var(lit)
-            self._assign[var] = None
-            self._reason[var] = None
-            heapq.heappush(self._heap, (-self._activity[var], var))
-        del self._trail[bound:]
-        del self._trail_lim[level:]
-        self._qhead = len(self._trail)
-
-    def _pick_branch(self) -> Optional[int]:
-        while self._heap:
-            _, var = heapq.heappop(self._heap)
-            if self._assign[var] is None:
-                return (var << 1) | (0 if self._polarity[var] else 1)
-        for var in range(self.num_vars):
-            if self._assign[var] is None:
-                return (var << 1) | (0 if self._polarity[var] else 1)
-        return None
-
-    def _bump_var(self, var: int) -> None:
-        act = self._activity
-        act[var] += self._var_inc
-        if act[var] > 1e100:
-            self._rescale_activities()
-            # Rescaling invalidates every key already sitting in the
-            # lazy-deletion heap (they carry the un-rescaled
-            # magnitudes, so _pick_branch would pop in stale priority
-            # order for the rest of the run).  Rebuild the heap from
-            # the *current* activities of its member variables.
-            heap = [(-act[v], v)
-                    for v in sorted({v for _, v in self._heap})]
-            heapq.heapify(heap)
-            self._heap = heap
-        heapq.heappush(self._heap, (-act[var], var))
-
-    def _bump_clause(self, clause: _Clause) -> None:
-        if clause.learnt:
-            clause.activity += self._cla_inc
-
-    def _reduce_db(self) -> None:
-        # A learnt clause is *locked* (must be kept) while it is the
-        # reason of its asserting literal's variable; reasons always
-        # store that literal in slot 0, so lock detection is one table
-        # probe per clause — no scan over all variables, no id()-keyed
-        # side set.
-        learnts = self._learnts
-        learnts.sort(key=lambda c: c.activity)
-        keep_from = len(learnts) // 2
-        reason = self._reason
-        removed = []
-        kept = []
-        for i, clause in enumerate(learnts):
-            lits = clause.lits
-            if i < keep_from and len(lits) > 2 \
-                    and reason[lits[0] >> 1] is not clause:
-                removed.append(clause)
-            else:
-                kept.append(clause)
-        proof = self._proof
-        for clause in removed:
-            if proof is not None:
-                proof.delete(clause.lits)
-            self._detach(clause)
-        self._learnts = kept
-        if _debug_checks:
-            self._debug_check_watches()
-
-    def _detach(self, clause: _Clause) -> None:
-        for lit in (clause.lits[0], clause.lits[1]):
-            watchers = self._watches[lit ^ 1]
-            for idx in range(len(watchers)):
-                if watchers[idx][0] is clause:
-                    del watchers[idx]
-                    break
-            else:
-                # A detach miss means the watcher lists no longer
-                # agree with the clause's watched literals — real
-                # corruption that a silent pass would mask.
-                if _debug_checks:
-                    raise RuntimeError(
-                        "watcher corruption: clause "
-                        f"{tuple(clause.lits)} missing from the watch "
-                        f"list of literal {lit ^ 1}")
-
-    def _debug_check_watches(self) -> None:
-        """Assert every watcher entry is consistent: the watched
-        literal sits in its clause's first two slots and the blocker
-        occurs in the clause.  Debug-only (full sweep)."""
-        for idx, watchers in enumerate(self._watches):
-            lit = idx ^ 1
-            for clause, blocker in watchers:
-                lits = clause.lits
-                if lit not in lits[:2] or blocker not in lits:
-                    raise RuntimeError(
-                        "watcher corruption: literal "
-                        f"{lit} watches clause {tuple(lits)} "
-                        f"(blocker {blocker})")
-
-    # ------------------------------------------------------------------
-    # Introspection
-    # ------------------------------------------------------------------
-    def clause_lits(self) -> List[Tuple[int, ...]]:
-        return [tuple(c.lits) for c in self._clauses]
-
-    def learnt_lits(self) -> List[Tuple[int, ...]]:
-        return [tuple(c.lits) for c in self._learnts]
-
-    def assignment(self) -> List[Optional[bool]]:
-        return list(self._assign)
-
-
-# The flat core lives in its own module; imported last so it can extend
-# the Solver base defined above (the facade dispatches lazily, so this
-# import is only a convenience re-export).
-from .flat import FlatSolver  # noqa: E402  (circular-safe tail import)
+        return [None if v < 0 else v == 1 for v in self._vals[::2]]

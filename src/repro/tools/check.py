@@ -30,7 +30,7 @@ from ..resilience import CertificationFailure
 from ..transform.localize_cegar import LocalizationResult, \
     localization_refinement
 from ..unroll import BMCResult, bmc, k_induction
-from .io import at_least, load_or_exit
+from .io import at_least, check_writable, load_or_exit
 from .vcd import counterexample_to_vcd
 
 
@@ -90,6 +90,8 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         engine = TBVEngine(args.strategy)
     except ValueError as exc:
         parser.error(str(exc))
+    if args.vcd:
+        check_writable(parser, args.vcd)
 
     net = load_or_exit(parser, args.netlist)
     if not net.targets:

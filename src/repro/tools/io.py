@@ -75,6 +75,33 @@ def save_netlist(net: Netlist, path: str) -> None:
         handle.write(text)
 
 
+def write_or_exit(parser: argparse.ArgumentParser, path: str,
+                  text: str) -> None:
+    """Write ``text`` to ``path`` for a CLI: a path that cannot be
+    written ends in ``parser.error`` (exit 2, one ``error:`` line)
+    instead of a traceback."""
+    try:
+        with open(path, "w") as handle:
+            handle.write(text)
+    except OSError as exc:
+        parser.error(f"cannot write {path}: {exc.strerror}")
+
+
+def check_writable(parser: argparse.ArgumentParser, path: str) -> None:
+    """Refuse ``path`` as :func:`write_or_exit` would, before a CLI
+    does the work whose output goes there.  The probe opens ``path``
+    for appending, so a file already there keeps its contents, and a
+    file the probe creates is removed again."""
+    existed = os.path.lexists(path)
+    try:
+        with open(path, "a"):
+            pass
+    except OSError as exc:
+        parser.error(f"cannot write {path}: {exc.strerror}")
+    if not existed:
+        os.remove(path)
+
+
 def _checked(kind: Callable, ok: Callable, rule: str) -> Callable:
     def parse(text: str):
         value = kind(text)

@@ -34,6 +34,7 @@ import sys
 from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 from ..obs import trace as _trace
+from .io import write_or_exit
 from .trace import _span_totals, span_parent
 
 #: The results-file schema ``perf/run.py --out`` writes.
@@ -302,11 +303,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         parser.error(f"no trace files at {args.trace}")
     document = build_report(results, trace_base=args.trace)
     out = args.out or f"report_{results['rev']}.html"
-    try:
-        with open(out, "w") as handle:
-            handle.write(document)
-    except OSError as exc:
-        parser.error(f"cannot write {out}: {exc.strerror}")
+    write_or_exit(parser, out, document)
     print(f"wrote {out} ({len(document)} bytes, self-contained)")
     return 0
 

@@ -35,7 +35,7 @@ import json
 from typing import Any, Collection, Dict, List, Optional, Sequence, Tuple
 
 from ..obs import trace as _trace
-from .io import at_least
+from .io import at_least, write_or_exit
 
 
 def _trace_files(parser: argparse.ArgumentParser, path: str) -> List[str]:
@@ -148,19 +148,13 @@ def _cmd_export(args: argparse.Namespace,
     paths = _trace_files(parser, args.trace)
     records = _trace.stitch_files(paths)
     if args.format == "chrome":
-        document = _trace.to_chrome(records)
+        text = json.dumps(_trace.to_chrome(records)) + "\n"
     else:  # "jsonl": the stitched record stream itself
-        document = records
+        text = "".join(json.dumps(record) + "\n" for record in records)
     out = args.out or (args.trace + ".chrome.json"
                        if args.format == "chrome"
                        else args.trace + ".stitched.jsonl")
-    with open(out, "w") as handle:
-        if args.format == "chrome":
-            json.dump(document, handle)
-            handle.write("\n")
-        else:
-            for record in records:
-                handle.write(json.dumps(record) + "\n")
+    write_or_exit(parser, out, text)
     print(f"wrote {out} ({len(records)} records from "
           f"{len(paths)} file(s))")
     return 0
@@ -205,8 +199,7 @@ def _cmd_flame(args: argparse.Namespace,
     if not lines:
         parser.error(f"no span records in {args.trace}")
     if args.out:
-        with open(args.out, "w") as handle:
-            handle.write("\n".join(lines) + "\n")
+        write_or_exit(parser, args.out, "\n".join(lines) + "\n")
         print(f"wrote {args.out} ({len(lines)} stacks from "
               f"{len(paths)} file(s))")
     else:

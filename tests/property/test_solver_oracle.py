@@ -1,18 +1,19 @@
-"""Randomized dual-path oracle for the two solver cores.
+"""Randomized dual-path oracle for the shipped solver and its reference.
 
-The flat-array core (:class:`~repro.sat.FlatSolver`) and the legacy
-object core (:class:`~repro.sat.LegacySolver`) share one search loop
-and must execute it *identically* — decision for decision.  So this
-suite does not settle for "same verdict": on every random instance it
-asserts equal verdicts, equal models, equal final trails, and equal
-``stats()`` counters across the cores, cross-checked against a
-brute-force enumerator where feasible.
+The shipped flat-array core (:class:`repro.sat.Solver`) and the
+reference object core (:class:`~.legacy_solver.LegacySolver`, a
+subclass that overrides every data-layout primitive) run one search
+loop and must execute it *identically* — decision for decision.  So
+this suite does not settle for "same verdict": on every random
+instance it asserts equal verdicts, equal models, equal final trails,
+and equal ``stats()`` counters across the cores, cross-checked against
+a brute-force enumerator where feasible.
 
 Instance shapes mirror real callers: one-shot random 3-CNF, the
 incremental clause-add/solve interleave of SAT sweeping, and the
-assumption-sequence shape of BMC/k-induction.  ``Solver()`` always
-builds the flat core, so :class:`LegacySolver`'s one job is to be this
-suite's reference — the larger stress sweeps run in tier-1 too.
+assumption-sequence shape of BMC/k-induction.  The reference core's
+one job is to be this suite's reference — the larger stress sweeps
+run in tier-1 too.
 """
 
 import itertools
@@ -21,12 +22,9 @@ import random
 import pytest
 
 from repro.cert.drat import check_proof
-from repro.sat import (
-    SAT,
-    UNSAT,
-    FlatSolver,
-    LegacySolver,
-)
+from repro.sat import SAT, UNSAT, Solver
+
+from .legacy_solver import CORES, LegacySolver
 
 
 def random_clauses(rng, num_vars, num_clauses, width=3):
@@ -51,12 +49,13 @@ def check_model(model, clauses):
         assert any(model[l >> 1] != (l & 1 == 1) for l in clause)
 
 
-def counting(calls, name, method):
+def counting(calls, name, method, then=lambda: None):
     """``method`` (a solver's bound method) wrapped to count its calls
-    in ``calls[name]``."""
+    in ``calls[name]`` and to call ``then`` after each one."""
     def wrapper():
         calls[name] += 1
         method()
+        then()
     return wrapper
 
 
@@ -92,7 +91,7 @@ class TestOneShotEquivalence:
             clauses = random_clauses(rng, nv, rng.randint(2, 4 * nv))
             script = [("add", c) for c in clauses] + [("solve", ())]
             legacy = run_script(LegacySolver, nv, script)
-            flat = run_script(FlatSolver, nv, script)
+            flat = run_script(Solver, nv, script)
             assert legacy == flat, f"trial {trial}: {clauses}"
             result = flat[-1][0]
             expected = brute_force_sat(nv, clauses)
@@ -120,7 +119,7 @@ class TestOneShotEquivalence:
                     s.stats())
 
         legacy = php(LegacySolver, 5, 4)
-        flat = php(FlatSolver, 5, 4)
+        flat = php(Solver, 5, 4)
         assert legacy[0] == UNSAT
         assert legacy == flat
 
@@ -137,7 +136,7 @@ class TestIncrementalEquivalence:
                     script.append(("add", c))
                 script.append(("solve", ()))
             legacy = run_script(LegacySolver, nv, script)
-            flat = run_script(FlatSolver, nv, script)
+            flat = run_script(Solver, nv, script)
             assert legacy == flat, f"trial {trial}: {script}"
 
     def test_assumption_sequences(self):
@@ -154,7 +153,7 @@ class TestIncrementalEquivalence:
                     ("solve",
                      [2 * v + (rng.random() < 0.5) for v in vs]))
             legacy = run_script(LegacySolver, nv, script)
-            flat = run_script(FlatSolver, nv, script)
+            flat = run_script(Solver, nv, script)
             assert legacy == flat, f"trial {trial}: {script}"
 
     def test_conflict_budget_exhaustion_matches(self):
@@ -172,11 +171,11 @@ class TestIncrementalEquivalence:
             result = s.solve(conflict_budget=20)
             return (result,) + observe(s)
 
-        assert starved(LegacySolver) == starved(FlatSolver)
+        assert starved(LegacySolver) == starved(Solver)
 
 
 class TestStatsInvariants:
-    @pytest.mark.parametrize("core", [LegacySolver, FlatSolver])
+    @pytest.mark.parametrize("core", CORES)
     def test_lifetime_counters_are_monotone_and_sum_deltas(self, core):
         rng = random.Random(5)
         s = core()
@@ -229,7 +228,7 @@ class TestSimplifyEquivalence:
                     s.stats(), s.proof.events)
 
         legacy = php(LegacySolver)
-        flat = php(FlatSolver)
+        flat = php(Solver)
         assert legacy[0] == UNSAT
         assert legacy[3]["restarts"] >= 1
         assert all(kind != "d" for kind, _ in legacy[4])
@@ -251,22 +250,23 @@ class TestOracleStress:
                     ("solve",
                      [2 * v + (rng.random() < 0.5) for v in vs]))
             legacy = run_script(LegacySolver, nv, script)
-            flat = run_script(FlatSolver, nv, script)
+            flat = run_script(Solver, nv, script)
             assert legacy == flat, f"trial {trial}"
 
     def test_php_reduce_db_and_restarts_agree(self):
         # PHP(8,7) is the smallest pigeonhole instance that reaches
         # learnt-DB reduction (the first one waits for 1,000 learnts),
-        # and the flat core compacts its arena after it.  Both cores
+        # and the flat core compacts its arena after it.  Each counted
+        # reduction ends with the full watcher sweep, so a reduction
+        # that leaves a watch list inconsistent fails here.  Both cores
         # log a proof: the logs must be identical, and the flat core's,
         # which holds the solver's own deletions, must check.
         def php(core):
             s = core(proof=True)
             calls = {"_reduce_db": 0, "_compact": 0}
-            for name in calls:
-                if hasattr(s, name):
-                    setattr(s, name,
-                            counting(calls, name, getattr(s, name)))
+            s._reduce_db = counting(calls, "_reduce_db", s._reduce_db,
+                                    then=s._check_watches)
+            s._compact = counting(calls, "_compact", s._compact)
             pigeons, holes = 8, 7
             var = {(p, h): s.new_var() for p in range(pigeons)
                    for h in range(holes)}
@@ -282,7 +282,7 @@ class TestOracleStress:
                               s.proof.events)
 
         _, legacy_calls, legacy = php(LegacySolver)
-        flat_solver, flat_calls, flat = php(FlatSolver)
+        flat_solver, flat_calls, flat = php(Solver)
         assert legacy[0] == UNSAT
         assert legacy == flat
         assert legacy_calls["_reduce_db"] == flat_calls["_reduce_db"] >= 1

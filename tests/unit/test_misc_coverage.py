@@ -115,8 +115,7 @@ class TestEnvironmentVariables:
     #: the configurations to test, so a new one must be added here
     #: (and to the table in docs/architecture.md) on purpose.
     EXPECTED = {
-        "REPRO_PROGRESS", "REPRO_SAT_DEBUG", "REPRO_TRACE",
-        "REPRO_TRACE_ID",
+        "REPRO_PROGRESS", "REPRO_TRACE", "REPRO_TRACE_ID",
     }
 
     def test_repro_variables_are_pinned(self):

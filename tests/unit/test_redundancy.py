@@ -5,10 +5,11 @@ import pytest
 from repro import obs
 from repro.core import StepKind, prove
 from repro.netlist import GateType, NetlistBuilder, s27
-from repro.sat import FlatSolver, LegacySolver
 from repro.sim import BitParallelSimulator
 from repro.transform import SweepConfig, redundancy, redundancy_removal
 from repro.transform.redundancy import _InductiveChecker, _StepNumbering
+
+from ..property.legacy_solver import CORES
 
 
 def same_behaviour(net_a, net_b, target_a, target_b, cycles=8):
@@ -278,7 +279,7 @@ class TestClauseLoading:
         classes = [sorted(cls) for cls in ([c0, g], [r, buf], [s, inv, h])]
         return b.net, classes, (r, buf, c0)
 
-    @pytest.mark.parametrize("core", [FlatSolver, LegacySolver])
+    @pytest.mark.parametrize("core", CORES)
     def test_split_step_matches_clause_by_clause(self, core, monkeypatch):
         monkeypatch.setattr(redundancy, "Solver", core)
         net, classes, (r, buf, c0) = self.fixture()

@@ -1,7 +1,7 @@
 """Unit tests for the CDCL SAT solver and CNF utilities.
 
-``Solver`` below is the facade, which always builds the flat core;
-layout-sensitive tests parametrize over both cores explicitly.
+Layout-sensitive tests parametrize over the shipped solver and the
+reference core of ``tests/property/legacy_solver.py``.
 """
 
 import heapq
@@ -10,13 +10,12 @@ import random
 
 import pytest
 
+import repro.sat
 from repro.sat import (
     CNF,
     SAT,
     UNKNOWN,
     UNSAT,
-    FlatSolver,
-    LegacySolver,
     Solver,
     from_dimacs_lit,
     lit_not,
@@ -24,12 +23,10 @@ from repro.sat import (
     lit_var,
     neg,
     pos,
-    set_debug_checks,
     to_dimacs_lit,
 )
 
-#: Both data-layout cores; they must behave identically.
-CORES = [LegacySolver, FlatSolver]
+from ..property.legacy_solver import CORES, LegacySolver
 
 
 def brute_force_sat(num_vars, clauses):
@@ -379,20 +376,21 @@ class TestBulkLoad:
 
 
 class TestCoreToggle:
-    """The Solver facade always builds the flat core; the reference
-    core is only ever constructed directly."""
+    """One solver core ships: ``Solver`` is the flat core itself, and
+    the reference core is a test-side subclass."""
 
     def test_default_core_is_flat(self):
-        assert isinstance(Solver(), FlatSolver)
+        assert type(Solver()) is Solver
 
     def test_both_cores_are_solvers(self):
-        assert isinstance(FlatSolver(), Solver)
         assert isinstance(LegacySolver(), Solver)
 
     def test_direct_core_construction_ignores_toggle(self):
-        # Solver.__new__ redirects only Solver() itself.
-        assert type(LegacySolver()) is LegacySolver
-        assert type(FlatSolver()) is FlatSolver
+        # No second core, core switch or debug toggle is exported.
+        for name in ("FlatSolver", "LegacySolver",
+                     "debug_checks_enabled", "set_debug_checks"):
+            assert not hasattr(repro.sat, name)
+            assert name not in repro.sat.__all__
 
 
 @pytest.mark.parametrize("core", CORES)
@@ -456,7 +454,7 @@ class TestDecisionHeap:
     @pytest.mark.parametrize("seed", range(4))
     def test_one_live_entry_per_unassigned_variable(self, seed):
         rng = random.Random(seed)
-        s = FlatSolver()
+        s = Solver()
         n = 40
         s.new_vars(n)
         for _ in range(170):
@@ -478,11 +476,10 @@ class TestDecisionHeap:
 
 class TestDetachIntegrity:
     """A clause missing from a watcher list during detach is real
-    corruption: the flat core always raises; the legacy core keeps
-    its historical silent pass unless debug checks are enabled."""
+    corruption: both cores raise."""
 
     def test_flat_detach_miss_always_raises(self):
-        s = FlatSolver()
+        s = Solver()
         s.new_vars(3)
         assert s.add_clause([pos(0), pos(1), pos(2)])
         cref = s._clauses[0]
@@ -490,40 +487,27 @@ class TestDetachIntegrity:
         with pytest.raises(RuntimeError, match="watcher corruption"):
             s._detach(cref)
 
-    def test_legacy_detach_miss_silent_by_default(self):
-        s = LegacySolver()
-        s.new_vars(3)
-        assert s.add_clause([pos(0), pos(1), pos(2)])
-        clause = s._clauses[0]
-        s._detach(clause)
-        s._detach(clause)  # historical behavior: swallowed
-
     def test_legacy_detach_miss_raises_under_debug(self):
         s = LegacySolver()
         s.new_vars(3)
         assert s.add_clause([pos(0), pos(1), pos(2)])
         clause = s._clauses[0]
         s._detach(clause)
-        previous = set_debug_checks(True)
-        try:
-            with pytest.raises(RuntimeError,
-                               match="watcher corruption"):
-                s._detach(clause)
-        finally:
-            set_debug_checks(previous)
+        with pytest.raises(RuntimeError, match="watcher corruption"):
+            s._detach(clause)
 
 
 @pytest.mark.parametrize("core", CORES)
 class TestDebugWatchInvariant:
-    """The debug sweep that ``_reduce_db`` runs under
-    ``REPRO_SAT_DEBUG`` notices a watched literal that left its
-    clause's first two slots."""
+    """The watcher sweep (``_check_watches``, which the oracle's
+    PHP(8,7) test runs after each learnt-DB reduction) notices a
+    watched literal that left its clause's first two slots."""
 
     def test_corrupted_watcher_is_detected(self, core):
         s = core()
         s.new_vars(3)
         s.add_clause([pos(0), pos(1), pos(2)])
-        s._debug_check_watches()
+        s._check_watches()
         if core is LegacySolver:
             clause = s._clauses[0]
             clause.lits = [clause.lits[2], clause.lits[1],
@@ -534,7 +518,7 @@ class TestDebugWatchInvariant:
             base = cref + 2
             arena[base], arena[base + 2] = arena[base + 2], arena[base]
         with pytest.raises(RuntimeError):
-            s._debug_check_watches()
+            s._check_watches()
 
 
 @pytest.mark.parametrize("core", CORES)

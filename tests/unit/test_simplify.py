@@ -10,10 +10,9 @@ import pytest
 
 from repro.cert.drat import check_proof
 from repro.cert.proof import clause_key
-from repro.sat import UNSAT, FlatSolver, LegacySolver
+from repro.sat import UNSAT
 
-#: Both data-layout cores; each must log a proof that checks.
-CORES = [LegacySolver, FlatSolver]
+from ..property.legacy_solver import CORES
 
 
 def php_clauses(solver, pigeons, holes):

@@ -1,16 +1,21 @@
 """Unit tests for the command-line tools and VCD writer."""
 
+import argparse
+
 import pytest
 
+from repro.experiments import report as paper_report
 from repro.experiments.report import main as report_main
 from repro.experiments.table1 import main as table1_main
 from repro.experiments.table2 import main as table2_main
 from repro.netlist import NetlistBuilder, NetlistError, s27, write_bench
 from repro.sim import BitParallelSimulator
 from repro.tools import load_netlist, save_netlist, trace_to_vcd
+from repro.tools import check as check_tool
 from repro.tools.bound import main as bound_main
 from repro.tools.check import main as check_main
 from repro.tools.convert import main as convert_main
+from repro.tools.io import check_writable
 from repro.tools.trace import main as trace_main
 from repro.tools.vcd import counterexample_to_vcd
 from repro.unroll import BOUNDED, FALSIFIED, bmc
@@ -241,8 +246,9 @@ class TestCLIs:
 
 #: (CLI, argv) pairs that are bad input; ``{...}`` names a path made by
 #: the test: a missing file, a file that is not a netlist, an empty
-#: ``.bench``, s27, an empty trace, and output files with a supported
-#: and an unsupported extension.
+#: ``.bench``, s27, an empty trace, a trace with one span, output files
+#: with a supported and an unsupported extension, and an output file in
+#: a directory that does not exist.
 BAD_INPUT = {
     "bound-missing": (bound_main, ["{missing}"]),
     "bound-not-a-netlist": (bound_main, ["{junk}"]),
@@ -298,6 +304,14 @@ BAD_INPUT = {
     "table1-designs": (table1_main, ["--designs", ","]),
     "table2-designs": (table2_main, ["--designs", " , "]),
     "report-designs-t1": (report_main, ["--designs-t1", ","]),
+    # An output path that cannot be written.  repro-paper-report and
+    # repro-check refuse it before any table or check runs.
+    "report-out": (report_main, ["--out", "{unwritable}"]),
+    "check-vcd": (check_main, ["{s27}", "--vcd", "{unwritable}"]),
+    "trace-export-out": (trace_main, [
+        "export", "{trace}", "--out", "{unwritable}"]),
+    "trace-flame-out": (trace_main, [
+        "flame", "{spans}", "--out", "{unwritable}"]),
 }
 
 
@@ -313,11 +327,15 @@ class TestCLIBadInput:
         empty.write_text("")
         trace = tmp_path / "run.trace"
         trace.write_text("")
+        spans = tmp_path / "spans.trace"
+        spans.write_text('{"ty": "E", "t": 1.0, "path": "run", '
+                         '"dur": 0.5}\n')
         paths = {"missing": str(tmp_path / "missing.aag"),
                  "junk": str(junk), "empty": str(empty), "s27": s27_bench,
-                 "trace": str(trace),
+                 "trace": str(trace), "spans": str(spans),
                  "out": str(tmp_path / "out.aag"),
-                 "bad_out": str(tmp_path / "out.xyz")}
+                 "bad_out": str(tmp_path / "out.xyz"),
+                 "unwritable": str(tmp_path / "no_such_dir" / "out")}
         main, argv = BAD_INPUT[case]
         with pytest.raises(SystemExit) as exc:
             main([arg.format(**paths) for arg in argv])
@@ -325,6 +343,33 @@ class TestCLIBadInput:
         err = capsys.readouterr().err
         assert "error:" in err
         assert "Traceback" not in err
+
+    def test_unwritable_output_refused_before_any_run(
+            self, monkeypatch, capsys, tmp_path, s27_bench):
+        # The report's tables and the checks would take their full
+        # time before the write fails; neither may start.
+        def never(*args, **kwargs):
+            raise AssertionError("ran before the output path was checked")
+
+        monkeypatch.setattr(paper_report, "generate_report", never)
+        monkeypatch.setattr(check_tool, "load_or_exit", never)
+        out = str(tmp_path / "no_such_dir" / "out")
+        for main, argv in ((report_main, ["--out", out]),
+                           (check_main, [s27_bench, "--vcd", out])):
+            with pytest.raises(SystemExit) as exc:
+                main(argv)
+            assert exc.value.code == 2
+            assert f"error: cannot write {out}" in capsys.readouterr().err
+
+    def test_writable_output_probe_changes_nothing(self, tmp_path):
+        parser = argparse.ArgumentParser()
+        fresh = tmp_path / "fresh.md"
+        check_writable(parser, str(fresh))
+        assert not fresh.exists()
+        kept = tmp_path / "kept.md"
+        kept.write_text("old")
+        check_writable(parser, str(kept))
+        assert kept.read_text() == "old"
 
     @pytest.mark.parametrize("method", ["bmc", "induction", "cegar"])
     def test_check_without_targets(self, method, capsys, tmp_path):
