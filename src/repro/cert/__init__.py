@@ -102,15 +102,18 @@ def certify_unsat(solver, engine: str) -> CheckResult:
             message="solver carries no proof log (proof logging was "
                     "off when it was constructed)")
     with reg.span("cert.proof"):
-        result = drat.check_events(proof.events)
+        result = drat.check_proof(proof)
     reg.counter("cert.checked")
     if result.lemmas_checked:
         reg.counter("cert.lemmas_checked", result.lemmas_checked)
+    if result.lemmas_hinted:
+        reg.counter("cert.lemmas_hinted", result.lemmas_hinted)
     if result.lemmas_trimmed:
         reg.counter("cert.lemmas_trimmed", result.lemmas_trimmed)
     reg.event("cert.proof", engine=engine, ok=result.ok,
               conclusions=result.conclusions,
               lemmas_checked=result.lemmas_checked,
+              lemmas_hinted=result.lemmas_hinted,
               lemmas_trimmed=result.lemmas_trimmed,
               core_inputs=result.core_inputs)
     if not result.ok:

@@ -35,12 +35,19 @@ then walks the timeline in reverse:
 Every check is unit propagation on two watched literals with blocker
 literals (see :class:`_Propagator`): a false literal visits only the
 clauses watching it, and a clause whose blocker is true is skipped
-without reading its literals.  The *level-0* assignment — the unit
-propagation fixpoint of the active clauses alone — is kept between
-checks, so a check propagates only its roots above level 0 and undoes
-only that part.  A clause detached going backward never comes back,
-so propagation drops it from a watch list for good when it meets it
-there.
+without reading its literals.  A lemma's check first follows its
+*hints*, when the log has some: the ids of the clauses the solver's
+conflict analysis resolved on, in trail order (the RUP half of LRAT,
+Cruz-Filipe et al., CADE 2017).  Walking them, the check asserts the
+free literal of each clause that is unit and stops at the first that
+is falsified, so it touches the lemma's conflict cone instead of the
+whole unrolling; hints that run out first hand over to the watched
+propagation, which carries on from what they asserted.  The *level-0*
+assignment — the unit propagation fixpoint of the active clauses
+alone — is kept between checks, so a check propagates only its roots
+above level 0 and undoes only that part.  A clause detached going
+backward never comes back, so propagation drops it from a watch list
+for good when it meets it there.
 
 Soundness: if every conclusion and every marked lemma checks, each
 ``u`` event's claimed UNSAT-under-assumptions verdict is a theorem of
@@ -64,13 +71,29 @@ clause, is discarded at the next detach.  A corrupted lemma (see the
 ``corrupt_learnt`` fault of :mod:`repro.resilience.faults`) either
 breaks its own RUP check or leaves the verdict genuinely valid.
 
+Hints are untrusted, and soundness does not rest on them.  A hinted
+step is a unit-propagation step: it asserts a literal only when every
+other literal of an *active* clause is false under the current
+assignment, and it concludes only on an active clause whose literals
+are all false.  Ids that name no clause, or a clause that is not
+active at the check (every clause added at or after the lemma is
+inactive going backward), are dropped; a satisfied clause, or one
+with two free literals, is passed over.  So the walk derives only
+literals that unit propagation from the roots derives, and the
+watched propagation that follows reaches the same fixpoint as without
+hints (unit propagation is confluent): a check conflicts with its
+hints exactly when it conflicts without them.  Hints change only how
+fast a check concludes and which reasons its cone holds, hence which
+lemmas are trimmed; the cone is explained from the reasons actually
+used, so it is a genuine conflict set of active clauses.
+
 Everything here is pure stdlib and imports only the proof-log module.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterable, List, Optional, Sequence, Tuple
+from typing import Iterable, List, Mapping, Optional, Sequence, Tuple
 
 from .proof import ProofLog, clause_key
 
@@ -99,6 +122,7 @@ class CheckResult:
     core_inputs: int = 0
     lemmas_total: int = 0
     lemmas_checked: int = 0
+    lemmas_hinted: int = 0
     lemmas_trimmed: int = 0
     deletions: int = 0
 
@@ -138,6 +162,10 @@ class _Propagator:
     ``_active`` flag, and propagation drops an inactive clause from a
     watch list for good when it meets it there.  ``_units`` and
     ``_empty`` are append-only and skip inactive entries.
+
+    A check may carry *hints*, clause ids to try in order before the
+    watched propagation (see :meth:`_follow`); ``hinted`` counts the
+    checks whose hints alone reached the conflict.
     """
 
     def __init__(self, num_vars: int, clauses: List[List[int]]) -> None:
@@ -152,6 +180,7 @@ class _Propagator:
         self._trail: List[int] = []
         self._held = False
         self._zero_cone: Optional[List[int]] = None
+        self.hinted = 0
 
     def attach(self, cid: int) -> None:
         self._active[cid] = True
@@ -197,8 +226,10 @@ class _Propagator:
         if lits and self._reason[lits[0] >> 1] == cid:
             self._held = False
 
-    def check(self, roots: Sequence[int]) -> Optional[List[int]]:
-        """Propagate ``roots`` (asserted literals) on top of level 0.
+    def check(self, roots: Sequence[int],
+              hints: Sequence[int] = ()) -> Optional[List[int]]:
+        """Propagate ``roots`` (asserted literals) on top of level 0,
+        following ``hints`` first (see :meth:`_follow`).
 
         Returns the conflict cone (the ids of the clauses the derived
         conflict depends on) when unit propagation conflicts, None when
@@ -222,6 +253,10 @@ class _Propagator:
                 val[lit] = 1
                 val[lit ^ 1] = 0
                 trail.append(lit)
+        if conflict is None and hints:
+            conflict = self._follow(hints)
+            if conflict is not None:
+                self.hinted += 1
         if conflict is None:
             conflict = self._propagate(mark)
         cone = None if conflict is None else self._explain(*conflict)
@@ -270,6 +305,42 @@ class _Propagator:
                 conflict = self._propagate(0)
         if conflict is not None:
             self._zero_cone = self._explain(*conflict)
+
+    def _follow(self, hints: Sequence[int]) -> Optional[Tuple[int, int]]:
+        """Unit propagation along ``hints``, clause ids in the order
+        they are likely to become unit: each id out of range or of an
+        inactive clause is dropped, a satisfied clause or one with two
+        free literals is passed over, a unit clause's free literal is
+        asserted with the clause as its reason, and a falsified clause
+        ends the walk as the conflict, ``(clause id, -1)``.  Returns
+        None when the hints run out first; the watched propagation
+        then carries on from the literals asserted so far."""
+        val = self._val
+        reason = self._reason
+        lits_of = self._lits
+        active = self._active
+        append = self._trail.append
+        count = len(lits_of)
+        for cid in hints:
+            if cid < 0 or cid >= count or not active[cid]:
+                continue
+            free = -1
+            for lit in lits_of[cid]:
+                value = val[lit]
+                if value < 0:
+                    if free >= 0:
+                        break  # two free literals: not unit yet
+                    free = lit
+                elif value:
+                    break  # satisfied
+            else:
+                if free < 0:
+                    return (cid, -1)
+                val[free] = 1
+                val[free ^ 1] = 0
+                reason[free >> 1] = cid
+                append(free)
+        return None
 
     def _propagate(self, head: int) -> Optional[Tuple[int, int]]:
         """Propagate the trail from ``head``; returns ``(clause id,
@@ -357,13 +428,20 @@ class _Propagator:
 def check_events(
     events: Iterable[Tuple[str, Tuple[int, ...]]],
     require_conclusion: bool = True,
+    hints: Optional[Mapping[int, Sequence[int]]] = None,
 ) -> CheckResult:
     """Check a proof event stream (see the module docstring).
 
     ``require_conclusion`` demands at least one ``u`` event — a
     certification caller asking "was this UNSAT answer derived?" must
-    fail on a log that never concluded anything.
+    fail on a log that never concluded anything.  ``hints`` maps a
+    lemma's clause id to the clause ids its check follows first (a
+    :class:`~repro.cert.proof.ProofLog`'s hint table); they change
+    how fast a check concludes and which clauses its cone holds,
+    never whether it concludes.
     """
+    if hints is None:
+        hints = {}
     result = CheckResult(ok=True)
     errors = result.errors
 
@@ -448,7 +526,8 @@ def check_events(
                 result.lemmas_trimmed += 1
                 continue
             result.lemmas_checked += 1
-            cone = prop.check([lit ^ 1 for lit in clauses[cid]])
+            cone = prop.check([lit ^ 1 for lit in clauses[cid]],
+                              hints.get(cid, ()))
             if cone is None:
                 report(f"event #{position}: learned clause "
                        f"{tuple(clauses[cid])} is not RUP (unit "
@@ -456,6 +535,7 @@ def check_events(
             else:
                 for needed_id in cone:
                     needed[needed_id] = True
+    result.lemmas_hinted = prop.hinted
     result.core_inputs = sum(
         1 for cid, is_lemma in enumerate(lemma)
         if needed[cid] and not is_lemma)
@@ -466,6 +546,8 @@ def check_events(
 
 def check_proof(proof: ProofLog,
                 require_conclusion: bool = True) -> CheckResult:
-    """Convenience wrapper over :func:`check_events`."""
+    """Convenience wrapper over :func:`check_events`: the log's events
+    with its hint table."""
     return check_events(proof.events,
-                        require_conclusion=require_conclusion)
+                        require_conclusion=require_conclusion,
+                        hints=proof.hints)

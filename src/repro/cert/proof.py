@@ -24,6 +24,20 @@ performs, in order, as immutable events:
   for an unconditional refutation).  Unit propagation over the active
   clauses plus the assumptions must yield a conflict.
 
+Every ``i`` and ``a`` event is also a clause *id*: its position among
+the log's ``i``/``a`` events, counting from 0 (the numbering the
+checker uses).  :meth:`ProofLog.input` and :meth:`ProofLog.learnt`
+return the id they assign.
+
+Beside the events the log keeps a *hint table*, :attr:`ProofLog.hints`:
+for a learned clause, the ids of the clauses the solver's conflict
+analysis and minimization resolved on, in trail order, keyed by the
+lemma's id.  The table is a side channel: the events keep their
+``(kind, lits)`` shape, and a log without hints (a hand-built event
+list, say) checks as before.  Hints are untrusted search advice, the
+RUP half of LRAT (see :mod:`repro.cert.drat`): they may name any id,
+and a wrong one costs the checker time, never a verdict.
+
 The log lives in memory, one per solver built with ``proof=True``.
 
 This module imports nothing from ``repro`` — :mod:`repro.sat.solver`
@@ -33,7 +47,7 @@ error taxonomy.
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, List, Tuple
+from typing import Dict, Iterable, List, Sequence, Tuple
 
 __all__ = ["EVENT_KINDS", "ProofLog", "clause_key"]
 
@@ -70,33 +84,48 @@ class ProofLog:
     unaffected.
     """
 
-    __slots__ = ("events",)
+    __slots__ = ("events", "hints", "_clauses")
 
     def __init__(self) -> None:
         self.events: List[Tuple[str, Tuple[int, ...]]] = []
+        #: Hint chains (clause ids in trail order) keyed by lemma id.
+        self.hints: Dict[int, Tuple[int, ...]] = {}
+        #: ``i``/``a`` events so far: the id the next clause gets.
+        self._clauses = 0
 
     # ------------------------------------------------------------------
-    # Logging (called from the solver hot paths; each is one append)
+    # Logging (called from the solver hot paths)
     # ------------------------------------------------------------------
-    def _log(self, kind: str, lits: Iterable[int]) -> None:
+    def _add(self, kind: str, lits: Iterable[int]) -> int:
+        """Log a clause addition; returns its clause id."""
         self.events.append((kind, tuple(lits)))
+        cid = self._clauses
+        self._clauses = cid + 1
+        return cid
 
-    def input(self, lits: Iterable[int]) -> None:
-        """Log an original problem clause (the checker's axiom set)."""
-        self._log("i", lits)
+    def input(self, lits: Iterable[int]) -> int:
+        """Log an original problem clause (the checker's axiom set);
+        returns its clause id."""
+        return self._add("i", lits)
 
-    def learnt(self, lits: Iterable[int]) -> None:
-        """Log a learned clause (must be RUP at this point)."""
-        self._log("a", lits)
+    def learnt(self, lits: Iterable[int],
+               hints: Sequence[int] = ()) -> int:
+        """Log a learned clause (must be RUP at this point) and the
+        ids of the clauses its derivation resolved on; returns its
+        clause id."""
+        cid = self._add("a", lits)
+        if hints:
+            self.hints[cid] = tuple(hints)
+        return cid
 
     def delete(self, lits: Iterable[int]) -> None:
         """Log a clause deletion (learnt-DB reduction); matched
         against one live instance by :func:`clause_key`."""
-        self._log("d", lits)
+        self.events.append(("d", tuple(lits)))
 
     def conclude_unsat(self, assumptions: Iterable[int] = ()) -> None:
         """Log an UNSAT verdict under ``assumptions`` (may be empty)."""
-        self._log("u", assumptions)
+        self.events.append(("u", tuple(assumptions)))
 
     # ------------------------------------------------------------------
     # Introspection

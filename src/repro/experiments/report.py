@@ -132,7 +132,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     parser.add_argument("--progress", action="store_true",
                         help="report live engine progress on stderr")
     args = parser.parse_args(argv)
-    obs.trace.setup_cli(progress_flag=args.progress)
+    obs.trace.setup_cli(parser, progress_flag=args.progress)
     designs_t1 = parse_designs(parser, args.designs_t1, iscas89.profiles())
     designs_t2 = parse_designs(parser, args.designs_t2, gp.profiles())
     if args.out:

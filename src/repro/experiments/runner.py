@@ -444,7 +444,7 @@ def table_main(argv: Optional[Sequence[str]], description: str,
     parser.add_argument("--progress", action="store_true",
                         help="report live engine progress on stderr")
     args = parser.parse_args(argv)
-    obs.trace.setup_cli(progress_flag=args.progress)
+    obs.trace.setup_cli(parser, progress_flag=args.progress)
     profiles = gen.profiles()
     designs = parse_designs(parser, args.designs, profiles)
     budget = Budget(wall_seconds=args.timeout, name=name) \

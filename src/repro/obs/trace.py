@@ -445,14 +445,22 @@ def progress_from_env() -> Optional[ProgressReporter]:
 _env_reporter: Optional[ProgressReporter] = None
 
 
-def setup_cli(progress_flag: bool = False) -> None:
+def setup_cli(parser: Any, progress_flag: bool = False) -> None:
     """One-call observability bootstrap for the CLI entry points.
 
     Activates ``REPRO_TRACE`` tracing if requested by the environment
     and, when ``--progress`` was passed, exports ``REPRO_PROGRESS=1``
-    (so pool workers print too) and installs the stderr reporter.
+    (so pool workers print too) and installs the stderr reporter.  A
+    ``REPRO_TRACE`` path that cannot be opened for writing is a usage
+    error, reported through ``parser.error`` (an
+    :class:`argparse.ArgumentParser` exits 2) before the CLI does any
+    work.
     """
-    trace_from_env()
+    try:
+        trace_from_env()
+    except OSError as exc:
+        parser.error(f"cannot write {TRACE_ENV} path "
+                     f"{os.environ.get(TRACE_ENV)}: {exc.strerror}")
     if progress_flag:
         os.environ[PROGRESS_ENV] = "1"
     progress_from_env()

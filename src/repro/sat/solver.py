@@ -95,8 +95,10 @@ class Solver:
 
     ``Solver(proof=True)`` keeps a DRAT-style proof log
     (:attr:`proof`) for its whole life; it is the only way a solver
-    gets one.  Logging only observes, so the search is identical
-    with and without it.
+    gets one.  Beside each learnt clause the log holds its hint chain
+    (:meth:`_hint_chain`), the clauses its derivation resolved on,
+    which the DRAT checker follows before it propagates.  Logging only
+    observes, so the search is identical with and without it.
     """
 
     def __init__(self, proof: bool = False) -> None:
@@ -165,6 +167,15 @@ class Solver:
         #: solver was built with ``proof=True`` — the hot paths then
         #: guard on a single ``is not None`` per batch/conflict/solve.
         self._proof: Optional[ProofLog] = ProofLog() if proof else None
+        #: Proof mode only: the proof's clause id of every stored
+        #: clause, keyed by cref (:meth:`_compact` remaps it).  The
+        #: bulk loader keys a clause's id by the arena's end before it
+        #: stores the clause, so a clause that normalisation drops
+        #: leaves an entry there that the next allocation overwrites.
+        self._ids: Dict[int, int] = {}
+        #: Proof mode only: the hint chain of the clause
+        #: :meth:`_analyze` derived last (see :meth:`_hint_chain`).
+        self._chain: List[int] = []
 
     def stats(self) -> Dict[str, int]:
         """A snapshot of the four lifetime statistic totals."""
@@ -230,20 +241,22 @@ class Solver:
         """
         if not self._ok:
             return False
+        cid = -1
         if self._proof is not None:
             # Log the *original* clause — the checker's trust base is
             # exactly what the caller asserted, not the level-0
             # normalised residue (dropped literals are re-derived by
             # unit propagation from the logged unit clauses).
             lits = list(lits)
-            self._proof.input(lits)
-        return self._add_clause_raw(lits)
+            cid = self._proof.input(lits)
+        return self._add_clause_raw(lits, cid)
 
-    def _add_clause_raw(self, lits: Iterable[int]) -> bool:
+    def _add_clause_raw(self, lits: Iterable[int], cid: int = -1) -> bool:
         """The normalising clause loader, *without* proof logging —
         internal callers (bulk-load delegation) log the original
         clause themselves and must not log its normalised residue as
-        a second input."""
+        a second input.  ``cid`` is the logged clause's proof id (-1
+        without a proof)."""
         if not self._ok:
             return False
         self._cancel_until(0)
@@ -270,7 +283,7 @@ class Solver:
                 return False
             self._ok = self._propagate() is None
             return self._ok
-        self._store_problem_clause(clause)
+        self._store_problem_clause(clause, cid)
         return True
 
     def _alloc_clause(self, lits: List[int], learnt: bool) -> int:
@@ -286,8 +299,10 @@ class Solver:
         arena.extend(lits)
         return cref
 
-    def _store_problem_clause(self, clause: List[int]) -> None:
+    def _store_problem_clause(self, clause: List[int], cid: int) -> None:
         cref = self._alloc_clause(clause, learnt=False)
+        if cid >= 0:
+            self._ids[cref] = cid
         self._clauses.append(cref)
         self._attach(cref)
 
@@ -363,11 +378,13 @@ class Solver:
         append = out.append
         slow = self._add_clause_raw
         proof = self._proof
+        ids = self._ids
         for lits in clauses:
             if proof is not None:
                 # Original literals, before any normalisation or
-                # watched-literal reordering mutates the list.
-                proof.input(lits)
+                # watched-literal reordering mutates the list; a
+                # stored clause lands at the arena's end.
+                ids[len(arena)] = proof.input(lits)
             for lit in lits:
                 if vals[lit] >= 0:
                     break
@@ -869,7 +886,10 @@ class Solver:
             reason = reasons[var]
         learnt[0] = lit ^ 1
         # Clause minimization: drop literals implied by the rest.
-        learnt = self._minimize(learnt, seen)
+        kept = self._minimize(learnt, seen)
+        if self._proof is not None:
+            self._chain = self._hint_chain(conflict, learnt, kept)
+        learnt = kept
         if len(learnt) == 1:
             back_level = 0
         else:
@@ -908,16 +928,95 @@ class Solver:
             seen[lit >> 1] = False
         return out
 
+    def _hint_chain(self, conflict: int, learnt: List[int],
+                    kept: List[int]) -> List[int]:
+        """The proof ids of the clauses :meth:`_analyze` resolved on to
+        derive ``kept`` from ``conflict``, in trail order: the reasons
+        of the literals minimization dropped from ``learnt`` (each
+        after the reasons of the dropped literals it rests on), then
+        those of the current-level literals analysis resolved away,
+        then the conflict itself.  Unit propagation from the negated
+        clause asserts each reason's literal in turn and ends falsifying
+        the conflict, so the DRAT checker can follow the chain instead
+        of searching the whole clause set.
+
+        Called only when a proof is kept: analysis itself records
+        nothing, and this walks the current level back from the
+        conflict to the first UIP again, marking as analysis did.
+        """
+        arena = self._arena
+        reasons = self._reason
+        ids = self._ids
+        chain: List[int] = []
+        if len(kept) < len(learnt):
+            # Minimization's reasons, depth first in clause and reason
+            # literal order, each after those of the dropped literals
+            # it rests on.  Besides its own variable, a reason holds
+            # only variables assigned before it, so this terminates;
+            # its own can sit in ``waiting`` only after a corrupted
+            # learnt clause (the ``corrupt_learnt`` fault) put a true
+            # literal into ``learnt``.
+            waiting = set(learnt).difference(kept)
+            for root in learnt:
+                stack = [root] if root in waiting else []
+                while stack:
+                    lit = stack[-1]
+                    var = lit >> 1
+                    reason = reasons[var]
+                    deps = [q for q in arena[reason + 2: reason + 2
+                                             + arena[reason]]
+                            if q in waiting and q >> 1 != var]
+                    if deps:
+                        deps.reverse()
+                        stack.extend(deps)
+                        continue
+                    stack.pop()
+                    if lit in waiting:
+                        waiting.discard(lit)
+                        chain.append(ids[reason])
+        trail = self._trail
+        level = self._level
+        seen = self._seen
+        cur_level = len(self._trail_lim)
+        uip = learnt[0] >> 1
+        marked: List[int] = []
+        mark = marked.append
+        resolved = [ids[conflict]]
+        reason = conflict
+        idx = len(trail)
+        while True:
+            for q in arena[reason + 2: reason + 2 + arena[reason]]:
+                var = q >> 1
+                if not seen[var] and level[var] == cur_level:
+                    seen[var] = True
+                    mark(var)
+            idx -= 1
+            while not seen[trail[idx] >> 1]:
+                idx -= 1
+            var = trail[idx] >> 1
+            if var == uip:
+                break
+            reason = reasons[var]
+            resolved.append(ids[reason])
+        for var in marked:
+            seen[var] = False
+        resolved.reverse()
+        chain.extend(resolved)
+        return chain
+
     def _record_learnt(self, learnt: List[int]) -> None:
+        cid = -1
         if self._proof is not None:
             # Post-minimization literals (minimization preserves RUP);
             # unit learnts are logged too — they never enter _learnts,
             # only the level-0 trail.
-            self._proof.learnt(learnt)
+            cid = self._proof.learnt(learnt, self._chain)
         if len(learnt) == 1:
             self._enqueue(learnt[0])
             return
         cref = self._alloc_clause(learnt, learnt=True)
+        if cid >= 0:
+            self._ids[cref] = cid
         self._cla_act[self._arena[cref + 1]] = self._cla_inc
         self._learnts.append(cref)
         self._attach(cref)
@@ -1043,9 +1142,9 @@ class Solver:
 
         Copies live clauses (problem first, then learnts, preserving
         order) into a fresh arena, rewrites every stored cref
-        (clause indices, watcher lists, reason table) and rebuilds the
-        learnt-activity table densely.  Watcher order is preserved, so
-        the search is completely unaffected.
+        (clause indices, watcher lists, reason table, proof ids) and
+        rebuilds the learnt-activity table densely.  Watcher order is
+        preserved, so the search is completely unaffected.
         """
         old = self._arena
         old_act = self._cla_act
@@ -1076,6 +1175,9 @@ class Solver:
                 # Reasons are always live: problem clauses are never
                 # removed and locked learnts are kept by _reduce_db.
                 reason[var] = remap[r]
+        if self._proof is not None:
+            ids = self._ids
+            self._ids = {ncref: ids[cref] for cref, ncref in remap.items()}
         self._arena = new
         self._cla_act = new_act
         self._garbage = 0

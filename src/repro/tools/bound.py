@@ -97,7 +97,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         parser.error("--bounder recurrence does not apply to "
                      "/-separated strategy alternatives (the portfolio "
                      "bounds structurally)")
-    obs.trace.setup_cli(progress_flag=args.progress)
+    obs.trace.setup_cli(parser, progress_flag=args.progress)
     bounder = _recurrence_bounder if args.bounder == "recurrence" else None
     try:
         engines = [TBVEngine(strategy, bounder=bounder,

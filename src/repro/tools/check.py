@@ -40,9 +40,11 @@ def _cert_summary() -> str:
     checked = reg.counter_value("cert.checked")
     failed = reg.counter_value("cert.failed")
     lemmas = reg.counter_value("cert.lemmas_checked")
+    hinted = reg.counter_value("cert.lemmas_hinted")
     trimmed = reg.counter_value("cert.lemmas_trimmed")
     return (f"certification: {checked} check(s), {failed} failure(s), "
-            f"{lemmas} lemma(s) verified, {trimmed} trimmed")
+            f"{lemmas} lemma(s) verified ({hinted} on their hints), "
+            f"{trimmed} trimmed")
 
 
 def _print_verdict(label: str, net: Netlist, target: int,

@@ -8,9 +8,12 @@ shipped ``_search`` over a different layout: ``_Clause`` objects with
 literal lists, watcher lists of ``(clause, blocker)`` tuples,
 ``None``/``bool`` assignment cells and a lazy-deletion decision heap.
 Both make the same decisions, so verdicts, models, trails and
-statistics must match *exactly*; any divergence is a bug in one of
-them.  The cross-core oracle (``test_solver_oracle.py``) and the tests
-parametrized over :data:`CORES` compare them.
+statistics must match *exactly*, and so must the proofs they log,
+hint chains included (this core records each chain as its analysis
+resolves, the shipped one walks the trail again); any divergence is
+a bug in one of them.  The cross-core oracle
+(``test_solver_oracle.py``) and the tests parametrized over
+:data:`CORES` compare them.
 """
 
 from __future__ import annotations
@@ -25,14 +28,17 @@ from repro.sat.solver import Solver
 
 
 class _Clause:
-    """A clause of the legacy object core."""
+    """A clause of the legacy object core; ``cid`` is its proof clause
+    id (-1 without a proof)."""
 
-    __slots__ = ("lits", "learnt", "activity")
+    __slots__ = ("lits", "learnt", "activity", "cid")
 
-    def __init__(self, lits: List[int], learnt: bool) -> None:
+    def __init__(self, lits: List[int], learnt: bool,
+                 cid: int = -1) -> None:
         self.lits = lits
         self.learnt = learnt
         self.activity = 0.0
+        self.cid = cid
 
 
 class LegacySolver(Solver):
@@ -95,8 +101,8 @@ class LegacySolver(Solver):
             heapq.heappush(heap, (0.0, var))
         return base
 
-    def _store_problem_clause(self, clause: List[int]) -> None:
-        c = _Clause(clause, learnt=False)
+    def _store_problem_clause(self, clause: List[int], cid: int) -> None:
+        c = _Clause(clause, learnt=False, cid=cid)
         self._clauses.append(c)
         self._attach(c)
 
@@ -117,15 +123,16 @@ class LegacySolver(Solver):
         slow = self._add_clause_raw
         proof = self._proof
         for lits in clauses:
+            cid = -1
             if proof is not None:
                 # Original literals, before any normalisation or
                 # watched-literal reordering mutates the list.
-                proof.input(lits)
+                cid = proof.input(lits)
             for lit in lits:
                 if assign[lit >> 1] is not None:
                     break
             else:
-                clause = _Clause(lits, False)
+                clause = _Clause(lits, False, cid)
                 append(clause)
                 watches[lits[0] ^ 1].append((clause, lits[1]))
                 watches[lits[1] ^ 1].append((clause, lits[0]))
@@ -149,7 +156,7 @@ class LegacySolver(Solver):
             if sat:
                 continue
             if len(keep) >= 2:
-                clause = _Clause(keep, False)
+                clause = _Clause(keep, False, cid)
                 append(clause)
                 watches[keep[0] ^ 1].append((clause, keep[1]))
                 watches[keep[1] ^ 1].append((clause, keep[0]))
@@ -249,9 +256,11 @@ class LegacySolver(Solver):
         counter = 0
         lit = None
         reason: Optional[_Clause] = conflict
+        resolved: List[_Clause] = []
         idx = len(self._trail) - 1
         while True:
             assert reason is not None
+            resolved.append(reason)
             self._bump_clause(reason)
             start = 0 if lit is None else 1
             # After the first iteration lits[0] is the enqueued literal.
@@ -281,7 +290,14 @@ class LegacySolver(Solver):
             reason = self._reason[var]
         learnt[0] = lit_not(lit)
         # Clause minimization: drop literals implied by the rest.
-        learnt = self._minimize(learnt, seen)
+        kept = self._minimize(learnt, seen)
+        if self._proof is not None:
+            # The hint chain, in trail order: minimization's reasons,
+            # then analysis's, which it met walking the trail back.
+            dropped = [q for q in learnt if q not in kept]
+            self._chain = self._dropped_reasons(dropped) \
+                + [clause.cid for clause in reversed(resolved)]
+        learnt = kept
         if len(learnt) == 1:
             back_level = 0
         else:
@@ -314,16 +330,38 @@ class LegacySolver(Solver):
             seen[lit_var(lit)] = False
         return out
 
+    def _dropped_reasons(self, dropped: List[int]) -> List[int]:
+        """The proof ids of the reasons of the literals minimization
+        dropped, each after those of the dropped literals its reason
+        rests on: a depth-first walk from each literal in clause
+        order, over its reason's literals in order."""
+        chain: List[int] = []
+        visited = set()
+
+        def visit(lit: int) -> None:
+            visited.add(lit)
+            reason = self._reason[lit_var(lit)]
+            for q in reason.lits:
+                if q in dropped and q not in visited:
+                    visit(q)
+            chain.append(reason.cid)
+
+        for lit in dropped:
+            if lit not in visited:
+                visit(lit)
+        return chain
+
     def _record_learnt(self, learnt: List[int]) -> None:
+        cid = -1
         if self._proof is not None:
             # Post-minimization literals (minimization preserves RUP);
             # unit learnts are logged too — they never enter _learnts,
             # only the level-0 trail.
-            self._proof.learnt(learnt)
+            cid = self._proof.learnt(learnt, self._chain)
         if len(learnt) == 1:
             self._enqueue(learnt[0], None)
             return
-        clause = _Clause(learnt, learnt=True)
+        clause = _Clause(learnt, learnt=True, cid=cid)
         clause.activity = self._cla_inc
         self._learnts.append(clause)
         self._attach(clause)

@@ -12,6 +12,13 @@ live clauses until nothing changes, and a level 0 the propagator still
 holds after a check must be exactly the naive fixpoint of the live
 clauses.  The deterministic schedules below reach each event that must
 discard a held level 0.
+
+A check may follow hints, clause ids that the proof log does not vouch
+for.  Random hint lists, with repeated, out-of-order, out-of-range and
+inactive ids, must change nothing a check decides: a hinted check
+conflicts exactly when the naive fixpoint does, its cone is a conflict
+set of live clauses, and the level 0 it leaves behind is the naive
+fixpoint's.
 """
 
 from hypothesis import given, settings
@@ -74,10 +81,10 @@ def is_watched(prop, cid):
     return all(cid in prop._watches[lit][0::2] for lit in lits[:2])
 
 
-def check_against_naive(prop, clause_lits, live, roots):
+def check_against_naive(prop, clause_lits, live, roots, hints=()):
     """Run one check and hold it, and the level 0 it leaves, to the
     naive fixpoint of the live clauses."""
-    cone = prop.check(roots)
+    cone = prop.check(roots, hints)
     live_lits = [clause_lits[cid] for cid in live]
     assert (cone is not None) == naive_conflict(live_lits, roots)
     if cone is not None:
@@ -93,24 +100,32 @@ def check_against_naive(prop, clause_lits, live, roots):
 @given(st.lists(clauses, max_size=10), st.data())
 def test_check_matches_naive_fixpoint(clause_lits, data):
     # check_events hands the propagator duplicate-free literal lists.
+    # Two propagators run the schedule: the second follows random
+    # hints on every check, and both must agree with the naive
+    # fixpoint.
     pool = [list(dict.fromkeys(lits)) for lits in clause_lits]
-    prop = _Propagator(MAX_VARS, [list(lits) for lits in pool])
+    plain = _Propagator(MAX_VARS, [list(lits) for lits in pool])
+    hinted = _Propagator(MAX_VARS, [list(lits) for lits in pool])
     live_at_end = data.draw(st.integers(0, len(pool)), label="live")
     live = list(range(live_at_end))
     unattached = list(range(live_at_end, len(pool)))
     for cid in live:
-        prop.attach(cid)
+        plain.attach(cid)
+        hinted.attach(cid)
     steps = data.draw(st.integers(1, 24), label="steps")
     for step in range(steps):
         op = data.draw(st.sampled_from(("attach", "detach", "check")))
         if op == "attach" and unattached:
             index = data.draw(st.integers(0, len(unattached) - 1))
             cid = unattached.pop(index)
-            prop.attach(cid)
+            plain.attach(cid)
+            hinted.attach(cid)
             live.append(cid)
         elif op == "detach" and live:
             index = data.draw(st.integers(0, len(live) - 1))
-            prop.detach(live.pop(index))
+            cid = live.pop(index)
+            plain.detach(cid)
+            hinted.detach(cid)
         elif op == "check" or step == steps - 1:
             if pool and data.draw(st.booleans(), label="rup-shaped"):
                 # A lemma check asserts the negation of its literals.
@@ -119,7 +134,16 @@ def test_check_matches_naive_fixpoint(clause_lits, data):
             else:
                 roots = data.draw(st.lists(literals, max_size=3),
                                   label="roots")
-            check_against_naive(prop, pool, live, roots)
+            # Every id in some order, then repeated, out-of-range and
+            # inactive ones: such hints often conclude a check, and
+            # often name clauses that cannot help it.
+            hints = data.draw(st.permutations(range(len(pool)))) \
+                + data.draw(st.lists(st.integers(-2, len(pool) + 1),
+                                     max_size=8), label="hints")
+            if data.draw(st.booleans(), label="noise only"):
+                hints = hints[len(pool):]
+            check_against_naive(plain, pool, live, roots)
+            check_against_naive(hinted, pool, live, roots, hints)
 
 
 # Literals of the deterministic schedules: variable v is 2v, ~v is 2v+1.
@@ -135,6 +159,40 @@ def schedule(clause_lits, live):
     check_against_naive(prop, clause_lits, live, [])
     assert prop._held
     return prop
+
+
+class TestHints:
+    """A check follows its hints before the watched propagation."""
+
+    def test_hints_alone_reach_the_conflict(self):
+        # Roots ~a, ~b: (a | c) gives c, (~c | b) is then falsified.
+        clause_lits = [[A, C], [C ^ 1, B], [A, B, C]]
+        prop = schedule(clause_lits, [0, 1, 2])
+        cone = check_against_naive(prop, clause_lits, [0, 1, 2],
+                                   [A ^ 1, B ^ 1], [0, 1])
+        assert sorted(cone) == [0, 1]
+        assert prop.hinted == 1
+
+    def test_out_of_order_hints_fall_back_to_propagation(self):
+        # Root ~a.  Backward, the walk passes over (~b | ~c) and
+        # (~b | c), both with two free literals, asserts b from
+        # (a | b) and runs out of hints; the watched propagation then
+        # derives c and the conflict.
+        clause_lits = [[A, B], [B ^ 1, C], [B ^ 1, C ^ 1]]
+        prop = schedule(clause_lits, [0, 1, 2])
+        cone = check_against_naive(prop, clause_lits, [0, 1, 2],
+                                   [A ^ 1], [2, 1, 0])
+        assert sorted(cone) == [0, 1, 2]
+        assert prop.hinted == 0
+
+    def test_inactive_and_out_of_range_hints_are_ignored(self):
+        # (~a) is detached, so the hint naming it must not conflict.
+        clause_lits = [[A, B], [A ^ 1]]
+        prop = schedule(clause_lits, [0, 1])
+        prop.detach(1)
+        assert check_against_naive(prop, clause_lits, [0], [A],
+                                   [1, -1, 2, 99, 1]) is None
+        assert prop.hinted == 0
 
 
 class TestLevelZeroEvents:

@@ -22,6 +22,7 @@ import random
 import pytest
 
 from repro.cert.drat import check_proof
+from repro.resilience import FaultPlan, inject
 from repro.sat import SAT, UNSAT, Solver
 
 from .legacy_solver import CORES, LegacySolver
@@ -49,6 +50,30 @@ def check_model(model, clauses):
         assert any(model[l >> 1] != (l & 1 == 1) for l in clause)
 
 
+def threshold_3cnf(rng, min_vars, max_vars):
+    """A random 3-CNF near the satisfiability threshold (4.3 clauses
+    per variable) as ``(num_vars, script of adds)``: hard enough that
+    solving it learns clauses."""
+    nv = rng.randint(min_vars, max_vars)
+    return nv, [("add", [2 * v + (rng.random() < 0.5)
+                         for v in rng.sample(range(nv), 3)])
+                for _ in range(int(4.3 * nv))]
+
+
+def pigeonhole(solver, pigeons, holes):
+    """Load PHP(pigeons, holes) into ``solver``: each pigeon sits in
+    a hole, no two share one.  UNSAT when pigeons > holes."""
+    var = {(p, h): solver.new_var() for p in range(pigeons)
+           for h in range(holes)}
+    for p in range(pigeons):
+        solver.add_clause([2 * var[p, h] for h in range(holes)])
+    for h in range(holes):
+        for p1 in range(pigeons):
+            for p2 in range(p1 + 1, pigeons):
+                solver.add_clause([2 * var[p1, h] + 1,
+                                   2 * var[p2, h] + 1])
+
+
 def counting(calls, name, method, then=lambda: None):
     """``method`` (a solver's bound method) wrapped to count its calls
     in ``calls[name]`` and to call ``then`` after each one."""
@@ -66,10 +91,11 @@ def observe(solver):
             solver.last_exhaustion)
 
 
-def run_script(core, num_vars, script):
+def run_script(core, num_vars, script, proof=False):
     """Run an (op, payload) script through a fresh core; returns the
-    observation sequence."""
-    solver = core()
+    observation sequence, and with ``proof`` the log's events and
+    hint table as its last entry."""
+    solver = core(proof=proof)
     solver.new_vars(num_vars)
     out = []
     for op, payload in script:
@@ -80,6 +106,8 @@ def run_script(core, num_vars, script):
             out.append((result,) + observe(solver))
         else:  # pragma: no cover
             raise AssertionError(op)
+    if proof:
+        out.append((solver.proof.events, solver.proof.hints))
     return out
 
 
@@ -105,15 +133,7 @@ class TestOneShotEquivalence:
         # instance (pigeonhole) must leave identical databases.
         def php(core, pigeons, holes):
             s = core()
-            var = {(p, h): s.new_var() for p in range(pigeons)
-                   for h in range(holes)}
-            for p in range(pigeons):
-                s.add_clause([2 * var[p, h] for h in range(holes)])
-            for h in range(holes):
-                for p1 in range(pigeons):
-                    for p2 in range(p1 + 1, pigeons):
-                        s.add_clause([2 * var[p1, h] + 1,
-                                      2 * var[p2, h] + 1])
+            pigeonhole(s, pigeons, holes)
             result = s.solve()
             return (result, s.clause_lits(), s.learnt_lits(),
                     s.stats())
@@ -159,15 +179,7 @@ class TestIncrementalEquivalence:
     def test_conflict_budget_exhaustion_matches(self):
         def starved(core):
             s = core()
-            var = {(p, h): s.new_var() for p in range(6)
-                   for h in range(5)}
-            for p in range(6):
-                s.add_clause([2 * var[p, h] for h in range(5)])
-            for h in range(5):
-                for p1 in range(6):
-                    for p2 in range(p1 + 1, 6):
-                        s.add_clause([2 * var[p1, h] + 1,
-                                      2 * var[p2, h] + 1])
+            pigeonhole(s, 6, 5)
             result = s.solve(conflict_budget=20)
             return (result,) + observe(s)
 
@@ -211,21 +223,12 @@ class TestSimplifyEquivalence:
         # and stops short of reduction's first 1,000 learnts.
         def php(core):
             s = core(proof=True)
-            pigeons, holes = 7, 6
-            var = {(p, h): s.new_var() for p in range(pigeons)
-                   for h in range(holes)}
-            for p in range(pigeons):
-                s.add_clause([2 * var[p, h] for h in range(holes)])
-            for h in range(holes):
-                for p1 in range(pigeons):
-                    for p2 in range(p1 + 1, pigeons):
-                        s.add_clause([2 * var[p1, h] + 1,
-                                      2 * var[p2, h] + 1])
+            pigeonhole(s, 7, 6)
             result = s.solve()
             check = check_proof(s.proof)
             assert check.ok, check.errors[:3]
             return (result, s.clause_lits(), s.learnt_lits(),
-                    s.stats(), s.proof.events)
+                    s.stats(), s.proof.events, s.proof.hints)
 
         legacy = php(LegacySolver)
         flat = php(Solver)
@@ -259,34 +262,69 @@ class TestOracleStress:
         # and the flat core compacts its arena after it.  Each counted
         # reduction ends with the full watcher sweep, so a reduction
         # that leaves a watch list inconsistent fails here.  Both cores
-        # log a proof: the logs must be identical, and the flat core's,
-        # which holds the solver's own deletions, must check.
+        # log a proof: the logs and hint tables must be identical, and
+        # each core's, which holds the solver's own deletions, must
+        # check with nearly every lemma concluding on its hints.  A
+        # clause-id map that reduction or compaction left stale would
+        # send later hints to unrelated clauses, and that share would
+        # collapse.
         def php(core):
             s = core(proof=True)
             calls = {"_reduce_db": 0, "_compact": 0}
             s._reduce_db = counting(calls, "_reduce_db", s._reduce_db,
                                     then=s._check_watches)
             s._compact = counting(calls, "_compact", s._compact)
-            pigeons, holes = 8, 7
-            var = {(p, h): s.new_var() for p in range(pigeons)
-                   for h in range(holes)}
-            for p in range(pigeons):
-                s.add_clause([2 * var[p, h] for h in range(holes)])
-            for h in range(holes):
-                for p1 in range(pigeons):
-                    for p2 in range(p1 + 1, pigeons):
-                        s.add_clause([2 * var[p1, h] + 1,
-                                      2 * var[p2, h] + 1])
+            pigeonhole(s, 8, 7)
             result = s.solve()
             return s, calls, (result, s.learnt_lits(), s.stats(),
-                              s.proof.events)
+                              s.proof.events, s.proof.hints)
 
-        _, legacy_calls, legacy = php(LegacySolver)
+        legacy_solver, legacy_calls, legacy = php(LegacySolver)
         flat_solver, flat_calls, flat = php(Solver)
         assert legacy[0] == UNSAT
         assert legacy == flat
         assert legacy_calls["_reduce_db"] == flat_calls["_reduce_db"] >= 1
         assert flat_calls["_compact"] >= 1
-        check = check_proof(flat_solver.proof)
-        assert check.ok, check.errors[:3]
-        assert check.deletions > 0
+        for solver in (legacy_solver, flat_solver):
+            check = check_proof(solver.proof)
+            assert check.ok, check.errors[:3]
+            assert check.deletions > 0
+            assert check.lemmas_hinted >= 0.9 * check.lemmas_checked
+
+    @pytest.mark.timeout_guard(60)
+    def test_hint_chains_survive_corrupted_learnts(self):
+        # The corrupt_learnt fault records sign-flipped learnt clauses:
+        # such a clause can be a reason with a true literal besides
+        # the one it implies, a later analysis can put that literal
+        # into its clause, and minimization can drop it again.  A walk
+        # over the dropped literals' reasons that followed a reason's
+        # own literal never ended on this instance.  Both cores must
+        # finish and log the same events and hints.
+        nv, script = threshold_3cnf(random.Random(8), 10, 30)
+        script.append(("solve", ()))
+        runs = []
+        for core in (LegacySolver, Solver):
+            with inject(FaultPlan(corrupt_learnt=range(10 ** 6))) as plan:
+                runs.append(run_script(core, nv, script, proof=True))
+            assert plan.corrupted
+        assert runs[0] == runs[1]
+        assert runs[1][-1][1], "no hint chain"
+
+    def test_proof_logging_leaves_the_search_alone(self):
+        # Logging a proof, hint chains included, only observes: a
+        # logging solver answers, assigns and counts exactly as a
+        # plain one, and both cores log the same events and hints.
+        rng = random.Random(0xD1CE)
+        for trial in range(40):
+            nv, script = threshold_3cnf(rng, 12, 30)
+            for _ in range(rng.randint(1, 4)):
+                vs = rng.sample(range(nv), rng.randint(0, 4))
+                script.append(
+                    ("solve",
+                     [2 * v + (rng.random() < 0.5) for v in vs]))
+            plain = run_script(Solver, nv, script)
+            logged = run_script(Solver, nv, script, proof=True)
+            assert logged[:-1] == plain, f"trial {trial}"
+            assert logged[-1][1], f"trial {trial}: no hint chain"
+            assert run_script(LegacySolver, nv, script, proof=True) \
+                == logged, f"trial {trial}"

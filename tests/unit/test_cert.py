@@ -1,9 +1,9 @@
 """Unit tests for the certification layer (repro.cert).
 
 Covers the proof log container, the RUP/DRAT checker on hand-built
-event streams (including deletions, trimming, assumption conclusions
-and corruption rejection), witness replay, and the certify_* entry
-points' failure behavior.
+event streams (including deletions, trimming, assumption conclusions,
+corruption rejection and untrusted hints), witness replay, and the
+certify_* entry points' failure behavior.
 """
 
 import pytest
@@ -43,6 +43,23 @@ def counter_net(width, hit_value):
     return b.net, t
 
 
+def pigeonhole_3_2():
+    """A proof-logging solver that has refuted PHP(3,2): 3 pigeons,
+    2 holes."""
+    solver = Solver(proof=True)
+    holes = {(p, h): 2 * (p * 2 + h)
+             for p in range(3) for h in range(2)}
+    for p in range(3):
+        solver.add_clause([holes[(p, 0)], holes[(p, 1)]])
+    for h in range(2):
+        for p1 in range(3):
+            for p2 in range(p1 + 1, 3):
+                solver.add_clause([holes[(p1, h)] ^ 1,
+                                   holes[(p2, h)] ^ 1])
+    assert solver.solve() == UNSAT
+    return solver
+
+
 class TestProofLog:
     def test_events_accumulate_in_order(self):
         log = ProofLog()
@@ -62,6 +79,19 @@ class TestProofLog:
         log.input(lits)
         lits[0] = NX
         assert log.events[0] == ("i", (X, Y))
+
+    def test_clause_ids_and_hint_table(self):
+        # Ids count the i/a events only; a lemma's hints are keyed by
+        # its id, and a lemma without hints leaves no entry.
+        log = ProofLog()
+        assert log.input([X, Y]) == 0
+        assert log.input([NX, Y]) == 1
+        log.delete([X, Y])
+        log.conclude_unsat(())
+        assert log.learnt([Y], hints=[0, 1]) == 2
+        assert log.learnt([X]) == 3
+        assert log.hints == {2: (0, 1)}
+        assert log.events[4] == ("a", (Y,))
 
     def test_counts(self):
         log = ProofLog()
@@ -115,6 +145,64 @@ class TestChecker:
         result = check_events(events)
         assert not result.ok
         assert any("not RUP" in err for err in result.errors)
+
+    def test_hinted_lemma_concludes_on_its_hints(self):
+        # F = (x|y)(~x|y)(x|~y)(~x|~y); lemma y.  Under ~y, clause 0
+        # asserts x and clause 1 is falsified: the hints suffice.
+        events = [
+            ("i", (X, Y)), ("i", (NX, Y)),
+            ("i", (X, NY)), ("i", (NX, NY)),
+            ("a", (Y,)),
+            ("u", ()),
+        ]
+        result = check_events(events, hints={4: (0, 1)})
+        assert result.ok
+        assert result.lemmas_checked == result.lemmas_hinted == 1
+        assert check_events(events).lemmas_hinted == 0
+
+    def test_non_rup_lemma_rejected_despite_hints(self):
+        # The corrupt lemma of test_non_rup_lemma_rejected, with hints
+        # naming every real clause: hints only order unit propagation,
+        # so the lemma still fails its check.
+        events = [
+            ("i", (X, Y)), ("i", (NX, Y)),
+            ("a", (NY,)),
+            ("u", (Y,)),
+        ]
+        for hints in ((0, 1), (1, 0, 1, 0), (2, 1, 0)):
+            result = check_events(events, hints={2: hints})
+            assert not result.ok
+            assert result.lemmas_hinted == 0
+            assert any("not RUP" in err for err in result.errors)
+
+    def test_hint_ids_out_of_scope_are_ignored(self):
+        # Negative ids, the lemma's own id, an id added after the
+        # lemma and ids past the end: none may raise or conclude a
+        # check.  Clause 5, (~y), would refute the lemma's roots at
+        # once, but it is added after the lemma.  A hint keyed by an
+        # input's id, or by no clause at all, is never read.
+        events = [
+            ("i", (X, Y)), ("i", (NX, Y)),
+            ("i", (X, NY)), ("i", (NX, NY)),
+            ("a", (Y,)),
+            ("u", ()),
+            ("i", (NY,)),
+        ]
+        bad = (-1, -7, 4, 5, 7, 10 ** 9)
+        result = check_events(events, hints={4: bad, 0: (1,), 99: (0,)})
+        assert result.ok, result.errors
+        assert result.lemmas_checked == 1
+        assert result.lemmas_hinted == 0
+
+    def test_check_proof_follows_the_log_hints(self):
+        log = ProofLog()
+        for lits in ((X, Y), (NX, Y), (X, NY), (NX, NY)):
+            log.input(lits)
+        log.learnt((Y,), hints=(0, 1))
+        log.conclude_unsat(())
+        result = check_proof(log)
+        assert result.ok
+        assert result.lemmas_hinted == 1
 
     def test_underivable_conclusion_rejected(self):
         events = [("i", (X, Y)), ("u", ())]
@@ -320,21 +408,12 @@ class TestChecker:
 
 class TestSolverProofIntegration:
     def test_solver_unsat_proof_checks(self):
-        solver = Solver(proof=True)
-        # Pigeonhole PHP(3,2): 3 pigeons, 2 holes.
-        holes = {(p, h): 2 * (p * 2 + h)
-                 for p in range(3) for h in range(2)}
-        for p in range(3):
-            solver.add_clause([holes[(p, 0)], holes[(p, 1)]])
-        for h in range(2):
-            for p1 in range(3):
-                for p2 in range(p1 + 1, 3):
-                    solver.add_clause([holes[(p1, h)] ^ 1,
-                                       holes[(p2, h)] ^ 1])
-        assert solver.solve() == UNSAT
-        result = check_proof(solver.proof)
+        result = check_proof(pigeonhole_3_2().proof)
         assert result.ok
         assert result.conclusions == 1
+        # The solver's hint chains conclude every checked lemma.
+        assert result.lemmas_checked >= 1
+        assert result.lemmas_hinted == result.lemmas_checked
 
     def test_proof_off_by_default(self):
         solver = Solver()
@@ -392,6 +471,18 @@ class TestCertifyEntryPoints:
             certify_unsat(solver, "test")
         assert info.value.stage == "proof"
         assert info.value.engine == "test"
+
+    def test_certify_unsat_publishes_hinted_lemmas(self):
+        solver = pigeonhole_3_2()
+        with obs.scoped(obs.Registry("cert-test")) as reg:
+            result = certify_unsat(solver, "test")
+            snap = reg.snapshot()
+        assert result.lemmas_hinted >= 1
+        assert snap["counters"]["cert.lemmas_hinted"] \
+            == result.lemmas_hinted
+        (event,) = [e for e in reg.events if e["name"] == "cert.proof"]
+        assert event["lemmas_hinted"] == result.lemmas_hinted
+        assert event["lemmas_checked"] == result.lemmas_checked
 
     def test_certify_witness_rejects_tampered_cex(self):
         net, t = counter_net(2, 2)

@@ -5,12 +5,14 @@ import argparse
 import pytest
 
 from repro.experiments import report as paper_report
+from repro.experiments import runner
 from repro.experiments.report import main as report_main
 from repro.experiments.table1 import main as table1_main
 from repro.experiments.table2 import main as table2_main
 from repro.netlist import NetlistBuilder, NetlistError, s27, write_bench
 from repro.sim import BitParallelSimulator
 from repro.tools import load_netlist, save_netlist, trace_to_vcd
+from repro.tools import bound as bound_tool
 from repro.tools import check as check_tool
 from repro.tools.bound import main as bound_main
 from repro.tools.check import main as check_main
@@ -360,6 +362,31 @@ class TestCLIBadInput:
                 main(argv)
             assert exc.value.code == 2
             assert f"error: cannot write {out}" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("main, argv", [
+        (bound_main, ["{s27}"]),
+        (table1_main, []),
+        (table2_main, []),
+        (report_main, []),
+    ], ids=["bound", "table1", "table2", "report"])
+    def test_unwritable_trace_path_refused_before_any_run(
+            self, main, argv, monkeypatch, capsys, tmp_path, s27_bench):
+        # REPRO_TRACE names a file in a directory that does not exist:
+        # one usage error, before any netlist loads or table runs.
+        def never(*args, **kwargs):
+            raise AssertionError("ran before the trace path was opened")
+
+        monkeypatch.setattr(bound_tool, "load_or_exit", never)
+        monkeypatch.setattr(runner, "run_table", never)
+        monkeypatch.setattr(paper_report, "generate_report", never)
+        path = str(tmp_path / "no_such_dir" / "t.jsonl")
+        monkeypatch.setenv("REPRO_TRACE", path)
+        with pytest.raises(SystemExit) as exc:
+            main([arg.format(s27=s27_bench) for arg in argv])
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert f"error: cannot write REPRO_TRACE path {path}" in err
+        assert "Traceback" not in err
 
     def test_writable_output_probe_changes_nothing(self, tmp_path):
         parser = argparse.ArgumentParser()
