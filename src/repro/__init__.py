@@ -10,7 +10,7 @@ Subpackages
 ``repro.obs``
     Instrumentation: hierarchical timers, counters, event traces.
 ``repro.sat``
-    CDCL SAT solver, CNF, Tseitin encoding.
+    CDCL SAT solver, Tseitin encoding, frame templates.
 ``repro.bdd``
     ROBDD package and netlist-cone BDD construction.
 ``repro.unroll``

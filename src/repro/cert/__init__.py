@@ -19,12 +19,11 @@ A failed check raises :class:`~repro.resilience.CertificationFailure`
 existing degradation path already handles it); ``prove()`` reacts by
 retrying the engine call once on the same solver (a transient fault
 recovers, a genuine solver bug fails again) and, on a second failure,
-degrading to the sound structural bound.  Certification is scoped
-by :func:`use_certification` (off by default; engines also accept an
-explicit ``certify=`` override), and a certifying engine builds its
-solvers with ``proof=True``.  It publishes ``cert.checked`` /
-``cert.failed`` counters plus ``cert.*`` trace instants through
-:mod:`repro.obs`.
+degrading to the sound structural bound.  Certification has one
+switch, the :func:`use_certification` scope (off by default), and a
+certifying engine builds its solvers with ``proof=True``.  It
+publishes ``cert.checked`` / ``cert.failed`` counters plus ``cert.*``
+trace instants through :mod:`repro.obs`.
 
 Import discipline: :mod:`repro.sat.solver` imports
 :mod:`repro.cert.proof` through this ``__init__``, so nothing here may

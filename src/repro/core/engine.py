@@ -186,9 +186,8 @@ class TBVEngine:
         """Apply the strategy, returning the provenance chain.
 
         ``budget`` is checked between strategy tokens (raising
-        :class:`repro.resilience.ResourceExhausted` /
-        :class:`repro.resilience.Cancelled`) and threaded into the
-        budget-aware transforms; an exhausted COM degrades to fewer
+        :class:`repro.resilience.ResourceExhausted`) and threaded into
+        the budget-aware transforms; an exhausted COM degrades to fewer
         merges rather than failing.
 
         ``prefixes`` holds the chains already computed on ``net`` under

@@ -16,8 +16,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 from .. import obs
 from ..netlist import Netlist, NetlistError
-from ..resilience import Budget, Cancelled, EngineFailure, \
-    ResourceExhausted
+from ..resilience import Budget, EngineFailure, ResourceExhausted
 from .engine import EngineResult, PROVEN, Prefixes, TBVEngine
 
 #: A sensible default portfolio (cheap to expensive).
@@ -110,8 +109,7 @@ def run_strategy(net: Netlist, strategy: str, sweep_config,
                  prefixes: Optional[Prefixes] = None) -> StrategyOutcome:
     """One portfolio strategy over ``net``, under the obs span
     ``<strategy>``.  ``prefixes`` is :meth:`TBVEngine.transform`'s.
-    Engine errors become the outcome's ``error`` field;
-    :class:`Cancelled` propagates.
+    Engine errors become the outcome's ``error`` field.
     """
     reg = obs.get_registry()
     try:
@@ -152,7 +150,7 @@ def compare_strategies(
     equal :meth:`~repro.resilience.Budget.slice` of whatever time
     remains, strategies are skipped outright (with a recorded outcome
     and a ``portfolio.budget_skips`` counter) once the deadline has
-    passed, and cancellation raises :class:`Cancelled` immediately.
+    passed.
     """
     portfolio = PortfolioResult(net=net)
     reg = obs.get_registry()
@@ -161,8 +159,6 @@ def compare_strategies(
         for i, strategy in enumerate(strategies):
             sub: Optional[Budget] = None
             if budget is not None:
-                if budget.cancelled:
-                    raise Cancelled(budget_name=budget.name)
                 reason = budget.exhausted()
                 if reason is not None:
                     reg.counter("portfolio.budget_skips")

@@ -13,8 +13,7 @@ falls back to the always-terminating structural bounder on the
 original netlist — the only fallback that is sound for diameter
 (approximation-derived bounds do not back-translate, Sections
 3.5/3.6) — with ``degraded=True`` and a structured
-``exhaustion_reason``.  Cooperative cancellation
-(:class:`repro.resilience.Cancelled`) always propagates.
+``exhaustion_reason``.
 """
 
 from __future__ import annotations
@@ -25,8 +24,7 @@ from typing import List, Optional, Sequence
 
 from .. import obs
 from ..netlist import Netlist
-from ..resilience import Budget, Cancelled, CertificationFailure, \
-    EngineFailure
+from ..resilience import Budget, CertificationFailure, EngineFailure
 from ..transform.localize_cegar import localization_refinement
 from ..unroll import Counterexample, FALSIFIED as BMCFALSIFIED, \
     PROVEN as BMC_PROVEN, bmc, k_induction
@@ -77,8 +75,6 @@ def _structural_fallback(net: Netlist, target: int,
         from ..diameter.structural import StructuralAnalysis
 
         fallback = StructuralAnalysis(net).bound(target)
-    except Cancelled:
-        raise
     except Exception:  # pragma: no cover - structural never raises
         return best
     if best is None:
@@ -107,8 +103,6 @@ def _run_certified(reg, budget: Optional[Budget], phase: str, call):
     reg.event("cert.retry", phase=phase)
     delay = 0.05
     if budget is not None:
-        if budget.cancelled:
-            raise Cancelled(budget_name=budget.name)
         reason = budget.exhausted()
         if reason is not None:
             raise CertificationFailure(
@@ -153,8 +147,7 @@ def prove(
     slice (so the fallback phases always have time left), every later
     phase checks the deadline before starting, and any
     exhaustion or :class:`EngineFailure` degrades to the structural
-    bound (see the module docstring) instead of raising.  Only
-    :class:`Cancelled` propagates.
+    bound (see the module docstring) instead of raising.
 
     Certification arbitration: when verdict certification is armed
     (:func:`repro.cert.use_certification`, which ``repro-check
@@ -193,8 +186,6 @@ def prove(
         """Pre-phase budget check; a result means stop degraded."""
         if budget is None:
             return None
-        if budget.cancelled:
-            raise Cancelled(budget_name=budget.name)
         reason = budget.exhausted()
         if reason is None:
             return None

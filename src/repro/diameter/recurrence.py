@@ -23,7 +23,7 @@ from typing import Optional
 
 from .. import obs
 from ..netlist import Netlist
-from ..resilience import Budget, Cancelled
+from ..resilience import Budget
 from ..sat import UNKNOWN, UNSAT
 from ..unroll import Unrolling, add_state_difference
 
@@ -68,8 +68,6 @@ def recurrence_diameter(
     with reg.span("diameter.recurrence"):
         while k <= max_k:
             if budget is not None:
-                if budget.cancelled:
-                    raise Cancelled(budget_name=budget.name)
                 reason = budget.exhausted()
                 if reason is not None:
                     return RecurrenceResult(bound=k, exact=False,

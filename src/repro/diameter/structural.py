@@ -72,7 +72,7 @@ from ..netlist import (
     register_graph,
     state_support,
 )
-from ..resilience import Budget, Cancelled
+from ..resilience import Budget
 from ..sim import constant_state_elements
 
 #: Component kind tags.
@@ -212,16 +212,13 @@ class StructuralAnalysis:
 
     This engine is the designated degradation fallback of the whole
     stack (it always terminates), so a ``budget`` never aborts the
-    analysis: cancellation raises at construction, and exhaustion only
-    disables the *optional* GC refinement — the component falls back
-    to the sound ``2**k`` rule and a ``structural.refinement_skips``
-    counter records the skip.
+    analysis: exhaustion only disables the *optional* GC refinement —
+    the component falls back to the sound ``2**k`` rule and a
+    ``structural.refinement_skips`` counter records the skip.
     """
 
     def __init__(self, net: Netlist, refine_gc_limit: int = 0,
                  budget: Optional[Budget] = None) -> None:
-        if budget is not None and budget.cancelled:
-            raise Cancelled(budget_name=budget.name)
         self.net = net
         self.refine_gc_limit = refine_gc_limit
         self.budget = budget

@@ -17,8 +17,6 @@ Robustness: one failing design or pipeline never aborts a table.  Per-
 pipeline failures (engine crash, exhausted budget) become *error
 cells* (:attr:`ColumnResult.error`), per-design failures become error
 rows (:attr:`RowResult.error`); the Σ row and the renderer skip them.
-Only cooperative cancellation (:class:`repro.resilience.Cancelled`)
-aborts a run.
 """
 
 from __future__ import annotations
@@ -34,7 +32,7 @@ from ..core.engine import Prefixes
 from ..diameter.structural import StructuralAnalysis
 from ..gen.profiles import USEFUL_THRESHOLD, DesignProfile
 from ..netlist import Netlist
-from ..resilience import Budget, Cancelled
+from ..resilience import Budget
 from ..tools.io import above, at_least
 from ..transform import SweepConfig
 
@@ -128,7 +126,6 @@ def evaluate_design(net: Netlist,
     ``budget`` is split equally across the pending pipelines; a
     pipeline that fails or exhausts its share yields an error cell
     (``runner.error_cells`` counter) and the row carries on.
-    :class:`Cancelled` propagates.
     """
     sweep_config = sweep_config or EXPERIMENT_SWEEP
     strategies = strategy_map or _STRATEGY
@@ -139,8 +136,6 @@ def evaluate_design(net: Netlist,
         for i, pipeline in enumerate(pipelines):
             sub: Optional[Budget] = None
             if budget is not None:
-                if budget.cancelled:
-                    raise Cancelled(budget_name=budget.name)
                 reason = budget.exhausted()
                 if reason is not None:
                     reg.counter("runner.error_cells")
@@ -169,8 +164,6 @@ def evaluate_design(net: Netlist,
                     average=result.average_bound(threshold),
                     seconds=column_span.seconds,
                 )
-            except Cancelled:
-                raise
             except Exception as exc:
                 reg.counter("runner.error_cells")
                 reg.event("runner.pipeline_error", design=net.name,
@@ -237,15 +230,13 @@ def run_design(payload: Dict[str, Any],
     Payload keys: ``generate`` (a module-level generator function,
     e.g. ``repro.gen.iscas89.generate``), ``name``, ``scale`` and
     ``sweep_config``.  A design whose generation or evaluation fails
-    becomes an error row; :class:`Cancelled` propagates.
+    becomes an error row.
     """
     reg = obs.get_registry()
     try:
         net = payload["generate"](payload["name"], scale=payload["scale"])
         return evaluate_design(net, sweep_config=payload["sweep_config"],
                                budget=budget)
-    except Cancelled:
-        raise
     except Exception as exc:
         reg.counter("runner.design_errors")
         reg.event("runner.design_error", design=payload["name"],
@@ -269,19 +260,20 @@ def run_table(generate: Callable[..., Netlist],
     the table, and once ``budget``'s deadline has passed the remaining
     designs are emitted as error rows immediately.  Each design runs
     on whatever time remains, not on a share of it.
-    :class:`Cancelled` is the only exception that escapes.
 
-    ``jobs > 1`` evaluates the designs across the work-stealing pool
-    (:mod:`repro.parallel`), largest first: rows come back in profile
-    order — the rendered table is byte-identical at any ``jobs`` value
-    — the designs share ``budget``'s deadline, and a crashed worker
-    becomes an error row, never an aborted table.
+    ``jobs > 1`` with more than one selected design evaluates the
+    designs across the work-stealing pool (:mod:`repro.parallel`),
+    largest first: rows come back in profile order — the rendered
+    table is byte-identical at any ``jobs`` value — the designs share
+    ``budget``'s deadline, and a crashed worker becomes an error row,
+    never an aborted table.  Otherwise the designs run in this
+    function's own loop.
     """
     selected = select_profiles(profiles, scale, designs, max_registers)
     payloads = [{"generate": generate, "name": profile.name,
                  "scale": effective_scale, "sweep_config": sweep_config}
                 for profile, effective_scale in selected]
-    if jobs > 1:
+    if jobs > 1 and len(payloads) > 1:
         sizes = [profile.registers * effective_scale
                  for profile, effective_scale in selected]
         return _run_pooled(payloads, sizes, budget, jobs)
@@ -296,11 +288,9 @@ def run_table(generate: Callable[..., Netlist],
 def _budget_error_row(name: str,
                       budget: Optional[Budget]) -> Optional[RowResult]:
     """The error row of a design whose turn comes after ``budget``'s
-    deadline (None while time remains); raises on cancellation."""
+    deadline (None while time remains)."""
     if budget is None:
         return None
-    if budget.cancelled:
-        raise Cancelled(budget_name=budget.name)
     reason = budget.exhausted()
     if reason is None:
         return None
@@ -312,8 +302,9 @@ def _run_pooled(payloads: List[Dict[str, Any]],
                 sizes: List[float],
                 budget: Optional[Budget],
                 jobs: int) -> List[RowResult]:
-    """The ``jobs > 1`` fan-out of :func:`run_table`; ``sizes`` holds
-    each design's registers times its effective scale."""
+    """The pooled fan-out of :func:`run_table` (``jobs > 1``, several
+    designs); ``sizes`` holds each design's registers times its
+    effective scale."""
     from ..parallel import ParallelExecutor
 
     if budget is not None and budget.exhausted() is not None:

@@ -16,8 +16,9 @@ CLIs, or the ``jobs=`` keyword on
 :func:`repro.experiments.runner.run_table`.  The task it fans out is
 one module-level function next to its sequential loop
 (:func:`repro.experiments.runner.run_design`), and ``jobs=1`` (the
-default) calls it in that loop.  Strategy portfolios stay sequential:
-they share transform prefixes, which a pool would have to recompute.
+default) or a single design calls it in that loop.  Strategy
+portfolios stay sequential: they share transform prefixes, which a
+pool would have to recompute.
 
 Stdlib-only, like every substrate layer below it.
 """

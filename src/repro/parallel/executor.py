@@ -26,7 +26,6 @@ Protocol invariants (see ``docs/architecture.md``, Layer 0.7):
   worker process dying) costs only that task: its slot becomes an
   :class:`EngineFailure`, the existing degradation path, so tables
   always complete and the structural fallback stays sound.
-  :class:`Cancelled` is re-raised at the join, as everywhere else.
 * **Observability survives.**  Each task runs under a scoped
   :class:`repro.obs.Registry`; the parent folds every snapshot into
   the active registry under ``parallel/<name>/<label>`` and counts
@@ -41,10 +40,9 @@ Protocol invariants (see ``docs/architecture.md``, Layer 0.7):
   terminates the workers and every unfinished slot becomes a typed
   ``parallel.watchdog`` exhaustion.
 
-With ``jobs=1`` (or a single task) no process starts: the tasks run
-in-process through the same per-task shim, each on a subbudget of the
-caller's budget.  The call sites keep their own sequential loops for
-``jobs=1``; both call the same module-level task function.
+Every map runs on worker processes, ``min(jobs, tasks)`` of them.
+Callers keep their own sequential loop for one job or one task, and
+both call the same module-level task function.
 """
 
 from __future__ import annotations
@@ -54,8 +52,7 @@ from dataclasses import dataclass
 from typing import Any, Callable, List, Optional, Sequence
 
 from .. import obs
-from ..resilience import Budget, Cancelled, EngineFailure, \
-    ResourceExhausted
+from ..resilience import Budget, EngineFailure, ResourceExhausted
 from ..resilience import faults as _faults
 from . import stealing as _stealing
 
@@ -151,10 +148,8 @@ class WorkerOutcome:
 class ParallelExecutor:
     """Deterministic fan-out of independent engine calls.
 
-    ``jobs`` caps the worker-process count; with ``jobs=1`` (or a
-    single task) every task runs in-process through the same shim,
-    with no processes and no pickling.  ``name`` prefixes the merged
-    obs data: worker telemetry lands under
+    ``jobs`` caps the worker-process count.  ``name`` prefixes the
+    merged obs data: worker telemetry lands under
     ``parallel/<name>/<label>``.
     """
 
@@ -179,9 +174,7 @@ class ParallelExecutor:
         does, instead of a ``1/n`` slice of it; without a budget each
         task gets ``None``.  Idle workers steal
         the next task, but the result list is ordered by input index.
-        A cancelled budget raises :class:`Cancelled` at submission and
-        a worker-side :class:`Cancelled` at the join; every other
-        failure is an outcome.
+        Every failure is an outcome.
         """
         payloads = list(payloads)
         if not payloads:
@@ -190,30 +183,13 @@ class ParallelExecutor:
             else [str(i) for i in range(len(payloads))]
         if len(labels) != len(payloads):
             raise ValueError("labels/payloads length mismatch")
-        if budget is not None and budget.cancelled:
-            raise Cancelled(budget_name=budget.name)
-        if self.jobs == 1 or len(payloads) == 1:
-            outcomes = self._in_process(fn, payloads, labels, budget)
-        else:
-            outcomes = self._in_workers(
-                fn, payloads, labels,
-                BudgetSpec.capture(budget, name=self.name))
+        outcomes = self._in_workers(
+            fn, payloads, labels,
+            BudgetSpec.capture(budget, name=self.name))
         self._merge(outcomes)
         return outcomes
 
     # ------------------------------------------------------------------
-    def _in_process(self, fn, payloads, labels,
-                    budget) -> List[WorkerOutcome]:
-        """The in-process drain: each task runs on a subbudget of
-        ``budget``, with no processes."""
-        outcomes: List[WorkerOutcome] = []
-        for i, payload in enumerate(payloads):
-            child = None if budget is None else budget.subbudget(
-                name=f"{self.name}[{labels[i]}]")
-            raw = _stealing._run_stolen_task(fn, payload, child, None)
-            outcomes.append(self._decode(i, labels[i], raw))
-        return outcomes
-
     def _in_workers(self, fn, payloads, labels,
                     spec) -> List[WorkerOutcome]:
         """Run the tasks on the work-stealing worker processes (see
@@ -260,9 +236,7 @@ class ParallelExecutor:
                              seconds=seconds, snapshot=snapshot)
 
     def _merge(self, outcomes: List[WorkerOutcome]) -> None:
-        """Fold worker telemetry into the parent registry; re-raise a
-        worker-side :class:`Cancelled` (cooperative cancellation always
-        propagates)."""
+        """Fold worker telemetry into the parent registry."""
         reg = obs.get_registry()
         for outcome in outcomes:
             reg.counter("parallel.tasks")
@@ -270,8 +244,6 @@ class ParallelExecutor:
                 reg.merge_snapshot(
                     outcome.snapshot,
                     prefix=f"parallel/{self.name}/{outcome.label}")
-            if isinstance(outcome.error, Cancelled):
-                raise outcome.error
             if isinstance(outcome.error, EngineFailure) and \
                     outcome.error.engine == "parallel.worker":
                 reg.counter("parallel.worker_crashes")

@@ -42,15 +42,14 @@ from typing import Any, Callable, Dict, List, Optional, Sequence, \
 
 from .. import obs
 from ..netlist import NetlistError
-from ..resilience import Budget, Cancelled, EngineFailure, \
-    ResourceExhausted
+from ..resilience import Budget, EngineFailure, ResourceExhausted
 from ..resilience import faults as _faults
 
 __all__ = ["execute"]
 
 #: Error types tasks return as values (everything else is a crash).
-_TYPED_ERRORS = (ResourceExhausted, EngineFailure, Cancelled,
-                 NetlistError, ValueError)
+_TYPED_ERRORS = (ResourceExhausted, EngineFailure, NetlistError,
+                 ValueError)
 
 #: Parent-side poll period while waiting on the result queue: short
 #: enough to notice dead workers and an expired watchdog promptly,
@@ -69,8 +68,7 @@ def _run_stolen_task(fn: Callable[[Any, Optional[Budget]], Any],
     error value, and any other exception as an :class:`EngineFailure`
     crash of this task alone.  The fault schedule restarts at call
     index 0 *per task*, so injection points are deterministic under
-    stealing; with no schedule the caller's active plan, if any, stays
-    in force (the in-process drain).
+    stealing.
     """
     watch = obs.stopwatch()
     with obs.scoped(obs.Registry("worker")) as reg:

@@ -1,14 +1,14 @@
-"""Resource governance: budgets, cancellation, typed failures, faults.
+"""Resource governance: budgets, typed failures, faults.
 
 Layer 0.6 of the stack (between :mod:`repro.obs` and the engines):
 PR 1 made every engine *observable*; this package makes them
 *governable*.  Exact diameter computation is PSPACE-complete and every
 solver-backed engine can blow up on an adversarial design, so every
-solve in the library answers to a :class:`Budget` — a hierarchical,
-cooperative, cancellable wall-clock deadline (monotonic clock) — and
-every failure surfaces through a typed taxonomy
-(:class:`ResourceExhausted` / :class:`EngineFailure` /
-:class:`Cancelled`) instead of ad-hoc strings.
+solve in the library answers to a :class:`Budget` — a cooperative
+wall-clock deadline (monotonic clock) that phases slice — and every
+failure surfaces through a typed taxonomy
+(:class:`ResourceExhausted` / :class:`EngineFailure`) instead of
+ad-hoc strings.
 
 Typical use::
 
@@ -38,7 +38,6 @@ Stdlib-only and import-cycle-free: nothing here imports the rest of
 
 from .budget import Budget
 from .errors import (
-    Cancelled,
     CertificationFailure,
     EngineFailure,
     EXHAUSTED_CONFLICTS,
@@ -61,7 +60,6 @@ from .faults import (
 
 __all__ = [
     "Budget",
-    "Cancelled",
     "CertificationFailure",
     "EngineFailure",
     "EXHAUSTED_CONFLICTS",

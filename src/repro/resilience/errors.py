@@ -1,6 +1,6 @@
 """The typed failure taxonomy of the resource-governance layer.
 
-Three failure modes cover everything the engines can do wrong at a
+Two failure modes cover everything the engines can do wrong at a
 layer boundary, replacing ad-hoc ``ABORTED``/``unknown`` strings when
 a call must *signal* (rather than merely report) that it could not
 finish:
@@ -15,19 +15,16 @@ finish:
   structural bounder is the designated always-terminating fallback —
   per Sections 3.5/3.6 approximation-derived diameter bounds are
   unsound and must never substitute).
-* :class:`Cancelled` — cooperative cancellation was requested via
-  :meth:`repro.resilience.Budget.cancel`.  Unlike exhaustion this is
-  *not* degraded around: it propagates so the whole stack unwinds.
 
 Everything here is stdlib-only and import-cycle-free (nothing imports
 the rest of ``repro``), so even ``repro.sat`` can raise these.
 
-All three errors define ``__reduce__`` so they survive a ``pickle``
-round-trip with their structured fields intact — process-pool workers
-(:mod:`repro.parallel`) return them as *values*, and the default
-``Exception`` reduction would have re-invoked ``__init__`` with the
-decorated message string, silently corrupting ``reason`` /
-``engine`` / ``budget_name``.
+Every error here defines ``__reduce__`` so that it survives a
+``pickle`` round-trip with its structured fields intact —
+process-pool workers (:mod:`repro.parallel`) return them as *values*,
+and the default ``Exception`` reduction would have re-invoked
+``__init__`` with the decorated message string, silently corrupting
+``reason`` / ``engine`` / ``budget_name``.
 """
 
 from __future__ import annotations
@@ -35,7 +32,6 @@ from __future__ import annotations
 from typing import Optional
 
 __all__ = [
-    "Cancelled",
     "CertificationFailure",
     "EngineFailure",
     "EXHAUSTED_CONFLICTS",
@@ -132,18 +128,3 @@ class CertificationFailure(EngineFailure):
     def __reduce__(self):
         return (type(self), (self.engine, self.stage,
                              self._raw_message, None))
-
-
-class Cancelled(ResilienceError):
-    """Cooperative cancellation was requested on a governing budget."""
-
-    def __init__(self, message: str = "cancelled",
-                 budget_name: Optional[str] = None) -> None:
-        self.budget_name = budget_name
-        self._message = message
-        if budget_name:
-            message = f"{message} [budget {budget_name!r}]"
-        super().__init__(message)
-
-    def __reduce__(self):
-        return (type(self), (self._message, self.budget_name))

@@ -1,15 +1,7 @@
-"""CDCL SAT solving, CNF containers, and Tseitin netlist encoding."""
+"""CDCL SAT solving, CNF literal helpers, and Tseitin netlist
+encoding."""
 
-from .cnf import (
-    CNF,
-    from_dimacs_lit,
-    lit_not,
-    lit_sign,
-    lit_var,
-    neg,
-    pos,
-    to_dimacs_lit,
-)
+from .cnf import lit_not, lit_sign, lit_var, neg, pos
 from .solver import SAT, UNKNOWN, UNSAT, Solver
 from .template import (
     FrameTemplate,
@@ -30,7 +22,6 @@ from .tseitin import (
 )
 
 __all__ = [
-    "CNF",
     "CnfSink",
     "FrameTemplate",
     "SAT",
@@ -48,11 +39,9 @@ __all__ = [
     "encode_mux",
     "encode_or",
     "encode_xor2",
-    "from_dimacs_lit",
     "lit_not",
     "lit_sign",
     "lit_var",
     "neg",
     "pos",
-    "to_dimacs_lit",
 ]

@@ -1,14 +1,11 @@
-"""CNF formula container and DIMACS I/O.
+"""CNF literal helpers.
 
 Literal convention (shared with :mod:`repro.sat.solver`): variables are
 0-based integers; the literal of variable ``v`` is ``2*v`` for the
-positive phase and ``2*v + 1`` for the negative phase.  DIMACS uses
-1-based signed integers; converters are provided for interchange.
+positive phase and ``2*v + 1`` for the negative phase.
 """
 
 from __future__ import annotations
-
-from typing import Iterable, List, Tuple
 
 
 def pos(var: int) -> int:
@@ -35,74 +32,3 @@ def lit_sign(lit: int) -> bool:
     """True iff the literal is negative."""
     return bool(lit & 1)
 
-
-def to_dimacs_lit(lit: int) -> int:
-    """Internal literal to DIMACS signed integer."""
-    var = lit_var(lit) + 1
-    return -var if lit_sign(lit) else var
-
-
-def from_dimacs_lit(dlit: int) -> int:
-    """DIMACS signed integer to internal literal."""
-    if dlit == 0:
-        raise ValueError("DIMACS literal 0 is the clause terminator")
-    var = abs(dlit) - 1
-    return neg(var) if dlit < 0 else pos(var)
-
-
-class CNF:
-    """A conjunction of clauses over 0-based variables."""
-
-    def __init__(self) -> None:
-        self.clauses: List[Tuple[int, ...]] = []
-        self.num_vars = 0
-
-    def new_var(self) -> int:
-        """Allocate a fresh variable."""
-        var = self.num_vars
-        self.num_vars += 1
-        return var
-
-    def add_clause(self, lits: Iterable[int]) -> None:
-        """Add a clause of internal literals."""
-        clause = tuple(lits)
-        for lit in clause:
-            if lit_var(lit) >= self.num_vars:
-                self.num_vars = lit_var(lit) + 1
-        self.clauses.append(clause)
-
-    def to_dimacs(self) -> str:
-        """Serialize to DIMACS CNF text."""
-        lines = [f"p cnf {self.num_vars} {len(self.clauses)}"]
-        for clause in self.clauses:
-            lines.append(
-                " ".join(str(to_dimacs_lit(lit)) for lit in clause) + " 0"
-            )
-        return "\n".join(lines) + "\n"
-
-    @classmethod
-    def from_dimacs(cls, text: str) -> "CNF":
-        """Parse DIMACS CNF text."""
-        cnf = cls()
-        declared_vars = None
-        for raw in text.splitlines():
-            line = raw.strip()
-            if not line or line.startswith("c"):
-                continue
-            if line.startswith("p"):
-                parts = line.split()
-                if len(parts) != 4 or parts[1] != "cnf":
-                    raise ValueError(f"bad DIMACS header: {raw!r}")
-                declared_vars = int(parts[2])
-                continue
-            lits = [int(tok) for tok in line.split()]
-            if lits and lits[-1] == 0:
-                lits = lits[:-1]
-            if lits:
-                cnf.add_clause(from_dimacs_lit(x) for x in lits)
-        if declared_vars is not None:
-            cnf.num_vars = max(cnf.num_vars, declared_vars)
-        return cnf
-
-    def __len__(self) -> int:
-        return len(self.clauses)

@@ -71,10 +71,10 @@ from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 from .. import obs
 from ..cert.proof import ProofLog
-from ..resilience import Budget, Cancelled, EngineFailure, \
-    EXHAUSTED_CONFLICTS, EXHAUSTED_DEADLINE
+from ..resilience import Budget, EngineFailure, EXHAUSTED_CONFLICTS, \
+    EXHAUSTED_DEADLINE
 from ..resilience import faults as _faults
-from .cnf import CNF, lit_not, lit_var
+from .cnf import lit_not, lit_var
 
 #: Tri-state results of :meth:`Solver.solve`.
 SAT = "sat"
@@ -306,13 +306,6 @@ class Solver:
         self._clauses.append(cref)
         self._attach(cref)
 
-    def add_cnf(self, cnf: CNF) -> bool:
-        """Load all clauses of a :class:`~repro.sat.cnf.CNF` through
-        :meth:`add_clauses`."""
-        if cnf.num_vars:
-            self._ensure_var(cnf.num_vars - 1)
-        return self.add_clauses([list(clause) for clause in cnf.clauses])
-
     def add_clauses(self, clauses: Iterable[List[int]]) -> bool:
         """Add ``clauses`` in order, as one :meth:`add_clause` each would.
 
@@ -459,8 +452,7 @@ class Solver:
         deadline checked at call entry and then once per conflict (and
         every 256 decisions, for conflict-free instances): once it has
         passed the call returns ``unknown`` with the structured reason
-        in :attr:`last_exhaustion`; a cancelled budget raises
-        :class:`~repro.resilience.Cancelled`.  On ``sat``,
+        in :attr:`last_exhaustion`.  On ``sat``,
         :attr:`model` holds a satisfying assignment indexed by
         variable; on any other result it is cleared to the empty list
         (it previously retained the prior SAT call's assignment, so an
@@ -514,8 +506,6 @@ class Solver:
             # corrupt_model runs the search normally and falsifies
             # the *answer* afterwards (see below).
         if budget is not None:
-            if budget.cancelled:
-                raise Cancelled(budget_name=budget.name)
             reason = budget.exhausted()
             if reason is not None:
                 self.last_exhaustion = reason
@@ -530,11 +520,8 @@ class Solver:
         return result
 
     def _budget_stop(self, budget: Budget) -> Optional[str]:
-        """Cooperative in-search budget check; raises on cancellation,
-        returns the exhaustion reason (None to keep searching)."""
-        if budget.cancelled:
-            self._cancel_until(0)
-            raise Cancelled(budget_name=budget.name)
+        """Cooperative in-search budget check: the exhaustion reason
+        (None to keep searching)."""
         reason = budget.exhausted()
         if reason is not None:
             self._cancel_until(0)
@@ -648,7 +635,7 @@ class Solver:
                 self._cancel_until(0)
                 return SAT
             self.decisions += 1
-            # Deadline/cancellation probe for conflict-free instances
+            # Deadline probe for conflict-free instances
             # (pure propagation never reaches the conflict-side check).
             if budget is not None and (self.decisions & 255) == 0 \
                     and self._budget_stop(budget) is not None:

@@ -68,7 +68,6 @@ from typing import Dict, List, Optional, Tuple
 from .. import obs
 from ..netlist import GateType, Netlist
 from .cnf import pos
-from .solver import Solver
 from .tseitin import CnfSink, encode_frame, encode_mux
 
 #: First slot literal.  Even (so ``lit ^ 1`` negates slots too) and far
@@ -226,13 +225,13 @@ class FrameTemplate:
     ) -> Tuple[Dict[int, int], Optional[Dict[int, int]]]:
         """Instantiate one frame into ``sink``.
 
-        ``slot_vals`` maps every slot vid to its literal in the
-        backend.  Returns ``(lits, next_state)``: the vertex-to-literal
+        ``slot_vals`` maps every slot vid to its literal in the sink's
+        solver.  Returns ``(lits, next_state)``: the vertex-to-literal
         map of the frame and (when ``with_next``) the literals of the
         successor state; ``with_next=False`` stops at the core
         boundary (no latch hold-muxes — the COM frame-1 shape).
 
-        Certification note: stamping goes through the backend's public
+        Certification note: stamping goes through the solver's public
         ``add_clause`` / ``add_clauses_bulk`` entry points, never a
         private fast path — so when the solver keeps a DRAT-style
         proof log (``Solver(proof=True)``), every stamped clause is
@@ -250,25 +249,14 @@ class FrameTemplate:
             tab[2 * nslots + 1] = true ^ 1
         num = self.num_locals if with_next else self.core_locals
         runs = self.runs_all if with_next else self.runs_core
-        backend = sink.backend
-        is_solver = isinstance(backend, Solver)
-        if num:
-            if is_solver:
-                base = backend.new_vars(num)
-            else:
-                base = sink.new_var()
-                for _ in range(num - 1):
-                    sink.new_var()
-        else:
-            base = 0
-        off = 2 * base
-        bulk = backend.add_clauses_bulk if is_solver else None
-        add_clause = backend.add_clause if is_solver \
-            else sink.add_clause
+        solver = sink.backend
+        off = 2 * solver.new_vars(num) if num else 0
+        bulk = solver.add_clauses_bulk
+        add_clause = solver.add_clause
         SB = SLOT_BASE
         bulk_count = 0
         for is_bulk, seg in runs:
-            if is_bulk and bulk is not None:
+            if is_bulk:
                 bulk([[lit + off if lit < SB else tab[lit - SB]
                        for lit in cl] for cl in seg])
                 bulk_count += len(seg)

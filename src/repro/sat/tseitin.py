@@ -1,26 +1,26 @@
 """Tseitin encoding of netlist logic into CNF.
 
-:class:`CnfSink` abstracts over the two consumers (an incremental
-:class:`~repro.sat.solver.Solver` or a standalone
-:class:`~repro.sat.cnf.CNF`), and :func:`encode_frame` encodes one
-combinational time-frame of a netlist given literals for its leaves
-(inputs and state elements).  The unroller (:mod:`repro.unroll`) chains
-frames; the COM engine encodes single frames for SAT sweeping.
+:class:`CnfSink` feeds clauses to an incremental
+:class:`~repro.sat.solver.Solver` and pins a shared true literal, and
+:func:`encode_frame` encodes one combinational time-frame of a netlist
+given literals for its leaves (inputs and state elements).  The
+unroller (:mod:`repro.unroll`) chains frames; the COM engine encodes
+single frames for SAT sweeping.
 """
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, Optional, Sequence, Union
+from typing import Dict, Iterable, Optional, Sequence
 
 from ..netlist import GateType, Netlist, topological_order
-from .cnf import CNF, lit_not, pos
+from .cnf import lit_not, pos
 from .solver import Solver
 
 
 class CnfSink:
-    """Uniform clause sink over a Solver or a CNF container."""
+    """Clause sink over a Solver, with a lazily pinned true literal."""
 
-    def __init__(self, backend: Union[Solver, CNF]) -> None:
+    def __init__(self, backend: Solver) -> None:
         self.backend = backend
         self._true_lit: Optional[int] = None
 

@@ -28,7 +28,7 @@ from typing import List, Optional
 
 from ..diameter.structural import StructuralAnalysis
 from ..netlist import Netlist
-from ..resilience import Budget, Cancelled
+from ..resilience import Budget
 from ..unroll import ABORTED, FALSIFIED, PROVEN, Counterexample, bmc
 from .approx import localize_by_distance
 
@@ -69,8 +69,7 @@ def localization_refinement(
     ``budget`` is checked per refinement iteration and threaded into
     the inner BMC runs; exhaustion returns an ``exhausted`` result
     carrying a structured ``exhaustion_reason`` (which is sound — the
-    loop only ever concludes from definitive inner verdicts),
-    cancellation raises :class:`Cancelled`.
+    loop only ever concludes from definitive inner verdicts).
     """
     if target is None:
         if not net.targets:
@@ -83,8 +82,6 @@ def localization_refinement(
     while True:
         iterations += 1
         if budget is not None:
-            if budget.cancelled:
-                raise Cancelled(budget_name=budget.name)
             reason = budget.exhausted()
             if reason is not None:
                 return LocalizationResult(

@@ -89,7 +89,7 @@ from ..netlist import (
     topological_order,
 )
 from ..netlist.types import COMMUTATIVE_TYPES
-from ..resilience import Budget, Cancelled
+from ..resilience import Budget
 from ..sat import SAT, UNSAT, CnfSink, Solver, encode_init_state, \
     lit_not, pos
 from ..sat.template import get_template
@@ -458,25 +458,22 @@ def redundancy_removal(
     ``com.implied`` (step pairs the round's frame-0 merges imply by
     structure, kept without a query) / ``com.merges`` counters.
 
-    ``budget`` makes the sweep cooperative: cancellation raises
-    :class:`Cancelled`; exhaustion, in the base case or the step
-    fixpoint, discards every SAT-derived candidate class (the surviving
-    merges would otherwise rest on an unfinished refinement —
-    discarding is sound, the transform simply merges less) and is
-    recorded via the ``com.budget_aborts`` counter.  Ternary-constant
-    merges never need SAT and are kept.
+    ``budget`` makes the sweep cooperative: exhaustion, in the base
+    case or the step fixpoint, discards every SAT-derived candidate
+    class (the surviving merges would otherwise rest on an unfinished
+    refinement — discarding is sound, the transform simply merges
+    less) and is recorded via the ``com.budget_aborts`` counter.
+    Ternary-constant merges never need SAT and are kept.
     """
     with obs.span("transform.com"):
         return _sweep(net, config or SweepConfig(), name_suffix, budget)
 
 
 def _budget_drained(budget: Optional[Budget]) -> bool:
-    """Cooperative sweep check: raises on cancellation, True when the
-    budget is exhausted and SAT work must stop."""
+    """Cooperative sweep check: True when the budget is exhausted and
+    SAT work must stop."""
     if budget is None:
         return False
-    if budget.cancelled:
-        raise Cancelled(budget_name=budget.name)
     return budget.exhausted() is not None
 
 

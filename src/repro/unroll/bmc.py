@@ -17,7 +17,7 @@ from typing import Dict, List, Optional
 from .. import obs
 from ..cert import certification_enabled, certify_unsat, certify_witness
 from ..netlist import Netlist
-from ..resilience import Budget, Cancelled
+from ..resilience import Budget
 from ..sat import SAT, UNKNOWN, Solver
 from .unroller import Unrolling
 
@@ -97,12 +97,10 @@ def _budget_remaining(budget: Optional[Budget]) -> Optional[float]:
 
 
 def _budget_abort(budget: Optional[Budget]) -> Optional[str]:
-    """Pre-frame cooperative check: raises on cancellation, returns
-    the exhaustion reason (None to keep going)."""
+    """Pre-frame cooperative check: the exhaustion reason (None to
+    keep going)."""
     if budget is None:
         return None
-    if budget.cancelled:
-        raise Cancelled(budget_name=budget.name)
     return budget.exhausted()
 
 
@@ -112,7 +110,6 @@ def bmc(
     max_depth: int = 20,
     complete_bound: Optional[int] = None,
     budget: Optional[Budget] = None,
-    certify: Optional[bool] = None,
 ) -> BMCResult:
     """Check target reachability for depths ``0 .. max_depth - 1``.
 
@@ -121,16 +118,14 @@ def bmc(
     is declared :data:`PROVEN` unreachable.  Returns the first
     counterexample otherwise.  ``budget`` is checked before every
     frame (and cooperatively inside each solve) — exhaustion yields
-    :data:`ABORTED` with a structured ``exhaustion_reason``,
-    cancellation raises.
+    :data:`ABORTED` with a structured ``exhaustion_reason``.
 
-    ``certify`` (None = the :func:`repro.cert.use_certification`
-    default) arms verdict certification: the unrolling is built on a
-    ``Solver(proof=True)``, refuted windows are checked by the
-    :mod:`repro.cert.drat` checker on exit, and counterexamples are
-    replayed through the bit-parallel simulator before FALSIFIED is
-    returned.  A verdict that passes carries ``certified=True``; one
-    that fails its check raises
+    Under :func:`repro.cert.use_certification` the call certifies its
+    verdict: the unrolling is built on a ``Solver(proof=True)``,
+    refuted windows are checked by the :mod:`repro.cert.drat` checker
+    on exit, and counterexamples are replayed through the bit-parallel
+    simulator before FALSIFIED is returned.  A verdict that passes
+    carries ``certified=True``; one that fails its check raises
     :class:`repro.resilience.CertificationFailure` instead of
     returning.  ABORTED results are never certified (no verdict
     stands).  A negative ``max_depth`` raises :class:`ValueError`.
@@ -141,7 +136,7 @@ def bmc(
         if not net.targets:
             raise ValueError("netlist has no targets")
         target = net.targets[0]
-    do_cert = certification_enabled() if certify is None else certify
+    do_cert = certification_enabled()
     unroll = Unrolling(net, Solver(proof=do_cert), constrain_init=True)
     depth = max_depth
     if complete_bound is not None:

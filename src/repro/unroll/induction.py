@@ -42,7 +42,6 @@ def k_induction(
     target: Optional[int] = None,
     max_k: int = 10,
     budget: Optional[Budget] = None,
-    certify: Optional[bool] = None,
     base_depth: Optional[int] = None,
 ) -> BMCResult:
     """Prove or falsify a target by k-induction up to ``max_k``.
@@ -75,12 +74,11 @@ def k_induction(
     ``induction.diff_clauses`` / ``induction.step_vars`` counters
     expose the encoding size in the registry snapshot.
 
-    ``certify`` (None = the :func:`repro.cert.use_certification`
-    default) builds both solvers with ``Solver(proof=True)``.  PROVEN
-    DRAT-checks the base solver's refuted frames and the step solver's
-    refutation; FALSIFIED replays the witness (and checks the frames
-    refuted before it); BOUNDED checks its base window; ABORTED
-    certifies nothing.  Failure raises
+    Under :func:`repro.cert.use_certification` both solvers are built
+    with ``Solver(proof=True)``.  PROVEN DRAT-checks the base solver's
+    refuted frames and the step solver's refutation; FALSIFIED replays
+    the witness (and checks the frames refuted before it); BOUNDED
+    checks its base window; ABORTED certifies nothing.  Failure raises
     :class:`repro.resilience.CertificationFailure`.  Every verdict
     this call certifies carries ``certified=True``.  A negative
     ``max_k`` raises :class:`ValueError`.
@@ -91,7 +89,7 @@ def k_induction(
         if not net.targets:
             raise ValueError("netlist has no targets")
         target = net.targets[0]
-    do_cert = certification_enabled() if certify is None else certify
+    do_cert = certification_enabled()
     depth = max(max_k + 1, base_depth or 0)
     base = Unrolling(net, Solver(proof=do_cert), constrain_init=True)
     # Step: an unconstrained simple path of k+1 states with the target

@@ -1,7 +1,7 @@
 """Shared test fixtures: the tier-1 hang guard.
 
-A cooperative-cancellation bug typically shows up as a *hang* (a loop
-that stops checking its budget), which CI would otherwise report as an
+A missed deadline check typically shows up as a *hang* (a loop that
+stops checking its budget), which CI would otherwise report as an
 opaque timeout kill.  The autouse guard below arms stdlib
 ``faulthandler.dump_traceback_later`` around every test: if any single
 test exceeds the ceiling, every thread's traceback is dumped to stderr

@@ -69,8 +69,10 @@ class TestVerdictIdentity:
     @pytest.mark.parametrize("design", ["s27", "s298"])
     def test_iscas_bmc_verdicts_identical(self, design):
         net = iscas89.generate(design)
-        plain = bmc(net, max_depth=12, certify=False)
-        certified = bmc(net, max_depth=12, certify=True)
+        with use_certification(False):
+            plain = bmc(net, max_depth=12)
+        with use_certification(True):
+            certified = bmc(net, max_depth=12)
         assert certified.status == plain.status
         assert certified.depth_checked == plain.depth_checked
         assert certified.certified and not plain.certified
@@ -87,7 +89,8 @@ class TestVerdictIdentity:
     def test_counterexample_certified(self):
         net, t = counter_target(3, 5)
         with obs.scoped(obs.Registry("cert-int")) as reg:
-            result = bmc(net, t, max_depth=10, certify=True)
+            with use_certification(True):
+                result = bmc(net, t, max_depth=10)
             snap = reg.snapshot()
         assert result.status == FALSIFIED
         assert result.counterexample.depth == 5
@@ -100,8 +103,8 @@ class TestVerdictIdentity:
     def test_proven_bmc_certified(self):
         net, t = unreachable_target()
         with obs.scoped(obs.Registry("cert-int")) as reg:
-            result = bmc(net, t, max_depth=8, complete_bound=4,
-                         certify=True)
+            with use_certification(True):
+                result = bmc(net, t, max_depth=8, complete_bound=4)
             snap = reg.snapshot()
         assert result.status == PROVEN
         assert result.certified
@@ -110,7 +113,8 @@ class TestVerdictIdentity:
     def test_k_induction_proof_certified(self):
         net, t = unreachable_target()
         with obs.scoped(obs.Registry("cert-int")) as reg:
-            result = k_induction(net, t, max_k=4, certify=True)
+            with use_certification(True):
+                result = k_induction(net, t, max_k=4)
             snap = reg.snapshot()
         assert result.status == PROVEN
         assert result.certified
@@ -126,7 +130,8 @@ class TestAdversarialCorruption:
         net = s1269()
         with inject(FaultPlan(corrupt_learnt=range(10 ** 6))):
             with pytest.raises(CertificationFailure) as info:
-                bmc(net, max_depth=12, certify=True)
+                with use_certification(True):
+                    bmc(net, max_depth=12)
         assert info.value.stage == "proof"
 
     def test_corrupt_learnt_accepted_silently_without_certification(self):
@@ -136,7 +141,8 @@ class TestAdversarialCorruption:
         # certification layer exists to close.
         net = s1269()
         with inject(FaultPlan(corrupt_learnt=range(10 ** 6))):
-            result = bmc(net, max_depth=12, certify=False)
+            with use_certification(False):
+                result = bmc(net, max_depth=12)
         assert result.status in (FALSIFIED, BOUNDED, PROVEN)
 
     def test_corrupt_model_caught_by_witness_replay(self):
@@ -144,14 +150,16 @@ class TestAdversarialCorruption:
         # Call index 5 is the SAT frame (frames 0..4 refute).
         with inject(FaultPlan(at={5: FAULT_CORRUPT_MODEL})):
             with pytest.raises(CertificationFailure) as info:
-                bmc(net, t, max_depth=10, certify=True)
+                with use_certification(True):
+                    bmc(net, t, max_depth=10)
         assert info.value.stage == "witness"
         assert "under simulation" in str(info.value)
 
     def test_corrupt_model_accepted_silently_without_certification(self):
         net, t = counter_target(3, 5)
         with inject(FaultPlan(at={5: FAULT_CORRUPT_MODEL})):
-            result = bmc(net, t, max_depth=10, certify=False)
+            with use_certification(False):
+                result = bmc(net, t, max_depth=10)
         assert result.status == FALSIFIED
 
 
@@ -217,7 +225,8 @@ class TestCertifiedRefutation:
     def test_bmc_refutes_pigeonhole_certified(self):
         net, t = pigeonhole_net(6, 5)
         with obs.scoped(obs.Registry("cert-int")) as reg:
-            result = bmc(net, t, max_depth=1, certify=True)
+            with use_certification(True):
+                result = bmc(net, t, max_depth=1)
             snap = reg.snapshot()
         assert (result.status, result.depth_checked) == (BOUNDED, 1)
         assert result.counterexample is None

@@ -5,7 +5,7 @@ scripted call index, :func:`repro.core.prove` and the experiment
 runner must still return a sound structural bound — never one derived
 from an approximation engine — and the full table must complete with
 error cells.  These tests drive that end to end with
-:mod:`repro.resilience.faults` plans and hierarchical budgets, and
+:mod:`repro.resilience.faults` plans and sliced budgets, and
 assert the degradation paths through the obs counters they increment.
 """
 
@@ -26,7 +26,6 @@ from repro.gen import iscas89
 from repro.netlist import NetlistBuilder
 from repro.resilience import (
     Budget,
-    Cancelled,
     FAULT_CRASH,
     FAULT_TIMEOUT,
     FAULT_UNKNOWN,
@@ -183,13 +182,6 @@ class TestProveDegradation:
         assert result.bound <= self.STRUCTURAL_CAP
         assert reg.counter_value("resilience.downgrades") >= 1
 
-    def test_cancellation_propagates(self):
-        net, t = mod_counter_target(3, 6, 7)
-        budget = Budget(name="cancelled")
-        budget.cancel()
-        with pytest.raises(Cancelled):
-            prove(net, sweep_config=FAST, budget=budget)
-
 
 class TestPortfolioFallback:
     def test_crashing_solver_leaves_sat_free_strategies_standing(self):
@@ -272,10 +264,3 @@ class TestRunnerErrorCells:
         assert len(rows) == 1
         assert rows[0].error == "budget exhausted (deadline)"
         assert format_table(rows, "budgeted table")
-
-    def test_cancellation_is_the_only_table_abort(self):
-        budget = Budget(name="cancelled")
-        budget.cancel()
-        with pytest.raises(Cancelled):
-            run_table(iscas89.generate, [iscas89.profile("S27")],
-                      budget=budget)

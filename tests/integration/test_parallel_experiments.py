@@ -8,6 +8,7 @@ process-pool overhead dominates the solver work.
 
 import pytest
 
+from repro import obs
 from repro.experiments.runner import format_table, run_table
 from repro.experiments.table1 import run as run_table1
 from repro.gen import iscas89
@@ -50,6 +51,15 @@ class TestTableDeterminism:
         assert [row.name for row in pooled] == ["S1488", "S27", "S298"]
         sequential = run_table(iscas89.generate, iscas89.profiles(),
                                scale=0.1, designs=designs, jobs=1)
+        assert format_table(pooled, "T") == format_table(sequential, "T")
+
+    def test_one_design_skips_the_pool(self):
+        # One design has nothing to fan out: jobs=2 runs run_table's
+        # own loop, starts no worker, and prints the jobs=1 rows.
+        with obs.scoped(obs.Registry("t")) as reg:
+            pooled = run_table1(scale=0.1, designs=["S27"], jobs=2)
+        assert reg.counter_value("parallel.tasks") == 0
+        sequential = run_table1(scale=0.1, designs=["S27"], jobs=1)
         assert format_table(pooled, "T") == format_table(sequential, "T")
 
     def test_rows_carry_full_columns(self):

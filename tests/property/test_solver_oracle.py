@@ -242,11 +242,14 @@ class TestOracleStress:
     """Larger randomized sweeps."""
 
     def test_large_random_sweep(self):
+        # Threshold 3-CNF, so that the cores are compared through
+        # conflict analysis, minimization and learnt clauses; the
+        # conflict floor keeps the sweep from drifting back to scripts
+        # that unit propagation alone settles.
         rng = random.Random(0xBEEF)
+        conflicts = 0
         for trial in range(150):
-            nv = rng.randint(8, 20)
-            clauses = random_clauses(rng, nv, rng.randint(nv, 6 * nv))
-            script = [("add", c) for c in clauses]
+            nv, script = threshold_3cnf(rng, 8, 20)
             for _ in range(rng.randint(1, 4)):
                 vs = rng.sample(range(nv), rng.randint(0, 4))
                 script.append(
@@ -255,6 +258,8 @@ class TestOracleStress:
             legacy = run_script(LegacySolver, nv, script)
             flat = run_script(Solver, nv, script)
             assert legacy == flat, f"trial {trial}"
+            conflicts += flat[-1][4]["conflicts"]
+        assert conflicts >= 500
 
     def test_php_reduce_db_and_restarts_agree(self):
         # PHP(8,7) is the smallest pigeonhole instance that reaches

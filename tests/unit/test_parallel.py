@@ -14,7 +14,6 @@ from repro.parallel import BudgetSpec, ParallelExecutor, WorkerOutcome
 from repro.resilience import (
     FAULT_CRASH,
     Budget,
-    Cancelled,
     EngineFailure,
     FaultPlan,
     ResourceExhausted,
@@ -58,10 +57,6 @@ def _exit_on_none(payload, budget):
     if payload is None:
         os._exit(3)
     return payload * 2
-
-
-def _cancelled(payload, budget):
-    raise Cancelled(budget_name="pool")
 
 
 def _instrumented(payload, budget):
@@ -138,21 +133,11 @@ class TestExecutorInProcess:
                 pytest.approx(deadline, abs=1.0)
         assert outcomes[0].value["name"] == "pool[a]"
 
-    def test_cancelled_budget_raises_at_submit(self):
-        budget = Budget(name="parent")
-        budget.cancel()
-        with pytest.raises(Cancelled):
-            ParallelExecutor(jobs=1).map(_double, [1], budget=budget)
-
     def test_typed_error_becomes_outcome(self):
         outcomes = ParallelExecutor(jobs=1).map(_typed_error, [None])
         assert not outcomes[0].ok
         assert isinstance(outcomes[0].error, ResourceExhausted)
         assert outcomes[0].error.reason == "conflicts"
-
-    def test_worker_cancelled_reraises_at_join(self):
-        with pytest.raises(Cancelled):
-            ParallelExecutor(jobs=1).map(_cancelled, [None])
 
     def test_labels_length_mismatch(self):
         with pytest.raises(ValueError):
@@ -349,12 +334,6 @@ class TestTypedErrorPickles:
         clone = pickle.loads(pickle.dumps(err))
         assert clone.cause is None
         assert clone.engine == "ret"
-
-    def test_cancelled(self):
-        err = Cancelled(budget_name="table")
-        clone = pickle.loads(pickle.dumps(err))
-        assert clone.budget_name == "table"
-        assert str(clone) == str(err)
 
 
 class TestDataPickles:

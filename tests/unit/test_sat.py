@@ -1,4 +1,4 @@
-"""Unit tests for the CDCL SAT solver and CNF utilities.
+"""Unit tests for the CDCL SAT solver and the literal helpers.
 
 Layout-sensitive tests parametrize over the shipped solver and the
 reference core of ``tests/property/legacy_solver.py``.
@@ -12,18 +12,15 @@ import pytest
 
 import repro.sat
 from repro.sat import (
-    CNF,
     SAT,
     UNKNOWN,
     UNSAT,
     Solver,
-    from_dimacs_lit,
     lit_not,
     lit_sign,
     lit_var,
     neg,
     pos,
-    to_dimacs_lit,
 )
 
 from ..property.legacy_solver import CORES, LegacySolver
@@ -59,35 +56,6 @@ class TestLiterals:
         assert lit_sign(neg(5))
         assert lit_not(pos(3)) == neg(3)
         assert lit_not(neg(3)) == pos(3)
-
-    def test_dimacs_conversion(self):
-        assert to_dimacs_lit(pos(0)) == 1
-        assert to_dimacs_lit(neg(0)) == -1
-        assert from_dimacs_lit(4) == pos(3)
-        assert from_dimacs_lit(-4) == neg(3)
-        with pytest.raises(ValueError):
-            from_dimacs_lit(0)
-
-
-class TestCNF:
-    def test_add_clause_grows_vars(self):
-        cnf = CNF()
-        cnf.add_clause([pos(4)])
-        assert cnf.num_vars == 5
-        assert len(cnf) == 1
-
-    def test_dimacs_round_trip(self):
-        cnf = CNF()
-        cnf.add_clause([pos(0), neg(1)])
-        cnf.add_clause([neg(0), pos(2)])
-        text = cnf.to_dimacs()
-        again = CNF.from_dimacs(text)
-        assert again.clauses == cnf.clauses
-        assert again.num_vars == cnf.num_vars
-
-    def test_dimacs_rejects_bad_header(self):
-        with pytest.raises(ValueError):
-            CNF.from_dimacs("p qbf 3 1\n1 0\n")
 
 
 class TestSolverBasics:
@@ -522,38 +490,41 @@ class TestDebugWatchInvariant:
 
 
 @pytest.mark.parametrize("core", CORES)
-class TestAddCnfBulkRouting:
-    """add_cnf routes pre-validated clauses through the bulk fast
+class TestAddClausesBulkRouting:
+    """add_clauses routes pre-validated clauses through the bulk fast
     path; the resulting state must stay element-wise identical to
     per-clause loading."""
 
-    def _mixed_cnf(self):
-        cnf = CNF()
-        cnf.add_clause([pos(0)])                       # unit: slow
-        cnf.add_clause([pos(1), neg(2)])               # bulk
-        cnf.add_clause([pos(2), pos(3), neg(4)])       # bulk
-        cnf.add_clause([pos(1), neg(1)])               # taut: slow
-        cnf.add_clause([neg(0), pos(5)])               # bulk (norm.)
-        cnf.add_clause([pos(3), pos(3), pos(4)])       # dup: slow
-        cnf.add_clause([neg(3), neg(5)])               # bulk
-        return cnf
+    def _mixed_clauses(self):
+        return [
+            [pos(0)],                       # unit: slow
+            [pos(1), neg(2)],               # bulk
+            [pos(2), pos(3), neg(4)],       # bulk
+            [pos(1), neg(1)],               # taut: slow
+            [neg(0), pos(5)],               # bulk (norm.)
+            [pos(3), pos(3), pos(4)],       # dup: slow
+            [neg(3), neg(5)],               # bulk
+        ]
 
-    def test_add_cnf_matches_per_clause_loading(self, core):
-        cnf = self._mixed_cnf()
-        a, b = core(), core()
-        assert a.add_cnf(cnf)
-        b._ensure_var(cnf.num_vars - 1)
-        for cl in cnf.clauses:
-            assert b.add_clause(list(cl))
+    def _solver(self, core):
+        # add_clauses takes pre-allocated variables only.
+        s = core()
+        s._ensure_var(5)
+        return s
+
+    def test_matches_per_clause_loading(self, core):
+        a, b = self._solver(core), self._solver(core)
+        assert a.add_clauses(self._mixed_clauses())
+        for cl in self._mixed_clauses():
+            assert b.add_clause(cl)
         assert a.num_vars == b.num_vars
         assert a.clause_lits() == b.clause_lits()
         assert a.assignment() == b.assignment()
         assert a.trail_lits() == b.trail_lits()
         assert a.solve() == b.solve()
 
-    def test_add_cnf_actually_uses_bulk_runs(self, core,
-                                             monkeypatch):
-        s = core()
+    def test_uses_bulk_runs(self, core, monkeypatch):
+        s = self._solver(core)
         batches = []
         original = s.add_clauses_bulk
 
@@ -562,15 +533,12 @@ class TestAddCnfBulkRouting:
             return original(batch)
 
         monkeypatch.setattr(s, "add_clauses_bulk", spy)
-        assert s.add_cnf(self._mixed_cnf())
+        assert s.add_clauses(self._mixed_clauses())
         # Maximal runs between slow-path clauses: [2], [1], [1].
         assert batches == [2, 1, 1]
 
-    def test_add_cnf_detects_unsat(self, core):
-        cnf = CNF()
-        cnf.add_clause([pos(0), pos(1)])
-        cnf.add_clause([pos(0)])
-        cnf.add_clause([neg(0)])
+    def test_detects_unsat(self, core):
         s = core()
-        assert not s.add_cnf(cnf)
+        s._ensure_var(1)
+        assert not s.add_clauses([[pos(0), pos(1)], [pos(0)], [neg(0)]])
         assert s.solve() == UNSAT

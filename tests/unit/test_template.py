@@ -14,7 +14,7 @@ import pytest
 
 from repro import obs
 from repro.netlist import GateType, NetlistBuilder, s27
-from repro.sat import CNF, CnfSink, Solver, encode_frame, encode_mux, pos
+from repro.sat import CnfSink, Solver, encode_frame, encode_mux, pos
 from repro.sat import template as tmpl_mod
 from repro.sat.template import (
     SLOT_BASE,
@@ -181,27 +181,6 @@ class TestStampParity:
         walked = unrolling_fingerprint(net, 5, constrain_init, True)
         templ = unrolling_fingerprint(net, 5, constrain_init, False)
         assert walked == templ
-
-    def test_stamp_into_cnf_backend_matches_encode_frame(self):
-        """The non-solver (plain CNF) backend takes the generic path
-        but must produce the same clause stream too."""
-        net = counter(3)
-        t = compile_template(net)
-
-        def build(use_tmpl):
-            cnf = CNF()
-            sink = CnfSink(cnf)
-            state = {v: pos(sink.new_var())
-                     for v in net.state_elements}
-            if t.has_const0:
-                _ = sink.true_lit
-            if use_tmpl:
-                lits, nxt = t.stamp(sink, state)
-            else:
-                lits, nxt = walk_frame(net, sink, state)
-            return cnf.num_vars, list(cnf.clauses), lits, nxt
-
-        assert build(False) == build(True)
 
     def test_with_next_false_stops_at_core(self):
         # A latch forces a real hold-mux tail after the core.

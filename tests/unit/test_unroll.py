@@ -5,6 +5,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from repro import obs
+from repro.cert import use_certification
 from repro.diameter import first_hit_time
 from repro.gen.protocols import round_robin_arbiter
 from repro.netlist import NetlistBuilder, s27
@@ -258,7 +259,8 @@ class TestKInduction:
         # solve base frame 0 alone, not a max_k + 1 = 31 frame window.
         net, t = round_robin_arbiter(5)
         with obs.scoped(obs.Registry("t")) as reg:
-            result = k_induction(net, t, max_k=30, certify=certify)
+            with use_certification(certify):
+                result = k_induction(net, t, max_k=30)
             snap = reg.snapshot()
         assert (result.status, result.depth_checked) == (PROVEN, 1)
         assert result.certified == certify
